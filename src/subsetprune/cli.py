@@ -129,23 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Pre-fill args from a JSON config; flags given on the command line win."""
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a JSON ``--config`` is turned into flags placed before the
+    command line's own, so the parser checks its values and explicit flags win."""
+    args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
-        return
+        return args
     with open(args.config, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ParameterError("config must be a JSON object")
-    explicit = {token.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for token in argv if token.startswith("--")}
+    tokens = []
     for key, value in payload.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "config") or not hasattr(args, attr):
             raise ParameterError(f"unknown config key {key!r}")
-        if attr in explicit:
-            continue
-        setattr(args, attr, value)
+        if value is not None:  # null keeps the default, which must itself be null
+            tokens.append(f"--{attr.replace('_', '-')}={value}")
+    from_config = parser.parse_args([args.command, *tokens])
+    for key, value in payload.items():
+        parsed = getattr(from_config, key.replace("-", "_"))
+        if not isinstance(value, type(parsed)) and not (
+            isinstance(parsed, float) and isinstance(value, int)
+        ):
+            raise ParameterError(
+                f"config key {key!r} must be a JSON {type(parsed).__name__}, got {value!r}"
+            )
+    return parser.parse_args([args.command, *tokens, *argv[1:]])
 
 
 def _int_list(text: str) -> list[int]:
@@ -398,8 +408,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        args = _parse_args(parser, argv)
         return _HANDLERS[args.command](args)
     except (ParameterError, ShapeError, StructureError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

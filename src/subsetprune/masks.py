@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StructureError
+from .errors import ParameterError, ShapeError
 from .tensors import Tensor4
 
 __all__ = [
@@ -238,12 +238,6 @@ def validate_structure(mask: Mask4, max_violations: int = 16) -> StructureReport
     return StructureReport(
         False, mask.kind, coords, f"{mismatch.shape[0]} bit(s) deviate from the declared kind"
     )
-
-
-def require_valid(mask: Mask4) -> None:
-    report = validate_structure(mask)
-    if not report.valid:
-        raise StructureError(report.message)
 
 
 # ---------------------------------------------------------------------------

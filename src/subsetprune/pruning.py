@@ -615,18 +615,23 @@ def save_bundle(path, bundle: PrunedNetworkBundle) -> None:
 def load_bundle(path) -> PrunedNetworkBundle:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format") != _BUNDLE_FORMAT:
-        raise ValueError(f"unknown bundle format {payload.get('format')!r}")
+    if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
+        raise ValueError(f"{path} is not a {_BUNDLE_FORMAT} file")
     report = payload.get("report")
-    return PrunedNetworkBundle(
-        random_kernels=tuple(_tensor_from_payload(t) for t in payload["random_kernels"]),
-        target_kernels=tuple(_tensor_from_payload(t) for t in payload["target_kernels"]),
-        masks=tuple(mask_from_bytes(base64.b64decode(m)) for m in payload["masks"]),
-        params=_params_from_payload(payload["params"]),
-        seed=SeedSpec(payload["seed"]["master_seed"], payload["seed"]["stream_id"]),
-        spatial=int(payload["spatial"]),
-        report=PruneReport.from_dict(report) if report is not None else None,
-    )
+    try:
+        return PrunedNetworkBundle(
+            random_kernels=tuple(_tensor_from_payload(t) for t in payload["random_kernels"]),
+            target_kernels=tuple(_tensor_from_payload(t) for t in payload["target_kernels"]),
+            masks=tuple(mask_from_bytes(base64.b64decode(m)) for m in payload["masks"]),
+            params=_params_from_payload(payload["params"]),
+            seed=SeedSpec(payload["seed"]["master_seed"], payload["seed"]["stream_id"]),
+            spatial=int(payload["spatial"]),
+            report=PruneReport.from_dict(report) if report is not None else None,
+        )
+    except KeyError as exc:
+        raise ValueError(f"bundle {path} lacks key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"bundle {path} has a malformed field: {exc}") from exc
 
 
 def bundle_probe_error(bundle: PrunedNetworkBundle) -> float:

@@ -20,6 +20,18 @@ Strategies
 Determinism: among equal-residual candidates the lexicographically smallest
 index set wins, and greedy restarts draw from an explicit :class:`SeedSpec`.
 
+The exhaustive engine (shared by :func:`search_subsets` and
+:func:`subset_sum_number`) builds each cardinality layer of subset sums
+coordinate-major, a ``(d, C(n, j))`` array in colex order, so the whole family
+takes d x (family size) x 8 bytes with no intermediate copies. The search
+first scans the contiguous coordinate-0 row: with ``U`` the smaller of the
+best residual so far and the full residual at the coordinate-0 argmin, the
+full L-inf residual is computed only where ``|s_0 - z_0| <= U``. This is exact
+(sort-and-search, Horowitz & Sahni 1974): an L-inf residual is never below its
+coordinate-0 term, so the minimum and every tie at it survive the filter, in
+ascending colex rank, and each sum is still added in ascending index order, so
+results are bit-identical to a dense scan.
+
 The 1-D cover question ("is every grid point hit by some subset sum?") is
 answered exactly for any n by :func:`inflated_sum_intervals`, which maintains
 the union of ``[s - eps, s + eps]`` over all subset sums s as a sorted list of
@@ -267,20 +279,28 @@ def _family_size(n: int, cardinalities) -> int:
 
 
 def _colex_sum_layers(vectors: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """Subset sums of every cardinality up to k_max, colexicographic order.
+    """Subset sums of every cardinality up to k_max, coordinate-major, colex order.
 
-    In colex order the (j-1)-subsets with maximum element below L are exactly
-    the first C(L, j-1) rows of layer j-1, so layer j is a concatenation of
-    prefix slices plus one vector each: no per-subset Python work. Within a
-    subset the additions happen in ascending index order (the canonical order).
-    Memory is O(total family size x d).
+    Layer j is a ``(d, C(m, j))`` array whose column r is the sum of the r-th
+    j-subset in colexicographic order. In colex order the (j-1)-subsets with
+    maximum element below L are exactly the first C(L, j-1) columns of layer
+    j-1, so layer j is filled slice by slice, each slice a prefix of layer j-1
+    plus one vector, written straight into the preallocated layer: no
+    per-subset Python work and no concatenate copy. Within a subset the
+    additions happen in ascending index order (the canonical order). Memory is
+    d x (family size) x 8 bytes.
     """
     m, d = vectors.shape
-    layers = [np.zeros((1, d))]
+    layers = [np.zeros((d, 1))]
     for j in range(1, k_max + 1):
         prev = layers[j - 1]
-        parts = [prev[: math.comb(last, j - 1)] + vectors[last] for last in range(j - 1, m)]
-        layers.append(np.concatenate(parts) if parts else np.empty((0, d)))
+        layer = np.empty((d, math.comb(m, j)))
+        start = 0
+        for last in range(j - 1, m):
+            stop = start + math.comb(last, j - 1)
+            np.add(prev[:, : stop - start], vectors[last][:, None], out=layer[:, start:stop])
+            start = stop
+        layers.append(layer)
     return layers
 
 
@@ -300,27 +320,46 @@ def _colex_decode(rank: int, j: int) -> tuple[int, ...]:
 _TIE_DECODE_CAP = 1024
 
 
+def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
+    family = _family_size(n, cardinalities)
+    if family > budget:
+        k_max = max(cardinalities)
+        sizes = f"{k_max}-subsets" if len(cardinalities) == 1 else f"subsets of size <= {k_max}"
+        raise BudgetError(
+            f"{family} {sizes} of {n} vectors exceed the enumeration budget {budget} "
+            f"(their {d}-dim sums would need {family * d * 8} bytes)"
+        )
+
+
 def _enumerate_best(
     vectors: np.ndarray, target: np.ndarray, cardinalities, budget: int
 ) -> tuple[tuple[int, ...], float]:
-    n = vectors.shape[0]
-    if _family_size(n, cardinalities) > budget:
-        raise BudgetError(
-            f"{_family_size(n, cardinalities)} subsets exceed the enumeration budget {budget}"
-        )
+    n, d = vectors.shape
+    _check_family_budget(n, cardinalities, d, budget)
     layers = _colex_sum_layers(vectors, max(cardinalities))
     best_res = math.inf
     best_indices: tuple[int, ...] | None = None
     for j in cardinalities:
         sums = layers[j]
-        if sums.shape[0] == 0:
+        if sums.shape[1] == 0:
             continue
-        residuals = np.abs(sums - target).max(axis=1) if target.size else np.zeros(len(sums))
+        # Coordinate-0 prefilter: a sum's L-inf residual is at least its
+        # coordinate-0 gap a0, so every sum at residual <= bound (the layer
+        # minimum and all its ties included, in ascending colex rank) passes
+        # a0 <= bound, and the full residual is computed on those alone.
+        a0 = sums[0] - target[0] if d else np.zeros(sums.shape[1])
+        np.abs(a0, out=a0)  # in place: a second full-size buffer costs its page faults
+        pivot = int(np.argmin(a0))
+        bound = min(best_res, float(np.abs(sums[:, pivot] - target).max(initial=0.0)))
+        ranks = np.flatnonzero(a0 <= bound)
+        if ranks.size == 0:
+            continue
+        residuals = np.abs(sums[:, ranks] - target[:, None]).max(axis=0, initial=0.0)
         res = float(residuals.min())
         if res > best_res:
             continue
         # exact-tie resolution; the cap keeps degenerate inputs from exploding
-        ties = np.flatnonzero(residuals == res)[:_TIE_DECODE_CAP]
+        ties = ranks[residuals == res][:_TIE_DECODE_CAP]
         decoded = min(_colex_decode(int(r), j) for r in ties)
         if res < best_res or best_indices is None or decoded < best_indices:
             best_res, best_indices = res, decoded
@@ -400,8 +439,8 @@ def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
     """
     vectors = np.atleast_2d(np.ascontiguousarray(np.asarray(vectors, dtype=np.float64)))
     target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    if not np.isfinite(target).all():
-        raise ParameterError("target must be finite")
+    if not (np.isfinite(target).all() and np.isfinite(vectors).all()):
+        raise ParameterError("target and vectors must be finite")
     if vectors.ndim != 2 or vectors.shape[1] != target.size:
         raise ParameterError(
             f"vectors of dimension {vectors.shape[1]} vs target of dimension {target.size}"
@@ -463,13 +502,9 @@ def subset_sum_number(
     if not 0 <= k <= ensemble.n:
         raise ParameterError(f"k must be in [0, {ensemble.n}]")
     target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    total = math.comb(ensemble.n, k)
-    if total > enumeration_budget:
-        raise BudgetError(f"C({ensemble.n},{k})={total} exceeds the enumeration budget")
-    if k == 0:
-        return int(np.abs(target).max(initial=0.0) <= epsilon)
+    _check_family_budget(ensemble.n, [k], ensemble.d, enumeration_budget)
     sums = _colex_sum_layers(ensemble.vectors, k)[k]
-    return int((np.abs(sums - target).max(axis=1) <= epsilon).sum())
+    return int((np.abs(sums - target[:, None]).max(axis=0, initial=0.0) <= epsilon).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -108,3 +108,50 @@ def test_config_explicit_flag_wins(tmp_path, capsys):
     assert code == EXIT_OK
     # with the override the empty subset alone covers the whole grid
     assert "rate=1.000" in capsys.readouterr().out
+
+
+def _drop_k_budget(payload):
+    del payload["report"]["layers"][0]["k_budget"]
+    return payload
+
+
+def _null_spatial(payload):
+    payload["spatial"] = None
+    return payload
+
+
+@pytest.mark.parametrize("corrupt", [_drop_k_budget, _null_spatial, lambda payload: [payload]],
+                         ids=["missing-key", "wrong-type", "not-an-object"])
+def test_dump_report_malformed_bundle(capsys, tmp_path, corrupt):
+    bundle = tmp_path / "net.json"
+    assert main(["prune-net", "--depth", "2", "--spatial", "4", "--channels", "1,2,1",
+                 "--kernel-sizes", "2,2", "--overparam", "12,12", "--epsilon", "0.5",
+                 "--probes", "8", "--seed", "21", "--out", str(bundle)]) == EXIT_OK
+    bundle.write_text(json.dumps(corrupt(json.loads(bundle.read_text()))))
+    capsys.readouterr()
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_value_of_wrong_type_rejected(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": "7"}))
+    assert main(["rssp-scan", "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: config key 'trials'")
+
+
+def test_config_abbreviated_flag_wins(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 0.01, "n_list": "4", "grid_size": 5,
+                                  "trials": 5, "seed": 1}))
+    assert main(["rssp-scan", "--config", str(config), "--eps", "2.0"]) == EXIT_OK
+    assert "rate=1.000" in capsys.readouterr().out
+
+
+def test_config_null_keeps_a_null_default_only(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"group_size": None, "n_list": "4", "trials": 3}))
+    assert main(["mrss-scan", "--config", str(config), "--d", "1", "--k", "1"]) == EXIT_OK
+    config.write_text(json.dumps({"epsilon": None}))
+    assert main(["rssp-scan", "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: config key 'epsilon'")

@@ -211,6 +211,88 @@ class TestSubsetSumNumber:
             assert (count > 0) == (sol is not None)
 
 
+def brute_force_best(vectors, target, cardinalities):
+    """Oracle: every subset in lex order, summed in ascending index order;
+    the smallest residual wins and ties go to the lexicographically first set."""
+    best = None
+    for j in cardinalities:
+        for combo in itertools.combinations(range(len(vectors)), j):
+            total = np.zeros(len(target))
+            for i in combo:
+                total = total + vectors[i]
+            residual = float(np.abs(total - target).max(initial=0.0))
+            if best is None or residual < best[1] or (residual == best[1] and combo < best[0]):
+                best = (combo, residual)
+    return best
+
+
+def oracle_pools():
+    """(vectors, target) pairs: generic, rounded to 1 decimal (exact ties and
+    layers the coordinate-0 prefilter empties), far from the target, and empty."""
+    for d in range(1, 6):
+        for trial in range(6):
+            n = 4 + trial
+            rng = np.random.default_rng(1000 * d + trial)
+            vectors = rng.normal(size=(n, d)) * 0.5
+            target = rng.uniform(-1.0, 1.0, size=d)
+            yield vectors, target
+            yield np.round(vectors, 1), np.round(target, 1)
+        yield np.abs(np.round(np.random.default_rng(d).normal(size=(6, d)), 1)) + 1.0, np.zeros(d)
+        yield np.empty((0, d)), np.full(d, 0.5)
+
+
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize("mode", list(CardinalityMode))
+    def test_search_matches_brute_force(self, mode):
+        for vectors, target in oracle_pools():
+            n = len(vectors)
+            for k in range(1, 5):
+                params = SolverParams(epsilon=0.1, k=k, mode=mode)
+                outcome = search_subsets(vectors, target, params)
+                if mode is CardinalityMode.EXACT:
+                    expected = brute_force_best(vectors, target, [k]) if k <= n else None
+                else:
+                    expected = brute_force_best(vectors, target, range(min(k, n) + 1))
+                assert outcome.exhaustive
+                if expected is None:
+                    assert outcome.best is None and outcome.solution is None
+                    continue
+                assert outcome.best.indices == expected[0]
+                assert repr(outcome.best.residual_inf) == repr(expected[1])
+                assert (outcome.solution is not None) == (expected[1] <= 0.1)
+
+    def test_subset_sum_number_matches_brute_force(self):
+        for vectors, target in oracle_pools():
+            n, d = vectors.shape
+            ensemble = NsnEnsemble.from_parts(np.ones(n), vectors)
+            for k in range(min(n, 4) + 1):
+                for eps in (0.0, 0.1, 0.3):
+                    assert subset_sum_number(ensemble, target, k, eps) == len(
+                        enumerate_k_hits(vectors, target, k, eps)
+                    )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        vectors = np.zeros((4, 2))
+        vectors[2, 1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            search_subsets(vectors, np.zeros(2), SolverParams(epsilon=0.1, k=2))
+        with pytest.raises(ParameterError, match="finite"):
+            search_subsets(np.zeros((4, 2)), [0.0, bad], SolverParams(epsilon=0.1, k=2))
+
+    def test_budget_errors_name_family_and_bytes(self):
+        params = SolverParams(epsilon=0.1, k=3, mode=CardinalityMode.AT_MOST,
+                              enumeration_budget=1000)
+        # 1 + 40 + 780 + 9880 subsets, 3 coordinates of 8 bytes each
+        with pytest.raises(BudgetError, match=r"10701 subsets of size <= 3 of 40 vectors.*"
+                                              r"budget 1000.* 256824 bytes"):
+            search_subsets(np.zeros((40, 3)), np.zeros(3), params)
+        ensemble = sample_nsn(40, 1, SeedSpec(78))
+        with pytest.raises(BudgetError, match=r"137846528820 20-subsets of 40 vectors.*"
+                                              r" 1102772230560 bytes"):
+            subset_sum_number(ensemble, [0.0], 20, 0.1, enumeration_budget=1000)
+
+
 class TestPartitionBoost:
     def test_single_group_reduces_to_plain_solve(self):
         ensemble = sample_nsn(9, 1, SeedSpec(31))
