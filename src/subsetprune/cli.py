@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetError, CapacityError, ParameterError, ShapeError, StructureError
+from .errors import BudgetError, ParameterError, ShapeError, StructureError
 from .harness import (
     check_chi_squared_tails,
     check_intersection_tail,
@@ -43,21 +43,22 @@ from .pruning import (
     bundle_probe_error,
     load_bundle,
     make_probes,
+    probe_error,
     prune_network,
     prune_single_layer,
     save_bundle,
-    single_layer_output,
 )
 from .sampling import SeedSpec, sample_normal_tensor
 from .solvers import CardinalityMode, Strategy
-from .tensors import Tensor4, conv, norm_l1
+from .tensors import Tensor4, norm_l1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_STRATEGIES = {s.value: s for s in Strategy}
+# every strategy but the 1-D-only meet-in-the-middle; each command here is d-dimensional
+_STRATEGIES = {s.value: s for s in Strategy if s is not Strategy.MEET_IN_THE_MIDDLE}
 _MODES = {m.value: m for m in CardinalityMode}
 
 
@@ -288,8 +289,6 @@ def _prune_params(args) -> PruneParams:
 
 
 def _cmd_prune_one(args) -> int:
-    import numpy as np
-
     seed = SeedSpec(args.seed)
     params = _prune_params(args)
     expansion = sample_normal_tensor((1, 1, args.c0, 2 * args.n * args.c0), seed.substream(0))
@@ -306,11 +305,7 @@ def _cmd_prune_one(args) -> int:
         print(f"  warning: {warning}")
     probes = make_probes(args.spatial, args.spatial, args.c0, params.probe_count,
                          seed.substream(4), params.magnitude_bound)
-    worst = 0.0
-    for probe in probes:
-        fx = conv(target, probe)
-        gx = single_layer_output(mixing, result.pruned_first, probe)
-        worst = max(worst, float(np.abs(fx.data - gx.data).max()))
+    worst = probe_error((target,), (expansion, mixing), (result.mask,), probes)
     print(f"probe error {worst:.6g} over {len(probes)} probes "
           f"(budget {params.epsilon * params.magnitude_bound:.6g} when fully successful)")
     structure = validate_structure(result.mask)
@@ -413,7 +408,7 @@ def main(argv=None) -> int:
     except (ParameterError, ShapeError, StructureError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetError, CapacityError) as exc:
+    except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

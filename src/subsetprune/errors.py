@@ -9,10 +9,6 @@ class ParameterError(ValueError):
     """An argument violates an operation's stated hypotheses."""
 
 
-class CapacityError(RuntimeError):
-    """Instance exceeds a hard structural limit (e.g. meet-in-the-middle table width)."""
-
-
 class BudgetError(RuntimeError):
     """Enumeration would exceed the configured subset budget; never silently degraded."""
 

@@ -16,6 +16,7 @@ fanned out across workers (block ``b`` always draws from ``seed.substream(b)``).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,16 +24,26 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
-from .sampling import SeedSpec, _generator, _normals, sample_nsn, sample_uniform
+from .pruning import PruneParams, make_probes, probe_error, prune_single_layer
+from .sampling import (
+    SeedSpec,
+    _generator,
+    _normals,
+    sample_normal_tensor,
+    sample_nsn,
+    sample_uniform,
+)
 from .solvers import (
     SolverParams,
+    Strategy,
     cover_targets,
     dimension_constant,
+    partition_boost,
     search_subsets,
 )
+from .tensors import norm_l1
 
 __all__ = [
-    "TrialPlan",
     "BoundDirection",
     "BoundCheckResult",
     "SecondMomentReport",
@@ -55,30 +66,6 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
-
-
-@dataclass(frozen=True)
-class TrialPlan:
-    """A sweep request: trial count, seed, axis values, output path."""
-
-    trials: int
-    seed: SeedSpec
-    n_values: tuple[int, ...] = ()
-    k_values: tuple[int, ...] = ()
-    d_values: tuple[int, ...] = ()
-    epsilon_values: tuple[float, ...] = ()
-    j_values: tuple[int, ...] = ()
-    t_values: tuple[float, ...] = ()
-    out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
-        for name in ("n_values", "k_values", "d_values", "j_values"):
-            if any(v < 1 for v in getattr(self, name)):
-                raise ParameterError(f"{name} must be positive")
-        if any(not v > 0 for v in self.epsilon_values + self.t_values):
-            raise ParameterError("epsilon and t values must be positive")
 
 
 class BoundDirection(Enum):
@@ -394,8 +381,6 @@ def check_second_moment_identity(
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
 
-    import itertools
-
     combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     ncomb = combos.shape[0]
     # canonical pair at half-difference j: overlap k - j, fresh tail from k..k+j-1
@@ -515,6 +500,20 @@ def write_csv(path, rows: list[dict]) -> None:
             writer.writerow(row)
 
 
+def _rate_row(n: int, trials: int, successes: int, echo: dict) -> dict:
+    """One scan row: the success counts, rate and Wilson bounds, then ``echo``."""
+    low, high = wilson_interval(successes, trials)
+    return {
+        "n": n,
+        "trials": trials,
+        "successes": successes,
+        "rate": successes / trials,
+        "wilson_low": low,
+        "wilson_high": high,
+        **echo,
+    }
+
+
 def scan_rssp_phase(
     epsilon: float,
     n_values,
@@ -544,24 +543,13 @@ def scan_rssp_phase(
         for n in n_values:
             if cover_targets(draws[:n], grid, epsilon).success:
                 successes[n] += 1
-    rows = []
-    for n in sorted(set(n_values)):
-        low, high = wilson_interval(successes[n], trials)
-        rows.append(
-            {
-                "n": n,
-                "trials": trials,
-                "successes": successes[n],
-                "rate": successes[n] / trials,
-                "wilson_low": low,
-                "wilson_high": high,
-                "epsilon": epsilon,
-                "grid_size": grid_size,
-                "master_seed": seed.master_seed,
-                "stream_id": seed.stream_id,
-            }
-        )
-    return rows
+    echo = {
+        "epsilon": epsilon,
+        "grid_size": grid_size,
+        "master_seed": seed.master_seed,
+        "stream_id": seed.stream_id,
+    }
+    return [_rate_row(n, trials, successes[n], echo) for n in sorted(set(n_values))]
 
 
 def _l1_projected_target(d: int, radius: float, seed: SeedSpec) -> np.ndarray:
@@ -579,7 +567,7 @@ def scan_mrss_phase(
     epsilon: float,
     trials: int,
     seed: SeedSpec,
-    strategy: "Strategy | None" = None,
+    strategy: Strategy = Strategy.EXHAUSTIVE,
     target_radius: float = 1.0,
     group_size: int | None = None,
 ) -> list[dict]:
@@ -590,9 +578,6 @@ def scan_mrss_phase(
     ``target_radius``. Rates are labelled empirical: the success constant is
     never asserted. Columns: n, trials, successes, rate, wilson bounds, echo.
     """
-    from .solvers import Strategy as _Strategy
-
-    strategy = strategy or _Strategy.EXHAUSTIVE
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < k:
         raise ParameterError("every n must be >= k")
@@ -611,37 +596,23 @@ def scan_mrss_phase(
             prefix = ensemble.take(n)
             if group_size is None:
                 hit = search_subsets(prefix.vectors, target, params).solution is not None
+            elif n < group_size:
+                hit = False
             else:
-                from .solvers import partition_boost
-
-                if n < group_size:
-                    hit = False
-                else:
-                    hit = partition_boost(prefix, [target], params, group_size)[0].solution is not None
+                hit = partition_boost(prefix, [target], params, group_size)[0].solution is not None
             if hit:
                 successes[n] += 1
-    rows = []
-    for n in sorted(set(n_values)):
-        low, high = wilson_interval(successes[n], trials)
-        rows.append(
-            {
-                "n": n,
-                "trials": trials,
-                "successes": successes[n],
-                "rate": successes[n] / trials,
-                "wilson_low": low,
-                "wilson_high": high,
-                "d": d,
-                "k": k,
-                "epsilon": epsilon,
-                "strategy": strategy.value,
-                "target_radius": target_radius,
-                "group_size": group_size if group_size is not None else "",
-                "master_seed": seed.master_seed,
-                "stream_id": seed.stream_id,
-            }
-        )
-    return rows
+    echo = {
+        "d": d,
+        "k": k,
+        "epsilon": epsilon,
+        "strategy": strategy.value,
+        "target_radius": target_radius,
+        "group_size": group_size if group_size is not None else "",
+        "master_seed": seed.master_seed,
+        "stream_id": seed.stream_id,
+    }
+    return [_rate_row(n, trials, successes[n], echo) for n in sorted(set(n_values))]
 
 
 def scan_prune_success(
@@ -652,15 +623,11 @@ def scan_prune_success(
     epsilon: float,
     trials: int,
     seed: SeedSpec,
-    params: "PruneParams | None" = None,
+    params: PruneParams | None = None,
     spatial: int = 4,
 ) -> list[dict]:
     """Channel-solve hit rate of single-layer pruning as overparameterisation
     grows; explicitly empirical constant-hunting, nothing asserted."""
-    from .pruning import PruneParams, make_probes, prune_single_layer, single_layer_output
-    from .sampling import sample_normal_tensor
-    from .tensors import conv, norm_l1
-
     base = params or PruneParams(epsilon=epsilon)
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
@@ -683,12 +650,9 @@ def scan_prune_success(
             full += int(result.fully_successful)
             probes = make_probes(spatial, spatial, c0, base.probe_count, stream.substream(4),
                                  base.magnitude_bound)
-            worst = 0.0
-            for probe in probes:
-                fx = conv(target, probe)
-                gx = single_layer_output(mixing, result.pruned_first, probe)
-                worst = max(worst, float(np.abs(fx.data - gx.data).max()))
-            probe_errors.append(worst)
+            probe_errors.append(
+                probe_error((target,), (expansion, mixing), (result.mask,), probes)
+            )
         rows.append(
             {
                 "n": n,

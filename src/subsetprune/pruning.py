@@ -16,8 +16,9 @@ The pipeline realises three facts as executable code:
    mask and one filter removal.
 3. *Multi-layer composition* (:func:`prune_network`): each target layer is
    pruned with per-layer budget ``eps / (2 ell)``; if every channel solve of
-   every layer hits, the end-to-end error on any input of max-norm <= 1 is at
-   most ``(1 + eps/(2 ell))^ell - 1``.
+   every layer hits, the end-to-end error on any input of max-norm <= M is at
+   most ``M ((1 + eps/(2 ell))^ell - 1)``: the nets have no biases, so both
+   chains are positively homogeneous and the error scales linearly in M.
 
 Channel solves that the search cannot hit are first-class results: the best
 near-miss subset is still applied (so a pruned network always exists) and the
@@ -70,6 +71,7 @@ __all__ = [
     "prune_network",
     "evaluate_network",
     "make_probes",
+    "probe_error",
     "single_layer_output",
     "save_bundle",
     "load_bundle",
@@ -375,6 +377,23 @@ def evaluate_network(
     return x
 
 
+def probe_error(target_kernels, random_kernels, masks, probes) -> float:
+    """Worst entrywise ``|f(p) - g(p)|`` over ``probes``.
+
+    ``f`` is the target chain and ``g`` the random chain (expansion, mixing,
+    ...) with ``masks[i]`` applied to the 1 x 1 expansion of target layer
+    ``i``; the mixing kernels are used unmasked, since the mask already zeroes
+    the channels they would read.
+    """
+    eval_masks = [m for mask in masks for m in (mask, None)]
+    worst = 0.0
+    for probe in probes:
+        fx = evaluate_network(target_kernels, probe)
+        gx = evaluate_network(random_kernels, probe, eval_masks)
+        worst = max(worst, float(np.abs(fx.data - gx.data).max()))
+    return worst
+
+
 @dataclass(frozen=True)
 class LayerSummary:
     layer: int
@@ -493,9 +512,11 @@ def prune_network(
 
     ``random_kernels`` holds 2*ell kernels (expansion, mixing, ...) and
     ``target_kernels`` the ell targets, each of L1 norm <= 1. Per-layer budget
-    is ``eps / (2 ell)``. Probe inputs (seeded uniforms plus the two constant
-    corners at +-1) estimate the sup error; the algebraic per-layer bounds are
-    the actual guarantee. Partial failures are carried in the report.
+    is ``eps / (2 ell)``. Probe inputs (seeded uniforms on ``(-M, M)`` plus the
+    two constant corners at +-M, with M the magnitude bound) estimate the sup
+    error; the algebraic per-layer bounds are the actual guarantee, and the
+    reported bound is ``M * composition_bound(eps, ell)``. Partial failures
+    are carried in the report.
     """
     targets = list(target_kernels)
     randoms = list(random_kernels)
@@ -517,18 +538,9 @@ def prune_network(
         )
 
     masks = [r.mask for r in results]
-    eval_masks: list[Mask4 | None] = []
-    for r in results:
-        eval_masks.extend([r.mask, None])
-
     c0 = targets[0].channels_in
-    probes = make_probes(spatial, spatial, c0, params.probe_count, seed.substream(_STREAM_PROBES))
-    worst = 0.0
-    for probe in probes:
-        fx = evaluate_network(targets, probe)
-        gx = evaluate_network(randoms, probe, eval_masks)
-        diff = float(np.abs(fx.data - gx.data).max())
-        worst = max(worst, diff)
+    probes = make_probes(spatial, spatial, c0, params.probe_count,
+                         seed.substream(_STREAM_PROBES), params.magnitude_bound)
 
     summaries = tuple(
         LayerSummary(
@@ -548,8 +560,8 @@ def prune_network(
         magnitude_bound=params.magnitude_bound,
         spatial=spatial,
         probe_count=params.probe_count,
-        empirical_max_error=worst,
-        theoretical_bound=composition_bound(params.epsilon, depth),
+        empirical_max_error=probe_error(targets, randoms, masks, probes),
+        theoretical_bound=params.magnitude_bound * composition_bound(params.epsilon, depth),
         fully_successful=all(r.fully_successful for r in results),
         seed=seed,
     )
@@ -635,10 +647,8 @@ def load_bundle(path) -> PrunedNetworkBundle:
 
 
 def bundle_probe_error(bundle: PrunedNetworkBundle) -> float:
-    """Recompute the empirical probe error from stored kernels, masks and seed."""
-    eval_masks: list[Mask4 | None] = []
-    for mask in bundle.masks:
-        eval_masks.extend([mask, None])
+    """Recompute the empirical probe error from stored kernels, masks and seed,
+    with the probes :func:`prune_network` drew."""
     c0 = bundle.target_kernels[0].channels_in
     probes = make_probes(
         bundle.spatial,
@@ -646,10 +656,6 @@ def bundle_probe_error(bundle: PrunedNetworkBundle) -> float:
         c0,
         bundle.params.probe_count,
         bundle.seed.substream(_STREAM_PROBES),
+        bundle.params.magnitude_bound,
     )
-    worst = 0.0
-    for probe in probes:
-        fx = evaluate_network(bundle.target_kernels, probe)
-        gx = evaluate_network(bundle.random_kernels, probe, eval_masks)
-        worst = max(worst, float(np.abs(fx.data - gx.data).max()))
-    return worst
+    return probe_error(bundle.target_kernels, bundle.random_kernels, bundle.masks, probes)

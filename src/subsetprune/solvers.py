@@ -9,8 +9,8 @@ Strategies
     Enumerates every admissible subset (budget-capped). A miss is a proof
     that no admissible subset exists.
 ``MEET_IN_THE_MIDDLE``
-    Exact for the 1-D any-cardinality problem. Hard capacity limit n <= 63
-    (table addressing); the enumeration budget caps the practical range.
+    Exact for the 1-D any-cardinality problem; the enumeration budget caps
+    each half-table at ``2^ceil(n/2)`` sums.
 ``GREEDY_SWAP``
     Fixed-cardinality d-dimensional local search: greedy build toward the
     target, then best-improvement single swaps, with seeded random restarts.
@@ -49,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetError, CapacityError, ParameterError
+from .errors import BudgetError, ParameterError
 from .sampling import NsnEnsemble, SeedSpec, _generator
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
-_MITM_MAX_N = 63
 
 
 class CardinalityMode(Enum):
@@ -241,8 +240,6 @@ def solve_rssp_1d(
 
     if strategy is not Strategy.MEET_IN_THE_MIDDLE:
         raise ParameterError(f"unsupported 1-D strategy {strategy}")
-    if n > _MITM_MAX_N:
-        raise CapacityError(f"meet-in-the-middle table needs n <= {_MITM_MAX_N}, got {n}")
     n_left = (n + 1) // 2
     if 2**n_left > enumeration_budget:
         raise BudgetError(f"meet-in-the-middle half-table 2^{n_left} exceeds the budget")

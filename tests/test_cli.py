@@ -54,6 +54,15 @@ def test_usage_error_from_argparse():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["mrss-scan", "prune-one", "prune-net"])
+def test_strategy_mitm_is_not_a_choice(command, capsys):
+    # meet-in-the-middle is 1-D only and every one of these commands is d-dimensional
+    with pytest.raises(SystemExit) as err:
+        main([command, "--strategy", "mitm"])
+    assert err.value.code == EXIT_USAGE
+    assert "invalid choice: 'mitm'" in capsys.readouterr().err
+
+
 def test_prune_one_and_bundle(capsys, tmp_path):
     bundle = tmp_path / "layer.json"
     code = main(["prune-one", "--d", "1", "--c0", "1", "--c1", "1", "--n", "32",

@@ -10,7 +10,6 @@ from subsetprune import (
     ParameterError,
     SeedSpec,
     SolverParams,
-    TrialPlan,
     check_chi_squared_tails,
     check_intersection_tail,
     check_joint_upper_bound,
@@ -189,16 +188,6 @@ class TestIntersectionTail:
         sparse = check_intersection_tail(144, 6, 2, SMALL, SEED.substream(14))
         dense = check_intersection_tail(36, 6, 2, SMALL, SEED.substream(15))
         assert sparse.estimate <= dense.estimate
-
-
-class TestTrialPlan:
-    def test_validation(self):
-        plan = TrialPlan(trials=10, seed=SEED, n_values=(1, 2))
-        assert plan.trials == 10
-        with pytest.raises(ParameterError):
-            TrialPlan(trials=0, seed=SEED)
-        with pytest.raises(ParameterError):
-            TrialPlan(trials=1, seed=SEED, epsilon_values=(0.0,))
 
 
 class TestScans:

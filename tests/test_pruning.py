@@ -28,6 +28,7 @@ from subsetprune import (
     neg_part,
     norm_l1,
     pos_part,
+    probe_error,
     prune_network,
     prune_single_layer,
     relu,
@@ -300,6 +301,56 @@ class TestNetwork:
         target = unit_l1((2, 2, 1, 1), seed)
         with pytest.raises(ParameterError):
             prune_network([expansion], [target], PruneParams(epsilon=0.5))
+
+
+class TestProbeError:
+    @pytest.mark.parametrize("magnitude", [1.0, 1.5])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_single_layer_matches_explicit_loop(self, trial, magnitude):
+        seed = SeedSpec(120 + trial)
+        expansion = sample_normal_tensor((1, 1, 2, 24), seed.substream(0))
+        mixing = sample_normal_tensor((2, 2, 24, 2), seed.substream(1))
+        target = unit_l1((2, 2, 2, 2), seed.substream(2))
+        result = prune_single_layer(mixing, expansion, target, PruneParams(epsilon=0.25),
+                                    seed.substream(3))
+        probes = make_probes(4, 4, 2, 6, seed.substream(4), magnitude)
+        worst = 0.0
+        for probe in probes:
+            fx = conv(target, probe)
+            gx = single_layer_output(mixing, result.pruned_first, probe)
+            worst = max(worst, float(np.abs(fx.data - gx.data).max()))
+        assert worst > 0.0
+        assert probe_error((target,), (expansion, mixing), (result.mask,), probes) == worst
+
+    def test_network_error_and_bound_scale_with_magnitude(self, tmp_path):
+        # bias-free ReLU chains are positively homogeneous, and scaling by 2 is exact
+        seed = SeedSpec(123)
+        shapes = [(1, 1, 1, 12), (2, 2, 12, 2), (1, 1, 2, 24), (2, 2, 24, 1)]
+        randoms = [sample_normal_tensor(s, seed.substream(i)) for i, s in enumerate(shapes)]
+        targets = [
+            unit_l1((2, 2, 1, 2), seed.substream(100)),
+            unit_l1((2, 2, 2, 1), seed.substream(101)),
+        ]
+        unit = PruneParams(epsilon=0.5, probe_count=8)
+        double = dataclasses.replace(unit, magnitude_bound=2.0)
+        _, report_1, _ = prune_network(randoms, targets, unit, seed.substream(10), spatial=4)
+        masks, report_2, _ = prune_network(randoms, targets, double, seed.substream(10), spatial=4)
+        assert report_1.empirical_max_error > 0.0
+        assert report_2.empirical_max_error == 2.0 * report_1.empirical_max_error
+        assert report_2.theoretical_bound == 2.0 * composition_bound(0.5, 2)
+        bundle = PrunedNetworkBundle(
+            random_kernels=tuple(randoms),
+            target_kernels=tuple(targets),
+            masks=tuple(masks),
+            params=double,
+            seed=seed.substream(10),
+            spatial=4,
+            report=report_2,
+        )
+        path = tmp_path / "bundle.json"
+        save_bundle(path, bundle)
+        back = load_bundle(path)
+        assert bundle_probe_error(back) == back.report.empirical_max_error
 
 
 @given(seed=st.integers(0, 2**31 - 1))

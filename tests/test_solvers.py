@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from subsetprune import (
     BudgetError,
-    CapacityError,
     CardinalityMode,
     NsnEnsemble,
     ParameterError,
@@ -96,7 +95,7 @@ class TestRssp1d:
         assert sol.indices == (0,)
 
     def test_capacity_and_budget_errors(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(BudgetError):  # 2^32 half-table
             solve_rssp_1d(np.zeros(64), 0.0, 0.1)
         with pytest.raises(BudgetError):
             solve_rssp_1d(np.zeros(30), 0.0, 0.1, strategy=Strategy.EXHAUSTIVE)
