@@ -627,7 +627,12 @@ def scan_prune_success(
     spatial: int = 4,
 ) -> list[dict]:
     """Channel-solve hit rate of single-layer pruning as overparameterisation
-    grows; explicitly empirical constant-hunting, nothing asserted."""
+    grows; explicitly empirical constant-hunting, nothing asserted.
+
+    ``params``, when given, must carry the same ``epsilon``.
+    """
+    if params is not None and params.epsilon != epsilon:
+        raise ParameterError(f"epsilon {epsilon} disagrees with params.epsilon {params.epsilon}")
     base = params or PruneParams(epsilon=epsilon)
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:

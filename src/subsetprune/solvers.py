@@ -22,15 +22,23 @@ index set wins, and greedy restarts draw from an explicit :class:`SeedSpec`.
 
 The exhaustive engine (shared by :func:`search_subsets` and
 :func:`subset_sum_number`) builds each cardinality layer of subset sums
-coordinate-major, a ``(d, C(n, j))`` array in colex order, so the whole family
-takes d x (family size) x 8 bytes with no intermediate copies. The search
-first scans the contiguous coordinate-0 row: with ``U`` the smaller of the
-best residual so far and the full residual at the coordinate-0 argmin, the
-full L-inf residual is computed only where ``|s_0 - z_0| <= U``. This is exact
+coordinate-major, a ``(d, C(n, j))`` array in colex order, with no
+intermediate copies. The search first scans the contiguous coordinate-0 row:
+with ``U`` the smaller of the best residual so far and the full residual at
+the coordinate-0 argmin, the full L-inf residual is computed only where
+``|s_0 - z_0| <= U`` (the count uses ``<= eps``). This is exact
 (sort-and-search, Horowitz & Sahni 1974): an L-inf residual is never below its
 coordinate-0 term, so the minimum and every tie at it survive the filter, in
 ascending colex rank, and each sum is still added in ascending index order, so
 results are bit-identical to a dense scan.
+
+The top layer (the largest cardinality, most of the family) is therefore
+built as its coordinate-0 row alone, and ``|s_0 - z_0|`` overwrites that row
+in place. A surviving top-layer sum is completed by a prefix gather: in colex
+order the rank-r k-subset with largest index ``last`` is column
+``r - C(last, k)`` of layer k-1 plus ``vectors[last]``, the very add the build
+performs, so residuals and ties are unchanged. The family takes d x (sums
+below the top layer) x 8 + (top-layer sums) x 8 bytes.
 
 The 1-D cover question ("is every grid point hit by some subset sum?") is
 answered exactly for any n by :func:`inflated_sum_intervals`, which maintains
@@ -43,6 +51,7 @@ one-ulp reassociation caveat at exact box boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -284,21 +293,66 @@ def _colex_sum_layers(vectors: np.ndarray, k_max: int) -> list[np.ndarray]:
     j-1, so layer j is filled slice by slice, each slice a prefix of layer j-1
     plus one vector, written straight into the preallocated layer: no
     per-subset Python work and no concatenate copy. Within a subset the
-    additions happen in ascending index order (the canonical order). Memory is
-    d x (family size) x 8 bytes.
+    additions happen in ascending index order (the canonical order).
+
+    The top layer (j = k_max >= 1) is usually most of the family, and only its
+    coordinate 0 is needed before the prefilter, so it holds that row alone;
+    :func:`_layer_columns` completes any of its columns on demand. Memory is
+    d x (family below the top layer) x 8 + C(m, k_max) x 8 bytes.
     """
     m, d = vectors.shape
+    columns = vectors[:, :, None]  # columns[last] is vectors[last] as a (d, 1) column
     layers = [np.zeros((d, 1))]
     for j in range(1, k_max + 1):
-        prev = layers[j - 1]
-        layer = np.empty((d, math.comb(m, j)))
+        rows = d if j < k_max else min(d, 1)
+        prev, addend = layers[j - 1][:rows], columns[:, :rows]
+        layer = np.empty((rows, math.comb(m, j)))
         start = 0
         for last in range(j - 1, m):
             stop = start + math.comb(last, j - 1)
-            np.add(prev[:, : stop - start], vectors[last][:, None], out=layer[:, start:stop])
+            np.add(prev[:, : stop - start], addend[last], out=layer[:, start:stop])
             start = stop
         layers.append(layer)
     return layers
+
+
+@functools.lru_cache(maxsize=64)
+def _slice_starts(m: int, k_max: int) -> np.ndarray:
+    """``C(last, k_max)`` for last in 0..m-1: where each top-layer slice begins.
+
+    Cached (read-only) because scans re-solve the same few shapes many times.
+    """
+    starts = np.array([math.comb(last, k_max) for last in range(m)], dtype=np.int64)
+    starts.flags.writeable = False
+    return starts
+
+
+def _layer_columns(layers: list[np.ndarray], vectors: np.ndarray, j: int, ranks, starts):
+    """Full d-dim sums of layer j at colex rank(s) ``ranks`` (an int or an array).
+
+    Below the top layer they are stored. A top-layer column r is recomputed as
+    the single add the build made: column ``r - C(last, j)`` of layer j-1 plus
+    ``vectors[last]``, where ``last`` (the subset's largest index) is the last
+    slice start at or below r. The result is bit-identical to a full build.
+    """
+    if not 0 < j == len(layers) - 1:
+        return layers[j].take(ranks, axis=1)
+    lasts = starts.searchsorted(ranks, side="right") - 1
+    prefix = layers[j - 1].take(ranks - starts.take(lasts), axis=1)
+    return prefix + vectors.take(lasts, axis=0).T
+
+
+def _coordinate0_gaps(layers: list[np.ndarray], j: int, target: np.ndarray) -> np.ndarray:
+    """``|s_0 - z_0|`` over layer j (zeros when d = 0).
+
+    The top layer's row is private to the caller and is overwritten in place:
+    a second buffer of that size costs its page faults.
+    """
+    if not target.size:
+        return np.zeros(layers[j].shape[1])
+    row = layers[j][0]
+    gaps = np.subtract(row, target[0], out=row) if 0 < j == len(layers) - 1 else row - target[0]
+    return np.abs(gaps, out=gaps)
 
 
 def _colex_decode(rank: int, j: int) -> tuple[int, ...]:
@@ -333,25 +387,27 @@ def _enumerate_best(
 ) -> tuple[tuple[int, ...], float]:
     n, d = vectors.shape
     _check_family_budget(n, cardinalities, d, budget)
-    layers = _colex_sum_layers(vectors, max(cardinalities))
+    k_max = max(cardinalities)
+    layers = _colex_sum_layers(vectors, k_max)
+    starts = _slice_starts(n, k_max)
     best_res = math.inf
     best_indices: tuple[int, ...] | None = None
     for j in cardinalities:
-        sums = layers[j]
-        if sums.shape[1] == 0:
+        if layers[j].shape[1] == 0:
             continue
         # Coordinate-0 prefilter: a sum's L-inf residual is at least its
         # coordinate-0 gap a0, so every sum at residual <= bound (the layer
         # minimum and all its ties included, in ascending colex rank) passes
         # a0 <= bound, and the full residual is computed on those alone.
-        a0 = sums[0] - target[0] if d else np.zeros(sums.shape[1])
-        np.abs(a0, out=a0)  # in place: a second full-size buffer costs its page faults
+        a0 = _coordinate0_gaps(layers, j, target)
         pivot = int(np.argmin(a0))
-        bound = min(best_res, float(np.abs(sums[:, pivot] - target).max(initial=0.0)))
+        pivot_sum = _layer_columns(layers, vectors, j, pivot, starts)
+        bound = min(best_res, float(np.abs(pivot_sum - target).max(initial=0.0)))
         ranks = np.flatnonzero(a0 <= bound)
         if ranks.size == 0:
             continue
-        residuals = np.abs(sums[:, ranks] - target[:, None]).max(axis=0, initial=0.0)
+        sums = _layer_columns(layers, vectors, j, ranks, starts)
+        residuals = np.abs(sums - target[:, None]).max(axis=0, initial=0.0)
         res = float(residuals.min())
         if res > best_res:
             continue
@@ -500,7 +556,10 @@ def subset_sum_number(
         raise ParameterError(f"k must be in [0, {ensemble.n}]")
     target = np.atleast_1d(np.asarray(target, dtype=np.float64))
     _check_family_budget(ensemble.n, [k], ensemble.d, enumeration_budget)
-    sums = _colex_sum_layers(ensemble.vectors, k)[k]
+    vectors = ensemble.vectors
+    layers = _colex_sum_layers(vectors, k)
+    ranks = np.flatnonzero(_coordinate0_gaps(layers, k, target) <= epsilon)
+    sums = _layer_columns(layers, vectors, k, ranks, _slice_starts(ensemble.n, k))
     return int((np.abs(sums - target[:, None]).max(axis=0, initial=0.0) <= epsilon).sum())
 
 

@@ -9,16 +9,29 @@ Conventions
   kernel offset ``(i, j)`` and channel ``t`` is ``K[i, j, t, l] * X[r-i, s-j, t]``,
   with out-of-range input indices contributing zero.
 * Accumulation order is pinned: ascending kernel row, then kernel column, then
-  input channel, one sequential addition per term. Re-running on the same
-  platform is therefore bit-stable, and tests may use exact equality against a
-  direct index-summation oracle.
+  input channel, one sequential addition per term, starting from +0.0.
+  Re-running on the same platform is therefore bit-stable, and tests may use
+  exact equality against a direct index-summation oracle.
 
-No strides, dilation, bias, FFT or im2col paths: this is the reference
-semantics, kept small enough to audit.
+:func:`conv` evaluates that order without a Python loop per term. The input is
+zero-padded on the top and left, every term ``K[i, j, t, :] * X[r-i, s-j, t]``
+is written into one stack in ascending ``(i, j, t)`` order (one multiply per
+offset), below a zero row, and the stack is summed by ``np.add.accumulate``
+along the term axis, whose documented semantics are strictly sequential
+(``r[n] = r[n-1] + a[n]``); ``sum``, ``einsum`` and BLAS would sum pairwise or
+in an unspecified order. A term read from the padding is an exact +-0.0, and a
+running sum that starts at +0.0 never becomes -0.0, so adding such a term
+changes no bit: every cell sees exactly the additions of the direct formula.
+Stacks beyond a fixed byte size are summed in consecutive blocks of terms,
+each block seeded with the running sum.
+
+No strides, dilation, bias or FFT: this is the reference semantics, kept small
+enough to audit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +50,8 @@ __all__ = [
     "norm_l2",
     "norm_max",
 ]
+
+_STACK_BYTES = 1 << 22  # largest term stack conv builds in one pass
 
 
 def _validated(data, ndim: int) -> np.ndarray:
@@ -117,19 +132,33 @@ def conv(kernel: Tensor4, fmap: FeatureMap) -> FeatureMap:
         raise ShapeError(
             f"kernel expects {kernel.channels_in} input channels, map has {fmap.channels}"
         )
-    height, width = fmap.height, fmap.width
-    k, x = kernel.data, fmap.data
-    out = np.zeros((height, width, kernel.kernels), dtype=np.float64)
-    # Fixed ascending (i, j, t) accumulation; each += adds exactly one term per cell.
-    for i in range(min(kernel.rows, height)):
-        window_rows = x[: height - i]
-        target = out[i:]
-        for j in range(min(kernel.cols, width)):
-            window = window_rows[:, : width - j]
-            block = target[:, j:]
-            for t in range(kernel.channels_in):
-                block += k[i, j, t, :] * window[:, :, t, None]
-    return FeatureMap(out)
+    height, width, channels = fmap.shape
+    # Offsets at or past the map's edge read only padding; skipping them drops only +-0.0 terms.
+    rows, cols = min(kernel.rows, height), min(kernel.cols, width)
+    cell = (height, width, kernel.kernels)
+    # Channel-major input padded on the top and left, so window (i, j) holds
+    # x[r - i, s - j, t] at (t, r, s) and an exact +0.0 off the map.
+    padded = np.zeros((channels, height + rows - 1, width + cols - 1, 1))
+    padded[:, rows - 1 :, cols - 1 :, 0] = fmap.data.transpose(2, 0, 1)
+    weights = kernel.data[:, :, :, None, None, :]  # (i, j, t, 1, 1, l)
+    capacity = max(1, _STACK_BYTES // (8 * math.prod(cell)) - 1)  # terms per pass
+    group = max(1, capacity // channels)  # whole (i, j) offsets per pass ...
+    step = min(channels, capacity)  # ... or, if one does not fit, channels per pass
+    offsets = [(i, j) for i in range(rows) for j in range(cols)]
+    total = np.zeros(cell)
+    for first in range(0, len(offsets), group):
+        chunk = offsets[first : first + group]
+        for t0 in range(0, channels, step):
+            t1 = min(t0 + step, channels)
+            stack = np.empty((1 + len(chunk) * (t1 - t0), *cell))
+            stack[0] = total
+            for q, (i, j) in enumerate(chunk):
+                window = padded[t0:t1, rows - 1 - i : rows - 1 - i + height,
+                                cols - 1 - j : cols - 1 - j + width]
+                lo = 1 + q * (t1 - t0)
+                np.multiply(weights[i, j, t0:t1], window, out=stack[lo : lo + t1 - t0])
+            total = np.add.accumulate(stack, axis=0, out=stack)[-1]
+    return FeatureMap(total.copy())  # not a view that keeps the whole stack alive
 
 
 def relu(fmap: FeatureMap) -> FeatureMap:

@@ -73,6 +73,16 @@ def test_prune_one_and_bundle(capsys, tmp_path):
     assert bundle.exists()
 
 
+def test_dump_report_on_bundle_without_report(capsys, tmp_path):
+    bundle = tmp_path / "layer.json"
+    assert main(["prune-one", "--n", "16", "--seed", "3", "--out", str(bundle)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "probe error not re-verified, only mask structure checked" in out
+    assert "recomputed empirical error" not in out
+
+
 def test_prune_net_dump_report_round_trip(capsys, tmp_path):
     bundle = tmp_path / "net.json"
     code = main(["prune-net", "--depth", "2", "--spatial", "4", "--channels", "1,2,1",

@@ -8,6 +8,7 @@ from subsetprune import (
     BoundCheckResult,
     BoundDirection,
     ParameterError,
+    PruneParams,
     SeedSpec,
     SolverParams,
     check_chi_squared_tails,
@@ -229,6 +230,11 @@ class TestScans:
         for row in rows:
             assert 0.0 <= row["channel_rate"] <= 1.0
             assert row["channel_total"] == 2 * 3  # signs x trials
+
+    def test_prune_scan_rejects_conflicting_epsilon(self):
+        with pytest.raises(ParameterError, match="epsilon"):
+            scan_prune_success(1, 1, 1, [8], 0.1, 1, SEED.substream(21),
+                               params=PruneParams(epsilon=0.25))
 
     def test_write_csv_is_deterministic(self, tmp_path):
         rows = scan_rssp_phase(0.2, [4, 8], 11, 10, SEED.substream(22))

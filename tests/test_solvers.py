@@ -1,6 +1,7 @@
 """Subset-sum solvers against exhaustive oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,40 @@ class TestExhaustiveOracle:
                 assert outcome.best.indices == expected[0]
                 assert repr(outcome.best.residual_inf) == repr(expected[1])
                 assert (outcome.solution is not None) == (expected[1] <= 0.1)
+
+    @pytest.mark.parametrize("mode", list(CardinalityMode))
+    @pytest.mark.parametrize("n, d, k", [(12, 1, 5), (14, 2, 4), (16, 3, 5), (13, 4, 4)])
+    def test_top_layer_dominated_pools_match_brute_force(self, mode, n, d, k):
+        # the top layer holds most of the family and only its coordinate 0 is
+        # stored; rounded pools add exact ties inside it
+        rng = np.random.default_rng(100 * n + d)
+        vectors = rng.normal(size=(n, d)) * 0.4
+        target = rng.uniform(-1.0, 1.0, size=d)
+        cardinalities = [k] if mode is CardinalityMode.EXACT else range(k + 1)
+        for pool, z in ((vectors, target), (np.round(vectors, 1), np.round(target, 1))):
+            outcome = search_subsets(pool, z, SolverParams(epsilon=0.1, k=k, mode=mode))
+            expected = brute_force_best(pool, z, cardinalities)
+            assert outcome.best.indices == expected[0]
+            assert repr(outcome.best.residual_inf) == repr(expected[1])
+            ensemble = NsnEnsemble.from_parts(np.ones(n), pool)
+            for eps in (0.05, 0.3):
+                assert subset_sum_number(ensemble, z, k, eps) == len(
+                    enumerate_k_hits(pool, z, k, eps)
+                )
+
+    def test_top_layer_memory(self):
+        # 1,925,357 sums of 4 coordinates would take 61.6 MB; the top layer's
+        # 1,712,304 sums keep coordinate 0 alone
+        rng = np.random.default_rng(48)
+        vectors = rng.normal(size=(48, 4)) * 0.3
+        params = SolverParams(epsilon=0.1, k=5, mode=CardinalityMode.AT_MOST)
+        tracemalloc.start()
+        try:
+            search_subsets(vectors, rng.uniform(-0.5, 0.5, size=4), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_subset_sum_number_matches_brute_force(self):
         for vectors, target in oracle_pools():

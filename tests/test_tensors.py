@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsetprune import tensors
 from subsetprune import (
     FeatureMap,
     ShapeError,
@@ -71,7 +72,47 @@ def test_conv_matches_direct_oracle(case):
     fmap = rng.standard_normal((height, height, c_in))
     got = conv(Tensor4(kernel), FeatureMap(fmap)).data
     want = direct_conv_oracle(kernel, fmap)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "kernel_shape, map_shape, kind",
+    [
+        ((4, 3, 2, 2), (2, 2, 2), "normal"),  # kernel larger than the map
+        ((3, 1, 1, 1), (1, 5, 1), "normal"),
+        ((2, 2, 70, 1), (4, 4, 70), "normal"),  # c_in >= 64
+        ((2, 2, 64, 3), (3, 3, 64), "normal"),
+        ((1, 1, 1, 12), (4, 4, 1), "normal"),  # c_out > 1, one term per cell
+        ((2, 3, 3, 4), (5, 3, 3), "normal"),  # H != W
+        ((2, 2, 3, 2), (3, 6, 3), "half-zero"),  # +-0.0 products on ReLU'd input
+        ((3, 2, 4, 3), (4, 5, 4), "negative"),  # -0.0 products on ReLU'd input
+        ((2, 2, 65, 2), (4, 4, 65), "negative"),
+    ],
+)
+def test_conv_matches_direct_oracle_bit_for_bit(kernel_shape, map_shape, kind):
+    rng = np.random.default_rng(sum(kernel_shape) * 31 + sum(map_shape))
+    kernel = rng.standard_normal(kernel_shape)
+    fmap = rng.standard_normal(map_shape)
+    if kind != "normal":
+        fmap = np.maximum(fmap, 0.0)
+    if kind == "half-zero":
+        kernel[rng.random(kernel_shape) < 0.5] = 0.0
+    if kind == "negative":
+        kernel = -np.abs(kernel)
+    got = conv(Tensor4(kernel), FeatureMap(fmap)).data
+    want = direct_conv_oracle(kernel, fmap)
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 600, 3000])
+def test_conv_in_blocks_matches_direct_oracle(monkeypatch, stack_bytes):
+    # a small cap forces one term per pass, channel blocks and offset groups
+    monkeypatch.setattr(tensors, "_STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(stack_bytes)
+    kernel = -np.abs(rng.standard_normal((3, 2, 5, 2)))
+    fmap = np.maximum(rng.standard_normal((4, 3, 5)), 0.0)
+    got = conv(Tensor4(kernel), FeatureMap(fmap)).data
+    assert got.tobytes() == direct_conv_oracle(kernel, fmap).tobytes()
 
 
 def test_conv_channel_mismatch_raises():
