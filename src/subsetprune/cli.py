@@ -9,8 +9,9 @@ Subcommands
 ``prune-net``     prune a multi-layer random network; optionally save a bundle
 ``dump-report``   print a saved bundle's report and re-verify it
 
-Global flags (per subcommand): ``--seed``, ``--trials``, ``--out``,
-``--config`` (JSON file whose keys pre-fill any flag; explicit flags win) and
+Global flags (per subcommand): ``--seed``, ``--out``, ``--config`` (JSON file
+whose keys pre-fill any flag; explicit flags win), ``--trials`` on the Monte
+Carlo commands (``lemma-check``, ``rssp-scan``, ``mrss-scan``) and
 ``--strategy`` where a solver is involved.
 
 Exit codes: 0 success, 1 assertion/check failure, 2 usage or parameter error,
@@ -62,9 +63,11 @@ _STRATEGIES = {s.value: s for s in Strategy if s is not Strategy.MEET_IN_THE_MID
 _MODES = {m.value: m for m in CardinalityMode}
 
 
-def _add_common(parser: argparse.ArgumentParser, strategy: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, trials: bool = False,
+                strategy: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=20240801, help="master seed (u64)")
-    parser.add_argument("--trials", type=int, default=None, help="override trial counts")
+    if trials:
+        parser.add_argument("--trials", type=int, default=None, help="override trial counts")
     parser.add_argument("--out", type=str, default=None, help="output path")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config; keys pre-fill flags, explicit flags win")
@@ -80,16 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lemma-check", help="run all probability-bound checks")
-    _add_common(p)
+    _add_common(p, trials=True)
 
     p = sub.add_parser("rssp-scan", help="1-D cover success rates over n")
-    _add_common(p)
+    _add_common(p, trials=True)
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--n-list", type=str, default="10,20,30,40,50,60")
     p.add_argument("--grid-size", type=int, default=41)
 
     p = sub.add_parser("mrss-scan", help="fixed-cardinality success rates over n")
-    _add_common(p, strategy=True)
+    _add_common(p, trials=True, strategy=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--n-list", type=str, default="10,15,20")
@@ -171,10 +174,15 @@ def _unit_l1_target(shape, seed: SeedSpec) -> Tensor4:
     return Tensor4(raw.data / norm_l1(raw))
 
 
+def _trials(args, default: int) -> int:
+    """``--trials`` when given (0 included, which the checks reject), else ``default``."""
+    return default if args.trials is None else args.trials
+
+
 def _cmd_lemma_check(args) -> int:
     seed = SeedSpec(args.seed)
-    hit_trials = args.trials or 100_000
-    tail_trials = args.trials or 1_000_000
+    hit_trials = _trials(args, 100_000)
+    tail_trials = _trials(args, 1_000_000)
     results = []
 
     for z_shift in (0.0, 2.0):
@@ -201,7 +209,7 @@ def _cmd_lemma_check(args) -> int:
                 )
             )
     second = check_second_moment_identity(
-        6, 2, 1, 0.3, [0.0], args.trials or 20_000, seed.substream(400)
+        6, 2, 1, 0.3, [0.0], _trials(args, 20_000), seed.substream(400)
     )
     intersection = check_intersection_tail(
         1296, 36, 3, tail_trials, seed.substream(500)
@@ -236,7 +244,7 @@ def _cmd_rssp_scan(args) -> int:
         args.epsilon,
         _int_list(args.n_list),
         args.grid_size,
-        args.trials or 200,
+        _trials(args, 200),
         SeedSpec(args.seed),
     )
     for row in rows:
@@ -255,7 +263,7 @@ def _cmd_mrss_scan(args) -> int:
         args.k,
         _int_list(args.n_list),
         args.epsilon,
-        args.trials or 200,
+        _trials(args, 200),
         SeedSpec(args.seed),
         strategy=strategy,
         target_radius=args.target_radius,

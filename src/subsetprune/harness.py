@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -36,7 +36,8 @@ from .sampling import (
 from .solvers import (
     SolverParams,
     Strategy,
-    cover_targets,
+    _check_family_budget,
+    _smallest_covering_prefix,
     dimension_constant,
     partition_boost,
     search_subsets,
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
+_GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
 
 
 class BoundDirection(Enum):
@@ -383,6 +385,7 @@ def check_second_moment_identity(
 
     combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     ncomb = combos.shape[0]
+    chunk = max(1, _GATHER_BYTES // max(1, 8 * min(trials, _BLOCK) * k * d))  # combos per gather
     # canonical pair at half-difference j: overlap k - j, fresh tail from k..k+j-1
     canonical = [
         np.array(list(range(k - j)) + list(range(k, k + j)), dtype=np.intp) for j in range(k + 1)
@@ -400,8 +403,10 @@ def check_second_moment_identity(
         scalars = _normals(rng, count * n).reshape(count, n)
         directions = _normals(rng, count * n * d).reshape(count, n, d)
         vectors = scalars[:, :, None] * directions
-        sums = vectors[:, combos, :].sum(axis=2)
-        hit = (np.abs(sums - z) <= epsilon).all(axis=2)
+        hit = np.empty((count, ncomb), dtype=bool)
+        for lo in range(0, ncomb, chunk):
+            sums = vectors[:, combos[lo : lo + chunk], :].sum(axis=2)
+            hit[:, lo : lo + chunk] = (np.abs(sums - z) <= epsilon).all(axis=2)
         t_count = hit.sum(axis=1).astype(np.float64)
         t_square = t_count * t_count
 
@@ -514,6 +519,23 @@ def _rate_row(n: int, trials: int, successes: int, echo: dict) -> dict:
     }
 
 
+def _scan_sizes(n_values, least: int, trials: int) -> list[int]:
+    """The distinct n of a scan, ascending; each is scanned once."""
+    n_values = [int(n) for n in n_values]
+    if not n_values or min(n_values) < least:
+        raise ParameterError(f"every n must be >= {least}")
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    return sorted(set(n_values))
+
+
+def _count_from(successes: dict, first: int | None) -> None:
+    """Count a success for ``first`` and every larger n (none when ``first`` is None)."""
+    if first is not None:
+        for n in successes:
+            successes[n] += n >= first
+
+
 def scan_rssp_phase(
     epsilon: float,
     n_values,
@@ -525,31 +547,29 @@ def scan_rssp_phase(
 
     Trial t draws max(n) uniforms on (-1, 1) once and reuses prefixes for every
     n (paired seeds), so the per-trial success indicator is monotone in n by
-    construction. Columns: n, trials, successes, rate, wilson_low, wilson_high
-    plus the parameter echo.
+    construction. Each distinct n is scanned once, in ascending order, and a
+    trial stops at its first covered n: it folds its interval union once
+    across n and counts a success for that n and every larger one, which
+    covering n alone would give bit for bit. Columns: n, trials, successes,
+    rate, wilson_low, wilson_high plus the parameter echo.
     """
-    n_values = [int(n) for n in n_values]
-    if not n_values or min(n_values) < 1:
-        raise ParameterError("n_values must be positive")
+    sizes = _scan_sizes(n_values, 1, trials)
     if grid_size < 1:
         raise ParameterError("grid_size must be >= 1")
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
     grid = np.linspace(-1.0, 1.0, grid_size)
-    top = max(n_values)
-    successes = {n: 0 for n in n_values}
+    successes = dict.fromkeys(sizes, 0)
     for trial in range(trials):
-        draws = sample_uniform(top, seed.substream(trial), -1.0, 1.0)
-        for n in n_values:
-            if cover_targets(draws[:n], grid, epsilon).success:
-                successes[n] += 1
+        draws = sample_uniform(sizes[-1], seed.substream(trial), -1.0, 1.0)
+        _count_from(successes, _smallest_covering_prefix(draws, epsilon, grid, sizes))
     echo = {
         "epsilon": epsilon,
         "grid_size": grid_size,
         "master_seed": seed.master_seed,
         "stream_id": seed.stream_id,
     }
-    return [_rate_row(n, trials, successes[n], echo) for n in sorted(set(n_values))]
+    return [_rate_row(n, trials, successes[n], echo) for n in sizes]
 
 
 def _l1_projected_target(d: int, radius: float, seed: SeedSpec) -> np.ndarray:
@@ -577,22 +597,33 @@ def scan_mrss_phase(
     (paired seeds). Targets are uniform on (-1,1)^d scaled into the L1 ball of
     ``target_radius``. Rates are labelled empirical: the success constant is
     never asserted. Columns: n, trials, successes, rate, wilson bounds, echo.
+
+    Each distinct n is solved once, in ascending order. The exhaustive scan
+    without groups stops a trial at its first hit and counts it for every
+    larger n: the colex family of a prefix is a prefix of the larger family,
+    built by the same additions, so the exhaustive minimum can only fall as n
+    grows. Every requested n's family is checked against the enumeration
+    budget before the first trial. Greedy-swap and grouped scans solve every
+    n: a local-search miss is not monotone in n, and the last group of
+    :func:`partition_boost` changes its members with n.
     """
-    n_values = [int(n) for n in n_values]
-    if not n_values or min(n_values) < k:
-        raise ParameterError("every n must be >= k")
+    sizes = _scan_sizes(n_values, k, trials)
     if group_size is not None and group_size < k * k:
         raise ParameterError("group_size must be >= k^2")
-    top = max(n_values)
-    successes = {n: 0 for n in n_values}
+    if d < 1:  # sampling would reject it before any budget check
+        raise ParameterError("d must be >= 1")
+    base = SolverParams(epsilon=epsilon, k=k, strategy=strategy)
+    stop_at_first_hit = group_size is None and strategy is Strategy.EXHAUSTIVE
+    if stop_at_first_hit:
+        for n in n_values:  # in the given order, so the first n over budget is named
+            _check_family_budget(int(n), [k], d, base.enumeration_budget)
+    successes = dict.fromkeys(sizes, 0)
     for trial in range(trials):
         stream = seed.substream(trial)
-        ensemble = sample_nsn(top, d, stream.substream(0))
+        ensemble = sample_nsn(sizes[-1], d, stream.substream(0))
         target = _l1_projected_target(d, target_radius, stream.substream(1))
-        params = SolverParams(
-            epsilon=epsilon, k=k, strategy=strategy, seed=stream.substream(2)
-        )
-        for n in n_values:
+        params = replace(base, seed=stream.substream(2))
+        for n in sizes:
             prefix = ensemble.take(n)
             if group_size is None:
                 hit = search_subsets(prefix.vectors, target, params).solution is not None
@@ -600,8 +631,10 @@ def scan_mrss_phase(
                 hit = False
             else:
                 hit = partition_boost(prefix, [target], params, group_size)[0].solution is not None
-            if hit:
-                successes[n] += 1
+            if hit and stop_at_first_hit:
+                _count_from(successes, n)
+                break
+            successes[n] += hit
     echo = {
         "d": d,
         "k": k,
@@ -612,7 +645,7 @@ def scan_mrss_phase(
         "master_seed": seed.master_seed,
         "stream_id": seed.stream_id,
     }
-    return [_rate_row(n, trials, successes[n], echo) for n in sorted(set(n_values))]
+    return [_rate_row(n, trials, successes[n], echo) for n in sizes]
 
 
 def scan_prune_success(
@@ -634,11 +667,8 @@ def scan_prune_success(
     if params is not None and params.epsilon != epsilon:
         raise ParameterError(f"epsilon {epsilon} disagrees with params.epsilon {params.epsilon}")
     base = params or PruneParams(epsilon=epsilon)
-    n_values = [int(n) for n in n_values]
-    if not n_values or min(n_values) < 1:
-        raise ParameterError("n_values must be positive")
     rows = []
-    for n in sorted(set(n_values)):
+    for n in _scan_sizes(n_values, 1, trials):
         channel_hits = 0
         channel_total = 0
         full = 0

@@ -46,7 +46,10 @@ the union of ``[s - eps, s + eps]`` over all subset sums s as a sorted list of
 disjoint closed intervals: start from the empty subset's interval and fold in
 one value at a time (union of the shifted and unshifted families). Interval
 merging is exact, so membership agrees with full enumeration up to the usual
-one-ulp reassociation caveat at exact box boundaries.
+one-ulp reassociation caveat at exact box boundaries. A fold never drops a
+point, so cover is monotone in the prefix length: :func:`_smallest_covering_prefix`
+runs the same fold once across a list of prefix sizes and stops at the first
+that covers the grid, which is how the RSSP phase scan uses it.
 """
 
 from __future__ import annotations
@@ -376,9 +379,12 @@ def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
     if family > budget:
         k_max = max(cardinalities)
         sizes = f"{k_max}-subsets" if len(cardinalities) == 1 else f"subsets of size <= {k_max}"
+        # what _colex_sum_layers allocates: every layer below k_max in full, row 0 of the top
+        below = _family_size(n, range(k_max))
+        needed = 8 * (d * below + min(d, 1) * math.comb(n, k_max))
         raise BudgetError(
             f"{family} {sizes} of {n} vectors exceed the enumeration budget {budget} "
-            f"(their {d}-dim sums would need {family * d * 8} bytes)"
+            f"(building their {d}-dim sums would allocate {needed} bytes)"
         )
 
 
@@ -664,6 +670,13 @@ def _coalesce(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[starts], cummax[ends]
 
 
+def _fold_intervals(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the values ``xs`` into the interval union ``(lo, hi)``, in order."""
+    for x in xs:
+        lo, hi = _coalesce(np.concatenate([lo, lo + x]), np.concatenate([hi, hi + x]))
+    return lo, hi
+
+
 def inflated_sum_intervals(xs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint sorted closed intervals whose union is exactly
     ``{ y : some subset sum s of xs has |s - y| <= epsilon }``.
@@ -675,11 +688,27 @@ def inflated_sum_intervals(xs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     xs = np.asarray(xs, dtype=np.float64).ravel()
     if not epsilon >= 0.0:
         raise ParameterError("epsilon must be nonnegative")
-    lo = np.array([-epsilon])
-    hi = np.array([epsilon])
-    for x in xs:
-        lo, hi = _coalesce(np.concatenate([lo, lo + x]), np.concatenate([hi, hi + x]))
-    return lo, hi
+    return _fold_intervals(np.array([-epsilon]), np.array([epsilon]), xs)
+
+
+def _smallest_covering_prefix(xs: np.ndarray, epsilon: float, grid: np.ndarray, sizes):
+    """The first n in ``sizes`` (ascending) whose prefix ``xs[:n]`` covers every
+    grid point, or None.
+
+    The union is folded once: the union of ``xs[:n]`` is where folding the
+    next values starts, and folding stops at the first covered n. Each union
+    is the very one :func:`inflated_sum_intervals` returns for that prefix, and
+    a fold never loses a point (U is inside the union of U and U + x), so every
+    larger prefix covers the grid as well.
+    """
+    lo, hi = np.array([-epsilon]), np.array([epsilon])
+    done = 0
+    for n in sizes:
+        lo, hi = _fold_intervals(lo, hi, xs[done:n])
+        done = n
+        if (_interval_excess(lo, hi, grid) == 0.0).all():
+            return n
+    return None
 
 
 def _interval_excess(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:

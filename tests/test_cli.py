@@ -42,6 +42,28 @@ def test_mrss_scan_budget_exceeded():
     assert code == EXIT_BUDGET
 
 
+def test_mrss_scan_budget_checked_for_every_n(capsys):
+    # every trial hits at n = 10, yet C(400, 3) is over the default budget
+    code = main(["mrss-scan", "--d", "1", "--k", "3", "--n-list", "10,400",
+                 "--epsilon", "100", "--trials", "2"])
+    assert code == EXIT_BUDGET
+    assert "of 400 vectors exceed the enumeration budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lemma-check", "rssp-scan", "mrss-scan"])
+def test_zero_trials_rejected(command, capsys):
+    assert main([command, "--trials", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["prune-one", "prune-net"])
+def test_trials_is_not_a_prune_flag(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--trials", "5"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --trials" in capsys.readouterr().err
+
+
 def test_parameter_error_exit_code():
     code = main(["mrss-scan", "--d", "1", "--k", "5", "--n-list", "2",
                  "--epsilon", "0.2", "--trials", "5"])  # n < k

@@ -1,7 +1,9 @@
 """Monte Carlo bound checks at reduced trial counts, plus scan plumbing."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from subsetprune import (
@@ -11,19 +13,25 @@ from subsetprune import (
     PruneParams,
     SeedSpec,
     SolverParams,
+    Strategy,
     check_chi_squared_tails,
     check_intersection_tail,
     check_joint_upper_bound,
     check_most_probable_interval,
     check_nsn_hit_lower_bound,
     check_second_moment_identity,
+    cover_targets,
+    partition_boost,
     sample_nsn,
+    sample_uniform,
     scan_mrss_phase,
     scan_prune_success,
     scan_rssp_phase,
+    search_subsets,
     solve_mrss,
 )
 from subsetprune.harness import (
+    _l1_projected_target,
     binomial_std_error,
     chi_squared_tail_bound,
     intersection_tail_bound,
@@ -165,6 +173,17 @@ class TestSecondMoment:
         with pytest.raises(ParameterError):
             check_second_moment_identity(12, 2, 1, 0.3, [0.0], 10, SEED)
 
+    def test_memory_at_the_largest_family(self):
+        # n=10, k=4: a whole-block gather of 210 combos would take 4000 x 210 x 4 x 2 x 8 B
+        # = 54 MB; the combos are summed in chunks under a fixed byte cap instead
+        tracemalloc.start()
+        try:
+            check_second_moment_identity(10, 4, 2, 0.6, [0.0, 0.0], 4000, SEED.substream(24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
 
 class TestIntersectionTail:
     def test_bound_value(self):
@@ -223,6 +242,62 @@ class TestScans:
         rows = scan_mrss_phase(1, 2, [2, 4, 8], 0.1, 40, SEED.substream(20))
         rates = [row["rate"] for row in rows]
         assert rates == sorted(rates)  # enumeration over a prefix-paired family
+
+    @pytest.mark.parametrize("epsilon,n_values,grid_size,trials,stream", [
+        (0.05, [60, 10, 30, 20], 41, 30, 30),
+        (0.3, [3, 1, 6], 11, 40, 31),  # 12 of the 40 trials never cover the grid
+        (0.02, [40, 12, 25], 81, 20, 32),
+    ])
+    def test_rssp_scan_matches_covering_every_n(self, epsilon, n_values, grid_size, trials,
+                                                stream):
+        seed = SEED.substream(stream)
+        grid = np.linspace(-1.0, 1.0, grid_size)
+        expect = dict.fromkeys(sorted(n_values), 0)
+        for trial in range(trials):
+            draws = sample_uniform(max(n_values), seed.substream(trial), -1.0, 1.0)
+            for n in expect:
+                expect[n] += cover_targets(draws[:n], grid, epsilon).success
+        rows = scan_rssp_phase(epsilon, n_values, grid_size, trials, seed)
+        assert {row["n"]: row["successes"] for row in rows} == expect
+        assert [row["n"] for row in rows] == sorted(n_values)
+
+    @pytest.mark.parametrize("d,k,n_values,epsilon,trials,stream,extra", [
+        (1, 2, [12, 4, 8, 30], 0.01, 40, 33, {}),  # 4 of the 40 trials never hit
+        (2, 3, [20, 10, 15], 0.25, 30, 34, {}),
+        # one trial of each of these hits at a smaller n and misses at a larger one
+        (2, 3, [12, 8, 16], 0.1, 30, 44, {"strategy": Strategy.GREEDY_SWAP}),
+        (2, 2, [6, 11, 8], 0.15, 30, 35, {"group_size": 4}),
+    ])
+    def test_mrss_scan_matches_solving_every_n(self, d, k, n_values, epsilon, trials, stream,
+                                               extra):
+        seed = SEED.substream(stream)
+        strategy = extra.get("strategy", Strategy.EXHAUSTIVE)
+        group_size = extra.get("group_size")
+        expect = dict.fromkeys(sorted(n_values), 0)
+        for trial in range(trials):
+            sub = seed.substream(trial)
+            ensemble = sample_nsn(max(n_values), d, sub.substream(0))
+            target = _l1_projected_target(d, 1.0, sub.substream(1))
+            params = SolverParams(epsilon=epsilon, k=k, strategy=strategy, seed=sub.substream(2))
+            for n in expect:
+                prefix = ensemble.take(n)
+                if group_size is None:
+                    expect[n] += search_subsets(prefix.vectors, target, params).solution is not None
+                elif n >= group_size:
+                    result = partition_boost(prefix, [target], params, group_size)[0]
+                    expect[n] += result.solution is not None
+        rows = scan_mrss_phase(d, k, n_values, epsilon, trials, seed, **extra)
+        assert {row["n"]: row["successes"] for row in rows} == expect
+        assert [row["n"] for row in rows] == sorted(n_values)
+
+    @pytest.mark.parametrize("n_values,distinct", [([10, 10], [10]), ([20, 5, 20, 5], [5, 20])])
+    def test_duplicate_n_is_scanned_once(self, n_values, distinct):
+        seed = SEED.substream(37)
+        rows = scan_rssp_phase(0.2, n_values, 11, 5, seed)
+        assert rows == scan_rssp_phase(0.2, distinct, 11, 5, seed)
+        mrss = scan_mrss_phase(2, 3, n_values, 0.5, 5, seed)
+        assert mrss == scan_mrss_phase(2, 3, distinct, 0.5, 5, seed)
+        assert all(row["successes"] <= row["trials"] for row in rows + mrss)
 
     def test_prune_scan_schema(self):
         rows = scan_prune_success(1, 1, 1, [8, 16], 0.25, 3, SEED.substream(21))

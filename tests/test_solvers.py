@@ -317,13 +317,15 @@ class TestExhaustiveOracle:
     def test_budget_errors_name_family_and_bytes(self):
         params = SolverParams(epsilon=0.1, k=3, mode=CardinalityMode.AT_MOST,
                               enumeration_budget=1000)
-        # 1 + 40 + 780 + 9880 subsets, 3 coordinates of 8 bytes each
+        # 1 + 40 + 780 + 9880 subsets; the layers below the top hold 3 coordinates
+        # of 8 bytes each, the top layer coordinate 0 alone: 24 * 821 + 8 * 9880
         with pytest.raises(BudgetError, match=r"10701 subsets of size <= 3 of 40 vectors.*"
-                                              r"budget 1000.* 256824 bytes"):
+                                              r"budget 1000.* 98744 bytes"):
             search_subsets(np.zeros((40, 3)), np.zeros(3), params)
         ensemble = sample_nsn(40, 1, SeedSpec(78))
+        # EXACT mode builds every lower layer too: 8 * sum(C(40, j) for j <= 20)
         with pytest.raises(BudgetError, match=r"137846528820 20-subsets of 40 vectors.*"
-                                              r" 1102772230560 bytes"):
+                                              r" 4949432626384 bytes"):
             subset_sum_number(ensemble, [0.0], 20, 0.1, enumeration_budget=1000)
 
 
