@@ -67,6 +67,25 @@ def _generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _substream_permutation_heads(seed: SeedSpec, indices, n: int, k: int) -> np.ndarray:
+    """Row i holds the first k entries of ``_generator(seed.substream(indices[i])).permutation(n)``.
+
+    One Philox is rewound to each substream's key with a zero counter and an
+    empty buffer, the state a fresh generator starts in, so the bytes are the
+    same without building a Philox and a Generator per substream.
+    """
+    bitgen = np.random.Philox(key=np.array([seed.master_seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    heads = np.empty((len(indices), k), dtype=np.intp)
+    for row, index in enumerate(indices):
+        key[1] = seed.substream(index).stream_id
+        bitgen.state = fresh
+        heads[row] = rng.permutation(n)[:k]
+    return heads
+
+
 def _uniform_open01(rng: np.random.Generator, n: int) -> np.ndarray:
     bits = rng.integers(0, 1 << 53, size=int(n), dtype=np.uint64)
     return (bits.astype(np.float64) + 0.5) * (2.0**-53)

@@ -17,6 +17,20 @@ Strategies
     A miss proves nothing and is reported as "not-found", never as
     "proven-infeasible".
 
+    The greedy start and every restart descend together: each step scores
+    all swaps of all starts as one coordinate-major ``(d, starts, k, n)``
+    block of ``current - leaving + entering``, the start's own columns at
+    +inf, and the starts whose best swap improves take it. Per start this is
+    the one-start loop exactly: the same elementwise values, ``current``
+    re-summed over the sorted indices by the same reduction, the first
+    argmin in (leaving position, entering index) order, at most ``max_iters``
+    swaps, and between starts the smallest residual with ties to the
+    lexicographically smallest indices. The starts go in consecutive chunks
+    whose block stays under ``_DESCENT_BYTES``. Restart r starts from the
+    sorted first k of ``_generator(seed.substream(r)).permutation(n)``, drawn
+    by rewinding one Philox to each substream key rather than building one
+    per restart.
+
 Determinism: among equal-residual candidates the lexicographically smallest
 index set wins, and greedy restarts draw from an explicit :class:`SeedSpec`.
 
@@ -62,7 +76,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .sampling import NsnEnsemble, SeedSpec, _generator
+from .sampling import NsnEnsemble, SeedSpec, _substream_permutation_heads
 
 __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
@@ -432,7 +446,7 @@ def _greedy_build(vectors: np.ndarray, target: np.ndarray, k: int) -> list[int]:
     current = np.zeros(vectors.shape[1])
     available = np.ones(n, dtype=bool)
     for _ in range(k):
-        residuals = np.abs((current + vectors) - target).max(axis=1)
+        residuals = np.abs((current + vectors) - target).max(axis=1, initial=0.0)
         residuals[~available] = np.inf
         pick = int(np.argmin(residuals))
         available[pick] = False
@@ -441,53 +455,69 @@ def _greedy_build(vectors: np.ndarray, target: np.ndarray, k: int) -> list[int]:
     return sorted(chosen)
 
 
-def _swap_descent(
-    vectors: np.ndarray, target: np.ndarray, start: list[int], max_iters: int
-) -> tuple[tuple[int, ...], float]:
+_DESCENT_BYTES = 1 << 22  # largest (d, starts, k, n) swap block one descent step builds
+
+
+def _swap_descents(
+    vectors: np.ndarray, target: np.ndarray, inside: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-improvement single-swap descent from every row of ``inside`` (one
+    start per row, indices ascending) at once; returns the rows reached and
+    their residuals. Scoring all n entering columns, a start's own at +inf,
+    keeps the first argmin among its outside indices in ascending order. A
+    start whose best swap does not improve keeps its set, so it scores the
+    same swaps again: once stopped, it stays stopped.
+    """
     n = vectors.shape[0]
-    inside = sorted(start)
-    in_set = np.zeros(n, dtype=bool)
-    in_set[inside] = True
-    current = vectors[inside].sum(axis=0) if inside else np.zeros(vectors.shape[1])
-    residual = float(np.abs(current - target).max())
+    columns = np.ascontiguousarray(vectors.T)
+    rows, positions = np.arange(inside.shape[0]), np.arange(inside.shape[1])
+    current = vectors[inside].sum(axis=1)
+    residual = np.abs(current - target).max(axis=1, initial=0.0)
     for _ in range(max_iters):
-        outside = np.flatnonzero(~in_set)
-        if not inside or outside.size == 0:
+        trial = (current.T[:, :, None] - columns[:, inside])[..., None] + columns[:, None, None, :]
+        np.subtract(trial, target[:, None, None, None], out=trial)
+        scores = np.abs(trial, out=trial).max(axis=0, initial=0.0)
+        scores[rows[:, None, None], positions[:, None], inside[:, None, :]] = np.inf
+        flat = scores.reshape(rows.size, -1).argmin(axis=1)
+        leaving, entering = np.divmod(flat, n)
+        improving = scores[rows, leaving, entering] < residual
+        if not improving.any():
             break
-        trial = (
-            current[None, None, :]
-            - vectors[inside][:, None, :]
-            + vectors[outside][None, :, :]
-        )
-        trial_res = np.abs(trial - target).max(axis=2)
-        flat = int(np.argmin(trial_res))
-        best = float(trial_res.reshape(-1)[flat])
-        if not best < residual:
-            break
-        out_pos, in_pos = divmod(flat, outside.size)
-        leaving, entering = inside[out_pos], int(outside[in_pos])
-        in_set[leaving] = False
-        in_set[entering] = True
-        inside = sorted(np.flatnonzero(in_set).tolist())
-        current = vectors[inside].sum(axis=0)
-        residual = float(np.abs(current - target).max())
-    return tuple(inside), residual
+        swapped = inside.copy()
+        swapped[rows, leaving] = entering
+        swapped.sort(axis=1)
+        inside = np.where(improving[:, None], swapped, inside)
+        current = vectors[inside].sum(axis=1)
+        residual = np.abs(current - target).max(axis=1, initial=0.0)
+    return inside, residual
+
+
+def _lex_min_row(inside: np.ndarray, residual: np.ndarray) -> int:
+    """Row with the smallest residual, ties to the lexicographically smallest indices."""
+    return int(np.lexsort((*inside.T[::-1], residual))[0])
 
 
 def _greedy_swap_best(
     vectors: np.ndarray, target: np.ndarray, k: int, params: SolverParams
 ) -> tuple[tuple[int, ...], float]:
-    n = vectors.shape[0]
-    best_indices, best_res = _swap_descent(
-        vectors, target, _greedy_build(vectors, target, k), params.max_iters
-    )
-    for restart in range(1, params.restarts + 1):
-        rng = _generator(params.seed.substream(restart))
-        start = sorted(int(i) for i in rng.permutation(n)[:k])
-        indices, res = _swap_descent(vectors, target, start, params.max_iters)
-        if res < best_res or (res == best_res and indices < best_indices):
-            best_indices, best_res = indices, res
-    return best_indices, best_res
+    """Swap descents from the greedy build and ``params.restarts`` seeded random
+    starts (the sorted first k of substream r's permutation, for r = 1, 2, ...),
+    in consecutive chunks whose swap block stays under ``_DESCENT_BYTES``."""
+    n, d = vectors.shape
+    per_chunk = max(1, _DESCENT_BYTES // (8 * k * n * max(d, 1)))
+    winners, residuals = [], []
+    for first in range(0, params.restarts + 1, per_chunk):
+        restarts = range(max(first, 1), min(first + per_chunk, params.restarts + 1))
+        starts = _substream_permutation_heads(params.seed, restarts, n, k)
+        if first == 0:
+            starts = np.vstack([_greedy_build(vectors, target, k), starts])
+        starts.sort(axis=1)
+        inside, residual = _swap_descents(vectors, target, starts, params.max_iters)
+        pick = _lex_min_row(inside, residual)
+        winners.append(inside[pick])
+        residuals.append(residual[pick])
+    pick = _lex_min_row(np.array(winners), np.array(residuals))
+    return tuple(winners[pick].tolist()), float(residuals[pick])
 
 
 def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
@@ -521,7 +551,7 @@ def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
         best: tuple[tuple[int, ...], float] | None = None
         for k in cardinalities:
             if k == 0:
-                cand = ((), float(np.abs(target).max()))
+                cand = ((), float(np.abs(target).max(initial=0.0)))
             else:
                 cand = _greedy_swap_best(vectors, target, k, params)
             if best is None or cand[1] < best[1] or (cand[1] == best[1] and cand[0] < best[0]):
@@ -720,30 +750,14 @@ def _interval_excess(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.
     return np.where(inside, 0.0, np.minimum(gap_right, gap_left))
 
 
-def cover_targets(source, targets, epsilon: float, params: SolverParams | None = None) -> CoverReport:
-    """Evaluate the universal quantifier on a finite target grid.
-
-    * 1-D array source: exact any-cardinality cover via the interval union.
-    * :class:`NsnEnsemble` source: one fixed-cardinality solve per target
-      using ``params`` (required); excess is measured from the best subset
-      the strategy found.
-    """
-    if isinstance(source, NsnEnsemble):
-        if params is None:
-            raise ParameterError("params are required for ensemble cover")
-        grid = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        covered = np.zeros(grid.shape[0], dtype=bool)
-        excess = np.zeros(grid.shape[0], dtype=np.float64)
-        for i, z in enumerate(grid):
-            outcome = search_subsets(source.vectors, z, params)
-            covered[i] = outcome.solution is not None
-            if outcome.best is None:
-                excess[i] = np.inf
-            else:
-                excess[i] = max(0.0, outcome.best.residual_inf - params.epsilon)
-        return CoverReport(grid, covered, excess, params.epsilon)
-
-    xs = np.asarray(source, dtype=np.float64).ravel()
+def cover_targets(source, targets, epsilon: float) -> CoverReport:
+    """Evaluate the universal quantifier on a finite target grid: the exact
+    any-cardinality cover of every grid point by the subset sums of the 1-D
+    values ``source``, via the interval union."""
+    try:
+        xs = np.asarray(source, dtype=np.float64).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"cover source must be an array of values: {exc}") from None
     grid = np.asarray(targets, dtype=np.float64).ravel()
     lo, hi = inflated_sum_intervals(xs, epsilon)
     excess = _interval_excess(lo, hi, grid)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsetprune import solvers
 from subsetprune import (
     BudgetError,
     CardinalityMode,
@@ -27,6 +28,7 @@ from subsetprune import (
     subset_sum_number,
     verify_solution,
 )
+from subsetprune.sampling import _generator, _substream_permutation_heads
 
 
 def enumerate_1d_hits(xs, target, epsilon):
@@ -408,11 +410,166 @@ class TestCover:
             in2 = any(a <= point <= b for a, b in zip(lo2, hi2))
             assert in2 or not in1
 
-    def test_ensemble_cover_uses_solver(self):
+    def test_ensemble_source_rejected(self):
         ensemble = sample_nsn(8, 2, SeedSpec(2200))
-        params = SolverParams(epsilon=0.3, k=3, mode=CardinalityMode.AT_MOST)
-        grid = [sample_uniform(2, SeedSpec(2201, i), -0.5, 0.5) for i in range(5)]
-        report = cover_targets(ensemble, np.array(grid), epsilon=0.3, params=params)
-        for z, covered in zip(grid, report.covered):
-            sol = search_subsets(ensemble.vectors, z, params).solution
-            assert covered == (sol is not None)
+        with pytest.raises(ParameterError, match="cover source"):
+            cover_targets(ensemble, np.zeros(2), 0.3)
+
+
+def one_start_greedy_build(vectors, target, k):
+    """The greedy start as the one-start-at-a-time solver built it."""
+    n = vectors.shape[0]
+    chosen = []
+    current = np.zeros(vectors.shape[1])
+    available = np.ones(n, dtype=bool)
+    for _ in range(k):
+        residuals = np.abs((current + vectors) - target).max(axis=1)
+        residuals[~available] = np.inf
+        pick = int(np.argmin(residuals))
+        available[pick] = False
+        chosen.append(pick)
+        current = current + vectors[pick]
+    return sorted(chosen)
+
+
+def one_start_swap_descent(vectors, target, start, max_iters):
+    """Oracle: best-improvement swaps of one start, one numpy block per step."""
+    n = vectors.shape[0]
+    inside = sorted(start)
+    in_set = np.zeros(n, dtype=bool)
+    in_set[inside] = True
+    current = vectors[inside].sum(axis=0) if inside else np.zeros(vectors.shape[1])
+    residual = float(np.abs(current - target).max())
+    for _ in range(max_iters):
+        outside = np.flatnonzero(~in_set)
+        if not inside or outside.size == 0:
+            break
+        trial = (
+            current[None, None, :]
+            - vectors[inside][:, None, :]
+            + vectors[outside][None, :, :]
+        )
+        trial_res = np.abs(trial - target).max(axis=2)
+        flat = int(np.argmin(trial_res))
+        best = float(trial_res.reshape(-1)[flat])
+        if not best < residual:
+            break
+        out_pos, in_pos = divmod(flat, outside.size)
+        leaving, entering = inside[out_pos], int(outside[in_pos])
+        in_set[leaving] = False
+        in_set[entering] = True
+        inside = sorted(np.flatnonzero(in_set).tolist())
+        current = vectors[inside].sum(axis=0)
+        residual = float(np.abs(current - target).max())
+    return tuple(inside), residual
+
+
+def one_start_greedy_swap_best(vectors, target, k, params):
+    """Oracle: the greedy start, then each restart in turn, kept if strictly
+    better or equal and lexicographically smaller."""
+    n = vectors.shape[0]
+    best_indices, best_res = one_start_swap_descent(
+        vectors, target, one_start_greedy_build(vectors, target, k), params.max_iters
+    )
+    for restart in range(1, params.restarts + 1):
+        rng = _generator(params.seed.substream(restart))
+        start = sorted(int(i) for i in rng.permutation(n)[:k])
+        indices, res = one_start_swap_descent(vectors, target, start, params.max_iters)
+        if res < best_res or (res == best_res and indices < best_indices):
+            best_indices, best_res = indices, res
+    return best_indices, best_res
+
+
+def greedy_cases():
+    """(vectors, target, k) over n 4-21, d 1-3 and k 1-5, with k = n (no index
+    outside) and k > n; every other pool and target rounded to 1 decimal."""
+    rng = np.random.default_rng(2024)
+    for case in range(160):
+        n = int(rng.integers(4, 22))
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 6)) if case % 8 else (n if case % 16 else n + 2)
+        vectors = rng.normal(size=(n, d)) * 0.5
+        target = rng.uniform(-1.0, 1.0, size=d)
+        if case % 2:
+            vectors, target = np.round(vectors, 1), np.round(target, 1)
+        yield vectors, target, k
+
+
+class TestGreedySwap:
+    @pytest.mark.parametrize("mode", list(CardinalityMode))
+    @pytest.mark.parametrize("restarts, max_iters", [(0, 200), (8, 200), (8, 1)])
+    def test_batched_descent_matches_one_start_loop(self, mode, restarts, max_iters):
+        for case, (vectors, target, k) in enumerate(greedy_cases()):
+            n = len(vectors)
+            params = SolverParams(epsilon=0.1, k=k, mode=mode, strategy=Strategy.GREEDY_SWAP,
+                                  restarts=restarts, max_iters=max_iters, seed=SeedSpec(case, 5))
+            if mode is CardinalityMode.EXACT:
+                cardinalities = [k] if k <= n else []
+            else:
+                cardinalities = range(min(k, n) + 1)
+            expected = None
+            for j in cardinalities:
+                if j == 0:
+                    cand = ((), float(np.abs(target).max()))
+                else:
+                    cand = one_start_greedy_swap_best(vectors, target, j, params)
+                    got = solvers._greedy_swap_best(vectors, target, j, params)
+                    assert got[0] == cand[0]
+                    assert repr(got[1]) == repr(cand[1])
+                if expected is None or cand[1] < expected[1] or (
+                    cand[1] == expected[1] and cand[0] < expected[0]
+                ):
+                    expected = cand
+            outcome = search_subsets(vectors, target, params)
+            if expected is None:
+                assert outcome.best is None
+            else:
+                assert outcome.best.indices == expected[0]
+
+    def test_chunked_descent_matches_one_block(self, monkeypatch):
+        # a cap below one start's block puts every start in a chunk of its own
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            vectors = np.round(rng.normal(size=(12, 2)) * 0.5, 1)
+            target = np.round(rng.uniform(-1.0, 1.0, size=2), 1)
+            params = SolverParams(epsilon=0.1, k=3, strategy=Strategy.GREEDY_SWAP,
+                                  restarts=12, seed=SeedSpec(trial))
+            whole = solvers._greedy_swap_best(vectors, target, 3, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_DESCENT_BYTES", 1)
+                chunked = solvers._greedy_swap_best(vectors, target, 3, params)
+            assert chunked[0] == whole[0] and repr(chunked[1]) == repr(whole[1])
+            assert whole == one_start_greedy_swap_best(vectors, target, 3, params)
+
+    @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(11, 3), SeedSpec(2**64 - 1, 2**63)])
+    def test_restart_permutations_are_the_substream_permutations(self, seed):
+        indices = [0, 1, 2, 7, 1000]
+        for n in (1, 2, 5, 20, 48):
+            heads = _substream_permutation_heads(seed, indices, n, n)
+            for row, index in zip(heads, indices):
+                expected = _generator(seed.substream(index)).permutation(n)
+                assert row.astype(np.int64).tobytes() == expected.astype(np.int64).tobytes()
+            assert np.array_equal(_substream_permutation_heads(seed, indices, n, 1), heads[:, :1])
+
+    def test_descent_memory_is_chunked(self):
+        # 20,001 starts of 5 x 48 swaps in 4 coordinates would take about
+        # 150 MB as one block
+        rng = np.random.default_rng(48)
+        vectors = rng.normal(size=(48, 4)) * 0.3
+        params = SolverParams(epsilon=0.01, k=5, strategy=Strategy.GREEDY_SWAP, restarts=20_000)
+        tracemalloc.start()
+        try:
+            search_subsets(vectors, rng.uniform(-0.5, 0.5, size=4), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    @pytest.mark.parametrize("mode", list(CardinalityMode))
+    @pytest.mark.parametrize("strategy", [Strategy.EXHAUSTIVE, Strategy.GREEDY_SWAP])
+    def test_zero_dimensional_vectors(self, mode, strategy):
+        params = SolverParams(epsilon=0.1, k=2, mode=mode, strategy=strategy)
+        outcome = search_subsets(np.zeros((5, 0)), np.zeros(0), params)
+        assert outcome.status == "hit"
+        assert outcome.best.indices == ((0, 1) if mode is CardinalityMode.EXACT else ())
+        assert outcome.best.residual_inf == 0.0
