@@ -58,8 +58,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# every strategy but the 1-D-only meet-in-the-middle; each command here is d-dimensional
-_STRATEGIES = {s.value: s for s in Strategy if s is not Strategy.MEET_IN_THE_MIDDLE}
+_STRATEGIES = {s.value: s for s in Strategy}
 _MODES = {m.value: m for m in CardinalityMode}
 
 

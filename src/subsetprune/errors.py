@@ -1,5 +1,7 @@
 """Shared exception types, mapped onto CLI exit codes in :mod:`subsetprune.cli`."""
 
+__all__ = ["ShapeError", "ParameterError", "BudgetError", "StructureError"]
+
 
 class ShapeError(ValueError):
     """Tensor or mask shapes are incompatible with the requested operation."""

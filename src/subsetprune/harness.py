@@ -630,7 +630,7 @@ def scan_mrss_phase(
             elif n < group_size:
                 hit = False
             else:
-                hit = partition_boost(prefix, [target], params, group_size)[0].solution is not None
+                hit = partition_boost(prefix.vectors, target, params, group_size) is not None
             if hit and stop_at_first_hit:
                 _count_from(successes, n)
                 break

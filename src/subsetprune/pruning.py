@@ -76,6 +76,7 @@ __all__ = [
     "save_bundle",
     "load_bundle",
     "bundle_probe_error",
+    "composition_bound",
 ]
 
 # substream offsets inside prune_network; fixed so reruns are reproducible

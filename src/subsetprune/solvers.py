@@ -1,16 +1,32 @@
-"""Approximate subset-sum solvers and counters over random ensembles.
+"""Approximate subset-sum solvers and counters over raw vectors.
 
 A target ``z`` is *hit* by an index set ``S`` when the achieved sum lands in
 the closed infinity-norm box ``[z - eps, z + eps]``; boundary hits count.
+Every solver takes raw ``(n, d)`` vectors (1-D values for the 1-D solvers),
+and one validator rejects non-finite values and a target of another dimension
+with :class:`ParameterError`. Among equal-residual candidates the
+lexicographically smallest index set wins, and greedy restarts draw from an
+explicit :class:`SeedSpec`.
 
-Strategies
-----------
+Entry points
+------------
+:func:`search_subsets`
+    The d-dimensional search over subsets of exactly (or at most) ``k``
+    vectors; :func:`partition_boost` runs it on disjoint groups.
+:func:`solve_rssp_1d`
+    The 1-D any-cardinality solve, exact by meet-in-the-middle
+    (sort-and-search, Horowitz & Sahni 1974); the enumeration budget caps
+    each half-table at ``2^ceil(n/2)`` sums.
+:func:`subset_sum_number`
+    The exact count of k-subsets inside the box.
+:func:`cover_targets`
+    The 1-D cover question over a target grid, by interval union.
+
+Strategies of :func:`search_subsets`
+------------------------------------
 ``EXHAUSTIVE``
     Enumerates every admissible subset (budget-capped). A miss is a proof
     that no admissible subset exists.
-``MEET_IN_THE_MIDDLE``
-    Exact for the 1-D any-cardinality problem; the enumeration budget caps
-    each half-table at ``2^ceil(n/2)`` sums.
 ``GREEDY_SWAP``
     Fixed-cardinality d-dimensional local search: greedy build toward the
     target, then best-improvement single swaps, with seeded random restarts.
@@ -22,29 +38,27 @@ Strategies
     block of ``current - leaving + entering``, the start's own columns at
     +inf, and the starts whose best swap improves take it. Per start this is
     the one-start loop exactly: the same elementwise values, ``current``
-    re-summed over the sorted indices by the same reduction, the first
-    argmin in (leaving position, entering index) order, at most ``max_iters``
-    swaps, and between starts the smallest residual with ties to the
-    lexicographically smallest indices. The starts go in consecutive chunks
-    whose block stays under ``_DESCENT_BYTES``. Restart r starts from the
-    sorted first k of ``_generator(seed.substream(r)).permutation(n)``, drawn
-    by rewinding one Philox to each substream key rather than building one
-    per restart.
-
-Determinism: among equal-residual candidates the lexicographically smallest
-index set wins, and greedy restarts draw from an explicit :class:`SeedSpec`.
+    re-summed over the sorted indices in ascending index order (as the
+    reported witness is), the first argmin in (leaving position, entering
+    index) order, at most ``max_iters`` swaps, and between starts the
+    smallest residual with ties to the lexicographically smallest indices.
+    The starts go in consecutive chunks whose block stays under
+    ``_DESCENT_BYTES``. Restart r starts from the sorted first k of
+    ``_generator(seed.substream(r)).permutation(n)``, drawn by rewinding one
+    Philox to each substream key rather than building one per restart.
 
 The exhaustive engine (shared by :func:`search_subsets` and
 :func:`subset_sum_number`) builds each cardinality layer of subset sums
 coordinate-major, a ``(d, C(n, j))`` array in colex order, with no
-intermediate copies. The search first scans the contiguous coordinate-0 row:
-with ``U`` the smaller of the best residual so far and the full residual at
-the coordinate-0 argmin, the full L-inf residual is computed only where
-``|s_0 - z_0| <= U`` (the count uses ``<= eps``). This is exact
-(sort-and-search, Horowitz & Sahni 1974): an L-inf residual is never below its
-coordinate-0 term, so the minimum and every tie at it survive the filter, in
-ascending colex rank, and each sum is still added in ascending index order, so
-results are bit-identical to a dense scan.
+intermediate copies. Both scan the contiguous coordinate-0 row first and
+compute the full L-inf residual only where ``|s_0 - z_0|`` is within a bound:
+the count's bound is ``eps``; the search's is ``U``, the smaller of the best
+residual so far and the full residual at the coordinate-0 argmin. This is
+exact (sort-and-search): an L-inf residual is never below its coordinate-0
+term, so the minimum and every tie at it survive the filter, and each sum is
+still added in ascending index order, so results are bit-identical to a dense
+scan. All ties are decoded to index sets in one vectorised pass over a cached
+``C(last, size)`` table and the lexicographically smallest wins.
 
 The top layer (the largest cardinality, most of the family) is therefore
 built as its coordinate-0 row alone, and ``|s_0 - z_0|`` overwrites that row
@@ -76,7 +90,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .sampling import NsnEnsemble, SeedSpec, _substream_permutation_heads
+from .sampling import SeedSpec, _substream_permutation_heads
 
 __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
@@ -88,12 +102,9 @@ __all__ = [
     "dimension_constant",
     "verify_solution",
     "solve_rssp_1d",
-    "solve_mrss",
     "search_subsets",
     "subset_sum_number",
     "partition_boost",
-    "BoostResult",
-    "GroupAttempt",
     "cover_targets",
     "CoverReport",
     "inflated_sum_intervals",
@@ -109,7 +120,6 @@ class CardinalityMode(Enum):
 
 class Strategy(Enum):
     EXHAUSTIVE = "exhaustive"
-    MEET_IN_THE_MIDDLE = "mitm"
     GREEDY_SWAP = "greedy_swap"
 
 
@@ -157,6 +167,17 @@ class SubsetSolution:
         achieved = np.atleast_1d(np.asarray(self.achieved, dtype=np.float64))
         object.__setattr__(self, "achieved", achieved)
         object.__setattr__(self, "residual_inf", float(self.residual_inf))
+
+
+def _validated(vectors, target) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous float64 ``(n, d)`` vectors and a ``(d,)`` target, all finite."""
+    vectors = np.atleast_2d(np.ascontiguousarray(np.asarray(vectors, dtype=np.float64)))
+    target = np.atleast_1d(np.asarray(target, dtype=np.float64))
+    if not (np.isfinite(target).all() and np.isfinite(vectors).all()):
+        raise ParameterError("target and vectors must be finite")
+    if vectors.ndim != 2 or target.ndim != 1 or vectors.shape[1] != target.size:
+        raise ParameterError(f"vectors of shape {vectors.shape} vs target of shape {target.shape}")
+    return vectors, target
 
 
 def _sum_of(vectors: np.ndarray, indices) -> np.ndarray:
@@ -225,48 +246,41 @@ def _mask_indices(mask: int, offset: int = 0) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lex_best_masks(masks, to_indices) -> tuple[int, ...]:
-    return min(to_indices(m) for m in masks)
+def _lex_min_mask(masks: np.ndarray) -> int:
+    """The set among ``masks`` (bit i set when index i is in) whose ascending
+    index tuple is lexicographically smallest: a set with no index left wins,
+    else the smallest next index, one index at a time."""
+    chosen = 0
+    while (masks != 0).all():
+        low = masks & -masks
+        first = low.min()
+        masks = masks[low == first] ^ first
+        chosen |= int(first)
+    return chosen
 
 
 def solve_rssp_1d(
     xs,
     target: float,
     epsilon: float,
-    strategy: Strategy = Strategy.MEET_IN_THE_MIDDLE,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> SubsetSolution | None:
-    """Any-cardinality 1-D subset sum within ``epsilon`` of ``target``.
+    """Any-cardinality 1-D subset sum within ``epsilon`` of ``target``, by
+    meet-in-the-middle over the halves ``xs[:ceil(n/2)]`` and the rest.
 
-    Both strategies are exact: ``None`` means no subset (including the empty
-    one) lands in the closed interval.
+    Exact: ``None`` means no subset (including the empty one) lands in the
+    closed interval. Each left sum meets the right sums nearest its need; the
+    witness is the lexicographically smallest set over every left sum at the
+    best residual and the whole run of right sums equal to its nearest one.
     """
-    xs = np.ascontiguousarray(np.asarray(xs, dtype=np.float64))
+    xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise ParameterError("xs must be a 1-D array")
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
-    if not np.isfinite(target):
-        raise ParameterError("target must be finite")
-    n = xs.size
-    target = float(target)
-    vectors = xs[:, None]
-    tvec = np.array([target])
-
-    if strategy is Strategy.EXHAUSTIVE:
-        if 2**n > enumeration_budget:
-            raise BudgetError(f"2^{n} subsets exceed the enumeration budget")
-        sums = _all_subset_sums(xs)
-        residuals = np.abs(sums - target)
-        best = residuals.min()
-        ties = np.flatnonzero(residuals == best)
-        indices = _lex_best_masks(ties.tolist(), _mask_indices)
-        solution = _make_solution(vectors, indices, tvec)
-        return solution if solution.residual_inf <= epsilon else None
-
-    if strategy is not Strategy.MEET_IN_THE_MIDDLE:
-        raise ParameterError(f"unsupported 1-D strategy {strategy}")
-    n_left = (n + 1) // 2
+    vectors, tvec = _validated(xs[:, None], target)
+    target = float(tvec[0])
+    n_left = (xs.size + 1) // 2
     if 2**n_left > enumeration_budget:
         raise BudgetError(f"meet-in-the-middle half-table 2^{n_left} exceeds the budget")
 
@@ -274,22 +288,25 @@ def solve_rssp_1d(
     right = _all_subset_sums(xs[n_left:])
     order = np.argsort(right, kind="stable")
     right_sorted = right[order]
-    need = target - left
-    pos = np.searchsorted(right_sorted, need)
-    lo = np.clip(pos - 1, 0, right_sorted.size - 1)
-    hi = np.clip(pos, 0, right_sorted.size - 1)
-    res_lo = np.abs(left + right_sorted[lo] - target)
-    res_hi = np.abs(left + right_sorted[hi] - target)
-    best = min(res_lo.min(), res_hi.min())
-
-    def pair_indices(left_mask: int, right_rank: int) -> tuple[int, ...]:
-        right_mask = int(order[right_rank])
-        return tuple(sorted(_mask_indices(left_mask) + _mask_indices(right_mask, n_left)))
-
-    candidates = [
-        pair_indices(int(i), int(lo[i])) for i in np.flatnonzero(res_lo == best)
-    ] + [pair_indices(int(i), int(hi[i])) for i in np.flatnonzero(res_hi == best)]
-    solution = _make_solution(vectors, min(candidates), tvec)
+    pos = np.searchsorted(right_sorted, target - left)
+    near = np.clip(np.stack([pos - 1, pos]), 0, right.size - 1)  # below, at or above
+    near_sums = right_sorted[near]
+    residuals = np.abs(left + near_sums - target)
+    tied = residuals == residuals.min()
+    # A left set whose tied right run holds the empty set (sum 0.0) ends
+    # there; any other continues past every left index, as bit n_left says.
+    lefts = np.flatnonzero(tied.any(axis=0))
+    ends = (tied[:, lefts] & (near_sums[:, lefts] == 0.0)).any(axis=0)
+    pick = _lex_min_mask(np.where(ends, lefts, lefts | (1 << n_left)))
+    left_mask, right_mask = pick & ((1 << n_left) - 1), 0
+    if pick >> n_left:
+        runs = [
+            order[right_sorted.searchsorted(v, "left") : right_sorted.searchsorted(v, "right")]
+            for v in near_sums[tied[:, left_mask], left_mask]
+        ]
+        right_mask = _lex_min_mask(np.concatenate(runs))
+    indices = _mask_indices(left_mask) + _mask_indices(right_mask, n_left)
+    solution = _make_solution(vectors, indices, tvec)
     return solution if solution.residual_inf <= epsilon else None
 
 
@@ -334,17 +351,35 @@ def _colex_sum_layers(vectors: np.ndarray, k_max: int) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _slice_starts(m: int, k_max: int) -> np.ndarray:
-    """``C(last, k_max)`` for last in 0..m-1: where each top-layer slice begins.
+def _colex_table(m: int, k_max: int) -> np.ndarray:
+    """``C(last, size)`` at ``[size, last]`` for size 0..k_max and last 0..m-1.
 
-    Cached (read-only) because scans re-solve the same few shapes many times.
+    Row ``size`` is nondecreasing, so a searchsorted on it finds a subset's
+    largest index from its colex rank; the top row is where each top-layer
+    slice begins. Cached (read-only) because scans re-solve the same few
+    shapes many times.
     """
-    starts = np.array([math.comb(last, k_max) for last in range(m)], dtype=np.int64)
-    starts.flags.writeable = False
-    return starts
+    table = np.array(
+        [[math.comb(last, size) for last in range(m)] for size in range(k_max + 1)],
+        dtype=np.int64,
+    )
+    table.flags.writeable = False
+    return table
 
 
-def _layer_columns(layers: list[np.ndarray], vectors: np.ndarray, j: int, ranks, starts):
+def _colex_rows(table: np.ndarray, ranks: np.ndarray, j: int) -> np.ndarray:
+    """Ascending indices of the j-subsets at colex ``ranks``, one row each: the
+    largest index is the last ``last`` with ``C(last, j) <= rank``, and the
+    rest is the (j-1)-subset at rank ``rank - C(last, j)``."""
+    rows = np.empty((ranks.size, j), dtype=np.int64)
+    remaining = ranks.astype(np.int64)
+    for size in range(j, 0, -1):
+        rows[:, size - 1] = table[size].searchsorted(remaining, side="right") - 1
+        remaining = remaining - table[size].take(rows[:, size - 1])
+    return rows
+
+
+def _layer_columns(layers: list[np.ndarray], vectors: np.ndarray, j: int, ranks, table):
     """Full d-dim sums of layer j at colex rank(s) ``ranks`` (an int or an array).
 
     Below the top layer they are stored. A top-layer column r is recomputed as
@@ -354,6 +389,7 @@ def _layer_columns(layers: list[np.ndarray], vectors: np.ndarray, j: int, ranks,
     """
     if not 0 < j == len(layers) - 1:
         return layers[j].take(ranks, axis=1)
+    starts = table[j]
     lasts = starts.searchsorted(ranks, side="right") - 1
     prefix = layers[j - 1].take(ranks - starts.take(lasts), axis=1)
     return prefix + vectors.take(lasts, axis=0).T
@@ -372,20 +408,13 @@ def _coordinate0_gaps(layers: list[np.ndarray], j: int, target: np.ndarray) -> n
     return np.abs(gaps, out=gaps)
 
 
-def _colex_decode(rank: int, j: int) -> tuple[int, ...]:
-    """Indices of the rank-th j-subset in colex order (combinatorial number system)."""
-    out = []
-    remaining = int(rank)
-    for size in range(j, 0, -1):
-        last = size - 1
-        while math.comb(last + 1, size) <= remaining:
-            last += 1
-        out.append(last)
-        remaining -= math.comb(last, size)
-    return tuple(reversed(out))
-
-
-_TIE_DECODE_CAP = 1024
+def _scan_layer(layers, vectors, j: int, target, gaps, bound: float, table):
+    """Colex ranks of layer j whose coordinate-0 gap is at most ``bound``, in
+    ascending order, and their full L-inf residuals. A residual is never below
+    its coordinate-0 gap, so every sum at residual <= bound is among them."""
+    ranks = np.flatnonzero(gaps <= bound)
+    diffs = np.subtract(_layer_columns(layers, vectors, j, ranks, table), target[:, None])
+    return ranks, np.abs(diffs, out=diffs).max(axis=0, initial=0.0)
 
 
 def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
@@ -409,31 +438,24 @@ def _enumerate_best(
     _check_family_budget(n, cardinalities, d, budget)
     k_max = max(cardinalities)
     layers = _colex_sum_layers(vectors, k_max)
-    starts = _slice_starts(n, k_max)
+    table = _colex_table(n, k_max)
     best_res = math.inf
     best_indices: tuple[int, ...] | None = None
     for j in cardinalities:
-        if layers[j].shape[1] == 0:
-            continue
-        # Coordinate-0 prefilter: a sum's L-inf residual is at least its
-        # coordinate-0 gap a0, so every sum at residual <= bound (the layer
-        # minimum and all its ties included, in ascending colex rank) passes
-        # a0 <= bound, and the full residual is computed on those alone.
-        a0 = _coordinate0_gaps(layers, j, target)
-        pivot = int(np.argmin(a0))
-        pivot_sum = _layer_columns(layers, vectors, j, pivot, starts)
-        bound = min(best_res, float(np.abs(pivot_sum - target).max(initial=0.0)))
-        ranks = np.flatnonzero(a0 <= bound)
+        # the bound: the best residual so far, or the full residual at the
+        # coordinate-0 argmin if smaller
+        gaps = _coordinate0_gaps(layers, j, target)
+        pivot = _layer_columns(layers, vectors, j, int(np.argmin(gaps)), table)
+        bound = min(best_res, float(np.abs(pivot - target).max(initial=0.0)))
+        ranks, residuals = _scan_layer(layers, vectors, j, target, gaps, bound, table)
         if ranks.size == 0:
             continue
-        sums = _layer_columns(layers, vectors, j, ranks, starts)
-        residuals = np.abs(sums - target[:, None]).max(axis=0, initial=0.0)
         res = float(residuals.min())
         if res > best_res:
             continue
-        # exact-tie resolution; the cap keeps degenerate inputs from exploding
-        ties = ranks[residuals == res][:_TIE_DECODE_CAP]
-        decoded = min(_colex_decode(int(r), j) for r in ties)
+        tied = residuals == res
+        rows = _colex_rows(table, ranks[tied], j)
+        decoded = tuple(rows[_lex_min_row(rows, residuals[tied])].tolist())
         if res < best_res or best_indices is None or decoded < best_indices:
             best_res, best_indices = res, decoded
     assert best_indices is not None
@@ -466,12 +488,13 @@ def _swap_descents(
     their residuals. Scoring all n entering columns, a start's own at +inf,
     keeps the first argmin among its outside indices in ascending order. A
     start whose best swap does not improve keeps its set, so it scores the
-    same swaps again: once stopped, it stays stopped.
+    same swaps again: once stopped, it stays stopped. ``current`` is summed
+    in ascending index order, so each residual is the one the witness reports.
     """
     n = vectors.shape[0]
     columns = np.ascontiguousarray(vectors.T)
     rows, positions = np.arange(inside.shape[0]), np.arange(inside.shape[1])
-    current = vectors[inside].sum(axis=1)
+    current = np.add.accumulate(vectors[inside], axis=1)[:, -1]
     residual = np.abs(current - target).max(axis=1, initial=0.0)
     for _ in range(max_iters):
         trial = (current.T[:, :, None] - columns[:, inside])[..., None] + columns[:, None, None, :]
@@ -487,7 +510,7 @@ def _swap_descents(
         swapped[rows, leaving] = entering
         swapped.sort(axis=1)
         inside = np.where(improving[:, None], swapped, inside)
-        current = vectors[inside].sum(axis=1)
+        current = np.add.accumulate(vectors[inside], axis=1)[:, -1]
         residual = np.abs(current - target).max(axis=1, initial=0.0)
     return inside, residual
 
@@ -526,14 +549,7 @@ def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
     Returns the best subset found either way, so callers can report near
     misses; :attr:`SearchOutcome.exhaustive` says whether a miss is a proof.
     """
-    vectors = np.atleast_2d(np.ascontiguousarray(np.asarray(vectors, dtype=np.float64)))
-    target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    if not (np.isfinite(target).all() and np.isfinite(vectors).all()):
-        raise ParameterError("target and vectors must be finite")
-    if vectors.ndim != 2 or vectors.shape[1] != target.size:
-        raise ParameterError(
-            f"vectors of dimension {vectors.shape[1]} vs target of dimension {target.size}"
-        )
+    vectors, target = _validated(vectors, target)
     n = vectors.shape[0]
     if params.mode is CardinalityMode.EXACT:
         if params.k > n:
@@ -547,7 +563,7 @@ def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
             vectors, target, cardinalities, params.enumeration_budget
         )
         exhaustive = True
-    elif params.strategy is Strategy.GREEDY_SWAP:
+    else:
         best: tuple[tuple[int, ...], float] | None = None
         for k in cardinalities:
             if k == 0:
@@ -559,105 +575,54 @@ def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
         assert best is not None
         indices, residual = best
         exhaustive = False
-    else:
-        raise ParameterError(f"strategy {params.strategy} is 1-D only")
 
     solution = _make_solution(vectors, indices, target)
     hit = solution if solution.residual_inf <= params.epsilon else None
     return SearchOutcome(hit, solution, exhaustive)
 
 
-def solve_mrss(ensemble: NsnEnsemble, target, params: SolverParams) -> SubsetSolution | None:
-    """Fixed-cardinality multidimensional solve over an NSN ensemble.
-
-    ``None`` from the exhaustive strategy proves infeasibility within the
-    cardinality family; ``None`` from greedy-swap only means "not found".
-    """
-    if params.mode is CardinalityMode.EXACT and params.k > ensemble.n:
-        raise ParameterError(f"k={params.k} exceeds ensemble size n={ensemble.n}")
-    return search_subsets(ensemble.vectors, target, params).solution
-
-
 def subset_sum_number(
-    ensemble: NsnEnsemble,
+    vectors,
     target,
     k: int,
     epsilon: float,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
     """Exact count of k-subsets whose sum lands in the closed box around target."""
+    vectors, target = _validated(vectors, target)
+    n, d = vectors.shape
     if not epsilon >= 0.0:
         raise ParameterError("epsilon must be nonnegative")
-    if not 0 <= k <= ensemble.n:
-        raise ParameterError(f"k must be in [0, {ensemble.n}]")
-    target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    _check_family_budget(ensemble.n, [k], ensemble.d, enumeration_budget)
-    vectors = ensemble.vectors
+    if not 0 <= k <= n:
+        raise ParameterError(f"k must be in [0, {n}]")
+    _check_family_budget(n, [k], d, enumeration_budget)
     layers = _colex_sum_layers(vectors, k)
-    ranks = np.flatnonzero(_coordinate0_gaps(layers, k, target) <= epsilon)
-    sums = _layer_columns(layers, vectors, k, ranks, _slice_starts(ensemble.n, k))
-    return int((np.abs(sums - target[:, None]).max(axis=0, initial=0.0) <= epsilon).sum())
-
-
-# ---------------------------------------------------------------------------
-# Group boosting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupAttempt:
-    group: int
-    status: str  # hit / not-found / proven-infeasible / skipped
-    residual_inf: float | None
-
-
-@dataclass(frozen=True)
-class BoostResult:
-    target_index: int
-    solution: SubsetSolution | None  # indices are global into the full ensemble
-    attempts: tuple[GroupAttempt, ...]
+    gaps = _coordinate0_gaps(layers, k, target)
+    _, residuals = _scan_layer(layers, vectors, k, target, gaps, epsilon, _colex_table(n, k))
+    return int((residuals <= epsilon).sum())
 
 
 def partition_boost(
-    ensemble: NsnEnsemble,
-    targets,
-    params: SolverParams,
-    group_size: int,
-) -> list[BoostResult]:
-    """Try each target against disjoint vector groups until one group hits.
-
-    The ensemble is split into consecutive disjoint groups of ``group_size``
-    (the last group absorbs any remainder). Groups are attempted in order and
-    the first hit wins, so success probability can only improve with the
-    number of groups. Per-group attempt records support success-rate
-    estimation.
+    vectors, target, params: SolverParams, group_size: int
+) -> SubsetSolution | None:
+    """Search consecutive disjoint groups of ``group_size`` vectors (the last
+    group absorbs any remainder) in order; the first hit wins, with indices
+    into the whole pool, so success can only improve with the number of
+    groups. ``None`` when no group hits.
     """
+    vectors, target = _validated(vectors, target)
+    n = vectors.shape[0]
     if group_size < params.k * params.k:
         raise ParameterError("group_size must be at least k^2")
-    if ensemble.n < group_size:
-        raise ParameterError("ensemble smaller than one group")
-    starts = list(range(0, ensemble.n - group_size + 1, group_size))
-    bounds = [(s, s + group_size) for s in starts]
-    bounds[-1] = (bounds[-1][0], ensemble.n)  # remainder joins the last group
-
-    results: list[BoostResult] = []
-    for t_index, target in enumerate(targets):
-        attempts: list[GroupAttempt] = []
-        chosen: SubsetSolution | None = None
-        for g, (lo, hi) in enumerate(bounds):
-            if chosen is not None:
-                attempts.append(GroupAttempt(g, "skipped", None))
-                continue
-            outcome = search_subsets(ensemble.vectors[lo:hi], target, params)
-            residual = outcome.best.residual_inf if outcome.best is not None else None
-            attempts.append(GroupAttempt(g, outcome.status, residual))
-            if outcome.solution is not None:
-                shifted = tuple(i + lo for i in outcome.solution.indices)
-                chosen = SubsetSolution(
-                    shifted, outcome.solution.achieved, outcome.solution.residual_inf
-                )
-        results.append(BoostResult(t_index, chosen, tuple(attempts)))
-    return results
+    if n < group_size:
+        raise ParameterError("fewer vectors than one group")
+    starts = list(range(0, n - group_size + 1, group_size))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        hit = search_subsets(vectors[lo:hi], target, params).solution
+        if hit is not None:
+            shifted = tuple(i + lo for i in hit.indices)
+            return SubsetSolution(shifted, hit.achieved, hit.residual_inf)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +643,6 @@ class CoverReport:
     @property
     def success(self) -> bool:
         return bool(self.covered.all())
-
-    @property
-    def min_excess(self) -> float:
-        return float(self.excess.min()) if self.excess.size else 0.0
-
-    @property
-    def max_excess(self) -> float:
-        return float(self.excess.max()) if self.excess.size else 0.0
 
 
 def _coalesce(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

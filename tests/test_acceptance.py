@@ -39,8 +39,8 @@ from subsetprune import (
     sample_normal_tensor,
     sample_uniform,
     scan_rssp_phase,
+    search_subsets,
     single_layer_output,
-    solve_mrss,
     subset_sum_number,
     validate_structure,
 )
@@ -179,17 +179,18 @@ def test_criterion_09_solver_oracle_equivalence():
                 ensemble = sample_nsn(10, d, stream.substream(0))
                 z = sample_uniform(d, stream.substream(1), -1.0, 1.0)
                 z = z / max(1.0, float(np.abs(z).sum()))
-                enum = solve_mrss(
-                    ensemble, z, SolverParams(epsilon=0.2, k=3, strategy=Strategy.EXHAUSTIVE)
-                )
-                greedy = solve_mrss(
-                    ensemble,
+                vectors = ensemble.vectors
+                enum = search_subsets(
+                    vectors, z, SolverParams(epsilon=0.2, k=3, strategy=Strategy.EXHAUSTIVE)
+                ).solution
+                greedy = search_subsets(
+                    vectors,
                     z,
                     SolverParams(
                         epsilon=0.2, k=3, strategy=Strategy.GREEDY_SWAP, seed=stream.substream(2)
                     ),
-                )
-                count = subset_sum_number(ensemble, z, 3, 0.2)
+                ).solution
+                count = subset_sum_number(vectors, z, 3, 0.2)
                 if greedy is not None:
                     assert enum is not None  # greedy successes form a subset
                 assert (count > 0) == (enum is not None)

@@ -28,7 +28,6 @@ from subsetprune import (
     scan_prune_success,
     scan_rssp_phase,
     search_subsets,
-    solve_mrss,
 )
 from subsetprune.harness import (
     _l1_projected_target,
@@ -235,7 +234,7 @@ class TestScans:
         ensemble = sample_nsn(5, 2, SEED.substream(19))
         params = SolverParams(epsilon=1e-9, k=1)
         for i in range(5):
-            sol = solve_mrss(ensemble, ensemble.vectors[i], params)
+            sol = search_subsets(ensemble.vectors, ensemble.vectors[i], params).solution
             assert sol is not None and sol.indices == (i,)
 
     def test_mrss_scan_monotone_in_n(self):
@@ -284,8 +283,8 @@ class TestScans:
                 if group_size is None:
                     expect[n] += search_subsets(prefix.vectors, target, params).solution is not None
                 elif n >= group_size:
-                    result = partition_boost(prefix, [target], params, group_size)[0]
-                    expect[n] += result.solution is not None
+                    hit = partition_boost(prefix.vectors, target, params, group_size)
+                    expect[n] += hit is not None
         rows = scan_mrss_phase(d, k, n_values, epsilon, trials, seed, **extra)
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)

@@ -12,7 +12,6 @@ from subsetprune import solvers
 from subsetprune import (
     BudgetError,
     CardinalityMode,
-    NsnEnsemble,
     ParameterError,
     SeedSpec,
     SolverParams,
@@ -23,7 +22,6 @@ from subsetprune import (
     sample_nsn,
     sample_uniform,
     search_subsets,
-    solve_mrss,
     solve_rssp_1d,
     subset_sum_number,
     verify_solution,
@@ -57,6 +55,26 @@ def enumerate_k_hits(vectors, target, k, epsilon):
     return hits
 
 
+def brute_force_1d(xs, target):
+    """Oracle: (residual, indices) of the best subset of any cardinality, each
+    summed in ascending index order; ties go to the lexicographically first set."""
+    best = None
+    for mask in range(2 ** len(xs)):
+        indices = tuple(i for i in range(len(xs)) if mask >> i & 1)
+        total = 0.0
+        for i in indices:
+            total += xs[i]
+        candidate = (abs(total - target), indices)
+        best = candidate if best is None else min(best, candidate)
+    return best
+
+
+def dyadic_pool(seed, n=12):
+    """Multiples of 1/8 of magnitude at most 1: every subset sum is exact, so
+    equal sums are exact ties."""
+    return np.random.default_rng(seed).integers(-8, 9, size=n) / 8.0
+
+
 class TestRssp1d:
     def test_exact_hit(self):
         xs = np.array([0.5, -0.25, 0.75])
@@ -83,15 +101,20 @@ class TestRssp1d:
             if got is not None:
                 assert got.residual_inf <= eps
                 assert verify_solution(got, xs[:, None], [float(z)])
+        # exact ties: the witness is the brute-force lexicographic minimum
+        xs = dyadic_pool(trial)
+        for z in np.linspace(-2.0, 2.0, 33):
+            residual, indices = brute_force_1d(xs.tolist(), float(z))
+            got = solve_rssp_1d(xs, float(z), 0.2)
+            assert (got is not None) == (residual <= 0.2)
+            if got is not None:
+                assert got.indices == indices
+                assert repr(got.residual_inf) == repr(residual)
 
-    def test_exhaustive_strategy_matches_mitm(self):
-        xs = sample_uniform(10, SeedSpec(55), -1.0, 1.0)
-        for z in (-0.7, 0.0, 0.4):
-            a = solve_rssp_1d(xs, z, 0.05, strategy=Strategy.EXHAUSTIVE)
-            b = solve_rssp_1d(xs, z, 0.05, strategy=Strategy.MEET_IN_THE_MIDDLE)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.residual_inf == b.residual_inf
+    def test_tie_across_a_right_run_prefers_lexicographically_smallest(self):
+        # 0.375 is both x4 and x3 + x5, two right-half sets with equal sums
+        sol = solve_rssp_1d(np.array([5.0, 7.0, 9.0, 0.125, 0.375, 0.25]), 0.375, 0.01)
+        assert sol.indices == (3, 5)
 
     def test_tie_break_prefers_lexicographically_smallest(self):
         sol = solve_rssp_1d(np.array([0.25, 0.25]), 0.25, 0.01)
@@ -101,48 +124,53 @@ class TestRssp1d:
         with pytest.raises(BudgetError):  # 2^32 half-table
             solve_rssp_1d(np.zeros(64), 0.0, 0.1)
         with pytest.raises(BudgetError):
-            solve_rssp_1d(np.zeros(30), 0.0, 0.1, strategy=Strategy.EXHAUSTIVE)
-        with pytest.raises(BudgetError):
             solve_rssp_1d(np.zeros(60), 0.0, 0.1, enumeration_budget=1000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            solve_rssp_1d(np.array([0.5, bad]), 0.0, 0.1)
+        with pytest.raises(ParameterError, match="finite"):
+            solve_rssp_1d(np.array([0.5, 0.25]), bad, 0.1)
 
-def ensemble_from_values(values):
-    return NsnEnsemble.from_parts(np.asarray(values, dtype=float), np.ones((len(values), 1)))
+
+def column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
+def solve(vectors, target, params):
+    return search_subsets(vectors, target, params).solution
 
 
 class TestMrss:
     def test_1d_pair(self):
-        ensemble = ensemble_from_values([0.3, 0.2, -0.1])
         params = SolverParams(epsilon=0.05, k=2)
-        sol = solve_mrss(ensemble, [0.1], params)
+        sol = solve(column([0.3, 0.2, -0.1]), [0.1], params)
         assert sol.indices == (1, 2)
 
     def test_singleton_vector_target(self):
-        ensemble = NsnEnsemble.from_parts(np.array([1.0]), np.array([[0.3, 0.3]]))
-        sol = solve_mrss(ensemble, [0.3, 0.3], SolverParams(epsilon=1e-6, k=1))
+        sol = solve(np.array([[0.3, 0.3]]), [0.3, 0.3], SolverParams(epsilon=1e-6, k=1))
         assert sol.indices == (0,)
 
-    def test_exact_k_larger_than_n_rejected(self):
-        ensemble = ensemble_from_values([0.1, 0.2])
-        with pytest.raises(ParameterError):
-            solve_mrss(ensemble, [0.0], SolverParams(epsilon=0.1, k=5))
+    def test_exact_k_larger_than_n_is_proven_infeasible(self):
+        outcome = search_subsets(column([0.1, 0.2]), [0.0], SolverParams(epsilon=0.1, k=5))
+        assert outcome.status == "proven-infeasible"
+        assert outcome.best is None
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_greedy_subset_of_enum_and_ground_truth(self, d):
         k = 3
         for trial in range(8):
-            ensemble = sample_nsn(10, d, SeedSpec(700 + trial, d))
+            vectors = sample_nsn(10, d, SeedSpec(700 + trial, d)).vectors
             targets = [
                 sample_uniform(d, SeedSpec(800 + trial, 10 * d + i), -1.0, 1.0)
                 for i in range(25)
             ]
             targets = [z / max(1.0, np.abs(z).sum()) for z in targets]
             for i, z in enumerate(targets):
-                enum = solve_mrss(
-                    ensemble, z, SolverParams(epsilon=0.2, k=k, strategy=Strategy.EXHAUSTIVE)
-                )
-                greedy = solve_mrss(
-                    ensemble,
+                enum = solve(vectors, z, SolverParams(epsilon=0.2, k=k))
+                greedy = solve(
+                    vectors,
                     z,
                     SolverParams(
                         epsilon=0.2,
@@ -151,25 +179,24 @@ class TestMrss:
                         seed=SeedSpec(900 + trial, i),
                     ),
                 )
-                oracle = enumerate_k_hits(ensemble.vectors, z, k, 0.2)
+                oracle = enumerate_k_hits(vectors, z, k, 0.2)
                 assert (enum is not None) == bool(oracle)
                 if greedy is not None:  # greedy success implies enum success
                     assert enum is not None
-                    assert verify_solution(greedy, ensemble.vectors, z)
+                    assert verify_solution(greedy, vectors, z)
 
     def test_enum_monotone_in_epsilon(self):
-        ensemble = sample_nsn(9, 2, SeedSpec(42, 42))
+        vectors = sample_nsn(9, 2, SeedSpec(42, 42)).vectors
         params_small = SolverParams(epsilon=0.1, k=3)
         params_large = SolverParams(epsilon=0.2, k=3)
         for i in range(20):
             z = sample_uniform(2, SeedSpec(43, i), -1.0, 1.0)
-            if solve_mrss(ensemble, z, params_small) is not None:
-                assert solve_mrss(ensemble, z, params_large) is not None
+            if solve(vectors, z, params_small) is not None:
+                assert solve(vectors, z, params_large) is not None
 
     def test_at_most_mode_allows_smaller_subsets(self):
-        ensemble = ensemble_from_values([0.5, 0.6, 0.7])
         params = SolverParams(epsilon=0.01, k=2, mode=CardinalityMode.AT_MOST)
-        sol = solve_mrss(ensemble, [0.5], params)
+        sol = solve(column([0.5, 0.6, 0.7]), [0.5], params)
         assert sol.indices == (0,)
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -188,28 +215,32 @@ class TestMrss:
 
 class TestSubsetSumNumber:
     def test_counts_single_pair(self):
-        ensemble = ensemble_from_values([0.3, 0.2, -0.1])
-        assert subset_sum_number(ensemble, [0.1], 2, 0.05) == 1
+        assert subset_sum_number(column([0.3, 0.2, -0.1]), [0.1], 2, 0.05) == 1
 
     def test_huge_epsilon_counts_everything(self):
-        ensemble = ensemble_from_values([0.3, 0.2, -0.1])
-        assert subset_sum_number(ensemble, [0.1], 2, 10.0) == 3
+        assert subset_sum_number(column([0.3, 0.2, -0.1]), [0.1], 2, 10.0) == 3
 
     def test_zero_epsilon_generic_ensemble(self):
-        ensemble = sample_nsn(8, 1, SeedSpec(77))
-        assert subset_sum_number(ensemble, [0.123], 3, 0.0) == 0
+        assert subset_sum_number(sample_nsn(8, 1, SeedSpec(77)).vectors, [0.123], 3, 0.0) == 0
 
     def test_budget_guard(self):
-        ensemble = sample_nsn(40, 1, SeedSpec(78))
+        vectors = sample_nsn(40, 1, SeedSpec(78)).vectors
         with pytest.raises(BudgetError):
-            subset_sum_number(ensemble, [0.0], 20, 0.1, enumeration_budget=1000)
+            subset_sum_number(vectors, [0.0], 20, 0.1, enumeration_budget=1000)
+
+    def test_target_of_another_dimension_or_non_finite_rejected(self):
+        vectors = sample_nsn(8, 2, SeedSpec(79)).vectors
+        with pytest.raises(ParameterError, match="shape"):  # not broadcast over 28 pairs
+            subset_sum_number(vectors, [0.0], 2, 10.0)
+        with pytest.raises(ParameterError, match="finite"):
+            subset_sum_number(vectors, [0.0, np.nan], 2, 0.1)
 
     def test_positive_count_iff_enum_success(self):
         for trial in range(10):
-            ensemble = sample_nsn(9, 2, SeedSpec(500 + trial))
+            vectors = sample_nsn(9, 2, SeedSpec(500 + trial)).vectors
             z = sample_uniform(2, SeedSpec(600 + trial), -1.0, 1.0)
-            count = subset_sum_number(ensemble, z, 3, 0.2)
-            sol = solve_mrss(ensemble, z, SolverParams(epsilon=0.2, k=3))
+            count = subset_sum_number(vectors, z, 3, 0.2)
+            sol = solve(vectors, z, SolverParams(epsilon=0.2, k=3))
             assert (count > 0) == (sol is not None)
 
 
@@ -230,7 +261,9 @@ def brute_force_best(vectors, target, cardinalities):
 
 def oracle_pools():
     """(vectors, target) pairs: generic, rounded to 1 decimal (exact ties and
-    layers the coordinate-0 prefilter empties), far from the target, and empty."""
+    layers the coordinate-0 prefilter empties), far from the target, empty,
+    and with more exact ties than any cap: 1,160 zero-residual 3-subsets of 22,
+    the lexicographically first of them last in colex order."""
     for d in range(1, 6):
         for trial in range(6):
             n = 4 + trial
@@ -241,6 +274,10 @@ def oracle_pools():
             yield np.round(vectors, 1), np.round(target, 1)
         yield np.abs(np.round(np.random.default_rng(d).normal(size=(6, d)), 1)) + 1.0, np.zeros(d)
         yield np.empty((0, d)), np.full(d, 0.5)
+    many_ties = np.zeros((22, 1))
+    many_ties[0], many_ties[21] = 1.0, -1.0
+    yield many_ties, np.zeros(1)
+    yield dyadic_pool(5)[:, None], np.array([0.375])
 
 
 class TestExhaustiveOracle:
@@ -277,9 +314,8 @@ class TestExhaustiveOracle:
             expected = brute_force_best(pool, z, cardinalities)
             assert outcome.best.indices == expected[0]
             assert repr(outcome.best.residual_inf) == repr(expected[1])
-            ensemble = NsnEnsemble.from_parts(np.ones(n), pool)
             for eps in (0.05, 0.3):
-                assert subset_sum_number(ensemble, z, k, eps) == len(
+                assert subset_sum_number(pool, z, k, eps) == len(
                     enumerate_k_hits(pool, z, k, eps)
                 )
 
@@ -299,11 +335,9 @@ class TestExhaustiveOracle:
 
     def test_subset_sum_number_matches_brute_force(self):
         for vectors, target in oracle_pools():
-            n, d = vectors.shape
-            ensemble = NsnEnsemble.from_parts(np.ones(n), vectors)
-            for k in range(min(n, 4) + 1):
+            for k in range(min(len(vectors), 4) + 1):
                 for eps in (0.0, 0.1, 0.3):
-                    assert subset_sum_number(ensemble, target, k, eps) == len(
+                    assert subset_sum_number(vectors, target, k, eps) == len(
                         enumerate_k_hits(vectors, target, k, eps)
                     )
 
@@ -324,34 +358,31 @@ class TestExhaustiveOracle:
         with pytest.raises(BudgetError, match=r"10701 subsets of size <= 3 of 40 vectors.*"
                                               r"budget 1000.* 98744 bytes"):
             search_subsets(np.zeros((40, 3)), np.zeros(3), params)
-        ensemble = sample_nsn(40, 1, SeedSpec(78))
+        vectors = sample_nsn(40, 1, SeedSpec(78)).vectors
         # EXACT mode builds every lower layer too: 8 * sum(C(40, j) for j <= 20)
         with pytest.raises(BudgetError, match=r"137846528820 20-subsets of 40 vectors.*"
                                               r" 4949432626384 bytes"):
-            subset_sum_number(ensemble, [0.0], 20, 0.1, enumeration_budget=1000)
+            subset_sum_number(vectors, [0.0], 20, 0.1, enumeration_budget=1000)
 
 
 class TestPartitionBoost:
     def test_single_group_reduces_to_plain_solve(self):
-        ensemble = sample_nsn(9, 1, SeedSpec(31))
+        vectors = sample_nsn(9, 1, SeedSpec(31)).vectors
         params = SolverParams(epsilon=0.1, k=2)
-        plain = solve_mrss(ensemble, [0.2], params)
-        boosted = partition_boost(ensemble, [[0.2]], params, group_size=9)[0]
-        assert (plain is None) == (boosted.solution is None)
+        plain = solve(vectors, [0.2], params)
+        boosted = partition_boost(vectors, [0.2], params, group_size=9)
+        assert (plain is None) == (boosted is None)
         if plain is not None:
-            assert boosted.solution.indices == plain.indices
+            assert boosted.indices == plain.indices
 
     def test_solution_comes_from_the_feasible_group(self):
         # group 1 entries are huge in magnitude; only group 2 can hit
-        scalars = np.array([100.0, 100.0, 100.0, 100.0, 1.0, 0.5, 0.25, 0.1])
-        directions = np.ones((8, 1))
-        ensemble = NsnEnsemble.from_parts(scalars, directions)
+        vectors = column([100.0, 100.0, 100.0, 100.0, 1.0, 0.5, 0.25, 0.1])
         params = SolverParams(epsilon=0.05, k=2)
-        result = partition_boost(ensemble, [[1.5]], params, group_size=4)[0]
-        assert result.solution is not None
-        assert all(i >= 4 for i in result.solution.indices)
-        assert result.attempts[0].status == "proven-infeasible"
-        assert result.attempts[1].status == "hit"
+        assert search_subsets(vectors[:4], [1.5], params).status == "proven-infeasible"
+        result = partition_boost(vectors, [1.5], params, group_size=4)
+        assert result.indices == (4, 5)
+        assert verify_solution(result, vectors, [1.5])
 
     def test_boost_at_least_single_group_rate(self):
         params = SolverParams(epsilon=0.08, k=2)
@@ -359,19 +390,16 @@ class TestPartitionBoost:
         boosted = 0
         trials = 40
         for trial in range(trials):
-            ensemble = sample_nsn(8, 2, SeedSpec(1500 + trial))
+            vectors = sample_nsn(8, 2, SeedSpec(1500 + trial)).vectors
             z = sample_uniform(2, SeedSpec(1600 + trial), -0.5, 0.5)
-            first_group = ensemble.take(4)
-            single += int(solve_mrss(first_group, z, params) is not None)
-            boosted += int(
-                partition_boost(ensemble, [z], params, group_size=4)[0].solution is not None
-            )
+            single += int(solve(vectors[:4], z, params) is not None)
+            boosted += int(partition_boost(vectors, z, params, group_size=4) is not None)
         assert boosted >= single
 
     def test_group_size_must_cover_k_squared(self):
-        ensemble = sample_nsn(8, 1, SeedSpec(1))
+        vectors = sample_nsn(8, 1, SeedSpec(1)).vectors
         with pytest.raises(ParameterError):
-            partition_boost(ensemble, [[0.0]], SolverParams(epsilon=0.1, k=3), group_size=8)
+            partition_boost(vectors, [0.0], SolverParams(epsilon=0.1, k=3), group_size=8)
 
 
 class TestCover:
@@ -432,13 +460,21 @@ def one_start_greedy_build(vectors, target, k):
     return sorted(chosen)
 
 
+def ascending_sum(vectors, indices):
+    total = np.zeros(vectors.shape[1])
+    for i in indices:
+        total = total + vectors[i]
+    return total
+
+
 def one_start_swap_descent(vectors, target, start, max_iters):
-    """Oracle: best-improvement swaps of one start, one numpy block per step."""
+    """Oracle: best-improvement swaps of one start, one numpy block per step,
+    ``current`` summed in ascending index order."""
     n = vectors.shape[0]
     inside = sorted(start)
     in_set = np.zeros(n, dtype=bool)
     in_set[inside] = True
-    current = vectors[inside].sum(axis=0) if inside else np.zeros(vectors.shape[1])
+    current = ascending_sum(vectors, inside)
     residual = float(np.abs(current - target).max())
     for _ in range(max_iters):
         outside = np.flatnonzero(~in_set)
@@ -459,7 +495,7 @@ def one_start_swap_descent(vectors, target, start, max_iters):
         in_set[leaving] = False
         in_set[entering] = True
         inside = sorted(np.flatnonzero(in_set).tolist())
-        current = vectors[inside].sum(axis=0)
+        current = ascending_sum(vectors, inside)
         residual = float(np.abs(current - target).max())
     return tuple(inside), residual
 
@@ -540,6 +576,17 @@ class TestGreedySwap:
                 chunked = solvers._greedy_swap_best(vectors, target, 3, params)
             assert chunked[0] == whole[0] and repr(chunked[1]) == repr(whole[1])
             assert whole == one_start_greedy_swap_best(vectors, target, 3, params)
+
+    def test_descent_residuals_are_the_reported_residuals(self):
+        # added in ascending index order each 1.0 rounds away against 1e16,
+        # while numpy's pairwise sum of a long block keeps some of them
+        rng = np.random.default_rng(0)
+        vectors = np.concatenate([[1e16], np.ones(20), rng.normal(size=10)])[:, None]
+        target = np.array([1e16])
+        starts = np.sort([rng.permutation(31)[:13] for _ in range(8)], axis=1)
+        inside, residual = solvers._swap_descents(vectors, target, starts, 200)
+        for row, res in zip(inside, residual):
+            assert float(res) == solvers._make_solution(vectors, row, target).residual_inf
 
     @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(11, 3), SeedSpec(2**64 - 1, 2**63)])
     def test_restart_permutations_are_the_substream_permutations(self, seed):
