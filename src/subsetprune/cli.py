@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 assertion/check failure, 2 usage or parameter error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -40,11 +41,11 @@ from .masks import validate_structure
 from .pruning import (
     NetworkSpec,
     PruneParams,
+    PruneReport,
     PrunedNetworkBundle,
+    _layer_summary,
     bundle_probe_error,
     load_bundle,
-    make_probes,
-    probe_error,
     prune_network,
     prune_single_layer,
     save_bundle,
@@ -238,6 +239,21 @@ def _cmd_lemma_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _print_scan(rows: list[dict], out) -> int:
+    """Print a scan's rates and Wilson bounds; write its CSV when ``out`` is set."""
+    for row in rows:
+        print(f"n={row['n']:>4} rate={row['rate']:.3f} "
+              f"[{row['wilson_low']:.3f}, {row['wilson_high']:.3f}]")
+    if out:
+        write_csv(out, rows)
+        print(f"wrote {out}")
+    return EXIT_OK
+
+
+def _strategy(args) -> Strategy:
+    return _STRATEGIES[args.strategy] if args.strategy else Strategy.EXHAUSTIVE
+
+
 def _cmd_rssp_scan(args) -> int:
     rows = scan_rssp_phase(
         args.epsilon,
@@ -246,17 +262,10 @@ def _cmd_rssp_scan(args) -> int:
         _trials(args, 200),
         SeedSpec(args.seed),
     )
-    for row in rows:
-        print(f"n={row['n']:>4} rate={row['rate']:.3f} "
-              f"[{row['wilson_low']:.3f}, {row['wilson_high']:.3f}]")
-    if args.out:
-        write_csv(args.out, rows)
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return _print_scan(rows, args.out)
 
 
 def _cmd_mrss_scan(args) -> int:
-    strategy = _STRATEGIES[args.strategy] if args.strategy else Strategy.EXHAUSTIVE
     rows = scan_mrss_phase(
         args.d,
         args.k,
@@ -264,21 +273,14 @@ def _cmd_mrss_scan(args) -> int:
         args.epsilon,
         _trials(args, 200),
         SeedSpec(args.seed),
-        strategy=strategy,
+        strategy=_strategy(args),
         target_radius=args.target_radius,
         group_size=args.group_size,
     )
-    for row in rows:
-        print(f"n={row['n']:>4} rate={row['rate']:.3f} "
-              f"[{row['wilson_low']:.3f}, {row['wilson_high']:.3f}]")
-    if args.out:
-        write_csv(args.out, rows)
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return _print_scan(rows, args.out)
 
 
 def _prune_params(args) -> PruneParams:
-    strategy = _STRATEGIES[args.strategy] if args.strategy else Strategy.EXHAUSTIVE
     extra = {}
     if args.enumeration_budget is not None:
         extra["enumeration_budget"] = args.enumeration_budget
@@ -287,7 +289,7 @@ def _prune_params(args) -> PruneParams:
         magnitude_bound=args.magnitude,
         k_budget=args.k_budget,
         mode=_MODES[args.mode],
-        strategy=strategy,
+        strategy=_strategy(args),
         probe_count=args.probes,
         restarts=args.restarts,
         max_iters=args.max_iters,
@@ -310,23 +312,33 @@ def _cmd_prune_one(args) -> int:
               f"residual {solve.residual_inf:.6g} (pool {len(solve.pool)})")
     for warning in result.occupancy_warnings:
         print(f"  warning: {warning}")
-    probes = make_probes(args.spatial, args.spatial, args.c0, params.probe_count,
-                         seed.substream(4), params.magnitude_bound)
-    worst = probe_error((target,), (expansion, mixing), (result.mask,), probes)
-    print(f"probe error {worst:.6g} over {len(probes)} probes "
-          f"(budget {params.epsilon * params.magnitude_bound:.6g} when fully successful)")
+    bundle = PrunedNetworkBundle(
+        random_kernels=(expansion, mixing),
+        target_kernels=(target,),
+        masks=(result.mask,),
+        params=params,
+        seed=seed,
+        spatial=args.spatial,
+    )
+    worst = bundle_probe_error(bundle)
+    bound = params.epsilon * params.magnitude_bound
+    print(f"probe error {worst:.6g} over {params.probe_count} probes and the two corners "
+          f"(budget {bound:.6g} when fully successful)")
     structure = validate_structure(result.mask)
     print(f"mask structure: {'valid' if structure.valid else 'INVALID: ' + structure.message}")
     if args.out:
-        bundle = PrunedNetworkBundle(
-            random_kernels=(expansion, mixing),
-            target_kernels=(target,),
-            masks=(result.mask,),
-            params=params,
-            seed=seed,
+        report = PruneReport(
+            layers=(_layer_summary(1, result),),
+            epsilon=params.epsilon,
+            magnitude_bound=params.magnitude_bound,
             spatial=args.spatial,
+            probe_count=params.probe_count,
+            empirical_max_error=worst,
+            theoretical_bound=bound,
+            fully_successful=result.fully_successful,
+            seed=seed,
         )
-        save_bundle(args.out, bundle)
+        save_bundle(args.out, dataclasses.replace(bundle, report=report))
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -8,9 +8,12 @@ Standard errors for binomial frequencies use the Agresti-Coull adjustment
 (where both sides are estimated from the same trials) are tested on the
 per-trial differences, whose expectation is exactly zero under the identity.
 
-Every check samples through :class:`SeedSpec` substreams in fixed-size blocks,
-so results are bit-reproducible and independent of how trials would be
-fanned out across workers (block ``b`` always draws from ``seed.substream(b)``).
+Block rule: every check draws its trials in blocks of 2^14 (the intersection
+tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
+block ``b`` always draws from ``seed.substream(b)`` and the block totals are
+summed in block order. Results are therefore bit-reproducible and independent
+of how trials would be fanned out across workers. Every check rejects
+``trials < 1`` with :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -127,14 +130,29 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float,
     return low, high
 
 
-def _blocks(trials: int):
-    done = 0
-    index = 0
-    while done < trials:
-        count = min(_BLOCK, trials - done)
-        yield index, count
-        done += count
-        index += 1
+def _block_totals(trials: int, seed: SeedSpec, draw, block: int = _BLOCK) -> list:
+    """Per-position sums of ``draw(rng, count)`` over the blocks of the block rule."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    totals = None
+    for index, start in enumerate(range(0, trials, block)):
+        parts = draw(_generator(seed.substream(index)), min(block, trials - start))
+        totals = [total + part for total, part in zip(totals or [0] * len(parts), parts)]
+    return totals
+
+
+def _frequency(name, hits, bound, direction, trials, params) -> BoundCheckResult:
+    """A hit frequency with its Agresti-Coull standard error against ``bound``."""
+    return BoundCheckResult(
+        name, hits / trials, binomial_std_error(hits, trials), bound, direction, trials, params
+    )
+
+
+def _paired(total: float, square_total: float, trials: int) -> tuple[float, float]:
+    """Mean and standard error of per-trial differences from their sum and sum of squares."""
+    mean = total / trials
+    var = max(0.0, square_total / trials - mean * mean)
+    return mean, math.sqrt(var / trials)
 
 
 # ---------------------------------------------------------------------------
@@ -179,39 +197,25 @@ def check_chi_squared_tails(
     d: int, t: float, trials: int, seed: SeedSpec
 ) -> tuple[BoundCheckResult, BoundCheckResult]:
     """Empirical chi-squared(d) tail frequencies against exp(-t) on both sides."""
-    if d < 1 or not t > 0.0 or trials < 1:
-        raise ParameterError("need d >= 1, t > 0, trials >= 1")
+    if d < 1 or not t > 0.0:
+        raise ParameterError("need d >= 1, t > 0")
     upper_threshold = d + 2.0 * math.sqrt(d * t) + 2.0 * t
     lower_threshold = d - 2.0 * math.sqrt(d * t)
-    hits_hi = 0
-    hits_lo = 0
-    for index, count in _blocks(trials):
-        rng = _generator(seed.substream(index))
+
+    def draw(rng, count):
         draws = _normals(rng, count * d).reshape(count, d)
         stat = (draws * draws).sum(axis=1)
-        hits_hi += int((stat >= upper_threshold).sum())
-        hits_lo += int((stat <= lower_threshold).sum())
+        return int((stat >= upper_threshold).sum()), int((stat <= lower_threshold).sum())
+
+    hits_hi, hits_lo = _block_totals(trials, seed, draw)
     bound = chi_squared_tail_bound(t)
     params = {"d": d, "t": t}
-    upper = BoundCheckResult(
-        f"chi2 upper tail d={d} t={t}",
-        hits_hi / trials,
-        binomial_std_error(hits_hi, trials),
-        bound,
-        BoundDirection.UPPER,
-        trials,
-        params,
+    return (
+        _frequency(f"chi2 upper tail d={d} t={t}", hits_hi, bound, BoundDirection.UPPER,
+                   trials, params),
+        _frequency(f"chi2 lower tail d={d} t={t}", hits_lo, bound, BoundDirection.UPPER,
+                   trials, params),
     )
-    lower = BoundCheckResult(
-        f"chi2 lower tail d={d} t={t}",
-        hits_lo / trials,
-        binomial_std_error(hits_lo, trials),
-        bound,
-        BoundDirection.UPPER,
-        trials,
-        params,
-    )
-    return upper, lower
 
 
 def check_most_probable_interval(
@@ -220,21 +224,17 @@ def check_most_probable_interval(
     """For centred normals, the interval around 0 is the most probable one of
     its width. Tested paired: per draw, 1[centre hit] - 1[shifted hit] has
     nonnegative expectation."""
-    if not sigma > 0.0 or not epsilon > 0.0 or trials < 1:
-        raise ParameterError("need sigma > 0, epsilon > 0, trials >= 1")
-    diff_sum = 0.0
-    diff_sq_sum = 0.0
-    for index, count in _blocks(trials):
-        rng = _generator(seed.substream(index))
+    if not sigma > 0.0 or not epsilon > 0.0:
+        raise ParameterError("need sigma > 0, epsilon > 0")
+
+    def draw(rng, count):
         x = sigma * _normals(rng, count)
         centre = (np.abs(x) <= epsilon).astype(np.float64)
         shifted = (np.abs(x - z) <= epsilon).astype(np.float64)
         delta = centre - shifted
-        diff_sum += float(delta.sum())
-        diff_sq_sum += float((delta * delta).sum())
-    mean = diff_sum / trials
-    var = max(0.0, diff_sq_sum / trials - mean * mean)
-    std_error = math.sqrt(var / trials)
+        return float(delta.sum()), float((delta * delta).sum())
+
+    mean, std_error = _paired(*_block_totals(trials, seed, draw), trials)
     return BoundCheckResult(
         f"most probable interval sigma={sigma} z={z} eps={epsilon}",
         mean,
@@ -269,20 +269,15 @@ def check_nsn_hit_lower_bound(
         raise ParameterError("hypothesis requires epsilon in (0, 1/4)")
     if float(np.abs(z).sum()) > math.sqrt(k):
         raise ParameterError("hypothesis requires l1 norm of z at most sqrt(k)")
-    hits = 0
-    for index, count in _blocks(trials):
-        rng = _generator(seed.substream(index))
+
+    def draw(rng, count):
         sums = _nsn_window_sums(rng, count, k, d).sum(axis=1)
-        hits += int((np.abs(sums - z) <= epsilon).all(axis=1).sum())
-    return BoundCheckResult(
-        f"nsn hit lower bound d={d} k={k} eps={epsilon}",
-        hits / trials,
-        binomial_std_error(hits, trials),
-        nsn_hit_lower_bound(d, k, epsilon),
-        BoundDirection.LOWER,
-        trials,
-        {"d": d, "k": k, "epsilon": epsilon, "z": z.tolist()},
-    )
+        return (int((np.abs(sums - z) <= epsilon).all(axis=1).sum()),)
+
+    (hits,) = _block_totals(trials, seed, draw)
+    return _frequency(f"nsn hit lower bound d={d} k={k} eps={epsilon}", hits,
+                      nsn_hit_lower_bound(d, k, epsilon), BoundDirection.LOWER, trials,
+                      {"d": d, "k": k, "epsilon": epsilon, "z": z.tolist()})
 
 
 def check_joint_upper_bound(
@@ -304,26 +299,21 @@ def check_joint_upper_bound(
         raise ParameterError("z must have dimension d")
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
-    hits = 0
-    for index, count in _blocks(trials):
-        rng = _generator(seed.substream(index))
+
+    def draw(rng, count):
         draws = _nsn_window_sums(rng, count, k + j, d)
         first = draws[:, :j].sum(axis=1)
         middle = draws[:, j:k].sum(axis=1) if j < k else np.zeros_like(first)
         last = draws[:, k:].sum(axis=1)
         hit = (np.abs(first + middle - z) <= epsilon).all(axis=1)
         hit &= (np.abs(middle + last - z) <= epsilon).all(axis=1)
-        hits += int(hit.sum())
-    return BoundCheckResult(
-        f"joint window upper bound d={d} k={k} j={j} eps={epsilon}",
-        hits / trials,
-        binomial_std_error(hits, trials),
-        joint_hit_upper_bound(d, j, epsilon),
-        BoundDirection.UPPER,
-        trials,
-        {"d": d, "k": k, "j": j, "epsilon": epsilon, "z": z.tolist(),
-         "note": "asymptotic k-regime not certified (unknown constant); desk scale"},
-    )
+        return (int(hit.sum()),)
+
+    (hits,) = _block_totals(trials, seed, draw)
+    return _frequency(f"joint window upper bound d={d} k={k} j={j} eps={epsilon}", hits,
+                      joint_hit_upper_bound(d, j, epsilon), BoundDirection.UPPER, trials,
+                      {"d": d, "k": k, "j": j, "epsilon": epsilon, "z": z.tolist(),
+                       "note": "asymptotic k-regime not certified (unknown constant); desk scale"})
 
 
 @dataclass(frozen=True)
@@ -394,15 +384,8 @@ def check_second_moment_identity(
         math.comb(k, k - j) * math.comb(n - k, j) / math.comb(n, k) for j in range(k + 1)
     ]
 
-    sum_a = sum_a2 = 0.0  # first identity differences
-    sum_b = sum_b2 = 0.0  # second identity differences
-    sum_count = sum_square = 0.0
-    sum_single = sum_overlap = 0.0
-    for index, count in _blocks(trials):
-        rng = _generator(seed.substream(index))
-        scalars = _normals(rng, count * n).reshape(count, n)
-        directions = _normals(rng, count * n * d).reshape(count, n, d)
-        vectors = scalars[:, :, None] * directions
+    def draw(rng, count):
+        vectors = _nsn_window_sums(rng, count, n, d)
         hit = np.empty((count, ncomb), dtype=bool)
         for lo in range(0, ncomb, chunk):
             sums = vectors[:, combos[lo : lo + chunk], :].sum(axis=2)
@@ -410,40 +393,33 @@ def check_second_moment_identity(
         t_count = hit.sum(axis=1).astype(np.float64)
         t_square = t_count * t_count
 
-        hit_first = hit[:, 0].astype(np.float64)  # combos[0] == (0 .. k-1)
-        single = ncomb * hit_first
+        single = ncomb * hit[:, 0].astype(np.float64)  # combos[0] == (0 .. k-1)
         overlap = np.zeros(count)
         for j, pair in enumerate(canonical):
-            pair_sum = vectors[:, pair, :].sum(axis=1)
-            pair_hit = (np.abs(pair_sum - z) <= epsilon).all(axis=1)
+            pair_hit = (np.abs(vectors[:, pair, :].sum(axis=1) - z) <= epsilon).all(axis=1)
             overlap += hyper[j] * (hit[:, 0] & pair_hit).astype(np.float64)
         overlap *= float(ncomb) ** 2
 
-        da = t_count - single
-        db = t_square - overlap
-        sum_a += float(da.sum())
-        sum_a2 += float((da * da).sum())
-        sum_b += float(db.sum())
-        sum_b2 += float((db * db).sum())
-        sum_count += float(t_count.sum())
-        sum_square += float(t_square.sum())
-        sum_single += float(single.sum())
-        sum_overlap += float(overlap.sum())
+        da = t_count - single  # first identity differences
+        db = t_square - overlap  # second identity differences
+        return tuple(float(x.sum()) for x in (
+            da, da * da, db, db * db, t_count, t_square, single, overlap))
 
-    mean_a = sum_a / trials
-    mean_b = sum_b / trials
-    var_a = max(0.0, sum_a2 / trials - mean_a * mean_a)
-    var_b = max(0.0, sum_b2 / trials - mean_b * mean_b)
+    sum_a, sum_a2, sum_b, sum_b2, sum_count, sum_square, sum_single, sum_overlap = (
+        _block_totals(trials, seed, draw)
+    )
+    first_diff, first_std_error = _paired(sum_a, sum_a2, trials)
+    second_diff, second_std_error = _paired(sum_b, sum_b2, trials)
     return SecondMomentReport(
         trials=trials,
         mean_count=sum_count / trials,
         single_side=sum_single / trials,
-        first_diff=mean_a,
-        first_std_error=math.sqrt(var_a / trials),
+        first_diff=first_diff,
+        first_std_error=first_std_error,
         mean_square=sum_square / trials,
         overlap_side=sum_overlap / trials,
-        second_diff=mean_b,
-        second_std_error=math.sqrt(var_b / trials),
+        second_diff=second_diff,
+        second_std_error=second_std_error,
         params={"n": n, "k": k, "d": d, "epsilon": epsilon, "z": z.tolist()},
     )
 
@@ -464,28 +440,18 @@ def check_intersection_tail(
     if n < k * k:
         raise ParameterError("hypothesis requires n >= k^2")
     threshold = k / d
-    hits = 0
-    block = max(1, min(_BLOCK, (1 << 24) // max(1, n)))  # cap the (block x n) draw
-    done = 0
-    index = 0
-    while done < trials:
-        count = min(block, trials - done)
-        rng = _generator(seed.substream(index))
+
+    def draw(rng, count):
         u = rng.random((count, n))
         kth = np.partition(u, k - 1, axis=1)[:, k - 1]
         overlap = (u[:, :k] <= kth[:, None]).sum(axis=1)
-        hits += int((overlap >= threshold).sum())
-        done += count
-        index += 1
-    return BoundCheckResult(
-        f"subset intersection tail n={n} k={k} d={d}",
-        hits / trials,
-        binomial_std_error(hits, trials),
-        intersection_tail_bound(k, d),
-        BoundDirection.UPPER,
-        trials,
-        {"n": n, "k": k, "d": d, "threshold": threshold},
-    )
+        return (int((overlap >= threshold).sum()),)
+
+    # the block is capped so one (block x n) draw stays near 2^24 values
+    (hits,) = _block_totals(trials, seed, draw, max(1, min(_BLOCK, (1 << 24) // n)))
+    return _frequency(f"subset intersection tail n={n} k={k} d={d}", hits,
+                      intersection_tail_bound(k, d), BoundDirection.UPPER, trials,
+                      {"n": n, "k": k, "d": d, "threshold": threshold})
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,8 @@ def channel_blocked_mask(d: int, c: int, n: int) -> Mask4:
     """Mask of shape ``d x d x c x (c n)`` keeping block ``l // n == k``."""
     if min(d, c, n) < 1:
         raise ParameterError("d, c and n must be >= 1")
-    kernel_owner = np.arange(c * n) // n  # owner channel of each kernel column
-    plane = (kernel_owner[None, :] == np.arange(c)[:, None]).astype(np.uint8)
-    bits = np.broadcast_to(plane, (d, d, c, c * n)).copy()
-    return Mask4(bits, ChannelBlocked(n))
+    kind = ChannelBlocked(n)
+    return Mask4(_expected_bits(kind, (d, d, c, c * n)), kind)
 
 
 def sign_split_mask(blocked: Tensor4, n: int) -> Mask4:
@@ -154,13 +152,10 @@ def filter_removal_mask(shape: tuple[int, int, int, int], kept) -> Mask4:
     """Mask keeping exactly the listed kernels, whole."""
     if len(shape) != 4 or min(shape) < 1:
         raise ShapeError(f"invalid mask shape {shape}")
-    kept = tuple(sorted(int(k) for k in set(kept)))
-    if kept and not (0 <= kept[0] and kept[-1] < shape[3]):
+    kind = FilterRemoval(kept)
+    if kind.kept and not (0 <= kind.kept[0] and kind.kept[-1] < shape[3]):
         raise ParameterError(f"kernel index out of range [0, {shape[3]})")
-    bits = np.zeros(shape, dtype=np.uint8)
-    if kept:
-        bits[:, :, :, list(kept)] = 1
-    return Mask4(bits, FilterRemoval(kept))
+    return Mask4(_expected_bits(kind, shape), kind)
 
 
 def _flatten_parts(kind: MaskKind) -> tuple[MaskKind, ...]:

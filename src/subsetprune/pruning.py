@@ -497,6 +497,19 @@ class PruneReport:
         )
 
 
+def _layer_summary(layer: int, result: LayerPruneResult) -> LayerSummary:
+    """The report record of target layer ``layer`` (1-based)."""
+    return LayerSummary(
+        layer=layer,
+        tolerance=result.tolerance,
+        k_budget=result.k_budget,
+        kept_kernels=len(result.kept_kernels),
+        total_kernels=result.mask.shape[3],
+        channel_solves=result.channel_solves,
+        occupancy_warnings=result.occupancy_warnings,
+    )
+
+
 def composition_bound(epsilon: float, depth: int) -> float:
     """``(1 + eps/(2 ell))^ell - 1``: the unrolled per-layer budget."""
     return (1.0 + epsilon / (2.0 * depth)) ** depth - 1.0
@@ -543,20 +556,8 @@ def prune_network(
     probes = make_probes(spatial, spatial, c0, params.probe_count,
                          seed.substream(_STREAM_PROBES), params.magnitude_bound)
 
-    summaries = tuple(
-        LayerSummary(
-            layer=i + 1,
-            tolerance=r.tolerance,
-            k_budget=r.k_budget,
-            kept_kernels=len(r.kept_kernels),
-            total_kernels=r.mask.shape[3],
-            channel_solves=r.channel_solves,
-            occupancy_warnings=r.occupancy_warnings,
-        )
-        for i, r in enumerate(results)
-    )
     report = PruneReport(
-        layers=summaries,
+        layers=tuple(_layer_summary(i + 1, r) for i, r in enumerate(results)),
         epsilon=params.epsilon,
         magnitude_bound=params.magnitude_bound,
         spatial=spatial,

@@ -1,10 +1,16 @@
 """CLI surface: subcommands, exit codes, CSV determinism, bundle round trips."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
-from subsetprune.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from subsetprune.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from subsetprune.masks import channel_blocked_mask
+from subsetprune.pruning import PrunedNetworkBundle, PruneParams, save_bundle
+from subsetprune.sampling import SeedSpec, sample_normal_tensor
+from subsetprune.tensors import Tensor4
 
 
 def test_lemma_check_small_trials(capsys, tmp_path):
@@ -95,10 +101,34 @@ def test_prune_one_and_bundle(capsys, tmp_path):
     assert bundle.exists()
 
 
-def test_dump_report_on_bundle_without_report(capsys, tmp_path):
+def test_prune_one_bundle_reverifies(capsys, tmp_path):
     bundle = tmp_path / "layer.json"
     assert main(["prune-one", "--n", "16", "--seed", "3", "--out", str(bundle)]) == EXIT_OK
-    capsys.readouterr()
+    printed = re.search(r"probe error (\S+)", capsys.readouterr().out).group(1)
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"recomputed empirical error: {printed}\n" in out
+    assert "MISMATCH" not in out
+
+    payload = json.loads(bundle.read_text())
+    payload["target_kernels"][0]["data"][0] += 0.5
+    bundle.write_text(json.dumps(payload))
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_CHECK_FAILED
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_dump_report_on_bundle_without_report(capsys, tmp_path):
+    bundle = tmp_path / "layer.json"
+    kernels = tuple(sample_normal_tensor(shape, SeedSpec(3, i))
+                    for i, shape in enumerate([(1, 1, 1, 4), (1, 1, 4, 1)]))
+    save_bundle(bundle, PrunedNetworkBundle(
+        random_kernels=kernels,
+        target_kernels=(Tensor4(np.full((1, 1, 1, 1), 0.5)),),
+        masks=(channel_blocked_mask(1, 1, 4),),
+        params=PruneParams(epsilon=0.25),
+        seed=SeedSpec(3),
+        spatial=2,
+    ))
     assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "probe error not re-verified, only mask structure checked" in out

@@ -30,6 +30,7 @@ from subsetprune import (
     search_subsets,
 )
 from subsetprune.harness import (
+    _block_totals,
     _l1_projected_target,
     binomial_std_error,
     chi_squared_tail_bound,
@@ -39,6 +40,7 @@ from subsetprune.harness import (
     wilson_interval,
     write_csv,
 )
+from subsetprune.sampling import _generator
 
 SEED = SeedSpec(777)
 SMALL = 20_000
@@ -330,3 +332,38 @@ def test_joint_bound_formula_uses_dimension_constant():
     # for d <= 4 the constant is 1/16, so the denominator factor is 1/2
     expect = 3.0 * (4.0 * 0.01 / (math.pi * 0.5 * 8.0)) ** 1
     assert joint_hit_upper_bound(1, 8, 0.1) == pytest.approx(expect, rel=1e-12)
+
+
+_CHECK_CALLS = {
+    "chi_squared_tails": lambda trials: check_chi_squared_tails(4, 1.0, trials, SEED),
+    "most_probable_interval": lambda trials: check_most_probable_interval(
+        1.0, 2.0, 0.1, trials, SEED),
+    "nsn_hit_lower_bound": lambda trials: check_nsn_hit_lower_bound(
+        1, 64, 0.2, [0.0], trials, SEED),
+    "joint_upper_bound": lambda trials: check_joint_upper_bound(
+        1, 64, 8, 0.1, [0.0], trials, SEED),
+    "second_moment_identity": lambda trials: check_second_moment_identity(
+        6, 2, 1, 0.3, [0.0], trials, SEED),
+    "intersection_tail": lambda trials: check_intersection_tail(100, 10, 2, trials, SEED),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("check", sorted(_CHECK_CALLS))
+def test_every_check_rejects_fewer_than_one_trial(check, trials):
+    with pytest.raises(ParameterError, match="trials must be >= 1"):
+        _CHECK_CALLS[check](trials)
+
+
+def test_block_totals_follow_the_block_rule():
+    seen = []
+
+    def draw(rng, count):
+        seen.append((count, float(rng.random())))
+        return count, 0.5 * count
+
+    totals = _block_totals(2 * 5 + 3, SEED, draw, block=5)
+    expected = [(count, float(_generator(SEED.substream(b)).random()))
+                for b, count in enumerate((5, 5, 3))]
+    assert seen == expected
+    assert totals == [13, 6.5]
