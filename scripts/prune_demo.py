@@ -7,18 +7,8 @@ Usage: python3 scripts/prune_demo.py [bundle.json]
 
 import sys
 
-from subsetprune import (
-    NetworkSpec,
-    PruneParams,
-    PrunedNetworkBundle,
-    SeedSpec,
-    Tensor4,
-    norm_l1,
-    prune_network,
-    sample_normal_tensor,
-    save_bundle,
-    validate_structure,
-)
+from subsetprune import (NetworkSpec, PruneParams, SeedSpec, prune_network, save_bundle,
+                         validate_structure)
 
 
 def main() -> int:
@@ -29,13 +19,9 @@ def main() -> int:
     )
     params = PruneParams(epsilon=0.5, probe_count=64)
 
-    randoms = spec.sample_random_net(seed.substream(0))
-    targets = []
-    for i, shape in enumerate(spec.target_kernel_shapes()):
-        raw = sample_normal_tensor(shape, seed.substream(100 + i))
-        targets.append(Tensor4(raw.data / norm_l1(raw)))
-
-    masks, report, _ = prune_network(randoms, targets, params, seed.substream(1), spec.spatial)
+    bundle = prune_network(spec.sample_random_net(seed.substream(0)), spec.sample_targets(seed),
+                           params, seed.substream(1), spec.spatial)
+    report = bundle.report
 
     print(f"fully successful: {report.fully_successful}")
     print(f"empirical max probe error: {report.empirical_max_error:.6g}")
@@ -46,18 +32,9 @@ def main() -> int:
         for solve in summary.channel_solves:
             print(f"  channel {solve.channel} sign {solve.sign:+d}: {solve.status} "
                   f"(residual {solve.residual_inf:.6g}, pool {len(solve.pool)})")
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(bundle.masks):
         print(f"mask {i}: {validate_structure(mask).message}, ones {mask.ones_count()}")
 
-    bundle = PrunedNetworkBundle(
-        random_kernels=tuple(randoms),
-        target_kernels=tuple(targets),
-        masks=tuple(masks),
-        params=params,
-        seed=seed.substream(1),
-        spatial=spec.spatial,
-        report=report,
-    )
     save_bundle(out, bundle)
     print(f"wrote {out} (inspect with: subsetprune dump-report --bundle {out})")
     return 0

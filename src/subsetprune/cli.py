@@ -21,7 +21,6 @@ Exit codes: 0 success, 1 assertion/check failure, 2 usage or parameter error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -41,18 +40,14 @@ from .masks import validate_structure
 from .pruning import (
     NetworkSpec,
     PruneParams,
-    PruneReport,
-    PrunedNetworkBundle,
-    _layer_summary,
     bundle_probe_error,
     load_bundle,
     prune_network,
-    prune_single_layer,
+    prune_random_layer,
     save_bundle,
 )
-from .sampling import SeedSpec, sample_normal_tensor
+from .sampling import SeedSpec
 from .solvers import CardinalityMode, Strategy
-from .tensors import Tensor4, norm_l1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -167,11 +162,6 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in str(text).split(",") if part != ""]
     except ValueError as exc:
         raise ParameterError(f"expected a comma-separated int list, got {text!r}") from exc
-
-
-def _unit_l1_target(shape, seed: SeedSpec) -> Tensor4:
-    raw = sample_normal_tensor(shape, seed)
-    return Tensor4(raw.data / norm_l1(raw))
 
 
 def _trials(args, default: int) -> int:
@@ -298,54 +288,29 @@ def _prune_params(args) -> PruneParams:
 
 
 def _cmd_prune_one(args) -> int:
-    seed = SeedSpec(args.seed)
-    params = _prune_params(args)
-    expansion = sample_normal_tensor((1, 1, args.c0, 2 * args.n * args.c0), seed.substream(0))
-    mixing = sample_normal_tensor((args.d, args.d, 2 * args.n * args.c0, args.c1), seed.substream(1))
-    target = _unit_l1_target((args.d, args.d, args.c0, args.c1), seed.substream(2))
-    result = prune_single_layer(mixing, expansion, target, params, seed.substream(3))
-
-    print(f"kept {len(result.kept_kernels)} of {expansion.kernels} expansion kernels "
-          f"(k budget {result.k_budget}, per-entry tolerance {result.tolerance:.6g})")
-    for solve in result.channel_solves:
+    bundle = prune_random_layer(args.d, args.c0, args.c1, args.n, _prune_params(args),
+                                SeedSpec(args.seed), args.spatial)
+    report = bundle.report
+    layer = report.layers[0]
+    print(f"kept {layer.kept_kernels} of {layer.total_kernels} expansion kernels "
+          f"(k budget {layer.k_budget}, per-entry tolerance {layer.tolerance:.6g})")
+    for solve in layer.channel_solves:
         print(f"  channel {solve.channel} sign {solve.sign:+d}: {solve.status}, "
               f"residual {solve.residual_inf:.6g} (pool {len(solve.pool)})")
-    for warning in result.occupancy_warnings:
+    for warning in layer.occupancy_warnings:
         print(f"  warning: {warning}")
-    bundle = PrunedNetworkBundle(
-        random_kernels=(expansion, mixing),
-        target_kernels=(target,),
-        masks=(result.mask,),
-        params=params,
-        seed=seed,
-        spatial=args.spatial,
-    )
-    worst = bundle_probe_error(bundle)
-    bound = params.epsilon * params.magnitude_bound
-    print(f"probe error {worst:.6g} over {params.probe_count} probes and the two corners "
-          f"(budget {bound:.6g} when fully successful)")
-    structure = validate_structure(result.mask)
+    print(f"probe error {report.empirical_max_error:.6g} over {report.probe_count} probes and "
+          f"the two corners (budget {report.theoretical_bound:.6g} when fully successful)")
+    structure = validate_structure(bundle.masks[0])
     print(f"mask structure: {'valid' if structure.valid else 'INVALID: ' + structure.message}")
     if args.out:
-        report = PruneReport(
-            layers=(_layer_summary(1, result),),
-            epsilon=params.epsilon,
-            magnitude_bound=params.magnitude_bound,
-            spatial=args.spatial,
-            probe_count=params.probe_count,
-            empirical_max_error=worst,
-            theoretical_bound=bound,
-            fully_successful=result.fully_successful,
-            seed=seed,
-        )
-        save_bundle(args.out, dataclasses.replace(bundle, report=report))
+        save_bundle(args.out, bundle)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_prune_net(args) -> int:
     seed = SeedSpec(args.seed)
-    params = _prune_params(args)
     spec = NetworkSpec(
         depth=args.depth,
         spatial=args.spatial,
@@ -353,12 +318,9 @@ def _cmd_prune_net(args) -> int:
         kernel_sizes=tuple(_int_list(args.kernel_sizes)),
         overparam=tuple(_int_list(args.overparam)),
     )
-    randoms = spec.sample_random_net(seed.substream(0))
-    targets = [
-        _unit_l1_target(shape, seed.substream(100 + i))
-        for i, shape in enumerate(spec.target_kernel_shapes())
-    ]
-    masks, report, _ = prune_network(randoms, targets, params, seed.substream(1), spec.spatial)
+    bundle = prune_network(spec.sample_random_net(seed.substream(0)), spec.sample_targets(seed),
+                           _prune_params(args), seed.substream(1), spec.spatial)
+    report = bundle.report
     print(f"fully successful: {report.fully_successful}")
     print(f"empirical max probe error: {report.empirical_max_error:.6g}")
     print(f"composed bound when fully successful: {report.theoretical_bound:.6g}")
@@ -366,21 +328,12 @@ def _cmd_prune_net(args) -> int:
         hits = sum(1 for s in summary.channel_solves if s.success)
         print(f"  layer {summary.layer}: kept {summary.kept_kernels}/{summary.total_kernels} "
               f"kernels, {hits}/{len(summary.channel_solves)} channel solves hit")
-    for mask in masks:
+    for mask in bundle.masks:
         structure = validate_structure(mask)
         if not structure.valid:
             print(f"  INVALID mask structure: {structure.message}")
             return EXIT_CHECK_FAILED
     if args.out:
-        bundle = PrunedNetworkBundle(
-            random_kernels=tuple(randoms),
-            target_kernels=tuple(targets),
-            masks=tuple(masks),
-            params=params,
-            seed=seed.substream(1),
-            spatial=spec.spatial,
-            report=report,
-        )
         save_bundle(args.out, bundle)
         print(f"wrote {args.out}")
     return EXIT_OK

@@ -27,12 +27,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError
-from .pruning import PruneParams, make_probes, probe_error, prune_single_layer
+from .pruning import PruneParams, prune_random_layer
 from .sampling import (
     SeedSpec,
     _generator,
     _normals,
-    sample_normal_tensor,
     sample_nsn,
     sample_uniform,
 )
@@ -45,7 +44,6 @@ from .solvers import (
     partition_boost,
     search_subsets,
 )
-from .tensors import norm_l1
 
 __all__ = [
     "BoundDirection",
@@ -574,6 +572,8 @@ def scan_mrss_phase(
     :func:`partition_boost` changes its members with n.
     """
     sizes = _scan_sizes(n_values, k, trials)
+    if not target_radius >= 0.0:  # a negative radius flips the target, NaN skips the projection
+        raise ParameterError(f"target_radius must be >= 0, got {target_radius}")
     if group_size is not None and group_size < k * k:
         raise ParameterError("group_size must be >= k^2")
     if d < 1:  # sampling would reject it before any budget check
@@ -628,6 +628,8 @@ def scan_prune_success(
     """Channel-solve hit rate of single-layer pruning as overparameterisation
     grows; explicitly empirical constant-hunting, nothing asserted.
 
+    Trial ``t`` is :func:`prune_random_layer` on ``seed.substream(t)``, so its
+    probe error is the one a saved ``prune-one`` bundle re-verifies.
     ``params``, when given, must carry the same ``epsilon``.
     """
     if params is not None and params.epsilon != epsilon:
@@ -640,20 +642,12 @@ def scan_prune_success(
         full = 0
         probe_errors = []
         for trial in range(trials):
-            stream = seed.substream(trial)
-            expansion = sample_normal_tensor((1, 1, c0, 2 * n * c0), stream.substream(0))
-            mixing = sample_normal_tensor((d, d, 2 * n * c0, c1), stream.substream(1))
-            raw = sample_normal_tensor((d, d, c0, c1), stream.substream(2))
-            target = type(raw)(raw.data / norm_l1(raw))
-            result = prune_single_layer(mixing, expansion, target, base, stream.substream(3))
-            channel_hits += sum(1 for s in result.channel_solves if s.success)
-            channel_total += len(result.channel_solves)
-            full += int(result.fully_successful)
-            probes = make_probes(spatial, spatial, c0, base.probe_count, stream.substream(4),
-                                 base.magnitude_bound)
-            probe_errors.append(
-                probe_error((target,), (expansion, mixing), (result.mask,), probes)
-            )
+            report = prune_random_layer(d, c0, c1, n, base, seed.substream(trial), spatial).report
+            solves = report.layers[0].channel_solves
+            channel_hits += sum(1 for s in solves if s.success)
+            channel_total += len(solves)
+            full += int(report.fully_successful)
+            probe_errors.append(report.empirical_max_error)
         rows.append(
             {
                 "n": n,

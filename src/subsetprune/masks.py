@@ -288,8 +288,11 @@ def mask_to_bytes(mask: Mask4) -> bytes:
 def mask_from_bytes(buf: bytes) -> Mask4:
     if buf[:4] != _MAGIC:
         raise ValueError("not a mask blob (bad magic)")
-    shape = struct.unpack_from("<4I", buf, 4)
-    kind, pos = _kind_from_bytes(buf, 20)
+    try:
+        shape = struct.unpack_from("<4I", buf, 4)
+        kind, pos = _kind_from_bytes(buf, 20)
+    except struct.error as exc:
+        raise ValueError(f"mask blob header is truncated ({exc})") from exc
     size = int(np.prod(shape))
     expected_len = pos + (size + 7) // 8
     if len(buf) != expected_len:

@@ -19,6 +19,10 @@ The pipeline realises three facts as executable code:
    every layer hits, the end-to-end error on any input of max-norm <= M is at
    most ``M ((1 + eps/(2 ell))^ell - 1)``: the nets have no biases, so both
    chains are positively homogeneous and the error scales linearly in M.
+   :func:`prune_random_layer` samples and prunes one seeded layer, bound ``eps * M``.
+
+Both return a :class:`PrunedNetworkBundle` whose report's empirical error is
+:func:`bundle_probe_error` of the bundle, the check ``dump-report`` repeats.
 
 Channel solves that the search cannot hit are first-class results: the best
 near-miss subset is still applied (so a pruned network always exists) and the
@@ -69,6 +73,7 @@ __all__ = [
     "drop_relu_decompose",
     "prune_single_layer",
     "prune_network",
+    "prune_random_layer",
     "evaluate_network",
     "make_probes",
     "probe_error",
@@ -79,9 +84,10 @@ __all__ = [
     "composition_bound",
 ]
 
-# substream offsets inside prune_network; fixed so reruns are reproducible
+# substream offsets of a pruning run's seed; fixed so reruns are reproducible
 _STREAM_SOLVER = 1_000
 _STREAM_PROBES = 2_000
+_STREAM_TARGETS = 100  # of the master seed, one per target layer
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,18 @@ class NetworkSpec:
             sample_normal_tensor(shape, seed.substream(i))
             for i, shape in enumerate(self.random_kernel_shapes())
         ]
+
+    def sample_targets(self, seed: SeedSpec) -> list[Tensor4]:
+        """Unit-L1 target kernels, layer ``i`` drawn from ``seed.substream(100 + i)``."""
+        return [
+            _unit_l1_target(shape, seed.substream(_STREAM_TARGETS + i))
+            for i, shape in enumerate(self.target_kernel_shapes())
+        ]
+
+
+def _unit_l1_target(shape, seed: SeedSpec) -> Tensor4:
+    raw = sample_normal_tensor(shape, seed)
+    return Tensor4(raw.data / norm_l1(raw))
 
 
 @dataclass(frozen=True)
@@ -497,19 +515,6 @@ class PruneReport:
         )
 
 
-def _layer_summary(layer: int, result: LayerPruneResult) -> LayerSummary:
-    """The report record of target layer ``layer`` (1-based)."""
-    return LayerSummary(
-        layer=layer,
-        tolerance=result.tolerance,
-        k_budget=result.k_budget,
-        kept_kernels=len(result.kept_kernels),
-        total_kernels=result.mask.shape[3],
-        channel_solves=result.channel_solves,
-        occupancy_warnings=result.occupancy_warnings,
-    )
-
-
 def composition_bound(epsilon: float, depth: int) -> float:
     """``(1 + eps/(2 ell))^ell - 1``: the unrolled per-layer budget."""
     return (1.0 + epsilon / (2.0 * depth)) ** depth - 1.0
@@ -521,7 +526,7 @@ def prune_network(
     params: PruneParams,
     seed: SeedSpec = SeedSpec(0, 0),
     spatial: int = 4,
-) -> tuple[list[Mask4], PruneReport, list[LayerPruneResult]]:
+) -> PrunedNetworkBundle:
     """Prune every odd random layer so the whole chain tracks the target chain.
 
     ``random_kernels`` holds 2*ell kernels (expansion, mixing, ...) and
@@ -530,7 +535,7 @@ def prune_network(
     two constant corners at +-M, with M the magnitude bound) estimate the sup
     error; the algebraic per-layer bounds are the actual guarantee, and the
     reported bound is ``M * composition_bound(eps, ell)``. Partial failures
-    are carried in the report.
+    are carried in the returned bundle's report.
     """
     targets = list(target_kernels)
     randoms = list(random_kernels)
@@ -538,40 +543,65 @@ def prune_network(
     if depth < 1 or len(randoms) != 2 * depth:
         raise ParameterError("need 2 random kernels per target layer")
     layer_params = dataclasses.replace(params, epsilon=params.epsilon / (2.0 * depth))
+    results = [
+        prune_single_layer(randoms[2 * i + 1], randoms[2 * i], targets[i], layer_params,
+                           seed.substream(_STREAM_SOLVER + i))
+        for i in range(depth)
+    ]
+    bound = params.magnitude_bound * composition_bound(params.epsilon, depth)
+    return _reported_bundle(randoms, targets, results, params, seed, spatial, bound)
 
-    results: list[LayerPruneResult] = []
-    for i in range(depth):
-        results.append(
-            prune_single_layer(
-                randoms[2 * i + 1],
-                randoms[2 * i],
-                targets[i],
-                layer_params,
-                seed.substream(_STREAM_SOLVER + i),
-            )
-        )
 
-    masks = [r.mask for r in results]
-    c0 = targets[0].channels_in
-    probes = make_probes(spatial, spatial, c0, params.probe_count,
-                         seed.substream(_STREAM_PROBES), params.magnitude_bound)
+def prune_random_layer(d: int, c0: int, c1: int, n: int, params: PruneParams, seed: SeedSpec,
+                       spatial: int = 4) -> PrunedNetworkBundle:
+    """Prune one seeded random layer against a seeded unit-L1 target.
 
+    The expansion and mixing kernels come from ``seed.substream(0)`` and
+    ``(1)``, the ``d x d x c0 x c1`` target from ``(2)`` and the channel solves
+    from ``(3)``. The report's bound is ``eps * M``, binding when the layer is
+    fully successful.
+    """
+    spec = NetworkSpec(1, spatial, (c0, c1), (d,), (n,))
+    randoms = spec.sample_random_net(seed)
+    target = _unit_l1_target(spec.target_kernel_shapes()[0], seed.substream(2))
+    result = prune_single_layer(randoms[1], randoms[0], target, params, seed.substream(3))
+    bound = params.epsilon * params.magnitude_bound
+    return _reported_bundle(randoms, [target], [result], params, seed, spatial, bound)
+
+
+def _reported_bundle(randoms, targets, results, params, seed, spatial,
+                     bound) -> PrunedNetworkBundle:
+    """The bundle of one pruning run, with its report attached; the report's
+    empirical error is :func:`bundle_probe_error` of the bundle itself."""
+    bundle = PrunedNetworkBundle(tuple(randoms), tuple(targets), tuple(r.mask for r in results),
+                                 params, seed, spatial)
     report = PruneReport(
-        layers=tuple(_layer_summary(i + 1, r) for i, r in enumerate(results)),
+        layers=tuple(
+            LayerSummary(
+                layer=i + 1,
+                tolerance=r.tolerance,
+                k_budget=r.k_budget,
+                kept_kernels=len(r.kept_kernels),
+                total_kernels=r.mask.shape[3],
+                channel_solves=r.channel_solves,
+                occupancy_warnings=r.occupancy_warnings,
+            )
+            for i, r in enumerate(results)
+        ),
         epsilon=params.epsilon,
         magnitude_bound=params.magnitude_bound,
         spatial=spatial,
         probe_count=params.probe_count,
-        empirical_max_error=probe_error(targets, randoms, masks, probes),
-        theoretical_bound=params.magnitude_bound * composition_bound(params.epsilon, depth),
+        empirical_max_error=bundle_probe_error(bundle),
+        theoretical_bound=bound,
         fully_successful=all(r.fully_successful for r in results),
         seed=seed,
     )
-    return masks, report, results
+    return dataclasses.replace(bundle, report=report)
 
 
 # ---------------------------------------------------------------------------
-# Bundle serialisation: kernels + masks + seeds + params in one file
+# Bundle serialisation: kernels + masks + seeds + params + report in one file
 # ---------------------------------------------------------------------------
 
 _BUNDLE_FORMAT = "subsetprune-bundle-v1"
@@ -633,7 +663,7 @@ def load_bundle(path) -> PrunedNetworkBundle:
         raise ValueError(f"{path} is not a {_BUNDLE_FORMAT} file")
     report = payload.get("report")
     try:
-        return PrunedNetworkBundle(
+        bundle = PrunedNetworkBundle(
             random_kernels=tuple(_tensor_from_payload(t) for t in payload["random_kernels"]),
             target_kernels=tuple(_tensor_from_payload(t) for t in payload["target_kernels"]),
             masks=tuple(mask_from_bytes(base64.b64decode(m)) for m in payload["masks"]),
@@ -646,11 +676,16 @@ def load_bundle(path) -> PrunedNetworkBundle:
         raise ValueError(f"bundle {path} lacks key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"bundle {path} has a malformed field: {exc}") from exc
+    depth = len(bundle.target_kernels)  # bundle_probe_error needs one target or more
+    if depth < 1 or len(bundle.random_kernels) != 2 * depth or len(bundle.masks) != depth:
+        raise ValueError(f"bundle {path} needs at least one target, two random kernels "
+                         "and one mask per target")
+    return bundle
 
 
 def bundle_probe_error(bundle: PrunedNetworkBundle) -> float:
-    """Recompute the empirical probe error from stored kernels, masks and seed,
-    with the probes :func:`prune_network` drew."""
+    """The empirical probe error of a bundle's kernels and masks, on the probes
+    its seed's substream 2000 draws: every report's error is this call."""
     c0 = bundle.target_kernels[0].channels_in
     probes = make_probes(
         bundle.spatial,

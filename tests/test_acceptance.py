@@ -286,11 +286,10 @@ def test_criterion_11_multi_layer_composition():
 
         fully_successful_runs = 0
         for t, targets in enumerate(target_sets):
-            masks, report, _ = prune_network(
-                randoms, targets, params, seed.substream(200 + t), spatial
-            )
+            bundle = prune_network(randoms, targets, params, seed.substream(200 + t), spatial)
+            report = bundle.report
             assert report.probe_count + 2 == 256
-            for layer, mask in enumerate(masks):
+            for layer, mask in enumerate(bundle.masks):
                 structure = validate_structure(mask)
                 assert structure.valid, structure.message
                 assert isinstance(mask.kind, Composite)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, CSV determinism, bundle round trips."""
 
+import base64
 import json
 import re
 
@@ -54,6 +55,14 @@ def test_mrss_scan_budget_checked_for_every_n(capsys):
                  "--epsilon", "100", "--trials", "2"])
     assert code == EXIT_BUDGET
     assert "of 400 vectors exceed the enumeration budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["-1", "nan"])
+def test_mrss_scan_rejects_bad_target_radius(radius, capsys):
+    code = main(["mrss-scan", "--d", "1", "--k", "2", "--n-list", "4", "--trials", "2",
+                 "--target-radius", radius])
+    assert code == EXIT_USAGE
+    assert "target_radius must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["lemma-check", "rssp-scan", "mrss-scan"])
@@ -191,8 +200,21 @@ def _null_spatial(payload):
     return payload
 
 
-@pytest.mark.parametrize("corrupt", [_drop_k_budget, _null_spatial, lambda payload: [payload]],
-                         ids=["missing-key", "wrong-type", "not-an-object"])
+def _no_targets(payload):
+    payload["target_kernels"] = []
+    return payload
+
+
+def _short_mask_blob(payload):
+    payload["masks"][0] = base64.b64encode(b"SPM1\x01").decode("ascii")
+    return payload
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_k_budget, _null_spatial, lambda payload: [payload], _no_targets, _short_mask_blob],
+    ids=["missing-key", "wrong-type", "not-an-object", "no-targets", "short-mask-blob"],
+)
 def test_dump_report_malformed_bundle(capsys, tmp_path, corrupt):
     bundle = tmp_path / "net.json"
     assert main(["prune-net", "--depth", "2", "--spatial", "4", "--channels", "1,2,1",

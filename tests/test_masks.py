@@ -190,6 +190,8 @@ def test_bad_blob_rejected():
         mask_from_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
         mask_from_bytes(blob + b"\x00")
+    with pytest.raises(ValueError, match="truncated"):
+        mask_from_bytes(b"SPM1\x01")
 
 
 def test_text_dump_mentions_shape_and_kind():

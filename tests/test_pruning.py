@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from subsetprune import (
     FeatureMap,
     Mask4,
+    NetworkSpec,
     ParameterError,
     PruneParams,
     PrunedNetworkBundle,
     SeedSpec,
+    Strategy,
     StructureError,
     Tensor4,
     bundle_probe_error,
@@ -30,6 +32,7 @@ from subsetprune import (
     pos_part,
     probe_error,
     prune_network,
+    prune_random_layer,
     prune_single_layer,
     relu,
     sample_normal_tensor,
@@ -234,9 +237,7 @@ class TestNetwork:
         mixing = sample_normal_tensor((1, 1, 32, 1), seed.substream(1))
         target = unit_l1((1, 1, 1, 1), seed.substream(2))
         params = PruneParams(epsilon=0.5, probe_count=4)
-        masks, report, results = prune_network(
-            [expansion, mixing], [target], params, seed.substream(3), spatial=3
-        )
+        bundle = prune_network([expansion, mixing], [target], params, seed.substream(3), spatial=3)
         direct = prune_single_layer(
             mixing,
             expansion,
@@ -244,8 +245,10 @@ class TestNetwork:
             dataclasses.replace(params, epsilon=0.25),  # eps / (2 * 1)
             seed.substream(3).substream(1000),
         )
-        assert np.array_equal(masks[0].bits, direct.mask.bits)
-        assert report.theoretical_bound == composition_bound(0.5, 1)
+        assert np.array_equal(bundle.masks[0].bits, direct.mask.bits)
+        assert bundle.report.layers[0].channel_solves == direct.channel_solves
+        assert bundle.report.theoretical_bound == composition_bound(0.5, 1)
+        assert bundle.report.empirical_max_error == bundle_probe_error(bundle)
 
     def test_all_zero_targets_give_zero_error(self):
         seed = SeedSpec(112)
@@ -253,7 +256,7 @@ class TestNetwork:
         randoms = [sample_normal_tensor(s, seed.substream(i)) for i, s in enumerate(shapes)]
         zeros = [Tensor4(np.zeros((2, 2, 1, 2))), Tensor4(np.zeros((2, 2, 2, 1)))]
         params = PruneParams(epsilon=0.5, probe_count=8)
-        masks, report, _ = prune_network(randoms, zeros, params, seed.substream(10), spatial=4)
+        report = prune_network(randoms, zeros, params, seed.substream(10), spatial=4).report
         assert report.fully_successful
         assert report.empirical_max_error == 0.0
         assert report.empirical_max_error <= report.theoretical_bound + 1e-9
@@ -265,7 +268,8 @@ class TestNetwork:
         randoms = [sample_normal_tensor(s, seed.substream(i)) for i, s in enumerate(shapes)]
         targets = [unit_l1((1, 1, 1, 1), seed.substream(100 + i)) for i in range(2)]
         params = PruneParams(epsilon=0.5, probe_count=32)
-        masks, report, _ = prune_network(randoms, targets, params, seed.substream(10), spatial=4)
+        bundle = prune_network(randoms, targets, params, seed.substream(10), spatial=4)
+        report = bundle.report
         assert report.fully_successful
         assert report.empirical_max_error <= report.theoretical_bound + 1e-9
         per_layer = [
@@ -276,7 +280,7 @@ class TestNetwork:
             for i in range(1, 3)
         ]
         assert report.empirical_max_error <= per_layer[-1] + 1e-9
-        for mask in masks:
+        for mask in bundle.masks:
             assert validate_structure(mask).valid
 
     def test_partial_failure_is_reported_not_hidden(self):
@@ -288,7 +292,7 @@ class TestNetwork:
             unit_l1((2, 2, 2, 1), seed.substream(101)),
         ]
         params = PruneParams(epsilon=0.25, probe_count=4)
-        masks, report, _ = prune_network(randoms, targets, params, seed.substream(10), spatial=4)
+        report = prune_network(randoms, targets, params, seed.substream(10), spatial=4).report
         statuses = [s.status for layer in report.layers for s in layer.channel_solves]
         assert not report.fully_successful
         assert all(s in {"hit", "not-found", "proven-infeasible"} for s in statuses)
@@ -301,6 +305,48 @@ class TestNetwork:
         target = unit_l1((2, 2, 1, 1), seed)
         with pytest.raises(ParameterError):
             prune_network([expansion], [target], PruneParams(epsilon=0.5))
+
+
+class TestPruneRandomLayer:
+    @pytest.mark.parametrize(
+        "master, d, c0, c1, n, strategy",
+        [
+            (130, 2, 1, 1, 16, Strategy.EXHAUSTIVE),
+            (131, 2, 2, 2, 12, Strategy.EXHAUSTIVE),
+            (132, 2, 1, 1, 24, Strategy.GREEDY_SWAP),
+        ],
+    )
+    def test_matches_the_hand_written_layout(self, master, d, c0, c1, n, strategy):
+        seed = SeedSpec(master)
+        params = PruneParams(epsilon=0.25, magnitude_bound=1.5, strategy=strategy, probe_count=6)
+        expansion = sample_normal_tensor((1, 1, c0, 2 * n * c0), seed.substream(0))
+        mixing = sample_normal_tensor((d, d, 2 * n * c0, c1), seed.substream(1))
+        target = unit_l1((d, d, c0, c1), seed.substream(2))
+        direct = prune_single_layer(mixing, expansion, target, params, seed.substream(3))
+        by_hand = PrunedNetworkBundle((expansion, mixing), (target,), (direct.mask,), params,
+                                      seed, spatial=3)
+
+        bundle = prune_random_layer(d, c0, c1, n, params, seed, spatial=3)
+        assert np.array_equal(bundle.random_kernels[0].data, expansion.data)
+        assert np.array_equal(bundle.random_kernels[1].data, mixing.data)
+        assert np.array_equal(bundle.target_kernels[0].data, target.data)
+        assert np.array_equal(bundle.masks[0].bits, direct.mask.bits)
+        assert bundle.masks[0].kind == direct.mask.kind
+        layer = bundle.report.layers[0]
+        assert layer.channel_solves == direct.channel_solves
+        assert (layer.kept_kernels, layer.total_kernels) == (len(direct.kept_kernels),
+                                                             expansion.kernels)
+        assert bundle.report.empirical_max_error == bundle_probe_error(by_hand)
+        assert bundle.report.theoretical_bound == 0.25 * 1.5
+        assert bundle.report.fully_successful == direct.fully_successful
+        assert (bundle.report.seed, bundle.report.spatial) == (seed, 3)
+
+    def test_spec_targets_are_unit_l1_substreams(self):
+        seed = SeedSpec(133)
+        spec = NetworkSpec(2, 4, (1, 2, 1), (2, 1), (4, 4))
+        targets = spec.sample_targets(seed)
+        for i, (got, shape) in enumerate(zip(targets, spec.target_kernel_shapes())):
+            assert np.array_equal(got.data, unit_l1(shape, seed.substream(100 + i)).data)
 
 
 class TestProbeError:
@@ -333,20 +379,12 @@ class TestProbeError:
         ]
         unit = PruneParams(epsilon=0.5, probe_count=8)
         double = dataclasses.replace(unit, magnitude_bound=2.0)
-        _, report_1, _ = prune_network(randoms, targets, unit, seed.substream(10), spatial=4)
-        masks, report_2, _ = prune_network(randoms, targets, double, seed.substream(10), spatial=4)
+        report_1 = prune_network(randoms, targets, unit, seed.substream(10), spatial=4).report
+        bundle = prune_network(randoms, targets, double, seed.substream(10), spatial=4)
+        report_2 = bundle.report
         assert report_1.empirical_max_error > 0.0
         assert report_2.empirical_max_error == 2.0 * report_1.empirical_max_error
         assert report_2.theoretical_bound == 2.0 * composition_bound(0.5, 2)
-        bundle = PrunedNetworkBundle(
-            random_kernels=tuple(randoms),
-            target_kernels=tuple(targets),
-            masks=tuple(masks),
-            params=double,
-            seed=seed.substream(10),
-            spatial=4,
-            report=report_2,
-        )
         path = tmp_path / "bundle.json"
         save_bundle(path, bundle)
         back = load_bundle(path)
@@ -373,28 +411,31 @@ class TestBundle:
         mixing = sample_normal_tensor((2, 2, 16, 1), seed.substream(1))
         target = unit_l1((2, 2, 1, 1), seed.substream(2))
         params = PruneParams(epsilon=0.5, probe_count=4)
-        masks, report, _ = prune_network(
-            [expansion, mixing], [target], params, seed.substream(3), spatial=3
-        )
-        bundle = PrunedNetworkBundle(
-            random_kernels=(expansion, mixing),
-            target_kernels=(target,),
-            masks=tuple(masks),
-            params=params,
-            seed=seed.substream(3),
-            spatial=3,
-            report=report,
-        )
+        bundle = prune_network([expansion, mixing], [target], params, seed.substream(3), spatial=3)
         path = tmp_path / "bundle.json"
         save_bundle(path, bundle)
         back = load_bundle(path)
         assert np.array_equal(back.random_kernels[0].data, expansion.data)
         assert np.array_equal(back.random_kernels[1].data, mixing.data)
-        assert np.array_equal(back.masks[0].bits, masks[0].bits)
+        assert np.array_equal(back.masks[0].bits, bundle.masks[0].bits)
         assert back.params == params
         assert back.seed == seed.substream(3)
         # the stored empirical error reproduces from kernels + masks + seed
-        assert bundle_probe_error(back) == report.empirical_max_error
+        assert bundle_probe_error(back) == bundle.report.empirical_max_error
+        again = tmp_path / "again.json"
+        save_bundle(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_load_rejects_mask_count_mismatch(self, tmp_path):
+        seed = SeedSpec(117)
+        expansion = sample_normal_tensor((1, 1, 1, 8), seed.substream(0))
+        mixing = sample_normal_tensor((1, 1, 8, 1), seed.substream(1))
+        target = unit_l1((1, 1, 1, 1), seed.substream(2))
+        bundle = prune_network([expansion, mixing], [target], PruneParams(epsilon=0.5), seed)
+        path = tmp_path / "bundle.json"
+        save_bundle(path, dataclasses.replace(bundle, masks=bundle.masks * 2))
+        with pytest.raises(ValueError, match="one mask per target"):
+            load_bundle(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
