@@ -339,6 +339,25 @@ def _cmd_prune_net(args) -> int:
     return EXIT_OK
 
 
+def _report_contradiction(report, masks: int) -> str | None:
+    """The first stored claim of ``report`` that its own records contradict, if any.
+
+    ``theoretical_bound`` is not checked: its formula depends on whether
+    prune-one or prune-net wrote the bundle, which the bundle does not say.
+    """
+    if len(report.layers) != masks:
+        return f"report has {len(report.layers)} layer records for {masks} masks"
+    solves = [(layer.layer, s) for layer in report.layers for s in layer.channel_solves]
+    for layer, s in solves:
+        if s.success != (s.residual_inf <= s.tolerance):
+            return (f"layer {layer} channel {s.channel} sign {s.sign:+d}: status {s.status} "
+                    f"with residual {s.residual_inf!r} against tolerance {s.tolerance!r}")
+    if report.fully_successful != all(s.success for _, s in solves):
+        return (f"stored fully_successful {report.fully_successful} disagrees with "
+                "the solve statuses")
+    return None
+
+
 def _cmd_dump_report(args) -> int:
     bundle = load_bundle(args.bundle)
     print(f"bundle: {len(bundle.target_kernels)} target layer(s), "
@@ -357,6 +376,10 @@ def _cmd_dump_report(args) -> int:
         print(f"recomputed empirical error: {recomputed:.6g}")
         if recomputed != bundle.report.empirical_max_error:
             print("MISMATCH: stored report does not reproduce from kernels+masks+seed")
+            return EXIT_CHECK_FAILED
+        contradiction = _report_contradiction(bundle.report, len(bundle.masks))
+        if contradiction:
+            print(f"MISMATCH: {contradiction}")
             return EXIT_CHECK_FAILED
     else:
         print("no stored report: probe error not re-verified, only mask structure checked")

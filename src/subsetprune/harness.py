@@ -11,9 +11,12 @@ per-trial differences, whose expectation is exactly zero under the identity.
 Block rule: every check draws its trials in blocks of 2^14 (the intersection
 tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
 block ``b`` always draws from ``seed.substream(b)`` and the block totals are
-summed in block order. Results are therefore bit-reproducible and independent
-of how trials would be fanned out across workers. Every check rejects
-``trials < 1`` with :class:`ParameterError`.
+summed in block order. A block may be drawn in row chunks from its own
+generator (the intersection tail streams about 2^17 values at a time): the
+chunks take the same words, in the same order, as one whole-block draw.
+Results are therefore bit-reproducible and independent of how trials would be
+fanned out across workers. Every check rejects ``trials < 1`` with
+:class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
+_TAIL_CHUNK = 1 << 17  # uniforms per intersection-tail row chunk
 _GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
 
 
@@ -248,7 +252,7 @@ def _nsn_window_sums(rng, count: int, vectors: int, d: int) -> np.ndarray:
     """(count, vectors, d) raw NSN draws: scalars first, then directions."""
     scalars = _normals(rng, count * vectors).reshape(count, vectors)
     directions = _normals(rng, count * vectors * d).reshape(count, vectors, d)
-    return scalars[:, :, None] * directions
+    return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
 
 
 def check_nsn_hit_lower_bound(
@@ -422,6 +426,25 @@ def check_second_moment_identity(
     )
 
 
+def _intersection_overlaps(rng, count: int, n: int, k: int) -> np.ndarray:
+    """Per-trial ``|{0, .., k-1} meet S|`` for ``count`` uniform k-subsets S of [n].
+
+    Trial t's S holds the k smallest of row t of ``rng.random((count, n))``.
+    The rows are drawn ``_TAIL_CHUNK // n`` at a time (at least one);
+    ``Generator.random`` takes one word per value, so the chunks are that
+    one draw. Each chunk keeps a copy of its first k columns and is then
+    partitioned in place.
+    """
+    rows = max(1, _TAIL_CHUNK // n)
+    overlaps = np.empty(count, dtype=np.intp)
+    for lo in range(0, count, rows):
+        u = rng.random((min(rows, count - lo), n))
+        head = u[:, :k].copy()
+        u.partition(k - 1, axis=1)
+        np.sum(head <= u[:, k - 1 : k], axis=1, out=overlaps[lo : lo + len(u)])
+    return overlaps
+
+
 def check_intersection_tail(
     n: int, k: int, d: int, trials: int, seed: SeedSpec
 ) -> BoundCheckResult:
@@ -440,12 +463,9 @@ def check_intersection_tail(
     threshold = k / d
 
     def draw(rng, count):
-        u = rng.random((count, n))
-        kth = np.partition(u, k - 1, axis=1)[:, k - 1]
-        overlap = (u[:, :k] <= kth[:, None]).sum(axis=1)
-        return (int((overlap >= threshold).sum()),)
+        return (int((_intersection_overlaps(rng, count, n, k) >= threshold).sum()),)
 
-    # the block is capped so one (block x n) draw stays near 2^24 values
+    # the block size fixes which trials share a substream; draws stream in row chunks
     (hits,) = _block_totals(trials, seed, draw, max(1, min(_BLOCK, (1 << 24) // n)))
     return _frequency(f"subset intersection tail n={n} k={k} d={d}", hits,
                       intersection_tail_bound(k, d), BoundDirection.UPPER, trials,

@@ -5,11 +5,14 @@ Determinism contract
 --------------------
 All draws are pure functions of a :class:`SeedSpec`. The byte stream comes
 from the counter-based Philox generator keyed by ``(master_seed, stream_id)``;
-uniforms are 53-bit integers mapped into the open interval (0, 1); normals are
-produced by the Box-Muller transform on consecutive uniform pairs. Hence
-``(seed, stream, draw index)`` fully determines every value, independent of
-how work is scheduled. Distinct stream ids give independent streams; a single
-stream must be consumed sequentially.
+uniforms are 53-bit integers mapped into the open interval (0, 1); an n-value
+normal draw takes 2 * ceil(n/2) uniforms at once and pairs uniform p with
+uniform ceil(n/2) + p in the Box-Muller transform (see :func:`_normals`).
+Hence ``(seed, stream, sequence of draw lengths)`` fully determines every
+value, independent of how work is scheduled; a value depends on the length of
+the call that drew it, so a longer draw does not extend a shorter one.
+Distinct stream ids give independent streams; a single stream must be
+consumed sequentially.
 
 Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
 a splitmix64-style mix of ``(stream_id, index)``.
@@ -36,6 +39,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L2
 
 
 def _mix64(a: int, b: int) -> int:
@@ -92,17 +96,32 @@ def _uniform_open01(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller on consecutive uniform pairs; draw i uses uniforms 2i, 2i+1."""
-    if n == 0:
-        return np.empty(0)
+    """Box-Muller on ``m = ceil(n/2)`` pairs from one draw of ``2m`` 53-bit words.
+
+    With ``u_i`` the open-interval uniform of word ``i``, pair ``p`` takes
+    ``u1 = u_p`` and ``u2 = u_{m+p}`` and yields values ``2p`` (the cosine) and
+    ``2p + 1`` (the sine), so a value depends on the call's length ``n``. The
+    pairs are transformed in chunks of ``_BOX_MULLER_PAIRS`` through reused
+    scratch buffers; every element sees the same operations as a whole-array
+    transform, so the chunking changes no byte.
+    """
     pairs = (n + 1) // 2
-    u1 = _uniform_open01(rng, pairs)
-    u2 = _uniform_open01(rng, pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
+    words = rng.integers(0, 1 << 53, size=2 * pairs, dtype=np.uint64)
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(theta)
-    out[1::2] = radius * np.sin(theta)
+    cosines, sines = out[0::2], out[1::2]
+    scratch = np.empty((3, min(pairs, _BOX_MULLER_PAIRS)))
+    for lo in range(0, pairs, _BOX_MULLER_PAIRS):
+        hi = min(lo + _BOX_MULLER_PAIRS, pairs)
+        radius, theta, trig = scratch[:, : hi - lo]
+        for u, first in ((radius, lo), (theta, pairs + lo)):  # as in _uniform_open01
+            np.add(words[first : first + hi - lo], 0.5, out=u)
+            np.multiply(u, 2.0**-53, out=u)
+        np.log(radius, out=radius)
+        np.multiply(-2.0, radius, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(2.0 * np.pi, theta, out=theta)
+        np.multiply(radius, np.cos(theta, out=trig), out=cosines[lo:hi])
+        np.multiply(radius, np.sin(theta, out=trig), out=sines[lo:hi])
     return out[:n]
 
 

@@ -19,7 +19,10 @@ is written into one stack in ascending ``(i, j, t)`` order (one multiply per
 offset), below a zero row, and the stack is summed by ``np.add.accumulate``
 along the term axis, whose documented semantics are strictly sequential
 (``r[n] = r[n-1] + a[n]``); ``sum``, ``einsum`` and BLAS would sum pairwise or
-in an unspecified order. A term read from the padding is an exact +-0.0, and a
+in an unspecified order. ``accumulate`` runs one inner loop per cell, so a
+stack with few rows next to its cells (the 1x1 expansion conv: 2 rows, 3,072
+cells) is instead summed by one whole-row ``np.add`` per row, the same
+sequential additions. A term read from the padding is an exact +-0.0, and a
 running sum that starts at +0.0 never becomes -0.0, so adding such a term
 changes no bit: every cell sees exactly the additions of the direct formula.
 Stacks beyond a fixed byte size are summed in consecutive blocks of terms,
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 _STACK_BYTES = 1 << 22  # largest term stack conv builds in one pass
+_ROWS_PER_CELL_SUM = 32  # stacks with 32x more cells than rows are summed row by row
 
 
 def _validated(data, ndim: int) -> np.ndarray:
@@ -157,7 +161,12 @@ def conv(kernel: Tensor4, fmap: FeatureMap) -> FeatureMap:
                                 cols - 1 - j : cols - 1 - j + width]
                 lo = 1 + q * (t1 - t0)
                 np.multiply(weights[i, j, t0:t1], window, out=stack[lo : lo + t1 - t0])
-            total = np.add.accumulate(stack, axis=0, out=stack)[-1]
+            if len(stack) * _ROWS_PER_CELL_SUM <= stack[0].size:
+                total = stack[0]  # few terms over many cells: one add per row
+                for row in stack[1:]:
+                    np.add(total, row, out=total)
+            else:
+                total = np.add.accumulate(stack, axis=0, out=stack)[-1]
     return FeatureMap(total.copy())  # not a view that keeps the whole stack alive
 
 

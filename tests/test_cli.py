@@ -158,6 +158,67 @@ def test_prune_net_dump_report_round_trip(capsys, tmp_path):
     assert "MISMATCH" not in out
 
 
+def _claim_all_hits(payload):
+    """The tampering that makes a failed run look fully successful."""
+    report = payload["report"]
+    report["fully_successful"] = True
+    report["theoretical_bound"] = 99.0
+    for layer in report["layers"]:
+        for solve in layer["channel_solves"]:
+            solve["status"] = "hit"
+    return payload
+
+
+def _claim_full_success(payload):
+    payload["report"]["fully_successful"] = True
+    return payload
+
+
+def _empty_layers(payload):
+    payload["report"]["layers"] = []
+    return payload
+
+
+def _drop_last_layer(payload):
+    payload["report"]["layers"].pop()
+    return payload
+
+
+def _demote_first_solve(payload):
+    solve = next(s for layer in payload["report"]["layers"] for s in layer["channel_solves"]
+                 if s["status"] != "hit")
+    solve["residual_inf"] = solve["tolerance"]  # now within tolerance but not marked a hit
+    return payload
+
+
+_FAILED_NET = ["prune-net", "--overparam", "8,8", "--probes", "4", "--seed", "2"]
+
+
+def test_failed_net_bundle_is_honestly_unsuccessful(capsys, tmp_path):
+    bundle = tmp_path / "net.json"
+    assert main([*_FAILED_NET, "--out", str(bundle)]) == EXIT_OK
+    report = json.loads(bundle.read_text())["report"]
+    statuses = {s["status"] for layer in report["layers"] for s in layer["channel_solves"]}
+    assert report["fully_successful"] is False and "hit" not in statuses
+    capsys.readouterr()
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_claim_all_hits, _claim_full_success, _empty_layers, _drop_last_layer, _demote_first_solve],
+    ids=["all-hits", "full-success", "no-layers", "missing-layer", "unmarked-hit"],
+)
+def test_dump_report_rejects_contradicted_claims(capsys, tmp_path, tamper):
+    bundle = tmp_path / "net.json"
+    assert main([*_FAILED_NET, "--out", str(bundle)]) == EXIT_OK
+    bundle.write_text(json.dumps(tamper(json.loads(bundle.read_text()))))
+    capsys.readouterr()
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_CHECK_FAILED
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_dump_report_missing_file():
     assert main(["dump-report", "--bundle", "/nonexistent/bundle.json"]) == EXIT_USAGE
 

@@ -29,8 +29,10 @@ from subsetprune import (
     scan_rssp_phase,
     search_subsets,
 )
+from subsetprune import harness
 from subsetprune.harness import (
     _block_totals,
+    _intersection_overlaps,
     _l1_projected_target,
     binomial_std_error,
     chi_squared_tail_bound,
@@ -209,6 +211,49 @@ class TestIntersectionTail:
         sparse = check_intersection_tail(144, 6, 2, SMALL, SEED.substream(14))
         dense = check_intersection_tail(36, 6, 2, SMALL, SEED.substream(15))
         assert sparse.estimate <= dense.estimate
+
+    # n = 1296 takes 101 rows per chunk (n does not divide the chunk), n = 1024
+    # exactly 128; the counts fall short of, match and pass whole chunks
+    @pytest.mark.parametrize(
+        "n, k, count", [(1296, 36, 40), (1296, 36, 101), (1296, 36, 250),
+                        (1024, 32, 128), (1024, 32, 300), (100, 10, 3000)],
+    )
+    def test_chunked_overlaps_match_one_shot_draw(self, n, k, count):
+        stream = SEED.substream(n + count)
+        got = _intersection_overlaps(_generator(stream), count, n, k)
+        assert np.array_equal(got, _one_shot_overlaps(_generator(stream), count, n, k))
+
+    @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])  # one row per chunk .. one chunk
+    def test_check_matches_one_shot_blocks(self, monkeypatch, chunk):
+        # 20000 trials at n = 100 span two blocks of 2^14; the hit total and
+        # so the estimate equal the one-shot draw's per block
+        monkeypatch.setattr(harness, "_TAIL_CHUNK", chunk)
+        res = check_intersection_tail(100, 10, 2, SMALL, SEED.substream(16))
+        hits = sum(
+            int((_one_shot_overlaps(_generator(SEED.substream(16).substream(b)), count,
+                                    100, 10) >= 5).sum())
+            for b, count in enumerate((1 << 14, SMALL - (1 << 14)))
+        )
+        assert hits > 0
+        assert res.estimate == hits / SMALL
+
+    def test_memory_streams_in_row_chunks(self):
+        # one 12945-trial block at n = 1296: a whole-block draw and its
+        # partitioned copy would take 2 x 134 MB
+        tracemalloc.start()
+        try:
+            check_intersection_tail(1296, 36, 3, 12945, SEED.substream(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+def _one_shot_overlaps(rng, count, n, k):
+    """The whole-block reference: one (count, n) draw and a partitioned copy."""
+    u = rng.random((count, n))
+    kth = np.partition(u, k - 1, axis=1)[:, k - 1]
+    return (u[:, :k] <= kth[:, None]).sum(axis=1)
 
 
 class TestScans:

@@ -1,6 +1,7 @@
 """Seeded sampling: determinism, moments, ensemble structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from subsetprune import (
     sample_uniform,
     standard_normals,
 )
+from subsetprune import sampling
+from subsetprune.sampling import _generator, _normals, _uniform_open01
 
 N_BIG = 1_000_000
 
@@ -132,3 +135,54 @@ def test_ensemble_take_prefix():
 def test_hand_built_ensemble_must_be_consistent():
     with pytest.raises(ValueError):
         NsnEnsemble(np.ones(2), np.ones((2, 1)), np.full((2, 1), 2.0))
+
+
+def _box_muller_reference(seed: SeedSpec, n: int) -> np.ndarray:
+    """Whole-array Box-Muller: pair p of m = ceil(n/2) takes words p and m + p."""
+    m = (n + 1) // 2
+    words = _generator(seed).integers(0, 1 << 53, size=2 * m, dtype=np.uint64)
+    u = (words.astype(np.float64) + 0.5) * (2.0**-53)
+    radius = np.sqrt(-2.0 * np.log(u[:m]))
+    theta = (2.0 * np.pi) * u[m:]
+    out = np.empty(2 * m)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out[:n]
+
+
+_PAIRS = sampling._BOX_MULLER_PAIRS
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 2 * _PAIRS - 1, 2 * _PAIRS, 2 * _PAIRS + 1, 2 * _PAIRS + 2,
+          6 * _PAIRS + 1, 100_001],
+)
+def test_chunked_box_muller_matches_whole_array_layout(n):
+    seed = SeedSpec(31, n)
+    assert _normals(_generator(seed), n).tobytes() == _box_muller_reference(seed, n).tobytes()
+
+
+def test_one_word_draw_equals_two_half_draws():
+    # a 2^53 range takes one 64-bit word per value and never rejects
+    m = 1001
+    words = _generator(SeedSpec(9)).integers(0, 1 << 53, size=2 * m, dtype=np.uint64)
+    rng = _generator(SeedSpec(9))
+    halves = np.concatenate([_uniform_open01(rng, m), _uniform_open01(rng, m)])
+    assert halves.tobytes() == ((words.astype(np.float64) + 0.5) * (2.0**-53)).tobytes()
+
+
+def test_normals_depend_on_the_call_length():
+    # pair 0 takes uniforms 0 and ceil(n/2), so value 0 moves with n
+    assert standard_normals(4, SeedSpec(3))[0] == pytest.approx(-0.273, abs=5e-4)
+    assert standard_normals(6, SeedSpec(3))[0] == pytest.approx(0.112, abs=5e-4)
+
+
+def test_normals_peak_memory_is_words_plus_output():
+    n = 3_313_920  # joint-check directions of a 12945-trial block: 128 vectors x d = 2
+    tracemalloc.start()
+    try:
+        _normals(_generator(SeedSpec(4)), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + (1 << 20)

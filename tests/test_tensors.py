@@ -75,20 +75,22 @@ def test_conv_matches_direct_oracle(case):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "kernel_shape, map_shape, kind",
-    [
-        ((4, 3, 2, 2), (2, 2, 2), "normal"),  # kernel larger than the map
-        ((3, 1, 1, 1), (1, 5, 1), "normal"),
-        ((2, 2, 70, 1), (4, 4, 70), "normal"),  # c_in >= 64
-        ((2, 2, 64, 3), (3, 3, 64), "normal"),
-        ((1, 1, 1, 12), (4, 4, 1), "normal"),  # c_out > 1, one term per cell
-        ((2, 3, 3, 4), (5, 3, 3), "normal"),  # H != W
-        ((2, 2, 3, 2), (3, 6, 3), "half-zero"),  # +-0.0 products on ReLU'd input
-        ((3, 2, 4, 3), (4, 5, 4), "negative"),  # -0.0 products on ReLU'd input
-        ((2, 2, 65, 2), (4, 4, 65), "negative"),
-    ],
-)
+_BIT_FOR_BIT_CASES = [
+    ((4, 3, 2, 2), (2, 2, 2), "normal"),  # kernel larger than the map
+    ((3, 1, 1, 1), (1, 5, 1), "normal"),
+    ((2, 2, 70, 1), (4, 4, 70), "normal"),  # c_in >= 64
+    ((2, 2, 64, 3), (3, 3, 64), "normal"),
+    ((1, 1, 1, 12), (4, 4, 1), "normal"),  # c_out > 1, one term per cell
+    ((2, 3, 3, 4), (5, 3, 3), "normal"),  # H != W
+    ((2, 2, 3, 2), (3, 6, 3), "half-zero"),  # +-0.0 products on ReLU'd input
+    ((3, 2, 4, 3), (4, 5, 4), "negative"),  # -0.0 products on ReLU'd input
+    ((2, 2, 65, 2), (4, 4, 65), "negative"),
+    ((1, 1, 1, 192), (4, 4, 1), "normal"),  # one term over 3,072 cells: summed row by row
+    ((2, 2, 2, 64), (4, 4, 2), "negative"),  # 8 terms over 1,024 cells, row by row
+]
+
+
+@pytest.mark.parametrize("kernel_shape, map_shape, kind", _BIT_FOR_BIT_CASES)
 def test_conv_matches_direct_oracle_bit_for_bit(kernel_shape, map_shape, kind):
     rng = np.random.default_rng(sum(kernel_shape) * 31 + sum(map_shape))
     kernel = rng.standard_normal(kernel_shape)
@@ -102,6 +104,15 @@ def test_conv_matches_direct_oracle_bit_for_bit(kernel_shape, map_shape, kind):
     got = conv(Tensor4(kernel), FeatureMap(fmap)).data
     want = direct_conv_oracle(kernel, fmap)
     assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("rows_per_cell", [1, 10**9])  # every stack row by row / accumulated
+@pytest.mark.parametrize("kernel_shape, map_shape, kind", _BIT_FOR_BIT_CASES)
+def test_conv_summation_paths_match_direct_oracle(
+    monkeypatch, rows_per_cell, kernel_shape, map_shape, kind
+):
+    monkeypatch.setattr(tensors, "_ROWS_PER_CELL_SUM", rows_per_cell)
+    test_conv_matches_direct_oracle_bit_for_bit(kernel_shape, map_shape, kind)
 
 
 @pytest.mark.parametrize("stack_bytes", [1, 600, 3000])
