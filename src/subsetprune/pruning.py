@@ -57,6 +57,7 @@ from .solvers import (
     CardinalityMode,
     SolverParams,
     Strategy,
+    _SubsetIndex,
     search_subsets,
 )
 from .tensors import FeatureMap, Tensor4, conv, neg_part, norm_l1, pos_part, relu
@@ -245,6 +246,122 @@ def _kernel_rows(mixing: Tensor4) -> np.ndarray:
     return np.transpose(mixing.data, (2, 0, 1, 3)).reshape(mixing.channels_in, -1)
 
 
+class _PreparedLayer:
+    """The target-free half of :func:`prune_single_layer` for one random pair.
+
+    It checks the pair's shapes, splits the expansion by sign and keeps each
+    (channel, sign) pool with its scaled candidate vectors, occupancy
+    warning and exhaustive subset index; :meth:`prune` solves one target
+    against them. An index builds its sums on first use and keeps them for
+    later targets.
+    """
+
+    def __init__(self, mixing: Tensor4, expansion: Tensor4):
+        c0 = expansion.channels_in
+        if expansion.rows != 1 or expansion.cols != 1:
+            raise ShapeError("expansion kernel must be 1 x 1 spatially")
+        if expansion.kernels % (2 * c0) != 0:
+            raise ShapeError("expansion kernels must be 2 * n * c0 for integer n")
+        self.n = n = expansion.kernels // (2 * c0)
+        if mixing.cols != mixing.rows:
+            raise ShapeError("mixing kernel must be square")
+        if mixing.channels_in != expansion.kernels:
+            raise ShapeError("mixing channels must match expansion kernels")
+        self.mixing, self.expansion = Tensor4(mixing.data.copy()), Tensor4(expansion.data.copy())
+        self.blocked = channel_blocked_mask(1, c0, 2 * n)
+        _, combined = drop_relu_decompose(self.expansion, self.blocked)
+        masked = combined.apply(self.expansion)
+        positive = pos_part(masked).data[0, 0]
+        negative = neg_part(masked).data[0, 0]
+        rows = _kernel_rows(self.mixing)
+
+        self.pools: list[tuple[int, int, tuple[int, ...], np.ndarray, _SubsetIndex]] = []
+        self.warnings: list[str] = []
+        for channel in range(c0):
+            base = channel * 2 * n
+            for sign, values, lo in (
+                (+1, positive[channel], base),
+                (-1, negative[channel], base + n),
+            ):
+                pool = tuple(int(k) for k in range(lo, lo + n) if values[k] > 0.0)
+                if len(pool) * 3 <= n:
+                    self.warnings.append(
+                        f"channel {channel} sign {sign:+d}: only {len(pool)} of {n} block "
+                        "entries survive the sign split (expected more than n/3)"
+                    )
+                candidates = rows[list(pool)] * values[list(pool), None]
+                self.pools.append((channel, sign, pool, candidates, _SubsetIndex(candidates)))
+
+    def prune(self, target: Tensor4, params: PruneParams, seed: SeedSpec) -> LayerPruneResult:
+        """One target's channel solves, masks and pruned kernels."""
+        mixing, expansion = self.mixing, self.expansion
+        d, c1, c0 = mixing.rows, mixing.kernels, expansion.channels_in
+        if target.shape != (d, d, c0, c1):
+            raise ShapeError(f"target shape {target.shape} != {(d, d, c0, c1)}")
+        if norm_l1(target) > 1.0 + 1e-9:
+            raise ParameterError("target kernel must have L1 norm <= 1")
+        tolerance = params.epsilon / (2.0 * d * d * c1 * c0)
+        k_budget = params.k_budget or default_k_budget(self.n, d, params.epsilon)
+
+        solves: list[ChannelSolve] = []
+        kept: set[int] = set()
+        for channel, sign, pool, candidates, index in self.pools:
+            flat_target = sign * target.data[:, :, channel, :].reshape(-1)
+            solver = SolverParams(
+                epsilon=tolerance,
+                k=k_budget,
+                mode=params.mode,
+                strategy=params.strategy,
+                restarts=params.restarts,
+                max_iters=params.max_iters,
+                enumeration_budget=params.enumeration_budget,
+                seed=seed.substream(2 * channel + (sign < 0)),
+            )
+            outcome = search_subsets(candidates, flat_target, solver, index)
+            if outcome.best is None:
+                selected: tuple[int, ...] = ()
+                residual = math.inf
+            else:
+                selected = tuple(pool[i] for i in outcome.best.indices)
+                residual = outcome.best.residual_inf
+            kept.update(selected)
+            solves.append(
+                ChannelSolve(channel, sign, pool, selected, residual, tolerance, outcome.status)
+            )
+
+        removal = filter_removal_mask(expansion.shape, sorted(kept))
+        final_mask = compose(self.blocked, removal)
+        pruned_first = final_mask.apply(expansion)
+        pruned_second_data = mixing.data.copy()
+        dropped = [k for k in range(expansion.kernels) if k not in kept]
+        if dropped:
+            pruned_second_data[:, :, dropped, :] = 0.0
+        return LayerPruneResult(
+            mask=final_mask,
+            pruned_first=pruned_first,
+            pruned_second=Tensor4(pruned_second_data),
+            channel_solves=tuple(solves),
+            kept_kernels=tuple(sorted(kept)),
+            tolerance=tolerance,
+            k_budget=k_budget,
+            occupancy_warnings=tuple(self.warnings),
+        )
+
+
+# The most recently pruned pair, keyed by the exact shapes and bytes of its
+# mixing and expansion kernels, so a changed or mutated pair is prepared anew.
+_last_prepared: tuple[tuple, _PreparedLayer] | None = None
+
+
+def _prepared_layer(mixing: Tensor4, expansion: Tensor4) -> _PreparedLayer:
+    global _last_prepared
+    key = (mixing.shape, mixing.data.tobytes(), expansion.shape, expansion.data.tobytes())
+    if _last_prepared is None or _last_prepared[0] != key:
+        _last_prepared = None  # the previous pair's indices go before the new ones are built
+        _last_prepared = (key, _PreparedLayer(mixing, expansion))
+    return _last_prepared[1]
+
+
 def prune_single_layer(
     mixing: Tensor4,
     expansion: Tensor4,
@@ -260,93 +377,12 @@ def prune_single_layer(
     fully successful layer the sup error over inputs of max-norm <= M is at
     most ``eps * M`` (the per-entry bound times the number of contributing
     window terms is already below that).
+
+    The target-free work for the pair, its subset indices included, is kept
+    for the most recently pruned pair only, so pruning many targets against
+    one random pair builds each index once.
     """
-    c0 = expansion.channels_in
-    if expansion.rows != 1 or expansion.cols != 1:
-        raise ShapeError("expansion kernel must be 1 x 1 spatially")
-    if expansion.kernels % (2 * c0) != 0:
-        raise ShapeError("expansion kernels must be 2 * n * c0 for integer n")
-    n = expansion.kernels // (2 * c0)
-    d, c1 = mixing.rows, mixing.kernels
-    if mixing.cols != d:
-        raise ShapeError("mixing kernel must be square")
-    if mixing.channels_in != expansion.kernels:
-        raise ShapeError("mixing channels must match expansion kernels")
-    if target.shape != (d, d, c0, c1):
-        raise ShapeError(f"target shape {target.shape} != {(d, d, c0, c1)}")
-    if norm_l1(target) > 1.0 + 1e-9:
-        raise ParameterError("target kernel must have L1 norm <= 1")
-
-    blocked = channel_blocked_mask(1, c0, 2 * n)
-    _, combined = drop_relu_decompose(expansion, blocked)
-    masked = combined.apply(expansion)
-    positive = pos_part(masked).data[0, 0]
-    negative = neg_part(masked).data[0, 0]
-
-    tolerance = params.epsilon / (2.0 * d * d * c1 * c0)
-    k_budget = params.k_budget or default_k_budget(n, d, params.epsilon)
-    rows = _kernel_rows(mixing)
-
-    solves: list[ChannelSolve] = []
-    warnings: list[str] = []
-    kept: set[int] = set()
-    for channel in range(c0):
-        base = channel * 2 * n
-        for sign, values, lo in (
-            (+1, positive[channel], base),
-            (-1, negative[channel], base + n),
-        ):
-            pool = tuple(int(k) for k in range(lo, lo + n) if values[k] > 0.0)
-            if len(pool) * 3 <= n:
-                warnings.append(
-                    f"channel {channel} sign {sign:+d}: only {len(pool)} of {n} block "
-                    "entries survive the sign split (expected more than n/3)"
-                )
-            flat_target = sign * target.data[:, :, channel, :].reshape(-1)
-            solver = SolverParams(
-                epsilon=tolerance,
-                k=k_budget,
-                mode=params.mode,
-                strategy=params.strategy,
-                restarts=params.restarts,
-                max_iters=params.max_iters,
-                enumeration_budget=params.enumeration_budget,
-                seed=seed.substream(2 * channel + (sign < 0)),
-            )
-            if pool:
-                candidates = rows[list(pool)] * values[list(pool), None]
-                outcome = search_subsets(candidates, flat_target, solver)
-            else:
-                empty = np.empty((0, flat_target.size))
-                outcome = search_subsets(empty, flat_target, solver)
-            if outcome.best is None:
-                selected: tuple[int, ...] = ()
-                residual = math.inf
-            else:
-                selected = tuple(pool[i] for i in outcome.best.indices)
-                residual = outcome.best.residual_inf
-            kept.update(selected)
-            solves.append(
-                ChannelSolve(channel, sign, pool, selected, residual, tolerance, outcome.status)
-            )
-
-    removal = filter_removal_mask(expansion.shape, sorted(kept))
-    final_mask = compose(blocked, removal)
-    pruned_first = final_mask.apply(expansion)
-    pruned_second_data = mixing.data.copy()
-    dropped = [k for k in range(expansion.kernels) if k not in kept]
-    if dropped:
-        pruned_second_data[:, :, dropped, :] = 0.0
-    return LayerPruneResult(
-        mask=final_mask,
-        pruned_first=pruned_first,
-        pruned_second=Tensor4(pruned_second_data),
-        channel_solves=tuple(solves),
-        kept_kernels=tuple(sorted(kept)),
-        tolerance=tolerance,
-        k_budget=k_budget,
-        occupancy_warnings=tuple(warnings),
-    )
+    return _prepared_layer(mixing, expansion).prune(target, params, seed)
 
 
 def single_layer_output(mixing: Tensor4, pruned_expansion: Tensor4, probe: FeatureMap) -> FeatureMap:

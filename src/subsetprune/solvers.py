@@ -47,26 +47,49 @@ Strategies of :func:`search_subsets`
     ``_generator(seed.substream(r)).permutation(n)``, drawn by rewinding one
     Philox to each substream key rather than building one per restart.
 
-The exhaustive engine (shared by :func:`search_subsets` and
-:func:`subset_sum_number`) builds each cardinality layer of subset sums
-coordinate-major, a ``(d, C(n, j))`` array in colex order, with no
-intermediate copies. Both scan the contiguous coordinate-0 row first and
-compute the full L-inf residual only where ``|s_0 - z_0|`` is within a bound:
-the count's bound is ``eps``; the search's is ``U``, the smaller of the best
-residual so far and the full residual at the coordinate-0 argmin. This is
-exact (sort-and-search): an L-inf residual is never below its coordinate-0
-term, so the minimum and every tie at it survive the filter, and each sum is
-still added in ascending index order, so results are bit-identical to a dense
-scan. All ties are decoded to index sets in one vectorised pass over a cached
-``C(last, size)`` table and the lexicographically smallest wins.
+The exhaustive engine is one private subset index over a pool,
+``_SubsetIndex``: :func:`search_subsets` and :func:`subset_sum_number` build
+one per call, and a caller with many targets passes its own (pruning keeps
+one per (channel, sign) of the last pruned layer). For a query of the
+subsets of up to K vectors it stores every sum below the top layer: the
+colex layers of sizes 0..K-1, built coordinate-major as one stack, each sum
+a sum of the layer below plus one vector, added in ascending index order. They are kept in block
+order: block b of layer L holds the L-subsets whose largest index is b - 1
+(a colex run), sorted by coordinate 0, with sort keys ``s_0 + b * spacing``
+and each sum's place in the colex stack. That is 8 d + 12 bytes per sum
+below the top layer; the top layer, most of the family, is never built.
 
-The top layer (the largest cardinality, most of the family) is therefore
-built as its coordinate-0 row alone, and ``|s_0 - z_0|`` overwrites that row
-in place. A surviving top-layer sum is completed by a prefix gather: in colex
-order the rank-r k-subset with largest index ``last`` is column
-``r - C(last, k)`` of layer k-1 plus ``vectors[last]``, the very add the build
-performs, so residuals and ties are unchanged. The family takes d x (sums
-below the top layer) x 8 + (top-layer sums) x 8 bytes.
+In colex order the j-subsets whose largest index is ``last`` (slice
+``last``) are exactly the (j-1)-subsets in blocks b <= last plus
+``vectors[last]``. So for a target z and a bound U, the j-subsets with
+``|s_0 - z_0| <= U`` are, block by block, the run of coordinate 0 within
+``z_0 - v_0 +- U`` (v the vector ``last``), and two searchsorted calls over
+every (slice, block) pair find all the runs at once. Each sum found is
+completed by the very add the build would make, prefix sum plus
+``vectors[last]``, and kept when its full L-inf residual is at most U.
+
+Why every bit is kept: the windows only ever admit extra sums, never lose
+one. ``fl(p_0 + v_0)`` and then ``fl(. - z_0)`` are nondecreasing in
+``p_0``, so the sums that pass the exact test ``|(p_0 + v_0) - z_0| <= U``
+have ``p_0`` in one interval around ``z_0 - v_0``. Its ends, computed in
+floating point, may be off by a few ulps of ``|z_0| + U + |p_0| + |v_0|``,
+so each window is widened by 2^-50 of that bound, more than the rounding
+error of those few operations, plus a subnormal floor. The keys add
+``b * spacing`` to ``s_0`` and the lookups add it to the window's ends,
+clipped first to the range of ``s_0`` so a lookup stays in its block;
+``x -> fl(x + c)`` is nondecreasing too, so a key window holds every sum of
+its value window. Everything admitted is then re-tested exactly, its
+residual computed as the build and the witness compute it. So the minimum,
+every tie at it and every count are those of a scan of the whole family,
+and the tied colex ranks are decoded in one vectorised pass over a cached
+``C(last, size)`` table, the lexicographically smallest winning.
+
+The bound is ``eps`` for the count. The search takes the layers in
+ascending cardinality and bounds each by the best residual so far or,
+before there is one, by its pivots': per slice, the subset of its largest
+block nearest ``z_0 - v_0`` in coordinate 0, clipped into the block, so
+always a real subset. An L-inf residual is never below its coordinate-0
+term, so the minimum and every tie at it survive the bound.
 
 The 1-D cover question ("is every grid point hit by some subset sum?") is
 answered exactly for any n by :func:`inflated_sum_intervals`, which maintains
@@ -318,46 +341,13 @@ def _family_size(n: int, cardinalities) -> int:
     return sum(math.comb(n, k) for k in cardinalities)
 
 
-def _colex_sum_layers(vectors: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """Subset sums of every cardinality up to k_max, coordinate-major, colex order.
-
-    Layer j is a ``(d, C(m, j))`` array whose column r is the sum of the r-th
-    j-subset in colexicographic order. In colex order the (j-1)-subsets with
-    maximum element below L are exactly the first C(L, j-1) columns of layer
-    j-1, so layer j is filled slice by slice, each slice a prefix of layer j-1
-    plus one vector, written straight into the preallocated layer: no
-    per-subset Python work and no concatenate copy. Within a subset the
-    additions happen in ascending index order (the canonical order).
-
-    The top layer (j = k_max >= 1) is usually most of the family, and only its
-    coordinate 0 is needed before the prefilter, so it holds that row alone;
-    :func:`_layer_columns` completes any of its columns on demand. Memory is
-    d x (family below the top layer) x 8 + C(m, k_max) x 8 bytes.
-    """
-    m, d = vectors.shape
-    columns = vectors[:, :, None]  # columns[last] is vectors[last] as a (d, 1) column
-    layers = [np.zeros((d, 1))]
-    for j in range(1, k_max + 1):
-        rows = d if j < k_max else min(d, 1)
-        prev, addend = layers[j - 1][:rows], columns[:, :rows]
-        layer = np.empty((rows, math.comb(m, j)))
-        start = 0
-        for last in range(j - 1, m):
-            stop = start + math.comb(last, j - 1)
-            np.add(prev[:, : stop - start], addend[last], out=layer[:, start:stop])
-            start = stop
-        layers.append(layer)
-    return layers
-
-
 @functools.lru_cache(maxsize=64)
 def _colex_table(m: int, k_max: int) -> np.ndarray:
     """``C(last, size)`` at ``[size, last]`` for size 0..k_max and last 0..m-1.
 
     Row ``size`` is nondecreasing, so a searchsorted on it finds a subset's
-    largest index from its colex rank; the top row is where each top-layer
-    slice begins. Cached (read-only) because scans re-solve the same few
-    shapes many times.
+    largest index from its colex rank. Cached (read-only) because scans
+    re-solve the same few shapes many times.
     """
     table = np.array(
         [[math.comb(last, size) for last in range(m)] for size in range(k_max + 1)],
@@ -379,42 +369,204 @@ def _colex_rows(table: np.ndarray, ranks: np.ndarray, j: int) -> np.ndarray:
     return rows
 
 
-def _layer_columns(layers: list[np.ndarray], vectors: np.ndarray, j: int, ranks, table):
-    """Full d-dim sums of layer j at colex rank(s) ``ranks`` (an int or an array).
+@functools.lru_cache(maxsize=64)
+def _block_sizes(n: int, k_max: int) -> np.ndarray:
+    """How many sums each block of the colex stack of n vectors holds.
 
-    Below the top layer they are stored. A top-layer column r is recomputed as
-    the single add the build made: column ``r - C(last, j)`` of layer j-1 plus
-    ``vectors[last]``, where ``last`` (the subset's largest index) is the last
-    slice start at or below r. The result is bit-identical to a full build.
+    The stack holds the colex layers of sizes 0..k_max-1 one after another;
+    its block ``L (n + 1) + b`` holds the L-subsets whose largest index is
+    b - 1 (b = 0: the empty set), C(b-1, L-1) of them, a colex run. Cached
+    (read-only) like :func:`_colex_table`.
     """
-    if not 0 < j == len(layers) - 1:
-        return layers[j].take(ranks, axis=1)
-    starts = table[j]
-    lasts = starts.searchsorted(ranks, side="right") - 1
-    prefix = layers[j - 1].take(ranks - starts.take(lasts), axis=1)
-    return prefix + vectors.take(lasts, axis=0).T
+    sizes = [1] + [0] * n  # layer 0: the empty set, in block 0
+    for size in range(1, k_max):
+        sizes += [0] + [math.comb(b - 1, size - 1) for b in range(1, n + 1)]
+    sizes = np.array(sizes[: k_max * (n + 1)], dtype=np.int64)
+    sizes.flags.writeable = False
+    return sizes
 
 
-def _coordinate0_gaps(layers: list[np.ndarray], j: int, target: np.ndarray) -> np.ndarray:
-    """``|s_0 - z_0|`` over layer j (zeros when d = 0).
+@functools.lru_cache(maxsize=64)
+def _slices(n: int, j: int) -> tuple[np.ndarray, ...]:
+    """The slices of layer j of n vectors (j >= 1) in the colex stack's blocks
+    (:func:`_block_sizes`).
 
-    The top layer's row is private to the caller and is overwritten in place:
-    a second buffer of that size costs its page faults.
+    Slice ``last`` is layer j-1's nonempty blocks b <= last plus
+    ``vectors[last]``: ``counts`` consecutive blocks up to ``tops``, the
+    largest, which ends just before ``ends`` in the stack. Block ``p`` of a
+    query's flattened run of all of them is ``p + shifts[slice]``. Cached
+    (read-only) like :func:`_colex_table`.
     """
-    if not target.size:
-        return np.zeros(layers[j].shape[1])
-    row = layers[j][0]
-    gaps = np.subtract(row, target[0], out=row) if 0 < j == len(layers) - 1 else row - target[0]
-    return np.abs(gaps, out=gaps)
+    size, first = j - 1, (j - 1) * (n + 1)
+    lasts = np.arange(size, n)
+    tops = first + (lasts if size else np.zeros_like(lasts))
+    counts = tops - (first + size) + 1
+    shifts = first + size - (counts.cumsum() - counts)
+    ends = _family_size(n, range(size)) + np.array([math.comb(last, size) for last in lasts])
+    for array in (lasts, tops, counts, shifts, ends):
+        array.flags.writeable = False
+    return lasts, tops, counts, shifts, ends
 
 
-def _scan_layer(layers, vectors, j: int, target, gaps, bound: float, table):
-    """Colex ranks of layer j whose coordinate-0 gap is at most ``bound``, in
-    ascending order, and their full L-inf residuals. A residual is never below
-    its coordinate-0 gap, so every sum at residual <= bound is among them."""
-    ranks = np.flatnonzero(gaps <= bound)
-    diffs = np.subtract(_layer_columns(layers, vectors, j, ranks, table), target[:, None])
-    return ranks, np.abs(diffs, out=diffs).max(axis=0, initial=0.0)
+class _SubsetIndex:
+    """The subset sums of one pool, built on first use and queried for any
+    number of targets (module docstring).
+
+    A query of cardinality up to K needs the colex layers below K: they are
+    built as one colex stack, rebuilt when a larger K is asked for, and kept
+    in block order (:func:`_block_sizes`), each block sorted by coordinate
+    0: ``rows`` holds the sums, ``keys`` the sort keys ``s_0 + b * spacing``
+    of block b and ``order`` each position's place in the colex stack.
+    ``d = 0`` is indexed as one zero coordinate, which leaves every residual
+    0.0.
+    """
+
+    def __init__(self, vectors: np.ndarray):
+        n, d = vectors.shape
+        self.columns = np.ascontiguousarray(vectors.T) if d else np.zeros((1, n))
+        self.k_max = -1  # nothing built yet
+
+    def _build(self, k_max: int) -> None:
+        """Index the layers below ``k_max``, unless a larger K's are there."""
+        if k_max <= self.k_max:
+            return
+        self.k_max = k_max
+        stack = self._colex_stack()
+        # |s_0| < radius, so block b's keys lie within b * spacing +- radius
+        self.radius = float(np.abs(stack[0]).max(initial=0.0)) + 1.0
+        self.spacing = 4.0 * self.radius
+        sizes = _block_sizes(self.columns.shape[1], k_max)
+        keys = (np.arange(sizes.size) * self.spacing).repeat(sizes)
+        keys += stack[0]
+        places = np.int32 if stack.shape[1] < 2**31 else np.int64  # 4 bytes in practice
+        self.order = keys.argsort().astype(places)
+        self.keys = keys.take(self.order)
+        for row in stack:  # rearranged in place, a row at a time
+            row[:] = row.take(self.order)
+        self.rows = stack
+        # |p_0| + |v_0| <= k_max * max |v_0|, up to a relative k_max ulps
+        self.magnitude = k_max * float(np.abs(self.columns[0]).max(initial=0.0))
+
+    def _colex_stack(self) -> np.ndarray:
+        """Layers 0..k_max-1 side by side, column r of a layer summing its r-th
+        subset in colex order. The subsets with largest index ``last`` are the
+        first C(last, size-1) columns of the layer below plus
+        ``vectors[last]``, so each layer is filled slice by slice, written
+        straight into place; within a subset the adds go in ascending index
+        order. Layer 1 (0.0 plus each vector) takes one add, and layer 2 is
+        the lower triangle of one broadcast add of layer 1 and the vectors,
+        row by row its slices in order."""
+        d, n = self.columns.shape
+        addends = self.columns.T[:, :, None]  # addends[last]: vectors[last] as a column
+        stack = np.zeros((d, _family_size(n, range(self.k_max))))
+        if self.k_max > 1:
+            stack[:, 1 : n + 1] += self.columns
+        if self.k_max > 2:  # row last, column i: layer 1's sum i plus vectors[last]
+            pairs = stack[:, None, 1 : n + 1] + self.columns[:, :, None]
+            ids = np.arange(n)
+            stack[:, n + 1 : n + 1 + math.comb(n, 2)] = pairs[:, ids[:, None] > ids]
+        below, start = n + 1, n + 1 + math.comb(n, 2)
+        for size in range(3, self.k_max):
+            prev = stack[:, below:start]
+            for last in range(size - 1, n):
+                width = math.comb(last, size - 1)
+                np.add(prev[:, :width], addends[last], out=stack[:, start : start + width])
+                start += width
+            below += prev.shape[1]
+        return stack
+
+    def _needles(self, values: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Sort keys of coordinate-0 ``values`` in ``blocks``, clipped into the
+        block. ``x -> fl(x + b * spacing)`` is nondecreasing, so a key window
+        holds every sum whose coordinate 0 lies in the value window."""
+        keys = np.minimum(values, self.radius)
+        np.maximum(keys, -self.radius, out=keys)
+        keys += blocks * self.spacing
+        return keys
+
+    def _residuals(self, positions: np.ndarray, lasts: np.ndarray, target) -> np.ndarray:
+        """L-inf residuals of the subsets made of the one at ``positions`` plus
+        ``vectors[lasts]``: each sum is the very add the colex build of the
+        layer above makes, so it is bit-identical to that layer built."""
+        sums = self.rows.take(positions, axis=1)
+        for row, column in zip(sums, self.columns):  # a row at a time: no second (d, m) block
+            row += column.take(lasts)
+        sums -= target[:, None]
+        return np.abs(sums, out=sums).max(axis=0)
+
+    def _pivot_bound(self, j: int, target: np.ndarray) -> float:
+        """The smallest residual of a few real j-subsets near the target in
+        coordinate 0: per slice, the first subset of its pivot block at or
+        above ``z_0 - v_0``, or that block's last subset."""
+        lasts, blocks, _, _, ends = _slices(self.columns.shape[1], j)
+        needles = self._needles(target[0] - self.columns[0].take(lasts), blocks)
+        positions = np.minimum(self.keys.searchsorted(needles), ends - 1)
+        return float(self._residuals(positions, lasts, target).min())
+
+    def _window(self, j: int, target: np.ndarray, bound: float):
+        """The j-subsets whose coordinate-0 gap may be at most ``bound``, as
+        (position in the layer below, last, residual): every one with residual
+        at most ``bound`` and a few more, which the callers' exact residual
+        tests drop. Each window pair takes its block's run of coordinate 0
+        within ``z_0 - v_0 +- bound``, widened by more than the rounding error
+        of computing its ends."""
+        lasts, _, counts, shifts, _ = _slices(self.columns.shape[1], j)
+        lasts = lasts.repeat(counts)  # one (last, block) pair per window
+        blocks = np.arange(lasts.size) + shifts.repeat(counts)
+        reach = bound + (2.0**-50 * (abs(target[0]) + bound + self.magnitude) + 2.0**-1070)
+        below, above = self._needles((target[0] - self.columns[0].take(lasts))
+                                     + np.array([[-reach], [reach]]), blocks)
+        lo = self.keys.searchsorted(below, side="left")
+        sizes = self.keys.searchsorted(above, side="right") - lo
+        positions = (lo - (sizes.cumsum() - sizes)).repeat(sizes)
+        positions += np.arange(positions.size)
+        lasts = lasts.repeat(sizes)
+        return positions, lasts, self._residuals(positions, lasts, target)
+
+    def best(self, target: np.ndarray, cardinalities) -> tuple[tuple[int, ...], float]:
+        """The subset of any cardinality in ``cardinalities`` (ascending) with
+        the smallest residual, ties to the lexicographically smallest indices.
+
+        A layer's windows are bounded by the best residual so far, or by its
+        pivots' before there is one. Only the layers tied at the final best
+        are decoded.
+        """
+        target = target if target.size else np.zeros(1)
+        n = self.columns.shape[1]
+        self._build(max(cardinalities))
+        best, tied = math.inf, []  # tied: (j, positions, lasts) at the best residual
+        if 0 in cardinalities:
+            best, tied = float(np.abs(target).max()), [(0, None, None)]
+        for j in cardinalities:
+            if j == 0:
+                continue
+            bound = best if best < math.inf else self._pivot_bound(j, target)
+            positions, lasts, residuals = self._window(j, target, bound)
+            res = float(residuals.min(initial=math.inf))
+            if res > best or res == math.inf:
+                continue
+            ties = (residuals == res).nonzero()[0]
+            layer = (j, positions.take(ties), lasts.take(ties))
+            best, tied = res, ([*tied, layer] if res == best else [layer])
+        assert tied
+        if tied[0][0] == 0:  # the empty set precedes every other tied set
+            return (), best
+        table = _colex_table(n, self.k_max)
+        winners = []
+        for j, positions, lasts in tied:
+            # where slice ``last`` begins plus the prefix's colex rank in layer j-1
+            ranks = table[j].take(lasts) + self.order.take(positions) - _family_size(n, range(j - 1))
+            rows = _colex_rows(table, ranks, j)
+            winners.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
+        return min(winners), best
+
+    def count(self, target: np.ndarray, k: int, epsilon: float) -> int:
+        """The number of k-subsets with residual at most ``epsilon``."""
+        target = target if target.size else np.zeros(1)
+        if k == 0:
+            return int(np.abs(target).max() <= epsilon)
+        self._build(k)
+        return int((self._window(k, target, epsilon)[2] <= epsilon).sum())
 
 
 def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
@@ -422,44 +574,13 @@ def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
     if family > budget:
         k_max = max(cardinalities)
         sizes = f"{k_max}-subsets" if len(cardinalities) == 1 else f"subsets of size <= {k_max}"
-        # what _colex_sum_layers allocates: every layer below k_max in full, row 0 of the top
-        below = _family_size(n, range(k_max))
-        needed = 8 * (d * below + min(d, 1) * math.comb(n, k_max))
+        # what _SubsetIndex keeps: the sums of every layer below k_max, their
+        # sort keys and their colex places; nothing of the top layer
+        needed = (8 * max(d, 1) + 12) * _family_size(n, range(k_max))
         raise BudgetError(
             f"{family} {sizes} of {n} vectors exceed the enumeration budget {budget} "
             f"(building their {d}-dim sums would allocate {needed} bytes)"
         )
-
-
-def _enumerate_best(
-    vectors: np.ndarray, target: np.ndarray, cardinalities, budget: int
-) -> tuple[tuple[int, ...], float]:
-    n, d = vectors.shape
-    _check_family_budget(n, cardinalities, d, budget)
-    k_max = max(cardinalities)
-    layers = _colex_sum_layers(vectors, k_max)
-    table = _colex_table(n, k_max)
-    best_res = math.inf
-    best_indices: tuple[int, ...] | None = None
-    for j in cardinalities:
-        # the bound: the best residual so far, or the full residual at the
-        # coordinate-0 argmin if smaller
-        gaps = _coordinate0_gaps(layers, j, target)
-        pivot = _layer_columns(layers, vectors, j, int(np.argmin(gaps)), table)
-        bound = min(best_res, float(np.abs(pivot - target).max(initial=0.0)))
-        ranks, residuals = _scan_layer(layers, vectors, j, target, gaps, bound, table)
-        if ranks.size == 0:
-            continue
-        res = float(residuals.min())
-        if res > best_res:
-            continue
-        tied = residuals == res
-        rows = _colex_rows(table, ranks[tied], j)
-        decoded = tuple(rows[_lex_min_row(rows, residuals[tied])].tolist())
-        if res < best_res or best_indices is None or decoded < best_indices:
-            best_res, best_indices = res, decoded
-    assert best_indices is not None
-    return best_indices, best_res
 
 
 def _greedy_build(vectors: np.ndarray, target: np.ndarray, k: int) -> list[int]:
@@ -543,14 +664,17 @@ def _greedy_swap_best(
     return tuple(winners[pick].tolist()), float(residuals[pick])
 
 
-def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
+def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchOutcome:
     """Search raw vectors for a subset hitting the box around ``target``.
 
     Returns the best subset found either way, so callers can report near
     misses; :attr:`SearchOutcome.exhaustive` says whether a miss is a proof.
+    ``index``, a :class:`_SubsetIndex` over these same vectors, lets a caller
+    that solves many targets against one pool keep the exhaustive sums; by
+    default each call indexes the pool afresh.
     """
     vectors, target = _validated(vectors, target)
-    n = vectors.shape[0]
+    n, d = vectors.shape
     if params.mode is CardinalityMode.EXACT:
         if params.k > n:
             return SearchOutcome(None, None, exhaustive=True)  # no k-subsets exist
@@ -559,9 +683,9 @@ def search_subsets(vectors, target, params: SolverParams) -> SearchOutcome:
         cardinalities = list(range(0, min(params.k, n) + 1))
 
     if params.strategy is Strategy.EXHAUSTIVE:
-        indices, residual = _enumerate_best(
-            vectors, target, cardinalities, params.enumeration_budget
-        )
+        _check_family_budget(n, cardinalities, d, params.enumeration_budget)
+        index = _SubsetIndex(vectors) if index is None else index
+        indices, residual = index.best(target, cardinalities)
         exhaustive = True
     else:
         best: tuple[tuple[int, ...], float] | None = None
@@ -596,10 +720,7 @@ def subset_sum_number(
     if not 0 <= k <= n:
         raise ParameterError(f"k must be in [0, {n}]")
     _check_family_budget(n, [k], d, enumeration_budget)
-    layers = _colex_sum_layers(vectors, k)
-    gaps = _coordinate0_gaps(layers, k, target)
-    _, residuals = _scan_layer(layers, vectors, k, target, gaps, epsilon, _colex_table(n, k))
-    return int((residuals <= epsilon).sum())
+    return _SubsetIndex(vectors).count(target, k, epsilon)
 
 
 def partition_boost(

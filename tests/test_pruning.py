@@ -1,6 +1,8 @@
 """ReLU-free decomposition, layer pruning, network composition, bundles."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from subsetprune import (
     single_layer_output,
     validate_structure,
 )
+from subsetprune import pruning
 from subsetprune.masks import ChannelBlocked, Composite, FilterRemoval
 
 
@@ -228,6 +231,63 @@ class TestSingleLayer:
         assert default_k_budget(48, 2, 0.25) == 4
         assert default_k_budget(96, 2, 0.25) == 5
         assert default_k_budget(1, 1, 0.5) == 1
+
+
+def cold_prune(mixing, expansion, target, params, seed):
+    """prune_single_layer on fresh copies with no prepared pair left over."""
+    pruning._last_prepared = None
+    return prune_single_layer(Tensor4(mixing.data.copy()), Tensor4(expansion.data.copy()),
+                              target, params, seed)
+
+
+def assert_same_result(got, expected):
+    assert got.channel_solves == expected.channel_solves
+    assert np.array_equal(got.mask.bits, expected.mask.bits)
+    assert got.kept_kernels == expected.kept_kernels
+    assert np.array_equal(got.pruned_first.data, expected.pruned_first.data)
+    assert np.array_equal(got.pruned_second.data, expected.pruned_second.data)
+    assert got.occupancy_warnings == expected.occupancy_warnings
+
+
+def random_pair(master, n=12, c1=1):
+    seed = SeedSpec(master)
+    expansion = sample_normal_tensor((1, 1, 1, 2 * n), seed.substream(0))
+    mixing = sample_normal_tensor((2, 2, 2 * n, c1), seed.substream(1))
+    return mixing, expansion, unit_l1((2, 2, 1, c1), seed.substream(2))
+
+
+class TestPreparedLayer:
+    """prune_single_layer keeps the last pair's prepared layer, keyed by the
+    bytes and shapes of its kernels."""
+
+    @pytest.mark.parametrize("which", ["mixing", "expansion"])
+    def test_in_place_mutation_prepares_anew(self, which):
+        mixing, expansion, target = random_pair(150)
+        params = PruneParams(epsilon=0.25)
+        prune_single_layer(mixing, expansion, target, params, SeedSpec(1))
+        tensor = mixing if which == "mixing" else expansion
+        np.negative(tensor.data, out=tensor.data)  # same shapes, other bytes
+        got = prune_single_layer(mixing, expansion, target, params, SeedSpec(1))
+        assert_same_result(got, cold_prune(mixing, expansion, target, params, SeedSpec(1)))
+
+    def test_alternating_pairs_match_cold_calls(self):
+        (mix_a, exp_a, target), (mix_b, exp_b, _) = random_pair(151), random_pair(152)
+        params = PruneParams(epsilon=0.25)
+        calls = [(mix_a, exp_a, 1), (mix_b, exp_b, 2), (mix_a, exp_a, 3)]
+        expected = [cold_prune(m, e, target, params, SeedSpec(s)) for m, e, s in calls]
+        pruning._last_prepared = None
+        for (m, e, s), cold in zip(calls, expected):
+            assert_same_result(prune_single_layer(m, e, target, params, SeedSpec(s)), cold)
+
+    def test_pruning_another_pair_frees_the_indices(self):
+        (mix_a, exp_a, target), (mix_b, exp_b, _) = random_pair(153), random_pair(154)
+        params = PruneParams(epsilon=0.25)
+        prune_single_layer(mix_a, exp_a, target, params)
+        held = [weakref.ref(pool[-1]) for pool in pruning._last_prepared[1].pools]
+        assert held
+        prune_single_layer(mix_b, exp_b, target, params)
+        gc.collect()
+        assert all(ref() is None for ref in held)
 
 
 class TestNetwork:

@@ -320,8 +320,9 @@ class TestExhaustiveOracle:
                 )
 
     def test_top_layer_memory(self):
-        # 1,925,357 sums of 4 coordinates would take 61.6 MB; the top layer's
-        # 1,712,304 sums keep coordinate 0 alone
+        # 1,925,357 sums of 4 coordinates would take 61.6 MB; the index keeps
+        # the 213,053 below the top layer at 44 bytes each (9.4 MB) and never
+        # builds the top layer's 1,712,304. Measured peak: 14.5 MB; margin 5.5 MB.
         rng = np.random.default_rng(48)
         vectors = rng.normal(size=(48, 4)) * 0.3
         params = SolverParams(epsilon=0.1, k=5, mode=CardinalityMode.AT_MOST)
@@ -331,7 +332,23 @@ class TestExhaustiveOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 20e6
+
+    def test_one_shot_searches_keep_nothing(self):
+        # 200 distinct pools of the phase-scan shape: each index is about 7 KB,
+        # so a search-level cache of them would leave over 1 MB behind
+        params = SolverParams(epsilon=0.25, k=3)
+        pools = [sample_nsn(20, 2, SeedSpec(1400 + i)).vectors for i in range(201)]
+        search_subsets(pools[0], np.zeros(2), params)  # fills the shape caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for i, vectors in enumerate(pools[1:]):
+                search_subsets(vectors, sample_uniform(2, SeedSpec(1700, i), -1.0, 1.0), params)
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert left < 64_000
 
     def test_subset_sum_number_matches_brute_force(self):
         for vectors, target in oracle_pools():
@@ -353,16 +370,98 @@ class TestExhaustiveOracle:
     def test_budget_errors_name_family_and_bytes(self):
         params = SolverParams(epsilon=0.1, k=3, mode=CardinalityMode.AT_MOST,
                               enumeration_budget=1000)
-        # 1 + 40 + 780 + 9880 subsets; the layers below the top hold 3 coordinates
-        # of 8 bytes each, the top layer coordinate 0 alone: 24 * 821 + 8 * 9880
+        # 1 + 40 + 780 + 9880 subsets; the index holds the 821 sums below the
+        # top layer, 3 coordinates of 8 bytes each, with their 8-byte sort keys
+        # and 4-byte colex places, and nothing of the top layer: (24 + 12) * 821
         with pytest.raises(BudgetError, match=r"10701 subsets of size <= 3 of 40 vectors.*"
-                                              r"budget 1000.* 98744 bytes"):
+                                              r"budget 1000.* 29556 bytes"):
             search_subsets(np.zeros((40, 3)), np.zeros(3), params)
         vectors = sample_nsn(40, 1, SeedSpec(78)).vectors
-        # EXACT mode builds every lower layer too: 8 * sum(C(40, j) for j <= 20)
+        # EXACT mode indexes every lower layer too: (8 + 12) * sum(C(40, j) for j < 20)
         with pytest.raises(BudgetError, match=r"137846528820 20-subsets of 40 vectors.*"
-                                              r" 4949432626384 bytes"):
+                                              r" 9616650989560 bytes"):
             subset_sum_number(vectors, [0.0], 20, 0.1, enumeration_budget=1000)
+
+
+def assert_matches_oracles(vectors, target, k, epsilon):
+    """Both modes of the exhaustive search against brute force, bit for bit,
+    and the k-subset count against enumeration."""
+    n = len(vectors)
+    for mode in CardinalityMode:
+        cardinalities = [k] if mode is CardinalityMode.EXACT else range(min(k, n) + 1)
+        outcome = search_subsets(vectors, target, SolverParams(epsilon=epsilon, k=k, mode=mode))
+        expected = brute_force_best(vectors, target, cardinalities)
+        assert outcome.best.indices == expected[0]
+        assert repr(outcome.best.residual_inf) == repr(expected[1])
+    assert subset_sum_number(vectors, target, k, epsilon) == len(
+        enumerate_k_hits(vectors, target, k, epsilon)
+    )
+
+
+class TestWindowEdges:
+    """Coordinate-0 windows at their edges: each j-subset is a prefix of
+    layer j-1 plus vectors[last], looked up by coordinate 0."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dyadic_gaps_equal_to_the_bound(self, seed):
+        # with coordinate 1 zero the residual is the coordinate-0 gap exactly,
+        # so the bound equals the gap of every subset tied with the best
+        xs = dyadic_pool(seed, n=10)
+        for other in (np.zeros(10), dyadic_pool(seed + 10, n=10)):
+            vectors = np.column_stack([xs, other])
+            for z0 in np.arange(-2.0, 2.01, 0.375):
+                for k in (2, 3, 4):
+                    assert_matches_oracles(vectors, np.array([z0, 0.0]), k, 0.125)
+
+    def test_windows_straddling_a_slice_prefix(self):
+        # every vector has coordinate 0 = 1/4, so every j-subset has s_0 = j/4
+        # and a window takes whole blocks, the prefix of slice ``last`` only
+        rng = np.random.default_rng(21)
+        vectors = np.column_stack([np.full(9, 0.25), rng.normal(size=(9, 2)) * 0.5])
+        for k in (2, 3, 4):
+            for trial in range(6):
+                target = np.concatenate([[0.25 * k], rng.uniform(-1.0, 1.0, size=2)])
+                assert_matches_oracles(vectors, target, k, 0.3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_column_slice(self, k):
+        # slice last = k-1 holds one subset, {0, ..., k-1}: the exact target here
+        rng = np.random.default_rng(22 + k)
+        vectors = rng.normal(size=(8, 3)) * 0.5
+        target = np.zeros(3)
+        for i in range(k):
+            target = target + vectors[i]
+        assert_matches_oracles(vectors, target, k, 1e-9)
+        outcome = search_subsets(vectors, target, SolverParams(epsilon=1e-9, k=k))
+        assert outcome.best.indices == tuple(range(k)) and outcome.best.residual_inf == 0.0
+
+    @pytest.mark.parametrize("z0", [-60.0, 60.0])
+    def test_targets_beyond_both_ends(self, z0):
+        # a far target's lookups clip to a block's end, so each pivot falls
+        # back to the first or last subset of its block
+        rng = np.random.default_rng(23)
+        vectors = rng.normal(size=(9, 2)) * 0.5
+        for k in (1, 3, 5):
+            target = np.array([z0, rng.uniform(-1.0, 1.0)])
+            assert_matches_oracles(vectors, target, k, 0.1)
+            assert subset_sum_number(vectors, target, k, 1e3) == len(
+                list(itertools.combinations(range(9), k))
+            )
+
+    def test_count_at_an_attained_gap(self):
+        # dyadic sums are exact, so an epsilon equal to an attained residual
+        # counts the subsets on the box boundary too
+        vectors = np.column_stack([dyadic_pool(31, n=11), dyadic_pool(32, n=11)])
+        target = np.array([0.375, -0.25])
+        for k in (2, 3, 4):
+            residuals = {
+                float(np.abs(ascending_sum(vectors, combo) - target).max())
+                for combo in itertools.combinations(range(11), k)
+            }
+            for epsilon in sorted(residuals)[:6]:
+                assert subset_sum_number(vectors, target, k, epsilon) == len(
+                    enumerate_k_hits(vectors, target, k, epsilon)
+                )
 
 
 class TestPartitionBoost:
