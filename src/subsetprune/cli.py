@@ -41,6 +41,7 @@ from .pruning import (
     NetworkSpec,
     PruneParams,
     bundle_probe_error,
+    kept_channel_costs,
     load_bundle,
     prune_network,
     prune_random_layer,
@@ -370,6 +371,9 @@ def _cmd_dump_report(args) -> int:
         print(f"mask {i}: ones {mask.ones_count()}/{mask.bits.size}, structure {state}")
         if not structure.valid:
             return EXIT_CHECK_FAILED
+    for layer, (kept, total, dense, compact) in enumerate(kept_channel_costs(bundle), 1):
+        print(f"layer {layer}: {kept}/{total} expansion kernels kept, multiply-adds per probe "
+              f"{dense} dense, {compact} kept-channel")
     if bundle.report is not None:
         print(f"stored empirical error: {bundle.report.empirical_max_error:.6g}")
         recomputed = bundle_probe_error(bundle)

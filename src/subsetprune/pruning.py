@@ -83,6 +83,7 @@ __all__ = [
     "load_bundle",
     "bundle_probe_error",
     "composition_bound",
+    "kept_channel_costs",
 ]
 
 # substream offsets of a pruning run's seed; fixed so reruns are reproducible
@@ -229,7 +230,6 @@ class ChannelSolve:
 class LayerPruneResult:
     mask: Mask4
     pruned_first: Tensor4  # masked 1 x 1 expansion
-    pruned_second: Tensor4  # mixing kernel with dropped channels zeroed
     channel_solves: tuple[ChannelSolve, ...]
     kept_kernels: tuple[int, ...]
     tolerance: float
@@ -331,15 +331,9 @@ class _PreparedLayer:
 
         removal = filter_removal_mask(expansion.shape, sorted(kept))
         final_mask = compose(self.blocked, removal)
-        pruned_first = final_mask.apply(expansion)
-        pruned_second_data = mixing.data.copy()
-        dropped = [k for k in range(expansion.kernels) if k not in kept]
-        if dropped:
-            pruned_second_data[:, :, dropped, :] = 0.0
         return LayerPruneResult(
             mask=final_mask,
-            pruned_first=pruned_first,
-            pruned_second=Tensor4(pruned_second_data),
+            pruned_first=final_mask.apply(expansion),
             channel_solves=tuple(solves),
             kept_kernels=tuple(sorted(kept)),
             tolerance=tolerance,
@@ -385,8 +379,24 @@ def prune_single_layer(
     return _prepared_layer(mixing, expansion).prune(target, params, seed)
 
 
+def _kept_channels(masked: Tensor4, following: Tensor4):
+    """``(kept, masked', following')``: the output columns of ``masked`` whose data
+    hold a nonzero entry, ascending, and the pair cut down to them, those columns
+    and the input channels of ``following`` they feed; None kernels if none is kept.
+
+    The cut pair's output is bit-equal: a dropped column's conv output and ReLU
+    are +0.0, so each term it feeds into ``following`` is an exact +-0.0, which
+    leaves a running sum that started at +0.0 unchanged (see :mod:`.tensors`).
+    """
+    kept = np.flatnonzero(masked.data.reshape(-1, masked.kernels).any(axis=0))
+    if not kept.size:
+        return kept, None, None
+    return kept, Tensor4(masked.data[..., kept]), Tensor4(following.data[:, :, kept])
+
+
 def single_layer_output(mixing: Tensor4, pruned_expansion: Tensor4, probe: FeatureMap) -> FeatureMap:
-    return conv(mixing, relu(conv(pruned_expansion, probe)))
+    """``conv(mixing, relu(conv(pruned_expansion, probe)))``, on the kept channels."""
+    return evaluate_network([pruned_expansion, mixing], probe)
 
 
 def make_probes(
@@ -407,29 +417,31 @@ def make_probes(
     return probes
 
 
-def evaluate_network(
-    kernels,
-    fmap: FeatureMap,
-    masks=None,
-) -> FeatureMap:
+def evaluate_network(kernels, fmap: FeatureMap, masks=None) -> FeatureMap:
     """Alternate convolution and ReLU; the final convolution stays linear.
 
     ``masks`` may be None or a sequence aligned with ``kernels`` whose entries
-    are Mask4 or None; masked kernels are multiplied entrywise first.
+    are Mask4 or None; masked kernels are multiplied entrywise first. Every
+    kernel but the last runs on its kept channels only (:func:`_kept_channels`),
+    which gives the full-width result bit for bit.
     """
     kernels = list(kernels)
     if not kernels:
         raise ParameterError("need at least one kernel")
-    if masks is not None and len(masks) != len(kernels):
-        raise ShapeError("masks must align with kernels")
+    if masks is not None:
+        if len(masks) != len(kernels):
+            raise ShapeError("masks must align with kernels")
+        kernels = [k if m is None else m.apply(k) for k, m in zip(kernels, masks)]
+    if [k.channels_in for k in kernels] != [fmap.channels] + [k.kernels for k in kernels[:-1]]:
+        raise ShapeError("each kernel must read the channels the one before it writes")
+    shape = (fmap.height, fmap.width, kernels[-1].kernels)
     x = fmap
-    for i, kernel in enumerate(kernels):
-        if masks is not None and masks[i] is not None:
-            kernel = masks[i].apply(kernel)
-        x = conv(kernel, x)
-        if i + 1 < len(kernels):
-            x = relu(x)
-    return x
+    for i in range(len(kernels) - 1):
+        _, kernel, kernels[i + 1] = _kept_channels(kernels[i], kernels[i + 1])
+        if kernel is None:  # every later map is +0.0 as well
+            return FeatureMap(np.zeros(shape))
+        x = relu(conv(kernel, x))
+    return conv(kernels[-1], x)
 
 
 def probe_error(target_kernels, random_kernels, masks, probes) -> float:
@@ -732,3 +744,16 @@ def bundle_probe_error(bundle: PrunedNetworkBundle) -> float:
         bundle.params.magnitude_bound,
     )
     return probe_error(bundle.target_kernels, bundle.random_kernels, bundle.masks, probes)
+
+
+def kept_channel_costs(bundle: PrunedNetworkBundle) -> list[tuple[int, int, int, int]]:
+    """Per target layer: kept and total expansion kernels, and the multiply-adds
+    (map cells x kernel entries) one probe costs the layer's two convolutions at
+    full width and on the kept channels only."""
+    costs = []
+    for i, mask in enumerate(bundle.masks):
+        expansion, mixing = bundle.random_kernels[2 * i : 2 * i + 2]
+        kept = _kept_channels(mask.apply(expansion), mixing)[0].size
+        per_kernel = bundle.spatial**2 * (expansion.data[..., 0].size + mixing.data[:, :, 0].size)
+        costs.append((kept, expansion.kernels, per_kernel * expansion.kernels, per_kernel * kept))
+    return costs

@@ -13,20 +13,19 @@ Conventions
   Re-running on the same platform is therefore bit-stable, and tests may use
   exact equality against a direct index-summation oracle.
 
-:func:`conv` evaluates that order without a Python loop per term. The input is
-zero-padded on the top and left, every term ``K[i, j, t, :] * X[r-i, s-j, t]``
-is written into one stack in ascending ``(i, j, t)`` order (one multiply per
-offset), below a zero row, and the stack is summed by ``np.add.accumulate``
-along the term axis, whose documented semantics are strictly sequential
+:func:`conv` evaluates that order without a Python loop per term. One strided
+view of the input, zero-padded on the top and left, holds ``X[r-i, s-j, t]`` at
+``(i, j, t, r, s)``, and one ``np.multiply`` by the kernel writes every term
+``K[i, j, t, :] * X[r-i, s-j, t]`` into a stack in ascending ``(i, j, t)`` order,
+below the running sum (+0.0 at first). ``np.add.accumulate`` sums the stack
+along the term axis with documented strictly sequential semantics
 (``r[n] = r[n-1] + a[n]``); ``sum``, ``einsum`` and BLAS would sum pairwise or
-in an unspecified order. ``accumulate`` runs one inner loop per cell, so a
-stack with few rows next to its cells (the 1x1 expansion conv: 2 rows, 3,072
-cells) is instead summed by one whole-row ``np.add`` per row, the same
-sequential additions. A term read from the padding is an exact +-0.0, and a
-running sum that starts at +0.0 never becomes -0.0, so adding such a term
-changes no bit: every cell sees exactly the additions of the direct formula.
-Stacks beyond a fixed byte size are summed in consecutive blocks of terms,
-each block seeded with the running sum.
+in an unspecified order. A stack with few rows next to its cells (a 1x1 conv)
+is instead summed by one whole-row ``np.add`` per row, the same additions. A
+term read from the padding is an exact +-0.0, and a running sum that starts at
++0.0 never becomes -0.0, so adding such a term changes no bit: every cell sees
+exactly the additions of the direct formula. A stack beyond a fixed byte size
+is split into passes, each a box of the term order seeded with the running sum.
 
 No strides, dilation, bias or FFT: this is the reference semantics, kept small
 enough to audit.
@@ -140,33 +139,32 @@ def conv(kernel: Tensor4, fmap: FeatureMap) -> FeatureMap:
     # Offsets at or past the map's edge read only padding; skipping them drops only +-0.0 terms.
     rows, cols = min(kernel.rows, height), min(kernel.cols, width)
     cell = (height, width, kernel.kernels)
-    # Channel-major input padded on the top and left, so window (i, j) holds
-    # x[r - i, s - j, t] at (t, r, s) and an exact +0.0 off the map.
-    padded = np.zeros((channels, height + rows - 1, width + cols - 1, 1))
-    padded[:, rows - 1 :, cols - 1 :, 0] = fmap.data.transpose(2, 0, 1)
-    weights = kernel.data[:, :, :, None, None, :]  # (i, j, t, 1, 1, l)
+    # Channel-minor input padded on the top and left, and one view of it with
+    # windows[i, j, t, r, s] = x[r - i, s - j, t], an exact +0.0 off the map.
+    padded = np.zeros((height + rows - 1, width + cols - 1, channels))
+    padded[rows - 1 :, cols - 1 :] = fmap.data
+    s0, s1, s2 = padded.strides
+    windows = np.ndarray((rows, cols, channels, height, width), buffer=padded,
+                         offset=(rows - 1) * s0 + (cols - 1) * s1, strides=(-s0, -s1, s2, s0, s1))
+    weights = kernel.data[:rows, :cols, :, None, None, :]  # (i, j, t, 1, 1, l)
     capacity = max(1, _STACK_BYTES // (8 * math.prod(cell)) - 1)  # terms per pass
-    group = max(1, capacity // channels)  # whole (i, j) offsets per pass ...
-    step = min(channels, capacity)  # ... or, if one does not fit, channels per pass
-    offsets = [(i, j) for i in range(rows) for j in range(cols)]
-    total = np.zeros(cell)
-    for first in range(0, len(offsets), group):
-        chunk = offsets[first : first + group]
-        for t0 in range(0, channels, step):
-            t1 = min(t0 + step, channels)
-            stack = np.empty((1 + len(chunk) * (t1 - t0), *cell))
-            stack[0] = total
-            for q, (i, j) in enumerate(chunk):
-                window = padded[t0:t1, rows - 1 - i : rows - 1 - i + height,
-                                cols - 1 - j : cols - 1 - j + width]
-                lo = 1 + q * (t1 - t0)
-                np.multiply(weights[i, j, t0:t1], window, out=stack[lo : lo + t1 - t0])
-            if len(stack) * _ROWS_PER_CELL_SUM <= stack[0].size:
-                total = stack[0]  # few terms over many cells: one add per row
-                for row in stack[1:]:
-                    np.add(total, row, out=total)
-            else:
-                total = np.add.accumulate(stack, axis=0, out=stack)[-1]
+    di = max(1, capacity // (cols * channels))  # a pass holds whole kernel rows,
+    dj = min(cols, max(1, capacity // channels))  # or else offsets of one row,
+    dt = min(channels, capacity)  # or else channels of one offset
+    passes = [np.s_[i : i + di, j : j + dj, t : t + dt] for i in range(0, rows, di)
+              for j in range(0, cols, dj) for t in range(0, channels, dt)]
+    total = 0.0  # the running sum every cell starts from
+    for box in passes:
+        terms = windows[box]
+        stack = np.empty((1 + math.prod(terms.shape[:3]), *cell))
+        stack[0] = total
+        np.multiply(weights[box], terms[..., None], out=stack[1:].reshape(*terms.shape, cell[2]))
+        if len(stack) * _ROWS_PER_CELL_SUM <= stack[0].size:
+            total = stack[0]  # few terms over many cells: one add per row
+            for row in stack[1:]:
+                np.add(total, row, out=total)
+        else:
+            total = np.add.accumulate(stack, axis=0, out=stack)[-1]
     return FeatureMap(total.copy())  # not a view that keeps the whole stack alive
 
 

@@ -126,6 +126,19 @@ def test_prune_one_bundle_reverifies(capsys, tmp_path):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_dump_report_prints_kept_channel_costs(capsys, tmp_path):
+    bundle = tmp_path / "layer.json"
+    assert main(["prune-one", "--n", "16", "--seed", "3", "--out", str(bundle)]) == EXIT_OK
+    capsys.readouterr()
+    kept = json.loads(bundle.read_text())["report"]["layers"][0]["kept_kernels"]
+    assert 0 < kept < 32
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
+    # per expansion kernel: 16 map cells x (1 expansion entry + 2 x 2 x 1 mixing entries)
+    per_kernel = 16 * (1 + 4)
+    assert (f"layer 1: {kept}/32 expansion kernels kept, multiply-adds per probe "
+            f"{32 * per_kernel} dense, {kept * per_kernel} kept-channel\n") in capsys.readouterr().out
+
+
 def test_dump_report_on_bundle_without_report(capsys, tmp_path):
     bundle = tmp_path / "layer.json"
     kernels = tuple(sample_normal_tensor(shape, SeedSpec(3, i))

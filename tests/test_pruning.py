@@ -17,16 +17,19 @@ from subsetprune import (
     PruneParams,
     PrunedNetworkBundle,
     SeedSpec,
+    ShapeError,
     Strategy,
     StructureError,
     Tensor4,
     bundle_probe_error,
     channel_blocked_mask,
+    compose,
     composition_bound,
     conv,
     default_k_budget,
     drop_relu_decompose,
     evaluate_network,
+    filter_removal_mask,
     load_bundle,
     make_probes,
     neg_part,
@@ -50,6 +53,19 @@ from subsetprune.masks import ChannelBlocked, Composite, FilterRemoval
 def unit_l1(shape, seed):
     raw = sample_normal_tensor(shape, seed)
     return Tensor4(raw.data / norm_l1(raw))
+
+
+def full_width_chain(kernels, fmap, masks=None):
+    """The oracle for compact evaluation: every kernel at full width, masked
+    entrywise first, ReLU between convolutions, one probe at a time."""
+    x = fmap
+    for i, kernel in enumerate(kernels):
+        if masks is not None and masks[i] is not None:
+            kernel = masks[i].apply(kernel)
+        x = conv(kernel, x)
+        if i + 1 < len(kernels):
+            x = relu(x)
+    return x
 
 
 def drop_relu_sides(expansion, blocked_mask, probe):
@@ -212,12 +228,13 @@ class TestSingleLayer:
         mixing = sample_normal_tensor((2, 2, 16, 2), seed.substream(1))
         target = unit_l1((2, 2, 1, 2), seed.substream(2))
         result = prune_single_layer(mixing, expansion, target, PruneParams(epsilon=0.5))
-        dropped = sorted(set(range(16)) - set(result.kept_kernels))
-        assert not result.pruned_second.data[:, :, dropped, :].any()
-        kept = list(result.kept_kernels)
-        assert np.array_equal(
-            result.pruned_second.data[:, :, kept, :], mixing.data[:, :, kept, :]
-        )
+        kept, _, _ = pruning._kept_channels(result.pruned_first, mixing)
+        assert 0 < len(result.kept_kernels) < 16
+        assert tuple(kept) == result.kept_kernels
+        probe = sample_uniform_map(4, 4, 1, seed.substream(3))
+        compact = single_layer_output(mixing, result.pruned_first, probe)
+        assert compact.data.tobytes() == full_width_chain([result.pruned_first, mixing],
+                                                          probe).data.tobytes()
 
     def test_target_l1_precondition(self):
         seed = SeedSpec(90)
@@ -245,7 +262,6 @@ def assert_same_result(got, expected):
     assert np.array_equal(got.mask.bits, expected.mask.bits)
     assert got.kept_kernels == expected.kept_kernels
     assert np.array_equal(got.pruned_first.data, expected.pruned_first.data)
-    assert np.array_equal(got.pruned_second.data, expected.pruned_second.data)
     assert got.occupancy_warnings == expected.occupancy_warnings
 
 
@@ -407,6 +423,91 @@ class TestPruneRandomLayer:
         targets = spec.sample_targets(seed)
         for i, (got, shape) in enumerate(zip(targets, spec.target_kernel_shapes())):
             assert np.array_equal(got.data, unit_l1(shape, seed.substream(100 + i)).data)
+
+
+def signed_zero_probes(shape, count, seed):
+    """Uniform probes with about a quarter of their entries +0.0 and a quarter -0.0."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    for _ in range(count):
+        data = rng.uniform(-1.0, 1.0, shape)
+        draw = rng.random(shape)
+        data[draw < 0.25] = 0.0
+        data[draw > 0.75] = -0.0
+        probes.append(FeatureMap(data))
+    return probes
+
+
+class TestCompactEvaluation:
+    """Kept-channel evaluation against the full-width oracle, bit for bit."""
+
+    SPECS = {
+        1: NetworkSpec(1, 4, (2, 2), (2,), (3,)),
+        2: NetworkSpec(2, 4, (1, 2, 1), (2, 1), (4, 3)),
+        3: NetworkSpec(3, 4, (1, 2, 2, 1), (2, 1, 3), (3, 2, 3)),
+    }
+
+    def layer_masks(self, spec, kept, seed):
+        """One mask per target layer; ``kept`` says which keep no column."""
+        rng = np.random.default_rng(seed)
+        masks = []
+        for i, shape in enumerate(spec.random_kernel_shapes()[::2]):
+            blocked = channel_blocked_mask(1, shape[2], shape[3] // shape[2])
+            if kept == "full":
+                masks.append(blocked)
+            elif (kept == "empty-first" and i == 0) or (kept == "empty-last" and i == spec.depth - 1):
+                masks.append(filter_removal_mask(shape, []))
+            else:
+                some = [0, *rng.choice(shape[3], size=max(1, shape[3] // 3), replace=False)]
+                masks.append(compose(blocked, filter_removal_mask(shape, some)))
+        return masks
+
+    @pytest.mark.parametrize("kept", ["empty-first", "empty-last", "partial", "full"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_full_width_oracle(self, depth, kept):
+        spec = self.SPECS[depth]
+        seed = SeedSpec(140 + depth)
+        randoms = spec.sample_random_net(seed)
+        if kept == "partial":  # a column kept by the mask whose data are all -0.0 is dropped too
+            randoms[0] = Tensor4(np.where(np.arange(randoms[0].kernels) == 0, -0.0, randoms[0].data))
+        targets = spec.sample_targets(seed)
+        masks = self.layer_masks(spec, kept, 150 + depth)
+        eval_masks = [m for mask in masks for m in (mask, None)]
+        probes = signed_zero_probes((4, 4, spec.channels[0]), 4, 160 + depth)
+        worst = 0.0
+        for probe in probes:
+            want = full_width_chain(randoms, probe, eval_masks)
+            got = evaluate_network(randoms, probe, eval_masks)
+            assert got.data.tobytes() == want.data.tobytes()
+            if kept.startswith("empty"):
+                assert not got.data.any() and not np.signbit(got.data).any()
+            fx = full_width_chain(targets, probe)
+            worst = max(worst, float(np.abs(fx.data - want.data).max()))
+        assert probe_error(targets, randoms, masks, probes) == worst
+        for i, mask in enumerate(masks):
+            expansion, mixing = mask.apply(randoms[2 * i]), randoms[2 * i + 1]
+            for x in signed_zero_probes((4, 4, expansion.channels_in), 2, 170 + i):
+                want = full_width_chain([expansion, mixing], x)
+                assert single_layer_output(mixing, expansion, x).data.tobytes() == \
+                    want.data.tobytes()
+
+    def test_kept_columns_are_decided_from_the_data(self):
+        masked = Tensor4(np.array([[[[0.0, 1.0, -0.0, 0.0], [0.0, 0.0, -0.0, 2.0]]]]))
+        mixing = Tensor4(np.arange(2 * 2 * 4 * 3, dtype=float).reshape(2, 2, 4, 3))
+        kept, small, following = pruning._kept_channels(masked, mixing)
+        assert list(kept) == [1, 3]
+        assert np.array_equal(small.data, masked.data[..., [1, 3]])
+        assert np.array_equal(following.data, mixing.data[:, :, [1, 3]])
+        empty = pruning._kept_channels(Tensor4(-np.zeros((1, 1, 2, 4))), mixing)
+        assert empty[0].size == 0 and empty[1:] == (None, None)
+
+    def test_shape_mismatch_raises_even_when_nothing_is_kept(self):
+        expansion = Tensor4(np.zeros((1, 1, 1, 4)))
+        with pytest.raises(ShapeError):
+            evaluate_network([expansion, Tensor4(np.ones((2, 2, 3, 1)))],
+                             FeatureMap(np.ones((4, 4, 1))), [filter_removal_mask((1, 1, 1, 4), []), None])
+        with pytest.raises(ShapeError):
+            single_layer_output(Tensor4(np.ones((2, 2, 4, 1))), expansion, FeatureMap(np.ones((4, 4, 2))))
 
 
 class TestProbeError:

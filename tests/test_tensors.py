@@ -87,6 +87,7 @@ _BIT_FOR_BIT_CASES = [
     ((2, 2, 65, 2), (4, 4, 65), "negative"),
     ((1, 1, 1, 192), (4, 4, 1), "normal"),  # one term over 3,072 cells: summed row by row
     ((2, 2, 2, 64), (4, 4, 2), "negative"),  # 8 terms over 1,024 cells, row by row
+    ((1, 1, 1, 3), (4, 4, 1), "negative"),  # cells whose only term is -0.0 still sum to +0.0
 ]
 
 
@@ -124,6 +125,28 @@ def test_conv_in_blocks_matches_direct_oracle(monkeypatch, stack_bytes):
     fmap = np.maximum(rng.standard_normal((4, 3, 5)), 0.0)
     got = conv(Tensor4(kernel), FeatureMap(fmap)).data
     assert got.tobytes() == direct_conv_oracle(kernel, fmap).tobytes()
+
+
+@pytest.mark.parametrize("rows_per_cell", [1, 10**9])  # row sums / accumulate in every pass
+@pytest.mark.parametrize("terms_per_pass", [1, 3, 9, 30, 10**6])
+@pytest.mark.parametrize("kernel_shape, map_shape", [
+    ((3, 3, 4, 2), (4, 5, 4)),  # 36 terms: 30 per pass take two kernel rows,
+                                # 9 two offsets of one row, 3 three channels of one offset
+    ((5, 4, 3, 1), (3, 2, 3)),  # kernel larger than the map: 18 terms reach it
+])
+def test_conv_passes_match_direct_oracle(
+    monkeypatch, rows_per_cell, terms_per_pass, kernel_shape, map_shape
+):
+    cells = map_shape[0] * map_shape[1] * kernel_shape[3]
+    monkeypatch.setattr(tensors, "_STACK_BYTES", 8 * cells * (1 + terms_per_pass))
+    monkeypatch.setattr(tensors, "_ROWS_PER_CELL_SUM", rows_per_cell)
+    rng = np.random.default_rng(terms_per_pass)
+    kernel = -np.abs(rng.standard_normal(kernel_shape))
+    fmap = np.maximum(rng.standard_normal(map_shape), 0.0)  # -0.0 products where it is 0
+    before = fmap.copy()
+    got = conv(Tensor4(kernel), FeatureMap(fmap)).data
+    assert got.tobytes() == direct_conv_oracle(kernel, fmap).tobytes()
+    assert fmap.tobytes() == before.tobytes()
 
 
 def test_conv_channel_mismatch_raises():
