@@ -6,10 +6,8 @@ from .tensors import (
     FeatureMap,
     Tensor4,
     conv,
-    hadamard,
     neg_part,
     norm_l1,
-    norm_l2,
     norm_max,
     pos_part,
     relu,
@@ -17,7 +15,6 @@ from .tensors import (
 from .sampling import (
     NsnEnsemble,
     SeedSpec,
-    sample_half_normal,
     sample_normal_tensor,
     sample_nsn,
     sample_uniform,
@@ -26,19 +23,15 @@ from .sampling import (
 )
 from .solvers import (
     CardinalityMode,
-    CoverReport,
     SearchOutcome,
     SolverParams,
     Strategy,
     SubsetSolution,
-    cover_targets,
     dimension_constant,
-    inflated_sum_intervals,
     partition_boost,
     search_subsets,
     solve_rssp_1d,
     subset_sum_number,
-    verify_solution,
 )
 from .masks import (
     ChannelBlocked,
@@ -50,7 +43,6 @@ from .masks import (
     filter_removal_mask,
     mask_from_bytes,
     mask_to_bytes,
-    mask_to_text,
     sign_split_mask,
     validate_structure,
 )

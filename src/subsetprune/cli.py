@@ -14,8 +14,8 @@ whose keys pre-fill any flag; explicit flags win), ``--trials`` on the Monte
 Carlo commands (``lemma-check``, ``rssp-scan``, ``mrss-scan``) and
 ``--strategy`` where a solver is involved.
 
-Exit codes: 0 success, 1 assertion/check failure, 2 usage or parameter error,
-3 solver budget exceeded.
+Exit codes: 0 success, 1 assertion/check failure, 2 usage or parameter error
+(an unreadable or unwritable path included), 3 solver budget exceeded.
 """
 
 from __future__ import annotations
@@ -304,6 +304,8 @@ def _cmd_prune_one(args) -> int:
           f"the two corners (budget {report.theoretical_bound:.6g} when fully successful)")
     structure = validate_structure(bundle.masks[0])
     print(f"mask structure: {'valid' if structure.valid else 'INVALID: ' + structure.message}")
+    if not structure.valid:
+        return EXIT_CHECK_FAILED
     if args.out:
         save_bundle(args.out, bundle)
         print(f"wrote {args.out}")
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         return _HANDLERS[args.command](args)
-    except (ParameterError, ShapeError, StructureError, FileNotFoundError, ValueError) as exc:
+    except (ParameterError, ShapeError, StructureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:

@@ -53,7 +53,6 @@ __all__ = [
     "validate_structure",
     "mask_to_bytes",
     "mask_from_bytes",
-    "mask_to_text",
 ]
 
 
@@ -101,9 +100,6 @@ class Mask4:
 
     def ones_count(self) -> int:
         return int(self.bits.sum())
-
-    def as_tensor(self) -> Tensor4:
-        return Tensor4(self.bits.astype(np.float64))
 
     def apply(self, kernel: Tensor4) -> Tensor4:
         if kernel.shape != self.shape:
@@ -299,27 +295,3 @@ def mask_from_bytes(buf: bytes) -> Mask4:
         raise ValueError(f"mask blob length {len(buf)} != expected {expected_len}")
     flat = np.unpackbits(np.frombuffer(buf, dtype=np.uint8, offset=pos), count=size)
     return Mask4(flat.reshape(shape), kind)
-
-
-def _kind_text(kind: MaskKind) -> str:
-    if isinstance(kind, ChannelBlocked):
-        return f"channel-blocked(n={kind.n})"
-    if isinstance(kind, FilterRemoval):
-        return f"filter-removal(kept={list(kind.kept)})"
-    return "composite[" + ", ".join(_kind_text(p) for p in kind.parts) + "]"
-
-
-def mask_to_text(mask: Mask4) -> str:
-    """Human-readable dump: header plus one 0/1 grid line per (row, col, channel)."""
-    d, dp, c, kernels = mask.shape
-    lines = [
-        f"mask shape {d}x{dp}x{c}x{kernels}",
-        f"kind {_kind_text(mask.kind)}",
-        f"ones {mask.ones_count()} / {mask.bits.size}",
-    ]
-    for i in range(d):
-        for j in range(dp):
-            for k in range(c):
-                row = "".join(str(int(b)) for b in mask.bits[i, j, k])
-                lines.append(f"({i},{j},{k}) {row}")
-    return "\n".join(lines) + "\n"

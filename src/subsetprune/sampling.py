@@ -1,5 +1,5 @@
 """Seeded sampling of every random object used here: normal tensors,
-normally-scaled normal (NSN) ensembles, half-normal scalars, uniforms.
+normally-scaled normal (NSN) ensembles, uniforms.
 
 Determinism contract
 --------------------
@@ -35,7 +35,6 @@ __all__ = [
     "sample_uniform_map",
     "sample_normal_tensor",
     "sample_nsn",
-    "sample_half_normal",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -222,10 +221,3 @@ def sample_nsn(n: int, d: int, seed: SeedSpec) -> NsnEnsemble:
     scalars = _normals(rng, n)
     directions = _normals(rng, n * d).reshape(n, d)
     return NsnEnsemble.from_parts(scalars, directions)
-
-
-def sample_half_normal(n: int, seed: SeedSpec) -> np.ndarray:
-    """``n`` draws of |N(0, 1)|."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    return np.abs(standard_normals(n, seed))

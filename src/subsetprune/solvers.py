@@ -19,8 +19,9 @@ Entry points
     each half-table at ``2^ceil(n/2)`` sums.
 :func:`subset_sum_number`
     The exact count of k-subsets inside the box.
-:func:`cover_targets`
-    The 1-D cover question over a target grid, by interval union.
+:func:`_smallest_covering_prefix`
+    The 1-D cover question over a target grid, by interval union; the engine
+    of the RSSP phase scan.
 
 Strategies of :func:`search_subsets`
 ------------------------------------
@@ -92,15 +93,14 @@ always a real subset. An L-inf residual is never below its coordinate-0
 term, so the minimum and every tie at it survive the bound.
 
 The 1-D cover question ("is every grid point hit by some subset sum?") is
-answered exactly for any n by :func:`inflated_sum_intervals`, which maintains
+answered exactly for any n by :func:`_smallest_covering_prefix`. It maintains
 the union of ``[s - eps, s + eps]`` over all subset sums s as a sorted list of
 disjoint closed intervals: start from the empty subset's interval and fold in
 one value at a time (union of the shifted and unshifted families). Interval
 merging is exact, so membership agrees with full enumeration up to the usual
 one-ulp reassociation caveat at exact box boundaries. A fold never drops a
-point, so cover is monotone in the prefix length: :func:`_smallest_covering_prefix`
-runs the same fold once across a list of prefix sizes and stops at the first
-that covers the grid, which is how the RSSP phase scan uses it.
+point, so cover is monotone in the prefix length: the fold runs once across a
+list of prefix sizes and stops at the first that covers the grid.
 """
 
 from __future__ import annotations
@@ -123,14 +123,10 @@ __all__ = [
     "SubsetSolution",
     "SearchOutcome",
     "dimension_constant",
-    "verify_solution",
     "solve_rssp_1d",
     "search_subsets",
     "subset_sum_number",
     "partition_boost",
-    "cover_targets",
-    "CoverReport",
-    "inflated_sum_intervals",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
@@ -215,19 +211,6 @@ def _make_solution(vectors: np.ndarray, indices, target: np.ndarray) -> SubsetSo
     achieved = _sum_of(vectors, sorted(int(i) for i in indices))
     residual = float(np.abs(achieved - target).max()) if target.size else 0.0
     return SubsetSolution(tuple(sorted(int(i) for i in indices)), achieved, residual)
-
-
-def verify_solution(
-    solution: SubsetSolution, vectors: np.ndarray, target, atol: float = 1e-12
-) -> bool:
-    """Recompute the witness from the raw ensemble and check the stored fields."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    target = np.atleast_1d(np.asarray(target, dtype=np.float64))
-    achieved = _sum_of(vectors, solution.indices)
-    if np.abs(achieved - solution.achieved).max(initial=0.0) > atol:
-        return False
-    residual = float(np.abs(achieved - target).max()) if target.size else 0.0
-    return abs(residual - solution.residual_inf) <= atol
 
 
 @dataclass(frozen=True)
@@ -747,23 +730,8 @@ def partition_boost(
 
 
 # ---------------------------------------------------------------------------
-# Cover reports ("for all z" on a finite grid)
+# 1-D cover ("for all z" on a finite grid)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CoverReport:
-    """Per-target hit flags for a grid; ``excess`` is the distance beyond the
-    epsilon box (0.0 exactly when the target is covered)."""
-
-    targets: np.ndarray
-    covered: np.ndarray
-    excess: np.ndarray
-    epsilon: float
-
-    @property
-    def success(self) -> bool:
-        return bool(self.covered.all())
 
 
 def _coalesce(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -785,28 +753,13 @@ def _fold_intervals(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.
     return lo, hi
 
 
-def inflated_sum_intervals(xs, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint sorted closed intervals whose union is exactly
-    ``{ y : some subset sum s of xs has |s - y| <= epsilon }``.
-
-    Folding in one value doubles the family (keep or add the value) and the
-    merge of overlapping intervals is exact, so this answers cover queries for
-    any n without enumerating 2^n sums.
-    """
-    xs = np.asarray(xs, dtype=np.float64).ravel()
-    if not epsilon >= 0.0:
-        raise ParameterError("epsilon must be nonnegative")
-    return _fold_intervals(np.array([-epsilon]), np.array([epsilon]), xs)
-
-
 def _smallest_covering_prefix(xs: np.ndarray, epsilon: float, grid: np.ndarray, sizes):
     """The first n in ``sizes`` (ascending) whose prefix ``xs[:n]`` covers every
     grid point, or None.
 
     The union is folded once: the union of ``xs[:n]`` is where folding the
-    next values starts, and folding stops at the first covered n. Each union
-    is the very one :func:`inflated_sum_intervals` returns for that prefix, and
-    a fold never loses a point (U is inside the union of U and U + x), so every
+    next values starts, and folding stops at the first covered n. A fold
+    never loses a point (U is inside the union of U and U + x), so every
     larger prefix covers the grid as well.
     """
     lo, hi = np.array([-epsilon]), np.array([epsilon])
@@ -814,29 +767,13 @@ def _smallest_covering_prefix(xs: np.ndarray, epsilon: float, grid: np.ndarray, 
     for n in sizes:
         lo, hi = _fold_intervals(lo, hi, xs[done:n])
         done = n
-        if (_interval_excess(lo, hi, grid) == 0.0).all():
+        if _covered(lo, hi, grid).all():
             return n
     return None
 
 
-def _interval_excess(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(lo, targets, side="right") - 1
-    inside = (idx >= 0) & (targets <= hi[np.clip(idx, 0, hi.size - 1)])
-    gap_right = np.where(idx >= 0, targets - hi[np.clip(idx, 0, hi.size - 1)], np.inf)
-    nxt = np.clip(idx + 1, 0, lo.size - 1)
-    gap_left = np.where(idx + 1 < lo.size, lo[nxt] - targets, np.inf)
-    return np.where(inside, 0.0, np.minimum(gap_right, gap_left))
-
-
-def cover_targets(source, targets, epsilon: float) -> CoverReport:
-    """Evaluate the universal quantifier on a finite target grid: the exact
-    any-cardinality cover of every grid point by the subset sums of the 1-D
-    values ``source``, via the interval union."""
-    try:
-        xs = np.asarray(source, dtype=np.float64).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"cover source must be an array of values: {exc}") from None
-    grid = np.asarray(targets, dtype=np.float64).ravel()
-    lo, hi = inflated_sum_intervals(xs, epsilon)
-    excess = _interval_excess(lo, hi, grid)
-    return CoverReport(grid, excess == 0.0, excess, epsilon)
+def _covered(lo: np.ndarray, hi: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Whether each grid point lies in the union of the disjoint sorted closed
+    intervals ``[lo, hi]``: in the last interval starting at or before it."""
+    idx = np.searchsorted(lo, grid, side="right") - 1
+    return (idx >= 0) & (grid <= hi[np.clip(idx, 0, hi.size - 1)])

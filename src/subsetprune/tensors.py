@@ -47,9 +47,7 @@ __all__ = [
     "relu",
     "pos_part",
     "neg_part",
-    "hadamard",
     "norm_l1",
-    "norm_l2",
     "norm_max",
 ]
 
@@ -190,15 +188,6 @@ def neg_part(tensor):
     return _rewrap(tensor, np.where(d < 0.0, -d, 0.0))
 
 
-def hadamard(a, b):
-    """Elementwise product of two tensors of identical type and shape."""
-    if type(a) is not type(b):
-        raise ShapeError(f"cannot multiply {type(a).__name__} with {type(b).__name__}")
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
-    return _rewrap(a, a.data * b.data)
-
-
 def _as_array(tensor) -> np.ndarray:
     if isinstance(tensor, np.ndarray):
         return tensor
@@ -207,10 +196,6 @@ def _as_array(tensor) -> np.ndarray:
 
 def norm_l1(tensor) -> float:
     return float(np.abs(_as_array(tensor)).sum())
-
-
-def norm_l2(tensor) -> float:
-    return float(np.sqrt((_as_array(tensor) ** 2).sum()))
 
 
 def norm_max(tensor) -> float:

@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from subsetprune import cli
 from subsetprune.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from subsetprune.masks import channel_blocked_mask
+from subsetprune.masks import StructureReport, channel_blocked_mask
 from subsetprune.pruning import PrunedNetworkBundle, PruneParams, save_bundle
 from subsetprune.sampling import SeedSpec, sample_normal_tensor
 from subsetprune.tensors import Tensor4
@@ -108,6 +109,18 @@ def test_prune_one_and_bundle(capsys, tmp_path):
     text = capsys.readouterr().out
     assert "probe error" in text and "mask structure: valid" in text
     assert bundle.exists()
+
+
+def test_prune_one_invalid_mask_fails_before_writing(capsys, tmp_path, monkeypatch):
+    def invalid(mask):
+        return StructureReport(False, mask.kind, ((0, 0, 0, 0),), "planted violation")
+
+    monkeypatch.setattr(cli, "validate_structure", invalid)
+    bundle = tmp_path / "layer.json"
+    code = main(["prune-one", "--n", "16", "--seed", "3", "--out", str(bundle)])
+    assert code == EXIT_CHECK_FAILED
+    assert "mask structure: INVALID: planted violation" in capsys.readouterr().out
+    assert not bundle.exists()
 
 
 def test_prune_one_bundle_reverifies(capsys, tmp_path):
@@ -234,6 +247,16 @@ def test_dump_report_rejects_contradicted_claims(capsys, tmp_path, tamper):
 
 def test_dump_report_missing_file():
     assert main(["dump-report", "--bundle", "/nonexistent/bundle.json"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["rssp-scan", "--n-list", "2", "--trials", "2", "--out", "{dir}"],
+    ["dump-report", "--bundle", "{dir}"],
+    ["rssp-scan", "--config", "{dir}"],
+], ids=["out", "bundle", "config"])
+def test_directory_as_path_is_a_usage_error(argv, capsys, tmp_path):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_file_prefills_flags(tmp_path):

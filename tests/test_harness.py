@@ -20,7 +20,6 @@ from subsetprune import (
     check_most_probable_interval,
     check_nsn_hit_lower_bound,
     check_second_moment_identity,
-    cover_targets,
     partition_boost,
     sample_nsn,
     sample_uniform,
@@ -43,6 +42,7 @@ from subsetprune.harness import (
     write_csv,
 )
 from subsetprune.sampling import _generator
+from subsetprune.solvers import _smallest_covering_prefix
 
 SEED = SeedSpec(777)
 SMALL = 20_000
@@ -302,7 +302,8 @@ class TestScans:
         for trial in range(trials):
             draws = sample_uniform(max(n_values), seed.substream(trial), -1.0, 1.0)
             for n in expect:
-                expect[n] += cover_targets(draws[:n], grid, epsilon).success
+                covering = _smallest_covering_prefix(draws[:n], epsilon, grid, [n])
+                expect[n] += covering is not None
         rows = scan_rssp_phase(epsilon, n_values, grid_size, trials, seed)
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)

@@ -17,7 +17,6 @@ from subsetprune import (
     filter_removal_mask,
     mask_from_bytes,
     mask_to_bytes,
-    mask_to_text,
     sign_split_mask,
     validate_structure,
 )
@@ -193,10 +192,3 @@ def test_bad_blob_rejected():
     with pytest.raises(ValueError, match="truncated"):
         mask_from_bytes(b"SPM1\x01")
 
-
-def test_text_dump_mentions_shape_and_kind():
-    mask = channel_blocked_mask(1, 2, 2)
-    text = mask_to_text(mask)
-    assert "1x1x2x4" in text
-    assert "channel-blocked" in text
-    assert "(0,0,1) 0011" in text

@@ -16,17 +16,26 @@ from subsetprune import (
     SeedSpec,
     SolverParams,
     Strategy,
-    cover_targets,
-    inflated_sum_intervals,
     partition_boost,
     sample_nsn,
     sample_uniform,
     search_subsets,
     solve_rssp_1d,
     subset_sum_number,
-    verify_solution,
 )
 from subsetprune.sampling import _generator, _substream_permutation_heads
+
+
+def verify_solution(solution, vectors, target, atol=1e-12):
+    """Reference check: recompute the witness from the raw ensemble and
+    compare the stored sum and residual."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    target = np.atleast_1d(np.asarray(target, dtype=np.float64))
+    achieved = ascending_sum(vectors, solution.indices)
+    if np.abs(achieved - solution.achieved).max(initial=0.0) > atol:
+        return False
+    residual = float(np.abs(achieved - target).max()) if target.size else 0.0
+    return abs(residual - solution.residual_inf) <= atol
 
 
 def enumerate_1d_hits(xs, target, epsilon):
@@ -501,46 +510,42 @@ class TestPartitionBoost:
             partition_boost(vectors, [0.0], SolverParams(epsilon=0.1, k=3), group_size=8)
 
 
+def covers(xs, epsilon, z):
+    """Whether the cover engine of rssp-scan puts ``z`` within ``epsilon`` of a
+    subset sum of all of ``xs`` (0 is a covering prefix size too, hence ``is
+    not None``)."""
+    return solvers._smallest_covering_prefix(xs, epsilon, np.array([z]), [xs.size]) is not None
+
+
 class TestCover:
     def test_origin_always_covered(self):
-        report = cover_targets(np.array([]), np.array([0.0]), 0.0)
-        assert report.success
+        assert covers(np.array([]), 0.0, 0.0)
 
     def test_single_value_misses_far_target(self):
-        report = cover_targets(np.array([0.5]), np.array([-0.9]), 0.1)
-        assert not report.success
-        assert report.excess[0] == pytest.approx(0.8)
+        assert not covers(np.array([0.5]), 0.1, -0.9)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_interval_engine_matches_enumeration(self, trial):
         xs = sample_uniform(12, SeedSpec(2000 + trial), -1.0, 1.0)
-        grid = np.linspace(-1.0, 1.0, 41)
         eps = 0.05
-        report = cover_targets(xs, grid, eps)
-        for z, covered in zip(grid, report.covered):
-            assert covered == bool(enumerate_1d_hits(xs.tolist(), float(z), eps))
+        for z in np.linspace(-1.0, 1.0, 41):
+            assert covers(xs, eps, z) == bool(enumerate_1d_hits(xs.tolist(), float(z), eps))
 
     def test_cover_matches_mitm_oracle_at_n40(self):
         xs = sample_uniform(40, SeedSpec(2100), -1.0, 1.0)
-        grid = np.linspace(-1.0, 1.0, 41)
         eps = 0.05
-        report = cover_targets(xs, grid, eps)
-        for z, covered in zip(grid, report.covered):
-            assert covered == (solve_rssp_1d(xs, float(z), eps) is not None)
+        for z in np.linspace(-1.0, 1.0, 41):
+            assert covers(xs, eps, z) == (solve_rssp_1d(xs, float(z), eps) is not None)
 
     def test_intervals_grow_with_values(self):
-        lo1, hi1 = inflated_sum_intervals(np.array([0.3]), 0.1)
-        lo2, hi2 = inflated_sum_intervals(np.array([0.3, 0.4]), 0.1)
+        start = np.array([-0.1]), np.array([0.1])
+        lo1, hi1 = solvers._fold_intervals(*start, [0.3])
+        lo2, hi2 = solvers._fold_intervals(*start, [0.3, 0.4])
         # every point covered before stays covered
         for point in np.linspace(-0.2, 0.5, 30):
             in1 = any(a <= point <= b for a, b in zip(lo1, hi1))
             in2 = any(a <= point <= b for a, b in zip(lo2, hi2))
             assert in2 or not in1
-
-    def test_ensemble_source_rejected(self):
-        ensemble = sample_nsn(8, 2, SeedSpec(2200))
-        with pytest.raises(ParameterError, match="cover source"):
-            cover_targets(ensemble, np.zeros(2), 0.3)
 
 
 def one_start_greedy_build(vectors, target, k):
