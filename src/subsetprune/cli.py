@@ -45,6 +45,7 @@ from .pruning import (
     load_bundle,
     prune_network,
     prune_random_layer,
+    report_mismatch,
     save_bundle,
 )
 from .sampling import SeedSpec
@@ -293,15 +294,15 @@ def _cmd_prune_one(args) -> int:
                                 SeedSpec(args.seed), args.spatial)
     report = bundle.report
     layer = report.layers[0]
-    print(f"kept {layer.kept_kernels} of {layer.total_kernels} expansion kernels "
+    print(f"kept {len(layer.kept_kernels)} of {layer.mask.shape[3]} expansion kernels "
           f"(k budget {layer.k_budget}, per-entry tolerance {layer.tolerance:.6g})")
     for solve in layer.channel_solves:
         print(f"  channel {solve.channel} sign {solve.sign:+d}: {solve.status}, "
               f"residual {solve.residual_inf:.6g} (pool {len(solve.pool)})")
     for warning in layer.occupancy_warnings:
         print(f"  warning: {warning}")
-    print(f"probe error {report.empirical_max_error:.6g} over {report.probe_count} probes and "
-          f"the two corners (budget {report.theoretical_bound:.6g} when fully successful)")
+    print(f"probe error {report.empirical_max_error:.6g} over {bundle.params.probe_count} "
+          f"probes and the two corners (budget {report.theoretical_bound:.6g} when fully successful)")
     structure = validate_structure(bundle.masks[0])
     print(f"mask structure: {'valid' if structure.valid else 'INVALID: ' + structure.message}")
     if not structure.valid:
@@ -327,10 +328,10 @@ def _cmd_prune_net(args) -> int:
     print(f"fully successful: {report.fully_successful}")
     print(f"empirical max probe error: {report.empirical_max_error:.6g}")
     print(f"composed bound when fully successful: {report.theoretical_bound:.6g}")
-    for summary in report.layers:
-        hits = sum(1 for s in summary.channel_solves if s.success)
-        print(f"  layer {summary.layer}: kept {summary.kept_kernels}/{summary.total_kernels} "
-              f"kernels, {hits}/{len(summary.channel_solves)} channel solves hit")
+    for i, layer in enumerate(report.layers, 1):
+        hits = sum(1 for s in layer.channel_solves if s.success)
+        print(f"  layer {i}: kept {len(layer.kept_kernels)}/{layer.mask.shape[3]} "
+              f"kernels, {hits}/{len(layer.channel_solves)} channel solves hit")
     for mask in bundle.masks:
         structure = validate_structure(mask)
         if not structure.valid:
@@ -340,25 +341,6 @@ def _cmd_prune_net(args) -> int:
         save_bundle(args.out, bundle)
         print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _report_contradiction(report, masks: int) -> str | None:
-    """The first stored claim of ``report`` that its own records contradict, if any.
-
-    ``theoretical_bound`` is not checked: its formula depends on whether
-    prune-one or prune-net wrote the bundle, which the bundle does not say.
-    """
-    if len(report.layers) != masks:
-        return f"report has {len(report.layers)} layer records for {masks} masks"
-    solves = [(layer.layer, s) for layer in report.layers for s in layer.channel_solves]
-    for layer, s in solves:
-        if s.success != (s.residual_inf <= s.tolerance):
-            return (f"layer {layer} channel {s.channel} sign {s.sign:+d}: status {s.status} "
-                    f"with residual {s.residual_inf!r} against tolerance {s.tolerance!r}")
-    if report.fully_successful != all(s.success for _, s in solves):
-        return (f"stored fully_successful {report.fully_successful} disagrees with "
-                "the solve statuses")
-    return None
 
 
 def _cmd_dump_report(args) -> int:
@@ -383,9 +365,9 @@ def _cmd_dump_report(args) -> int:
         if recomputed != bundle.report.empirical_max_error:
             print("MISMATCH: stored report does not reproduce from kernels+masks+seed")
             return EXIT_CHECK_FAILED
-        contradiction = _report_contradiction(bundle.report, len(bundle.masks))
-        if contradiction:
-            print(f"MISMATCH: {contradiction}")
+        mismatch = report_mismatch(args.bundle)
+        if mismatch:
+            print(f"MISMATCH: {mismatch}")
             return EXIT_CHECK_FAILED
     else:
         print("no stored report: probe error not re-verified, only mask structure checked")

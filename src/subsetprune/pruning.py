@@ -23,6 +23,12 @@ The pipeline realises three facts as executable code:
 
 Both return a :class:`PrunedNetworkBundle` whose report's empirical error is
 :func:`bundle_probe_error` of the bundle, the check ``dump-report`` repeats.
+The report keeps only what the run adds: each layer's
+:class:`LayerPruneResult`, the probe error and the bound. A saved report
+writes every other key from the bundle, and :func:`load_bundle` rebuilds each
+layer record from the bundle's own kernels and masks, reading only the
+selected kernels, the tolerance and the k budget; :func:`report_mismatch`
+names the first stored key that differs from its re-derived value.
 
 Channel solves that the search cannot hit are first-class results: the best
 near-miss subset is still applied (so a pruned network always exists) and the
@@ -56,8 +62,10 @@ from .solvers import (
     DEFAULT_ENUMERATION_BUDGET,
     CardinalityMode,
     SolverParams,
+    SearchOutcome,
     Strategy,
     _SubsetIndex,
+    _make_solution,
     search_subsets,
 )
 from .tensors import FeatureMap, Tensor4, conv, neg_part, norm_l1, pos_part, relu
@@ -67,7 +75,6 @@ __all__ = [
     "PruneParams",
     "ChannelSolve",
     "LayerPruneResult",
-    "LayerSummary",
     "PruneReport",
     "PrunedNetworkBundle",
     "default_k_budget",
@@ -81,6 +88,7 @@ __all__ = [
     "single_layer_output",
     "save_bundle",
     "load_bundle",
+    "report_mismatch",
     "bundle_probe_error",
     "composition_bound",
     "kept_channel_costs",
@@ -170,6 +178,9 @@ class PruneParams:
             raise ParameterError("epsilon must lie in (0, 1)")
         if not self.magnitude_bound > 0.0:
             raise ParameterError("magnitude bound must be positive")
+        if not math.isfinite(2.0 * self.magnitude_bound):  # the probes span (-M, M)
+            raise ParameterError(f"magnitude bound {self.magnitude_bound!r} is too large: "
+                                 "2 * M must be finite")
         if self.k_budget is not None and self.k_budget < 1:
             raise ParameterError("k_budget must be >= 1")
         if self.probe_count < 0:
@@ -317,17 +328,10 @@ class _PreparedLayer:
                 enumeration_budget=params.enumeration_budget,
                 seed=seed.substream(2 * channel + (sign < 0)),
             )
-            outcome = search_subsets(candidates, flat_target, solver, index)
-            if outcome.best is None:
-                selected: tuple[int, ...] = ()
-                residual = math.inf
-            else:
-                selected = tuple(pool[i] for i in outcome.best.indices)
-                residual = outcome.best.residual_inf
-            kept.update(selected)
-            solves.append(
-                ChannelSolve(channel, sign, pool, selected, residual, tolerance, outcome.status)
-            )
+            solve = _channel_solve(channel, sign, pool, tolerance,
+                                   search_subsets(candidates, flat_target, solver, index))
+            kept.update(solve.selected)
+            solves.append(solve)
 
         removal = filter_removal_mask(expansion.shape, sorted(kept))
         final_mask = compose(self.blocked, removal)
@@ -340,6 +344,17 @@ class _PreparedLayer:
             k_budget=k_budget,
             occupancy_warnings=tuple(self.warnings),
         )
+
+
+def _channel_solve(channel: int, sign: int, pool: tuple[int, ...], tolerance: float,
+                   outcome: SearchOutcome) -> ChannelSolve:
+    """The record of one solve; no subset at all (an EXACT k above the pool size)
+    selects nothing at residual inf."""
+    if outcome.best is None:
+        return ChannelSolve(channel, sign, pool, (), math.inf, tolerance, outcome.status)
+    selected = tuple(pool[i] for i in outcome.best.indices)
+    return ChannelSolve(channel, sign, pool, selected, outcome.best.residual_inf, tolerance,
+                        outcome.status)
 
 
 # The most recently pruned pair, keyed by the exact shapes and bytes of its
@@ -417,21 +432,15 @@ def make_probes(
     return probes
 
 
-def evaluate_network(kernels, fmap: FeatureMap, masks=None) -> FeatureMap:
+def evaluate_network(kernels, fmap: FeatureMap) -> FeatureMap:
     """Alternate convolution and ReLU; the final convolution stays linear.
 
-    ``masks`` may be None or a sequence aligned with ``kernels`` whose entries
-    are Mask4 or None; masked kernels are multiplied entrywise first. Every
-    kernel but the last runs on its kept channels only (:func:`_kept_channels`),
-    which gives the full-width result bit for bit.
+    Every kernel but the last runs on its kept channels only
+    (:func:`_kept_channels`), which gives the full-width result bit for bit.
     """
     kernels = list(kernels)
     if not kernels:
         raise ParameterError("need at least one kernel")
-    if masks is not None:
-        if len(masks) != len(kernels):
-            raise ShapeError("masks must align with kernels")
-        kernels = [k if m is None else m.apply(k) for k, m in zip(kernels, masks)]
     if [k.channels_in for k in kernels] != [fmap.channels] + [k.kernels for k in kernels[:-1]]:
         raise ShapeError("each kernel must read the channels the one before it writes")
     shape = (fmap.height, fmap.width, kernels[-1].kernels)
@@ -450,117 +459,32 @@ def probe_error(target_kernels, random_kernels, masks, probes) -> float:
     ``f`` is the target chain and ``g`` the random chain (expansion, mixing,
     ...) with ``masks[i]`` applied to the 1 x 1 expansion of target layer
     ``i``; the mixing kernels are used unmasked, since the mask already zeroes
-    the channels they would read.
+    the channels they would read. Each mask is applied once, before the probes.
     """
-    eval_masks = [m for mask in masks for m in (mask, None)]
+    pruned = list(random_kernels)
+    if len(pruned) != 2 * len(masks):
+        raise ShapeError("need one mask per expansion kernel")
+    pruned[::2] = [mask.apply(expansion) for mask, expansion in zip(masks, pruned[::2])]
     worst = 0.0
     for probe in probes:
         fx = evaluate_network(target_kernels, probe)
-        gx = evaluate_network(random_kernels, probe, eval_masks)
+        gx = evaluate_network(pruned, probe)
         worst = max(worst, float(np.abs(fx.data - gx.data).max()))
     return worst
 
 
 @dataclass(frozen=True)
-class LayerSummary:
-    layer: int
-    tolerance: float
-    k_budget: int
-    kept_kernels: int
-    total_kernels: int
-    channel_solves: tuple[ChannelSolve, ...]
-    occupancy_warnings: tuple[str, ...]
+class PruneReport:
+    """What a pruning run adds to its bundle: each target layer's record, the
+    bundle's probe error and the bound that holds when every solve hits."""
+
+    layers: tuple[LayerPruneResult, ...]
+    empirical_max_error: float
+    theoretical_bound: float
 
     @property
     def fully_successful(self) -> bool:
-        return all(s.success for s in self.channel_solves)
-
-
-@dataclass(frozen=True)
-class PruneReport:
-    """End-to-end record of a multi-layer pruning run."""
-
-    layers: tuple[LayerSummary, ...]
-    epsilon: float
-    magnitude_bound: float
-    spatial: int
-    probe_count: int
-    empirical_max_error: float
-    theoretical_bound: float
-    fully_successful: bool
-    seed: SeedSpec
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "magnitude_bound": self.magnitude_bound,
-            "spatial": self.spatial,
-            "probe_count": self.probe_count,
-            "empirical_max_error": self.empirical_max_error,
-            "theoretical_bound": self.theoretical_bound,
-            "fully_successful": self.fully_successful,
-            "seed": {"master_seed": self.seed.master_seed, "stream_id": self.seed.stream_id},
-            "layers": [
-                {
-                    "layer": s.layer,
-                    "tolerance": s.tolerance,
-                    "k_budget": s.k_budget,
-                    "kept_kernels": s.kept_kernels,
-                    "total_kernels": s.total_kernels,
-                    "occupancy_warnings": list(s.occupancy_warnings),
-                    "channel_solves": [
-                        {
-                            "channel": c.channel,
-                            "sign": c.sign,
-                            "pool_size": len(c.pool),
-                            "selected": list(c.selected),
-                            "residual_inf": c.residual_inf,
-                            "tolerance": c.tolerance,
-                            "status": c.status,
-                        }
-                        for c in s.channel_solves
-                    ],
-                }
-                for s in self.layers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PruneReport":
-        layers = tuple(
-            LayerSummary(
-                layer=entry["layer"],
-                tolerance=entry["tolerance"],
-                k_budget=entry["k_budget"],
-                kept_kernels=entry["kept_kernels"],
-                total_kernels=entry["total_kernels"],
-                channel_solves=tuple(
-                    ChannelSolve(
-                        channel=c["channel"],
-                        sign=c["sign"],
-                        pool=tuple(range(c["pool_size"])),  # pool ids are not persisted
-                        selected=tuple(c["selected"]),
-                        residual_inf=c["residual_inf"],
-                        tolerance=c["tolerance"],
-                        status=c["status"],
-                    )
-                    for c in entry["channel_solves"]
-                ),
-                occupancy_warnings=tuple(entry["occupancy_warnings"]),
-            )
-            for entry in payload["layers"]
-        )
-        return cls(
-            layers=layers,
-            epsilon=payload["epsilon"],
-            magnitude_bound=payload["magnitude_bound"],
-            spatial=payload["spatial"],
-            probe_count=payload["probe_count"],
-            empirical_max_error=payload["empirical_max_error"],
-            theoretical_bound=payload["theoretical_bound"],
-            fully_successful=payload["fully_successful"],
-            seed=SeedSpec(payload["seed"]["master_seed"], payload["seed"]["stream_id"]),
-        )
+        return all(layer.fully_successful for layer in self.layers)
 
 
 def composition_bound(epsilon: float, depth: int) -> float:
@@ -623,28 +547,7 @@ def _reported_bundle(randoms, targets, results, params, seed, spatial,
     empirical error is :func:`bundle_probe_error` of the bundle itself."""
     bundle = PrunedNetworkBundle(tuple(randoms), tuple(targets), tuple(r.mask for r in results),
                                  params, seed, spatial)
-    report = PruneReport(
-        layers=tuple(
-            LayerSummary(
-                layer=i + 1,
-                tolerance=r.tolerance,
-                k_budget=r.k_budget,
-                kept_kernels=len(r.kept_kernels),
-                total_kernels=r.mask.shape[3],
-                channel_solves=r.channel_solves,
-                occupancy_warnings=r.occupancy_warnings,
-            )
-            for i, r in enumerate(results)
-        ),
-        epsilon=params.epsilon,
-        magnitude_bound=params.magnitude_bound,
-        spatial=spatial,
-        probe_count=params.probe_count,
-        empirical_max_error=bundle_probe_error(bundle),
-        theoretical_bound=bound,
-        fully_successful=all(r.fully_successful for r in results),
-        seed=seed,
-    )
+    report = PruneReport(tuple(results), bundle_probe_error(bundle), bound)
     return dataclasses.replace(bundle, report=report)
 
 
@@ -688,6 +591,45 @@ class PrunedNetworkBundle:
     report: PruneReport | None = None
 
 
+def _report_payload(bundle: PrunedNetworkBundle) -> dict:
+    """The stored form of ``bundle.report``; every key but the layer records,
+    the probe error and the bound is written from the bundle itself."""
+    report = bundle.report
+    return {
+        "epsilon": bundle.params.epsilon,
+        "magnitude_bound": bundle.params.magnitude_bound,
+        "spatial": bundle.spatial,
+        "probe_count": bundle.params.probe_count,
+        "empirical_max_error": report.empirical_max_error,
+        "theoretical_bound": report.theoretical_bound,
+        "fully_successful": report.fully_successful,
+        "seed": {"master_seed": bundle.seed.master_seed, "stream_id": bundle.seed.stream_id},
+        "layers": [
+            {
+                "layer": i,
+                "tolerance": layer.tolerance,
+                "k_budget": layer.k_budget,
+                "kept_kernels": len(layer.kept_kernels),
+                "total_kernels": layer.mask.shape[3],
+                "occupancy_warnings": list(layer.occupancy_warnings),
+                "channel_solves": [
+                    {
+                        "channel": c.channel,
+                        "sign": c.sign,
+                        "pool_size": len(c.pool),
+                        "selected": list(c.selected),
+                        "residual_inf": c.residual_inf,
+                        "tolerance": c.tolerance,
+                        "status": c.status,
+                    }
+                    for c in layer.channel_solves
+                ],
+            }
+            for i, layer in enumerate(report.layers, 1)
+        ],
+    }
+
+
 def save_bundle(path, bundle: PrunedNetworkBundle) -> None:
     payload = {
         "format": _BUNDLE_FORMAT,
@@ -697,19 +639,46 @@ def save_bundle(path, bundle: PrunedNetworkBundle) -> None:
         "random_kernels": [_tensor_to_payload(t) for t in bundle.random_kernels],
         "target_kernels": [_tensor_to_payload(t) for t in bundle.target_kernels],
         "masks": [base64.b64encode(mask_to_bytes(m)).decode("ascii") for m in bundle.masks],
-        "report": bundle.report.to_dict() if bundle.report is not None else None,
+        "report": _report_payload(bundle) if bundle.report is not None else None,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")
 
 
-def load_bundle(path) -> PrunedNetworkBundle:
+def _loaded_layer(expansion: Tensor4, mixing: Tensor4, target: Tensor4, mask: Mask4,
+                  entry: dict, params: PruneParams) -> LayerPruneResult:
+    """A saved layer record rebuilt by the code the pruning ran: pools and
+    warnings from the kernels, kept kernels from the mask, each solve's residual
+    and status from its selected kernels, summed as the search sums its witness.
+    Only those kernels, the tolerance and the k budget are read from ``entry``;
+    the last two depend on which command wrote the bundle."""
+    prepared = _PreparedLayer(mixing, expansion)  # its subset indices stay unbuilt
+    tolerance, k_budget = float(entry["tolerance"]), int(entry["k_budget"])
+    solves = []
+    for (channel, sign, pool, candidates, _), stored in zip(prepared.pools,
+                                                             entry["channel_solves"]):
+        if params.mode is CardinalityMode.EXACT and k_budget > len(pool):
+            outcome = SearchOutcome(None, None, exhaustive=True)  # no k-subsets exist
+        else:
+            place = {kernel: i for i, kernel in enumerate(pool)}
+            best = _make_solution(candidates, [place[k] for k in stored["selected"] if k in place],
+                                  sign * target.data[:, :, channel, :].reshape(-1))
+            outcome = SearchOutcome(best if best.residual_inf <= tolerance else None, best,
+                                    exhaustive=params.strategy is Strategy.EXHAUSTIVE)
+        solves.append(_channel_solve(channel, sign, pool, tolerance, outcome))
+    kept = np.flatnonzero(mask.bits.reshape(-1, mask.shape[3]).any(axis=0))
+    return LayerPruneResult(mask, mask.apply(expansion), tuple(solves), tuple(kept.tolist()),
+                            tolerance, k_budget, tuple(prepared.warnings))
+
+
+def _read_bundle(path) -> tuple[dict, PrunedNetworkBundle]:
+    """The JSON stored at ``path`` and the bundle it holds, with any report
+    rebuilt layer by layer (:func:`_loaded_layer`)."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise ValueError(f"{path} is not a {_BUNDLE_FORMAT} file")
-    report = payload.get("report")
     try:
         bundle = PrunedNetworkBundle(
             random_kernels=tuple(_tensor_from_payload(t) for t in payload["random_kernels"]),
@@ -718,17 +687,64 @@ def load_bundle(path) -> PrunedNetworkBundle:
             params=_params_from_payload(payload["params"]),
             seed=SeedSpec(payload["seed"]["master_seed"], payload["seed"]["stream_id"]),
             spatial=int(payload["spatial"]),
-            report=PruneReport.from_dict(report) if report is not None else None,
         )
+        depth = len(bundle.target_kernels)  # bundle_probe_error needs one target or more
+        if depth < 1 or len(bundle.random_kernels) != 2 * depth or len(bundle.masks) != depth:
+            raise ValueError(f"bundle {path} needs at least one target, two random kernels "
+                             "and one mask per target")
+        stored = payload.get("report")
+        if stored is not None:
+            pieces = zip(bundle.random_kernels[::2], bundle.random_kernels[1::2],
+                         bundle.target_kernels, bundle.masks, stored["layers"])
+            layers = tuple(_loaded_layer(*piece, bundle.params) for piece in pieces)
+            report = PruneReport(layers, float(stored["empirical_max_error"]),
+                                 float(stored["theoretical_bound"]))
+            bundle = dataclasses.replace(bundle, report=report)
     except KeyError as exc:
         raise ValueError(f"bundle {path} lacks key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"bundle {path} has a malformed field: {exc}") from exc
-    depth = len(bundle.target_kernels)  # bundle_probe_error needs one target or more
-    if depth < 1 or len(bundle.random_kernels) != 2 * depth or len(bundle.masks) != depth:
-        raise ValueError(f"bundle {path} needs at least one target, two random kernels "
-                         "and one mask per target")
-    return bundle
+    return payload, bundle
+
+
+def load_bundle(path) -> PrunedNetworkBundle:
+    return _read_bundle(path)[1]
+
+
+def report_mismatch(path) -> str | None:
+    """The first key of the report stored at ``path`` whose value is not the one
+    re-derived from its bundle (``key: stored ..., derived ...``), or a count of
+    layer records or solves other than of masks or pools; None when all agree
+    or no report is stored. A missing, unknown or wrongly typed key raises
+    ValueError. The probe error and the bound are read, not derived."""
+    payload, bundle = _read_bundle(path)
+    if bundle.report is None:
+        return None
+    layers = payload["report"]["layers"]
+    if len(layers) != len(bundle.masks):
+        return f"report has {len(layers)} layer records for {len(bundle.masks)} masks"
+    for i, (entry, mask) in enumerate(zip(layers, bundle.masks)):
+        solves, pools = len(entry["channel_solves"]), 2 * mask.shape[2]  # a pool per channel, sign
+        if solves != pools:
+            return f"report.layers[{i}] has {solves} channel solves for {pools} pools"
+    return next(_differences("report", payload["report"], _report_payload(bundle)), None)
+
+
+def _differences(key: str, stored, derived):
+    """Each key under ``key``, in the derived payload's order, whose stored value
+    differs from the derived one."""
+    if type(stored) is not type(derived):
+        raise ValueError(f"stored {key} must be a JSON {type(derived).__name__}, got {stored!r}")
+    if isinstance(derived, dict):
+        if stored.keys() != derived.keys():
+            raise ValueError(f"stored {key} has keys {sorted(stored)}, expected {sorted(derived)}")
+        for name, value in derived.items():
+            yield from _differences(f"{key}.{name}", stored[name], value)
+    elif isinstance(derived, list) and len(stored) == len(derived):
+        for i, items in enumerate(zip(stored, derived)):
+            yield from _differences(f"{key}[{i}]", *items)
+    elif stored != derived:
+        yield f"{key}: stored {stored!r}, derived {derived!r}"
 
 
 def bundle_probe_error(bundle: PrunedNetworkBundle) -> float:

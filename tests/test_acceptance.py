@@ -288,7 +288,7 @@ def test_criterion_11_multi_layer_composition():
         for t, targets in enumerate(target_sets):
             bundle = prune_network(randoms, targets, params, seed.substream(200 + t), spatial)
             report = bundle.report
-            assert report.probe_count + 2 == 256
+            assert bundle.params.probe_count + 2 == 256
             for layer, mask in enumerate(bundle.masks):
                 structure = validate_structure(mask)
                 assert structure.valid, structure.message

@@ -111,6 +111,14 @@ def test_prune_one_and_bundle(capsys, tmp_path):
     assert bundle.exists()
 
 
+@pytest.mark.parametrize("magnitude", ["inf", "1e308"])
+@pytest.mark.parametrize("command", ["prune-one", "prune-net"])
+def test_unrepresentable_magnitude_rejected_up_front(command, magnitude, capsys):
+    # 2 * M must be finite for the probes on (-M, M)
+    assert main([command, "--magnitude", magnitude, "--probes", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: magnitude bound {float(magnitude)!r}")
+
+
 def test_prune_one_invalid_mask_fails_before_writing(capsys, tmp_path, monkeypatch):
     def invalid(mask):
         return StructureReport(False, mask.kind, ((0, 0, 0, 0),), "planted violation")
@@ -217,6 +225,46 @@ def _demote_first_solve(payload):
     return payload
 
 
+def _edit(*path, value=None, change=None):
+    """A tampering that sets or changes one value of the stored report."""
+    def tamper(payload):
+        *parents, last = path
+        holder = payload["report"]
+        for step in parents:
+            holder = holder[step]
+        holder[last] = change(holder[last]) if change else value
+        return payload
+    return tamper
+
+
+def _drop_a_selected_kernel(payload):
+    solve = next(s for layer in payload["report"]["layers"] for s in layer["channel_solves"]
+                 if s["selected"])
+    solve["selected"].pop()
+    return payload
+
+
+_SOLVE = ("layers", 0, "channel_solves", 0)
+_REPORT_EDITS = {
+    "epsilon": _edit("epsilon", value=0.25),
+    "probe-count": _edit("probe_count", change=lambda v: v + 1),
+    "seed": _edit("seed", "master_seed", change=lambda v: v + 1),
+    "spatial": _edit("spatial", change=lambda v: v + 1),
+    "magnitude-bound": _edit("magnitude_bound", value=2.0),
+    "layer-number": _edit("layers", 0, "layer", value=2),
+    "kept-kernels": _edit("layers", 0, "kept_kernels", change=lambda v: v + 1),
+    "total-kernels": _edit("layers", 0, "total_kernels", change=lambda v: v + 1),
+    "warnings": _edit("layers", 0, "occupancy_warnings", change=lambda v: [*v, "planted"]),
+    "pool-size": _edit(*_SOLVE, "pool_size", change=lambda v: v + 1),
+    "selected": _drop_a_selected_kernel,
+    "foreign-kernel": _edit(*_SOLVE, "selected", value=[9999]),
+    "residual": _edit("layers", 1, "channel_solves", 0, "residual_inf", change=lambda v: v / 2),
+    "solve-tolerance": _edit(*_SOLVE, "tolerance", change=lambda v: v * 2),
+    "sign": _edit(*_SOLVE, "sign", change=lambda v: -v),
+    "dropped-solve": _edit("layers", 1, "channel_solves", change=lambda v: v[:-1]),
+}
+
+
 _FAILED_NET = ["prune-net", "--overparam", "8,8", "--probes", "4", "--seed", "2"]
 
 
@@ -233,8 +281,10 @@ def test_failed_net_bundle_is_honestly_unsuccessful(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_claim_all_hits, _claim_full_success, _empty_layers, _drop_last_layer, _demote_first_solve],
-    ids=["all-hits", "full-success", "no-layers", "missing-layer", "unmarked-hit"],
+    [_claim_all_hits, _claim_full_success, _empty_layers, _drop_last_layer, _demote_first_solve,
+     *_REPORT_EDITS.values()],
+    ids=["all-hits", "full-success", "no-layers", "missing-layer", "unmarked-hit",
+         *_REPORT_EDITS],
 )
 def test_dump_report_rejects_contradicted_claims(capsys, tmp_path, tamper):
     bundle = tmp_path / "net.json"
@@ -243,6 +293,17 @@ def test_dump_report_rejects_contradicted_claims(capsys, tmp_path, tamper):
     capsys.readouterr()
     assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_CHECK_FAILED
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_dump_report_reads_the_bound_unchecked(capsys, tmp_path):
+    # a v1 bundle does not say which command wrote it, so its bound is not re-derived
+    bundle = tmp_path / "net.json"
+    assert main([*_FAILED_NET, "--out", str(bundle)]) == EXIT_OK
+    bundle.write_text(json.dumps(_edit("theoretical_bound", value=99.0)(
+        json.loads(bundle.read_text()))))
+    capsys.readouterr()
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 def test_dump_report_missing_file():
@@ -292,6 +353,11 @@ def _drop_k_budget(payload):
     return payload
 
 
+def _drop_pool_size(payload):
+    del payload["report"]["layers"][0]["channel_solves"][0]["pool_size"]
+    return payload
+
+
 def _null_spatial(payload):
     payload["spatial"] = None
     return payload
@@ -309,8 +375,11 @@ def _short_mask_blob(payload):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_k_budget, _null_spatial, lambda payload: [payload], _no_targets, _short_mask_blob],
-    ids=["missing-key", "wrong-type", "not-an-object", "no-targets", "short-mask-blob"],
+    [_drop_k_budget, _drop_pool_size, _edit("layers", 0, "note", value="planted"), _null_spatial,
+     _edit("layers", 0, "tolerance", value="0.1"), lambda payload: [payload], _no_targets,
+     _short_mask_blob],
+    ids=["missing-key", "missing-derived-key", "unknown-key", "wrong-type", "wrong-read-type",
+         "not-an-object", "no-targets", "short-mask-blob"],
 )
 def test_dump_report_malformed_bundle(capsys, tmp_path, corrupt):
     bundle = tmp_path / "net.json"

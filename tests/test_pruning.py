@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from subsetprune import (
     FeatureMap,
+    CardinalityMode,
     Mask4,
     NetworkSpec,
     ParameterError,
@@ -47,6 +48,7 @@ from subsetprune import (
     validate_structure,
 )
 from subsetprune import pruning
+from subsetprune.pruning import report_mismatch
 from subsetprune.masks import ChannelBlocked, Composite, FilterRemoval
 
 
@@ -142,7 +144,7 @@ class TestEvaluateNetwork:
         ]
         probe = sample_uniform_map(4, 4, 1, SeedSpec(4))
         a = evaluate_network(kernels, probe)
-        b = evaluate_network(kernels, probe, masks)
+        b = evaluate_network([m.apply(k) for m, k in zip(masks, kernels)], probe)
         assert np.array_equal(a.data, b.data)
 
     def test_matches_hand_rolled_composition(self):
@@ -410,12 +412,12 @@ class TestPruneRandomLayer:
         assert bundle.masks[0].kind == direct.mask.kind
         layer = bundle.report.layers[0]
         assert layer.channel_solves == direct.channel_solves
-        assert (layer.kept_kernels, layer.total_kernels) == (len(direct.kept_kernels),
-                                                             expansion.kernels)
+        assert (len(layer.kept_kernels), layer.mask.shape[3]) == (len(direct.kept_kernels),
+                                                                  expansion.kernels)
         assert bundle.report.empirical_max_error == bundle_probe_error(by_hand)
         assert bundle.report.theoretical_bound == 0.25 * 1.5
         assert bundle.report.fully_successful == direct.fully_successful
-        assert (bundle.report.seed, bundle.report.spatial) == (seed, 3)
+        assert (bundle.seed, bundle.spatial) == (seed, 3)
 
     def test_spec_targets_are_unit_l1_substreams(self):
         seed = SeedSpec(133)
@@ -423,6 +425,12 @@ class TestPruneRandomLayer:
         targets = spec.sample_targets(seed)
         for i, (got, shape) in enumerate(zip(targets, spec.target_kernel_shapes())):
             assert np.array_equal(got.data, unit_l1(shape, seed.substream(100 + i)).data)
+
+
+def spec_network(spec, seed):
+    """``prune-net``'s run: the spec's random net and targets, pruned at eps 0.5."""
+    return prune_network(spec.sample_random_net(seed.substream(0)), spec.sample_targets(seed),
+                         PruneParams(epsilon=0.5, probe_count=16), seed.substream(1), spec.spatial)
 
 
 def signed_zero_probes(shape, count, seed):
@@ -477,7 +485,8 @@ class TestCompactEvaluation:
         worst = 0.0
         for probe in probes:
             want = full_width_chain(randoms, probe, eval_masks)
-            got = evaluate_network(randoms, probe, eval_masks)
+            got = evaluate_network([k if m is None else m.apply(k)
+                                    for m, k in zip(eval_masks, randoms)], probe)
             assert got.data.tobytes() == want.data.tobytes()
             if kept.startswith("empty"):
                 assert not got.data.any() and not np.signbit(got.data).any()
@@ -504,8 +513,8 @@ class TestCompactEvaluation:
     def test_shape_mismatch_raises_even_when_nothing_is_kept(self):
         expansion = Tensor4(np.zeros((1, 1, 1, 4)))
         with pytest.raises(ShapeError):
-            evaluate_network([expansion, Tensor4(np.ones((2, 2, 3, 1)))],
-                             FeatureMap(np.ones((4, 4, 1))), [filter_removal_mask((1, 1, 1, 4), []), None])
+            evaluate_network([filter_removal_mask((1, 1, 1, 4), []).apply(expansion),
+                              Tensor4(np.ones((2, 2, 3, 1)))], FeatureMap(np.ones((4, 4, 1))))
         with pytest.raises(ShapeError):
             single_layer_output(Tensor4(np.ones((2, 2, 4, 1))), expansion, FeatureMap(np.ones((4, 4, 2))))
 
@@ -528,6 +537,13 @@ class TestProbeError:
             worst = max(worst, float(np.abs(fx.data - gx.data).max()))
         assert worst > 0.0
         assert probe_error((target,), (expansion, mixing), (result.mask,), probes) == worst
+
+    def test_mask_count_must_match_the_layers(self):
+        seed = SeedSpec(124)
+        randoms = NetworkSpec(1, 4, (1, 1), (2,), (4,)).sample_random_net(seed)
+        probes = make_probes(4, 4, 1, 2, seed.substream(5))
+        with pytest.raises(ShapeError):
+            probe_error((unit_l1((2, 2, 1, 1), seed),), randoms, (), probes)
 
     def test_network_error_and_bound_scale_with_magnitude(self, tmp_path):
         # bias-free ReLU chains are positively homogeneous, and scaling by 2 is exact
@@ -597,6 +613,59 @@ class TestBundle:
         save_bundle(path, dataclasses.replace(bundle, masks=bundle.masks * 2))
         with pytest.raises(ValueError, match="one mask per target"):
             load_bundle(path)
+
+    @pytest.mark.parametrize("run", [
+        lambda: prune_random_layer(2, 1, 1, 48, PruneParams(epsilon=0.25), SeedSpec(20240801)),
+        lambda: prune_random_layer(2, 1, 1, 48, PruneParams(epsilon=0.25,
+                                   strategy=Strategy.GREEDY_SWAP), SeedSpec(3)),
+        lambda: prune_random_layer(2, 1, 1, 48, PruneParams(epsilon=0.25, k_budget=30,
+                                   mode=CardinalityMode.EXACT), SeedSpec(5)),
+        lambda: prune_random_layer(1, 1, 1, 64, PruneParams(epsilon=0.9, k_budget=4), SeedSpec(1)),
+        lambda: prune_random_layer(2, 2, 2, 12, PruneParams(epsilon=0.25, magnitude_bound=1.5),
+                                   SeedSpec(14)),
+        lambda: spec_network(NetworkSpec(2, 4, (1, 2, 1), (2, 2), (48, 48)), SeedSpec(7)),
+        lambda: spec_network(NetworkSpec(3, 4, (1, 2, 2, 1), (2, 2, 2), (16, 16, 16)),
+                             SeedSpec(4)),
+    ], ids=["layer", "greedy", "exact-k30", "fully-successful", "warnings", "net-depth2",
+            "net-depth3"])
+    def test_loaded_report_is_the_run_report(self, tmp_path, run):
+        bundle = run()
+        path, again = tmp_path / "bundle.json", tmp_path / "again.json"
+        save_bundle(path, bundle)
+        back = load_bundle(path)
+        assert len(back.report.layers) == len(bundle.report.layers)
+        for loaded, ran in zip(back.report.layers, bundle.report.layers):
+            # pools included: each solve's kernel ids are the run's, not made up
+            assert loaded.channel_solves == ran.channel_solves
+            assert (loaded.kept_kernels, loaded.tolerance, loaded.k_budget,
+                    loaded.occupancy_warnings) == (ran.kept_kernels, ran.tolerance,
+                                                   ran.k_budget, ran.occupancy_warnings)
+            assert loaded.pruned_first.data.tobytes() == ran.pruned_first.data.tobytes()
+        assert (back.report.empirical_max_error, back.report.theoretical_bound) == (
+            bundle.report.empirical_max_error, bundle.report.theoretical_bound)
+        assert report_mismatch(path) is None
+        save_bundle(again, back)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_fully_successful_bundle_is_checked_on_hits(self):
+        report = prune_random_layer(1, 1, 1, 64, PruneParams(epsilon=0.9, k_budget=4),
+                                    SeedSpec(1)).report
+        assert report.fully_successful
+        assert all(s.status == "hit" for s in report.layers[0].channel_solves)
+
+    def test_bundle_without_report_round_trips(self, tmp_path):
+        seed = SeedSpec(118)
+        expansion = sample_normal_tensor((1, 1, 1, 8), seed.substream(0))
+        mixing = sample_normal_tensor((1, 1, 8, 1), seed.substream(1))
+        bundle = PrunedNetworkBundle((expansion, mixing), (unit_l1((1, 1, 1, 1), seed),),
+                                     (channel_blocked_mask(1, 1, 8),), PruneParams(epsilon=0.5),
+                                     seed, spatial=2)
+        path, again = tmp_path / "bundle.json", tmp_path / "again.json"
+        save_bundle(path, bundle)
+        back = load_bundle(path)
+        assert back.report is None and report_mismatch(path) is None
+        save_bundle(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
