@@ -365,7 +365,7 @@ def _cmd_dump_report(args) -> int:
         if recomputed != bundle.report.empirical_max_error:
             print("MISMATCH: stored report does not reproduce from kernels+masks+seed")
             return EXIT_CHECK_FAILED
-        mismatch = report_mismatch(args.bundle)
+        mismatch = report_mismatch(bundle)
         if mismatch:
             print(f"MISMATCH: {mismatch}")
             return EXIT_CHECK_FAILED

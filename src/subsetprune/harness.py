@@ -38,6 +38,7 @@ from .sampling import (
     sample_nsn,
     sample_uniform,
 )
+from . import solvers
 from .solvers import (
     SolverParams,
     Strategy,
@@ -564,6 +565,29 @@ def _l1_projected_target(d: int, radius: float, seed: SeedSpec) -> np.ndarray:
     return z
 
 
+def _batched_greedy_successes(
+    d: int, k: int, sizes: list[int], trials: int, seed: SeedSpec, base: SolverParams,
+    target_radius: float,
+) -> dict:
+    """Greedy-swap hits per n of the trials of :func:`scan_mrss_phase`, each
+    solve exactly the one-trial ``search_subsets`` call. The trials are drawn
+    from the same substreams in batches, as many as one descent batch holds
+    at the largest n, and each n is one batched solve of the whole batch."""
+    successes = dict.fromkeys(sizes, 0)
+    batch = max(1, solvers._DESCENT_BYTES // (8 * (base.restarts + 1) * k * sizes[-1] * d))
+    for first in range(0, trials, batch):
+        streams = [seed.substream(trial) for trial in range(first, min(first + batch, trials))]
+        vectors = np.stack([sample_nsn(sizes[-1], d, s.substream(0)).vectors for s in streams])
+        targets = np.stack([_l1_projected_target(d, target_radius, s.substream(1))
+                            for s in streams])
+        restart_seeds = [s.substream(2) for s in streams]
+        for n in sizes:
+            residuals = solvers._greedy_swap_best(vectors[:, :n], targets, k, restart_seeds,
+                                                  base)[1]
+            successes[n] += int(np.count_nonzero(residuals <= base.epsilon))
+    return successes
+
+
 def scan_mrss_phase(
     d: int,
     k: int,
@@ -589,7 +613,10 @@ def scan_mrss_phase(
     grows. Every requested n's family is checked against the enumeration
     budget before the first trial. Greedy-swap and grouped scans solve every
     n: a local-search miss is not monotone in n, and the last group of
-    :func:`partition_boost` changes its members with n.
+    :func:`partition_boost` changes its members with n. Greedy-swap trials
+    without groups are drawn, from the same substreams, and solved in
+    batches: one batched solve per (batch, n), each problem exactly its
+    one-trial solve, so every row is the one trial-by-trial solving gives.
     """
     sizes = _scan_sizes(n_values, k, trials)
     if not target_radius >= 0.0:  # a negative radius flips the target, NaN skips the projection
@@ -603,24 +630,27 @@ def scan_mrss_phase(
     if stop_at_first_hit:
         for n in n_values:  # in the given order, so the first n over budget is named
             _check_family_budget(int(n), [k], d, base.enumeration_budget)
-    successes = dict.fromkeys(sizes, 0)
-    for trial in range(trials):
-        stream = seed.substream(trial)
-        ensemble = sample_nsn(sizes[-1], d, stream.substream(0))
-        target = _l1_projected_target(d, target_radius, stream.substream(1))
-        params = replace(base, seed=stream.substream(2))
-        for n in sizes:
-            prefix = ensemble.take(n)
-            if group_size is None:
-                hit = search_subsets(prefix.vectors, target, params).solution is not None
-            elif n < group_size:
-                hit = False
-            else:
-                hit = partition_boost(prefix.vectors, target, params, group_size) is not None
-            if hit and stop_at_first_hit:
-                _count_from(successes, n)
-                break
-            successes[n] += hit
+    if strategy is Strategy.GREEDY_SWAP and group_size is None:
+        successes = _batched_greedy_successes(d, k, sizes, trials, seed, base, target_radius)
+    else:
+        successes = dict.fromkeys(sizes, 0)
+        for trial in range(trials):
+            stream = seed.substream(trial)
+            ensemble = sample_nsn(sizes[-1], d, stream.substream(0))
+            target = _l1_projected_target(d, target_radius, stream.substream(1))
+            params = replace(base, seed=stream.substream(2))
+            for n in sizes:
+                prefix = ensemble.take(n)
+                if group_size is None:
+                    hit = search_subsets(prefix.vectors, target, params).solution is not None
+                elif n < group_size:
+                    hit = False
+                else:
+                    hit = partition_boost(prefix.vectors, target, params, group_size) is not None
+                if hit and stop_at_first_hit:
+                    _count_from(successes, n)
+                    break
+                successes[n] += hit
     echo = {
         "d": d,
         "k": k,

@@ -41,7 +41,7 @@ import base64
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -481,6 +481,8 @@ class PruneReport:
     layers: tuple[LayerPruneResult, ...]
     empirical_max_error: float
     theoretical_bound: float
+    # the report as a bundle file held it, kept by load_bundle for report_mismatch
+    stored: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def fully_successful(self) -> bool:
@@ -654,7 +656,7 @@ def _loaded_layer(expansion: Tensor4, mixing: Tensor4, target: Tensor4, mask: Ma
     Only those kernels, the tolerance and the k budget are read from ``entry``;
     the last two depend on which command wrote the bundle."""
     prepared = _PreparedLayer(mixing, expansion)  # its subset indices stay unbuilt
-    tolerance, k_budget = float(entry["tolerance"]), int(entry["k_budget"])
+    tolerance, k_budget = _stored(entry, "tolerance", float), _stored(entry, "k_budget", int)
     solves = []
     for (channel, sign, pool, candidates, _), stored in zip(prepared.pools,
                                                              entry["channel_solves"]):
@@ -672,62 +674,77 @@ def _loaded_layer(expansion: Tensor4, mixing: Tensor4, target: Tensor4, mask: Ma
                             tolerance, k_budget, tuple(prepared.warnings))
 
 
-def _read_bundle(path) -> tuple[dict, PrunedNetworkBundle]:
-    """The JSON stored at ``path`` and the bundle it holds, with any report
-    rebuilt layer by layer (:func:`_loaded_layer`)."""
+def _stored(record: dict, key: str, kind):
+    """``kind(record[key])``; a stored value that does not convert raises a
+    ValueError naming ``key``."""
+    try:
+        return kind(record[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _read_bundle(path) -> dict:
+    """The JSON object stored at ``path``, if it is a bundle file."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or payload.get("format") != _BUNDLE_FORMAT:
         raise ValueError(f"{path} is not a {_BUNDLE_FORMAT} file")
+    return payload
+
+
+def load_bundle(path) -> PrunedNetworkBundle:
+    """The bundle saved at ``path``, with any report rebuilt layer by layer
+    (:func:`_loaded_layer`) and keeping its stored form for
+    :func:`report_mismatch`. A missing, wrongly typed or unconvertible value
+    raises ValueError naming the bundle."""
+    payload = _read_bundle(path)
     try:
         bundle = PrunedNetworkBundle(
             random_kernels=tuple(_tensor_from_payload(t) for t in payload["random_kernels"]),
             target_kernels=tuple(_tensor_from_payload(t) for t in payload["target_kernels"]),
             masks=tuple(mask_from_bytes(base64.b64decode(m)) for m in payload["masks"]),
             params=_params_from_payload(payload["params"]),
-            seed=SeedSpec(payload["seed"]["master_seed"], payload["seed"]["stream_id"]),
-            spatial=int(payload["spatial"]),
+            seed=SeedSpec(_stored(payload["seed"], "master_seed", int),
+                          _stored(payload["seed"], "stream_id", int)),
+            spatial=_stored(payload, "spatial", int),
         )
-        depth = len(bundle.target_kernels)  # bundle_probe_error needs one target or more
-        if depth < 1 or len(bundle.random_kernels) != 2 * depth or len(bundle.masks) != depth:
-            raise ValueError(f"bundle {path} needs at least one target, two random kernels "
-                             "and one mask per target")
         stored = payload.get("report")
         if stored is not None:
             pieces = zip(bundle.random_kernels[::2], bundle.random_kernels[1::2],
                          bundle.target_kernels, bundle.masks, stored["layers"])
             layers = tuple(_loaded_layer(*piece, bundle.params) for piece in pieces)
-            report = PruneReport(layers, float(stored["empirical_max_error"]),
-                                 float(stored["theoretical_bound"]))
+            report = PruneReport(layers, _stored(stored, "empirical_max_error", float),
+                                 _stored(stored, "theoretical_bound", float), stored)
             bundle = dataclasses.replace(bundle, report=report)
     except KeyError as exc:
         raise ValueError(f"bundle {path} lacks key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bundle {path} has a malformed field: {exc}") from exc
-    return payload, bundle
+    depth = len(bundle.target_kernels)  # bundle_probe_error needs one target or more
+    if depth < 1 or len(bundle.random_kernels) != 2 * depth or len(bundle.masks) != depth:
+        raise ValueError(f"bundle {path} needs at least one target, two random kernels "
+                         "and one mask per target")
+    return bundle
 
 
-def load_bundle(path) -> PrunedNetworkBundle:
-    return _read_bundle(path)[1]
-
-
-def report_mismatch(path) -> str | None:
-    """The first key of the report stored at ``path`` whose value is not the one
-    re-derived from its bundle (``key: stored ..., derived ...``), or a count of
-    layer records or solves other than of masks or pools; None when all agree
-    or no report is stored. A missing, unknown or wrongly typed key raises
-    ValueError. The probe error and the bound are read, not derived."""
-    payload, bundle = _read_bundle(path)
-    if bundle.report is None:
+def report_mismatch(bundle: PrunedNetworkBundle) -> str | None:
+    """The first key of the report ``bundle`` was loaded with whose stored value
+    is not the one re-derived from the bundle (``key: stored ..., derived
+    ...``), or a count of layer records or solves other than of masks or
+    pools; None when all agree or the bundle holds no stored report. A
+    missing, unknown or wrongly typed key raises ValueError. The probe error
+    and the bound are read, not derived."""
+    stored = bundle.report.stored if bundle.report is not None else None
+    if stored is None:
         return None
-    layers = payload["report"]["layers"]
+    layers = stored["layers"]
     if len(layers) != len(bundle.masks):
         return f"report has {len(layers)} layer records for {len(bundle.masks)} masks"
     for i, (entry, mask) in enumerate(zip(layers, bundle.masks)):
         solves, pools = len(entry["channel_solves"]), 2 * mask.shape[2]  # a pool per channel, sign
         if solves != pools:
             return f"report.layers[{i}] has {solves} channel solves for {pools} pools"
-    return next(_differences("report", payload["report"], _report_payload(bundle)), None)
+    return next(_differences("report", stored, _report_payload(bundle)), None)
 
 
 def _differences(key: str, stored, derived):

@@ -20,6 +20,7 @@ a splitmix64-style mix of ``(stream_id, index)``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,22 +71,44 @@ def _generator(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _substream_permutation_heads(seed: SeedSpec, indices, n: int, k: int) -> np.ndarray:
-    """Row i holds the first k entries of ``_generator(seed.substream(indices[i])).permutation(n)``.
+# Per thread: one Philox, its Generator and the state a fresh one starts in.
+# Every draw first resets it to that state under its own key, so no call sees
+# another's; keeping it saves building a Philox, seeded from OS entropy only
+# to be rekeyed, per call.
+_REWOUND = threading.local()
 
-    One Philox is rewound to each substream's key with a zero counter and an
-    empty buffer, the state a fresh generator starts in, so the bytes are the
-    same without building a Philox and a Generator per substream.
+
+def _substream_permutation_heads(seeds, indices, n: int, k: int) -> np.ndarray:
+    """Row ``s * len(indices) + i`` holds the first k entries of
+    ``_generator(seeds[s].substream(indices[i])).permutation(n)``; one
+    :class:`SeedSpec` counts as a list of one.
+
+    The thread's one Philox is rewound to each pair's key, ``(master_seed,
+    _mix64(stream_id, index))``, with a zero counter and an empty buffer, the
+    state a fresh generator starts in, so the bytes are the same without
+    building a Philox, a Generator or a :class:`SeedSpec` per pair or per
+    call. The state is handed over as plain ints, which the setter reads
+    faster than arrays.
     """
-    bitgen = np.random.Philox(key=np.array([seed.master_seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-    heads = np.empty((len(indices), k), dtype=np.intp)
-    for row, index in enumerate(indices):
-        key[1] = seed.substream(index).stream_id
-        bitgen.state = fresh
-        heads[row] = rng.permutation(n)[:k]
+    if not hasattr(_REWOUND, "rng"):
+        _REWOUND.rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+        fresh = _REWOUND.rng.bit_generator.state
+        fresh["state"] = {name: part.tolist() for name, part in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        _REWOUND.fresh = fresh
+    rng, fresh = _REWOUND.rng, _REWOUND.fresh
+    bitgen, key = rng.bit_generator, fresh["state"]["key"]
+    seeds = [seeds] if isinstance(seeds, SeedSpec) else seeds
+    indices = [int(index) & _MASK64 for index in indices]
+    heads = np.empty((len(seeds) * len(indices), k), dtype=np.intp)
+    row = 0
+    for seed in seeds:
+        key[0] = seed.master_seed
+        for index in indices:
+            key[1] = _mix64(seed.stream_id, index)
+            bitgen.state = fresh
+            heads[row] = rng.permutation(n)[:k]
+            row += 1
     return heads
 
 

@@ -34,17 +34,21 @@ Strategies of :func:`search_subsets`
     A miss proves nothing and is reported as "not-found", never as
     "proven-infeasible".
 
-    The greedy start and every restart descend together: each step scores
-    all swaps of all starts as one coordinate-major ``(d, starts, k, n)``
-    block of ``current - leaving + entering``, the start's own columns at
-    +inf, and the starts whose best swap improves take it. Per start this is
-    the one-start loop exactly: the same elementwise values, ``current``
-    re-summed over the sorted indices in ascending index order (as the
-    reported witness is), the first argmin in (leaving position, entering
-    index) order, at most ``max_iters`` swaps, and between starts the
-    smallest residual with ties to the lexicographically smallest indices.
-    The starts go in consecutive chunks whose block stays under
-    ``_DESCENT_BYTES``. Restart r starts from the sorted first k of
+    One engine, :func:`_greedy_swap_best`, solves any number P of problems
+    of the same shape at once; :func:`search_subsets` calls it with P = 1 and
+    the greedy MRSS scan with a batch of trials. Each problem's greedy start
+    and restarts, tagged with the problem, descend together with every other
+    problem's: each step scores all swaps of all starts in the batch as one
+    coordinate-major ``(d, k, n, starts)`` block of ``current - leaving +
+    entering``, a start's own entering columns at +inf, and the starts whose
+    best swap improves take it. Per start this is the one-start loop exactly:
+    the same elementwise values, ``current`` re-summed over the sorted
+    indices in ascending index order (as the reported witness is), the first
+    argmin in (leaving position, entering index) order and at most
+    ``max_iters`` swaps; per problem the smallest residual wins, ties to the
+    lexicographically smallest indices. The batch's block stays under one
+    byte cap, ``_DESCENT_BYTES``: a start that stops leaves the batch and a
+    waiting one enters. Restart r starts from the sorted first k of
     ``_generator(seed.substream(r)).permutation(n)``, drawn by rewinding one
     Philox to each substream key rather than building one per restart.
 
@@ -566,85 +570,131 @@ def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
         )
 
 
-def _greedy_build(vectors: np.ndarray, target: np.ndarray, k: int) -> list[int]:
-    n = vectors.shape[0]
-    chosen: list[int] = []
-    current = np.zeros(vectors.shape[1])
-    available = np.ones(n, dtype=bool)
-    for _ in range(k):
-        residuals = np.abs((current + vectors) - target).max(axis=1, initial=0.0)
-        residuals[~available] = np.inf
-        pick = int(np.argmin(residuals))
-        available[pick] = False
-        chosen.append(pick)
-        current = current + vectors[pick]
-    return sorted(chosen)
+def _greedy_builds(vectors: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
+    """Each problem's greedy start, indices ascending: k times over, the vector
+    not yet taken whose addition to the running sum (in pick order) leaves the
+    smallest residual, the first on ties."""
+    problems, _, d = vectors.shape
+    rows = np.arange(problems)[:, None]
+    chosen = np.empty((problems, k), dtype=np.intp)
+    current = np.zeros((problems, 1, d))
+    for step in range(k):
+        residuals = np.abs((current + vectors) - targets[:, None]).max(axis=2, initial=0.0)
+        residuals[rows, chosen[:, :step]] = np.inf
+        picks = residuals.argmin(axis=1)[:, None]
+        chosen[:, step : step + 1] = picks
+        current = current + vectors[rows, picks]
+    chosen.sort(axis=1)
+    return chosen
 
 
-_DESCENT_BYTES = 1 << 22  # largest (d, starts, k, n) swap block one descent step builds
+_DESCENT_BYTES = 1 << 18  # largest (d, k, n, starts) swap block a descent batch builds
 
 
 def _swap_descents(
-    vectors: np.ndarray, target: np.ndarray, inside: np.ndarray, max_iters: int
+    vectors: np.ndarray, targets: np.ndarray, owners: np.ndarray, starts: np.ndarray,
+    max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best-improvement single-swap descent from every row of ``inside`` (one
-    start per row, indices ascending) at once; returns the rows reached and
-    their residuals. Scoring all n entering columns, a start's own at +inf,
-    keeps the first argmin among its outside indices in ascending order. A
-    start whose best swap does not improve keeps its set, so it scores the
-    same swaps again: once stopped, it stays stopped. ``current`` is summed
-    in ascending index order, so each residual is the one the witness reports.
+    """Best-improvement single-swap descent from every row of ``starts``, indices
+    ascending into the ``(n, d)`` vectors of problem ``owners[row]``; returns
+    the rows reached and their residuals.
+
+    The starts descend together in one batch whose ``(d, k, n, starts)`` swap
+    block stays under ``_DESCENT_BYTES``, entering in row order. A start
+    stops when its best swap does not improve or it has made ``max_iters``
+    swaps; a stopped start keeps its set, so it scores the same swaps again
+    and stays stopped. The stopped starts leave the batch when starts wait to
+    enter, when all have stopped, or when they are an eighth of a full batch.
+    A start's own entering columns hold +inf, so its own swaps score +inf and
+    the argmin in (leaving position, entering index) order is the first among
+    its outside indices. ``current`` is summed in ascending index order, so
+    each residual is the one the witness reports.
     """
-    n = vectors.shape[0]
-    columns = np.ascontiguousarray(vectors.T)
-    rows, positions = np.arange(inside.shape[0]), np.arange(inside.shape[1])
-    current = np.add.accumulate(vectors[inside], axis=1)[:, -1]
-    residual = np.abs(current - target).max(axis=1, initial=0.0)
-    for _ in range(max_iters):
-        trial = (current.T[:, :, None] - columns[:, inside])[..., None] + columns[:, None, None, :]
-        np.subtract(trial, target[:, None, None, None], out=trial)
-        scores = np.abs(trial, out=trial).max(axis=0, initial=0.0)
-        scores[rows[:, None, None], positions[:, None], inside[:, None, :]] = np.inf
-        flat = scores.reshape(rows.size, -1).argmin(axis=1)
-        leaving, entering = np.divmod(flat, n)
-        improving = scores[rows, leaving, entering] < residual
-        if not improving.any():
-            break
-        swapped = inside.copy()
-        swapped[rows, leaving] = entering
-        swapped.sort(axis=1)
-        inside = np.where(improving[:, None], swapped, inside)
-        current = np.add.accumulate(vectors[inside], axis=1)[:, -1]
-        residual = np.abs(current - target).max(axis=1, initial=0.0)
-    return inside, residual
+    problems, n, d = vectors.shape
+    k = starts.shape[1]
+    columns = vectors.transpose(2, 1, 0)  # columns[:, i, p]: vector i of problem p
+    flat = np.ascontiguousarray(vectors.transpose(2, 0, 1)).reshape(d, problems * n)
+    total = len(starts)
+    width = max(1, _DESCENT_BYTES // (8 * k * n * max(d, 1)))
+    queued = min(width, total)
+    block, scored = np.empty(d * k * n * queued), np.empty(k * n * queued)
+    reached, residuals = np.empty_like(starts), np.empty(total)
 
+    def entering_batch(first: int, count: int, step: int) -> list[np.ndarray]:
+        """Batch columns of starts first, ..., first + count - 1, the start axis
+        last: ids, ``(k, count)`` indices, offsets into ``flat``, targets,
+        ``(d, n, count)`` entering columns and the step each entered at."""
+        mine = owners[first : first + count]
+        inside = starts[first : first + count].T.copy()
+        entering_columns = columns.take(mine, axis=2)
+        entering_columns[:, inside, np.arange(count)] = np.inf
+        return [np.arange(first, first + count), inside, mine * n, targets.take(mine, axis=0).T,
+                entering_columns, np.full(count, step)]
 
-def _lex_min_row(inside: np.ndarray, residual: np.ndarray) -> int:
-    """Row with the smallest residual, ties to the lexicographically smallest indices."""
-    return int(np.lexsort((*inside.T[::-1], residual))[0])
+    batch, rows, step = entering_batch(0, queued, 0), np.arange(queued), 0
+    while True:
+        ids, inside, offsets, goals, entering_columns, entered = batch
+        members = flat[:, inside + offsets]
+        current = np.add.accumulate(members, axis=1)[:, -1]
+        residual = np.maximum.reduce(np.abs(current - goals), axis=0, initial=0.0)
+        trial = block[: d * k * n * rows.size].reshape(d, k, n, rows.size)
+        np.add((current[:, None] - members)[:, :, None], entering_columns[:, None], out=trial)
+        np.subtract(trial, goals[:, None, None], out=trial)
+        np.abs(trial, out=trial)
+        scores = scored[: k * n * rows.size].reshape(k, n, rows.size)
+        scores = np.maximum.reduce(trial, axis=0, initial=0.0, out=scores).reshape(-1, rows.size)
+        swaps = scores.argmin(axis=0)
+        improving = scores[swaps, rows] < residual
+        if step >= max_iters:
+            improving &= entered > step - max_iters
+        moving = np.count_nonzero(improving)
+        stopped = rows.size - moving
+        if stopped and (stopped == rows.size or queued < total or 8 * stopped >= width):
+            reached[ids], residuals[ids] = inside.T, residual  # final for the stopped
+            if not moving and queued == total:
+                return reached, residuals
+            keep = improving.nonzero()[0]
+            batch = [part.take(keep, axis=-1) for part in batch]
+            inside, offsets, entering_columns = batch[1], batch[2], batch[4]
+            swaps, rows = swaps.take(keep), rows[:moving]
+        leaving, entering = np.divmod(swaps, n)
+        left = inside[leaving, rows]
+        if moving < rows.size:  # a stopped start still here swaps an index for itself
+            entering = np.where(improving, entering, left)
+        inside[leaving, rows] = entering
+        inside.sort(axis=0)
+        entering_columns[:, left, rows] = flat[:, left + offsets]
+        entering_columns[:, entering, rows] = np.inf
+        step += 1
+        if rows.size < width and queued < total:
+            count = min(width - rows.size, total - queued)
+            joining = entering_batch(queued, count, step)
+            batch = [np.concatenate(pair, axis=-1) for pair in zip(batch, joining)]
+            queued += count
+            rows = np.arange(rows.size + count)
 
 
 def _greedy_swap_best(
-    vectors: np.ndarray, target: np.ndarray, k: int, params: SolverParams
-) -> tuple[tuple[int, ...], float]:
-    """Swap descents from the greedy build and ``params.restarts`` seeded random
-    starts (the sorted first k of substream r's permutation, for r = 1, 2, ...),
-    in consecutive chunks whose swap block stays under ``_DESCENT_BYTES``."""
-    n, d = vectors.shape
-    per_chunk = max(1, _DESCENT_BYTES // (8 * k * n * max(d, 1)))
-    winners, residuals = [], []
-    for first in range(0, params.restarts + 1, per_chunk):
-        restarts = range(max(first, 1), min(first + per_chunk, params.restarts + 1))
-        starts = _substream_permutation_heads(params.seed, restarts, n, k)
-        if first == 0:
-            starts = np.vstack([_greedy_build(vectors, target, k), starts])
-        starts.sort(axis=1)
-        inside, residual = _swap_descents(vectors, target, starts, params.max_iters)
-        pick = _lex_min_row(inside, residual)
-        winners.append(inside[pick])
-        residuals.append(residual[pick])
-    pick = _lex_min_row(np.array(winners), np.array(residuals))
-    return tuple(winners[pick].tolist()), float(residuals[pick])
+    vectors: np.ndarray, targets: np.ndarray, k: int, seeds, params: SolverParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each of P problems' best k-subset found by swap descents from its greedy
+    build and ``params.restarts`` seeded random starts: the sorted first k of
+    substream r of ``seeds[p]``'s permutation, for r = 1, 2, ... ``vectors``
+    is ``(P, n, d)`` and ``targets`` ``(P, d)``; returns the ``(P, k)``
+    indices and the ``(P,)`` residuals, per problem the smallest residual with
+    ties to the lexicographically smallest indices."""
+    problems, n, _ = vectors.shape
+    per = params.restarts + 1
+    starts = np.empty((problems, per, k), dtype=np.intp)
+    starts[:, 0] = _greedy_builds(vectors, targets, k)
+    heads = _substream_permutation_heads(seeds, range(1, per), n, k)
+    starts[:, 1:] = heads.reshape(problems, per - 1, k)
+    starts = starts.reshape(problems * per, k)
+    starts.sort(axis=1)
+    owners = np.arange(problems).repeat(per)
+    reached, residuals = _swap_descents(vectors, targets, owners, starts, params.max_iters)
+    best = np.lexsort((*reached.T[::-1], residuals, owners))[::per]  # each problem's first
+    return reached.take(best, axis=0), residuals.take(best)
 
 
 def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchOutcome:
@@ -676,7 +726,9 @@ def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchO
             if k == 0:
                 cand = ((), float(np.abs(target).max(initial=0.0)))
             else:
-                cand = _greedy_swap_best(vectors, target, k, params)
+                winners, residuals = _greedy_swap_best(vectors[None], target[None], k,
+                                                       [params.seed], params)
+                cand = (tuple(winners[0].tolist()), float(residuals[0]))
             if best is None or cand[1] < best[1] or (cand[1] == best[1] and cand[0] < best[0]):
                 best = cand
         assert best is not None

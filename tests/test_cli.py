@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from subsetprune import cli
+from subsetprune import cli, pruning
 from subsetprune.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from subsetprune.masks import StructureReport, channel_blocked_mask
 from subsetprune.pruning import PrunedNetworkBundle, PruneParams, save_bundle
@@ -373,23 +373,43 @@ def _short_mask_blob(payload):
     return payload
 
 
+_SMALL_NET = ["prune-net", "--depth", "2", "--spatial", "4", "--channels", "1,2,1",
+              "--kernel-sizes", "2,2", "--overparam", "12,12", "--epsilon", "0.5",
+              "--probes", "8", "--seed", "21"]
+
+
 @pytest.mark.parametrize(
-    "corrupt",
-    [_drop_k_budget, _drop_pool_size, _edit("layers", 0, "note", value="planted"), _null_spatial,
-     _edit("layers", 0, "tolerance", value="0.1"), lambda payload: [payload], _no_targets,
-     _short_mask_blob],
+    "corrupt, message",
+    [(_drop_k_budget, "lacks key 'k_budget'"), (_drop_pool_size, ""),
+     (_edit("layers", 0, "note", value="planted"), ""), (_null_spatial, "malformed field"),
+     (_edit("layers", 0, "tolerance", value="0.1"), ""), (lambda payload: [payload], ""),
+     (_no_targets, ""), (_short_mask_blob, ""),
+     (_edit("layers", 0, "tolerance", value="abc"), "malformed field: tolerance: "),
+     (_edit("empirical_max_error", value="abc"), "malformed field: empirical_max_error: ")],
     ids=["missing-key", "missing-derived-key", "unknown-key", "wrong-type", "wrong-read-type",
-         "not-an-object", "no-targets", "short-mask-blob"],
+         "not-an-object", "no-targets", "short-mask-blob", "unconvertible-value",
+         "unconvertible-error"],
 )
-def test_dump_report_malformed_bundle(capsys, tmp_path, corrupt):
+def test_dump_report_malformed_bundle(capsys, tmp_path, corrupt, message):
     bundle = tmp_path / "net.json"
-    assert main(["prune-net", "--depth", "2", "--spatial", "4", "--channels", "1,2,1",
-                 "--kernel-sizes", "2,2", "--overparam", "12,12", "--epsilon", "0.5",
-                 "--probes", "8", "--seed", "21", "--out", str(bundle)]) == EXIT_OK
+    assert main([*_SMALL_NET, "--out", str(bundle)]) == EXIT_OK
     bundle.write_text(json.dumps(corrupt(json.loads(bundle.read_text()))))
     capsys.readouterr()
     assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if message:  # the bundle and the key are named
+        assert err.startswith(f"error: bundle {bundle} ") and message in err
+
+
+def test_dump_report_reads_its_bundle_once(capsys, monkeypatch, tmp_path):
+    bundle = tmp_path / "net.json"
+    assert main([*_SMALL_NET, "--out", str(bundle)]) == EXIT_OK
+    reads, read = [], pruning._read_bundle
+    monkeypatch.setattr(pruning, "_read_bundle", lambda path: reads.append(path) or read(path))
+    assert main(["dump-report", "--bundle", str(bundle)]) == EXIT_OK
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert reads == [str(bundle)]
 
 
 def test_config_value_of_wrong_type_rejected(capsys, tmp_path):

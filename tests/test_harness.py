@@ -1,5 +1,6 @@
 """Monte Carlo bound checks at reduced trial counts, plus scan plumbing."""
 
+import functools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from subsetprune import (
     BoundCheckResult,
     BoundDirection,
+    NsnEnsemble,
     ParameterError,
     PruneParams,
     SeedSpec,
@@ -28,7 +30,7 @@ from subsetprune import (
     scan_rssp_phase,
     search_subsets,
 )
-from subsetprune import harness
+from subsetprune import harness, solvers
 from subsetprune.harness import (
     _block_totals,
     _intersection_overlaps,
@@ -314,18 +316,48 @@ class TestScans:
         # one trial of each of these hits at a smaller n and misses at a larger one
         (2, 3, [12, 8, 16], 0.1, 30, 44, {"strategy": Strategy.GREEDY_SWAP}),
         (2, 2, [6, 11, 8], 0.15, 30, 35, {"group_size": 4}),
+        # greedy: d = 1 and d = 3, k equal to the smallest n
+        (1, 2, [2, 7, 12], 0.02, 30, 45, {"strategy": Strategy.GREEDY_SWAP}),
+        (3, 3, [3, 9, 14], 0.3, 30, 46, {"strategy": Strategy.GREEDY_SWAP}),
+        # pools and targets rounded to 1 decimal: many tied residuals
+        (2, 3, [6, 12, 18], 0.1, 30, 47, {"strategy": Strategy.GREEDY_SWAP, "rounded": True}),
+        (2, 3, [8, 16], 0.15, 30, 48, {"strategy": Strategy.GREEDY_SWAP,
+                                       "solver": {"restarts": 0}}),
+        (2, 3, [8, 16], 0.15, 30, 49, {"strategy": Strategy.GREEDY_SWAP,
+                                       "solver": {"max_iters": 1}}),
+        # trials in many batches: one at a time, and 4 a batch with a short last one
+        (2, 3, [10, 15, 20], 0.25, 30, 50, {"strategy": Strategy.GREEDY_SWAP, "cap": 1}),
+        (2, 3, [10, 15, 20], 0.25, 30, 51, {"strategy": Strategy.GREEDY_SWAP, "cap": 1.0}),
+        (2, 3, [10, 20], 0.25, 31, 52, {"strategy": Strategy.GREEDY_SWAP, "cap": 4.0}),
     ])
-    def test_mrss_scan_matches_solving_every_n(self, d, k, n_values, epsilon, trials, stream,
-                                               extra):
+    def test_mrss_scan_matches_solving_every_n(self, monkeypatch, d, k, n_values, epsilon,
+                                               trials, stream, extra):
         seed = SEED.substream(stream)
+        extra = dict(extra)
+        if "solver" in extra:  # the scan's SolverParams, and the reference loop's
+            monkeypatch.setattr(harness, "SolverParams",
+                                functools.partial(SolverParams, **extra.pop("solver")))
+        if extra.pop("rounded", False):
+            def rounded_nsn(count, dim, sub):
+                return NsnEnsemble.from_parts(np.ones(count),
+                                              np.round(sample_nsn(count, dim, sub).vectors, 1))
+            monkeypatch.setattr(harness, "sample_nsn", rounded_nsn)
+            monkeypatch.setattr(harness, "_l1_projected_target",
+                                lambda *args: np.round(_l1_projected_target(*args), 1))
+        if "cap" in extra:  # an int is bytes, a float a number of one trial's swap blocks
+            cap = extra.pop("cap")
+            one_trial = 8 * (harness.SolverParams(epsilon, k).restarts + 1) * k * max(n_values) * d
+            monkeypatch.setattr(solvers, "_DESCENT_BYTES",
+                                cap if isinstance(cap, int) else int(cap * one_trial))
         strategy = extra.get("strategy", Strategy.EXHAUSTIVE)
         group_size = extra.get("group_size")
         expect = dict.fromkeys(sorted(n_values), 0)
         for trial in range(trials):
             sub = seed.substream(trial)
-            ensemble = sample_nsn(max(n_values), d, sub.substream(0))
-            target = _l1_projected_target(d, 1.0, sub.substream(1))
-            params = SolverParams(epsilon=epsilon, k=k, strategy=strategy, seed=sub.substream(2))
+            ensemble = harness.sample_nsn(max(n_values), d, sub.substream(0))
+            target = harness._l1_projected_target(d, 1.0, sub.substream(1))
+            params = harness.SolverParams(epsilon=epsilon, k=k, strategy=strategy,
+                                          seed=sub.substream(2))
             for n in expect:
                 prefix = ensemble.take(n)
                 if group_size is None:
@@ -336,6 +368,20 @@ class TestScans:
         rows = scan_mrss_phase(d, k, n_values, epsilon, trials, seed, **extra)
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)
+        assert 0 < sum(expect.values()) < trials * len(expect)  # hits and misses both
+
+    def test_greedy_scan_memory_does_not_grow_with_trials(self):
+        scan_mrss_phase(2, 3, [10, 20], 0.25, 5, SEED, Strategy.GREEDY_SWAP)  # fill the caches
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                scan_mrss_phase(2, 3, [10, 20], 0.25, trials, SEED.substream(53),
+                                Strategy.GREEDY_SWAP)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     @pytest.mark.parametrize("n_values,distinct", [([10, 10], [10]), ([20, 5, 20, 5], [5, 20])])
     def test_duplicate_n_is_scanned_once(self, n_values, distinct):

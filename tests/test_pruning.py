@@ -643,7 +643,7 @@ class TestBundle:
             assert loaded.pruned_first.data.tobytes() == ran.pruned_first.data.tobytes()
         assert (back.report.empirical_max_error, back.report.theoretical_bound) == (
             bundle.report.empirical_max_error, bundle.report.theoretical_bound)
-        assert report_mismatch(path) is None
+        assert report_mismatch(back) is None
         save_bundle(again, back)
         assert again.read_bytes() == path.read_bytes()
 
@@ -663,7 +663,7 @@ class TestBundle:
         path, again = tmp_path / "bundle.json", tmp_path / "again.json"
         save_bundle(path, bundle)
         back = load_bundle(path)
-        assert back.report is None and report_mismatch(path) is None
+        assert back.report is None and report_mismatch(back) is None
         save_bundle(again, back)
         assert again.read_bytes() == path.read_bytes()
 

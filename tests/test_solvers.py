@@ -1,6 +1,9 @@
 """Subset-sum solvers against exhaustive oracles."""
 
+import concurrent.futures
+import dataclasses
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -635,6 +638,13 @@ def greedy_cases():
         yield vectors, target, k
 
 
+def greedy_swap_best(vectors, target, k, params):
+    """The batched engine on the one problem ``(vectors, target)``."""
+    indices, residuals = solvers._greedy_swap_best(vectors[None], target[None], k,
+                                                   [params.seed], params)
+    return tuple(indices[0].tolist()), float(residuals[0])
+
+
 class TestGreedySwap:
     @pytest.mark.parametrize("mode", list(CardinalityMode))
     @pytest.mark.parametrize("restarts, max_iters", [(0, 200), (8, 200), (8, 1)])
@@ -653,7 +663,7 @@ class TestGreedySwap:
                     cand = ((), float(np.abs(target).max()))
                 else:
                     cand = one_start_greedy_swap_best(vectors, target, j, params)
-                    got = solvers._greedy_swap_best(vectors, target, j, params)
+                    got = greedy_swap_best(vectors, target, j, params)
                     assert got[0] == cand[0]
                     assert repr(got[1]) == repr(cand[1])
                 if expected is None or cand[1] < expected[1] or (
@@ -674,12 +684,37 @@ class TestGreedySwap:
             target = np.round(rng.uniform(-1.0, 1.0, size=2), 1)
             params = SolverParams(epsilon=0.1, k=3, strategy=Strategy.GREEDY_SWAP,
                                   restarts=12, seed=SeedSpec(trial))
-            whole = solvers._greedy_swap_best(vectors, target, 3, params)
+            whole = greedy_swap_best(vectors, target, 3, params)
             with monkeypatch.context() as patch:
                 patch.setattr(solvers, "_DESCENT_BYTES", 1)
-                chunked = solvers._greedy_swap_best(vectors, target, 3, params)
+                chunked = greedy_swap_best(vectors, target, 3, params)
             assert chunked[0] == whole[0] and repr(chunked[1]) == repr(whole[1])
             assert whole == one_start_greedy_swap_best(vectors, target, 3, params)
+
+    @pytest.mark.parametrize("restarts, max_iters", [(0, 200), (8, 200), (8, 1), (20, 2)])
+    @pytest.mark.parametrize("cap", [None, 1, 3], ids=["one-batch", "one-start", "three-starts"])
+    def test_batched_problems_match_one_start_loop(self, monkeypatch, restarts, max_iters, cap):
+        # P problems in one call, each against the one-start oracle; a cap of
+        # one or three starts' swap blocks makes starts enter as others stop
+        rng = np.random.default_rng(16)
+        for case in range(12):
+            problems, n, d = (int(rng.integers(*span)) for span in ((2, 7), (3, 14), (1, 4)))
+            k = n if case % 6 == 5 else min(n, int(rng.integers(1, 5)))
+            vectors = rng.normal(size=(problems, n, d)) * 0.5
+            targets = rng.uniform(-1.0, 1.0, size=(problems, d))
+            if case % 2:
+                vectors, targets = np.round(vectors, 1), np.round(targets, 1)
+            seeds = [SeedSpec(case, problem) for problem in range(problems)]
+            params = SolverParams(epsilon=0.1, k=k, strategy=Strategy.GREEDY_SWAP,
+                                  restarts=restarts, max_iters=max_iters)
+            if cap is not None:
+                monkeypatch.setattr(solvers, "_DESCENT_BYTES", cap * 8 * k * n * d)
+            indices, residuals = solvers._greedy_swap_best(vectors, targets, k, seeds, params)
+            for problem, seed in enumerate(seeds):
+                expected = one_start_greedy_swap_best(vectors[problem], targets[problem], k,
+                                                      dataclasses.replace(params, seed=seed))
+                assert tuple(indices[problem].tolist()) == expected[0]
+                assert repr(float(residuals[problem])) == repr(expected[1])
 
     def test_descent_residuals_are_the_reported_residuals(self):
         # added in ascending index order each 1.0 rounds away against 1e16,
@@ -688,7 +723,8 @@ class TestGreedySwap:
         vectors = np.concatenate([[1e16], np.ones(20), rng.normal(size=10)])[:, None]
         target = np.array([1e16])
         starts = np.sort([rng.permutation(31)[:13] for _ in range(8)], axis=1)
-        inside, residual = solvers._swap_descents(vectors, target, starts, 200)
+        owners = np.zeros(len(starts), dtype=np.intp)
+        inside, residual = solvers._swap_descents(vectors[None], target[None], owners, starts, 200)
         for row, res in zip(inside, residual):
             assert float(res) == solvers._make_solution(vectors, row, target).residual_inf
 
@@ -701,6 +737,22 @@ class TestGreedySwap:
                 expected = _generator(seed.substream(index)).permutation(n)
                 assert row.astype(np.int64).tobytes() == expected.astype(np.int64).tobytes()
             assert np.array_equal(_substream_permutation_heads(seed, indices, n, 1), heads[:, :1])
+
+    def test_restart_permutations_from_many_threads(self):
+        # each thread rewinds its own Philox, so concurrent draws are the serial ones
+        seeds = [SeedSpec(5, stream) for stream in range(40)]
+        expected = _substream_permutation_heads(seeds, range(1, 9), 20, 3)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                draws = [pool.submit(_substream_permutation_heads, seeds, range(1, 9), 20, 3)
+                         for _ in range(8)]
+                results = [draw.result(timeout=60) for draw in draws]
+        finally:
+            sys.setswitchinterval(switch)
+        for heads in results:
+            assert np.array_equal(heads, expected)
 
     def test_descent_memory_is_chunked(self):
         # 20,001 starts of 5 x 48 swaps in 4 coordinates would take about
