@@ -22,6 +22,7 @@ fanned out across workers. Every check rejects ``trials < 1`` with
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -31,13 +32,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .pruning import PruneParams, prune_random_layer
-from .sampling import (
-    SeedSpec,
-    _generator,
-    _normals,
-    sample_nsn,
-    sample_uniform,
-)
+from .sampling import SeedSpec, _generator, _normals, _nsn_vectors, _uniforms
 from . import solvers
 from .solvers import (
     SolverParams,
@@ -46,7 +41,6 @@ from .solvers import (
     _smallest_covering_prefix,
     dimension_constant,
     partition_boost,
-    search_subsets,
 )
 
 __all__ = [
@@ -74,6 +68,7 @@ __all__ = [
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
 _TAIL_CHUNK = 1 << 17  # uniforms per intersection-tail row chunk
 _GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
+_BATCH_BYTES = 3 << 19  # what one batch of scan trials may hold: draws and solver state
 
 
 class BoundDirection(Enum):
@@ -514,11 +509,20 @@ def _scan_sizes(n_values, least: int, trials: int) -> list[int]:
     return sorted(set(n_values))
 
 
-def _count_from(successes: dict, first: int | None) -> None:
-    """Count a success for ``first`` and every larger n (none when ``first`` is None)."""
+def _count_from(successes: dict, first: int | None, count: int = 1) -> None:
+    """Count ``count`` successes for ``first`` and every larger n (none when
+    ``first`` is None)."""
     if first is not None:
         for n in successes:
-            successes[n] += n >= first
+            successes[n] += count if n >= first else 0
+
+
+def _batches(trials: int, trial_bytes: int):
+    """The trials in consecutive batches of as many as ``_BATCH_BYTES`` holds at
+    ``trial_bytes`` a trial (at least one)."""
+    size = max(1, _BATCH_BYTES // trial_bytes)
+    for first in range(0, trials, size):
+        yield range(first, min(first + size, trials))
 
 
 def scan_rssp_phase(
@@ -530,13 +534,14 @@ def scan_rssp_phase(
 ) -> list[dict]:
     """Cover success rate of uniform ensembles on a symmetric target grid.
 
-    Trial t draws max(n) uniforms on (-1, 1) once and reuses prefixes for every
-    n (paired seeds), so the per-trial success indicator is monotone in n by
-    construction. Each distinct n is scanned once, in ascending order, and a
-    trial stops at its first covered n: it folds its interval union once
-    across n and counts a success for that n and every larger one, which
-    covering n alone would give bit for bit. Columns: n, trials, successes,
-    rate, wilson_low, wilson_high plus the parameter echo.
+    Trial t draws max(n) uniforms on (-1, 1) once, from ``seed.substream(t)``,
+    and reuses prefixes for every n (paired seeds), so the per-trial success
+    indicator is monotone in n by construction. The trials are drawn in
+    batches (:func:`_batches`). Each distinct n is scanned once, in ascending
+    order, and a trial stops at its first covered n: it folds its interval
+    union once across n and counts a success for that n and every larger one,
+    which covering n alone would give bit for bit. Columns: n, trials,
+    successes, rate, wilson_low, wilson_high plus the parameter echo.
     """
     sizes = _scan_sizes(n_values, 1, trials)
     if grid_size < 1:
@@ -545,9 +550,11 @@ def scan_rssp_phase(
         raise ParameterError("epsilon must be positive")
     grid = np.linspace(-1.0, 1.0, grid_size)
     successes = dict.fromkeys(sizes, 0)
-    for trial in range(trials):
-        draws = sample_uniform(sizes[-1], seed.substream(trial), -1.0, 1.0)
-        _count_from(successes, _smallest_covering_prefix(draws, epsilon, grid, sizes))
+    for batch in _batches(trials, 16 * sizes[-1]):  # its words and its uniforms
+        covered = [_smallest_covering_prefix(draws, epsilon, grid, sizes)
+                   for draws in _uniforms([seed], batch, sizes[-1], -1.0, 1.0)]
+        for first in covered:
+            _count_from(successes, first)
     echo = {
         "epsilon": epsilon,
         "grid_size": grid_size,
@@ -557,35 +564,55 @@ def scan_rssp_phase(
     return [_rate_row(n, trials, successes[n], echo) for n in sizes]
 
 
-def _l1_projected_target(d: int, radius: float, seed: SeedSpec) -> np.ndarray:
-    z = sample_uniform(d, seed, -1.0, 1.0)
-    l1 = float(np.abs(z).sum())
-    if l1 > radius:
-        z = z * (radius / l1)
-    return z
+def _mrss_draws(streams, n: int, d: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(P, n, d)`` ensembles and ``(P, d)`` targets of the trials on
+    ``streams``: trial stream s draws ``sample_nsn(n, d, s.substream(0))`` and
+    a target uniform on (-1, 1)^d from ``s.substream(1)``, scaled into the L1
+    ball of ``radius`` when it lies outside."""
+    vectors = _nsn_vectors(streams, [0], n, d)
+    targets = _uniforms(streams, [1], d, -1.0, 1.0)
+    l1 = np.abs(targets).sum(axis=1)
+    outside = l1 > radius
+    targets[outside] *= (radius / l1[outside])[:, None]
+    return vectors, targets
 
 
-def _batched_greedy_successes(
-    d: int, k: int, sizes: list[int], trials: int, seed: SeedSpec, base: SolverParams,
-    target_radius: float,
-) -> dict:
-    """Greedy-swap hits per n of the trials of :func:`scan_mrss_phase`, each
-    solve exactly the one-trial ``search_subsets`` call. The trials are drawn
-    from the same substreams in batches, as many as one descent batch holds
-    at the largest n, and each n is one batched solve of the whole batch."""
-    successes = dict.fromkeys(sizes, 0)
-    batch = max(1, solvers._DESCENT_BYTES // (8 * (base.restarts + 1) * k * sizes[-1] * d))
-    for first in range(0, trials, batch):
-        streams = [seed.substream(trial) for trial in range(first, min(first + batch, trials))]
-        vectors = np.stack([sample_nsn(sizes[-1], d, s.substream(0)).vectors for s in streams])
-        targets = np.stack([_l1_projected_target(d, target_radius, s.substream(1))
-                            for s in streams])
-        restart_seeds = [s.substream(2) for s in streams]
-        for n in sizes:
-            residuals = solvers._greedy_swap_best(vectors[:, :n], targets, k, restart_seeds,
-                                                  base)[1]
-            successes[n] += int(np.count_nonzero(residuals <= base.epsilon))
-    return successes
+def _exhaustive_batch(k: int, epsilon: float, successes: dict, streams, vectors, targets):
+    """Count the batch's exhaustive hits: per n, ascending, one subset index over
+    the prefixes of the trials without a hit yet asks which hold a k-subset
+    within epsilon, its residuals added as the one-trial search adds its
+    witness's; a trial that hits leaves the batch and counts for that n and
+    every larger one."""
+    live = np.arange(len(streams))  # trials without a hit yet
+    for n in successes:
+        hits = solvers._SubsetIndex(vectors[live, :n]).count(targets[live], k, epsilon) > 0
+        _count_from(successes, n, int(np.count_nonzero(hits)))
+        live = live[~hits]
+        if not live.size:
+            break
+
+
+def _greedy_batch(base: SolverParams, successes: dict, streams, vectors, targets):
+    """Count the batch's greedy-swap hits: one batched solve per n, each problem
+    exactly its one-trial solve, each trial's restart heads drawn once for
+    every n."""
+    k = base.k
+    heads = solvers._restart_heads([stream.substream(2) for stream in streams], base.restarts,
+                                   list(successes), k)
+    for n, block in zip(successes, heads):
+        residuals = solvers._greedy_swap_best(vectors[:, :n], targets, k, block, base)[1]
+        successes[n] += int(np.count_nonzero(residuals <= base.epsilon))
+
+
+def _grouped_batch(base: SolverParams, group_size: int, successes: dict, streams, vectors,
+                   targets):
+    """Count the batch's grouped hits, trial by trial and n by n."""
+    for stream, ensemble, target in zip(streams, vectors, targets):
+        params = replace(base, seed=stream.substream(2))
+        for n in successes:
+            if n >= group_size:
+                hit = partition_boost(ensemble[:n], target, params, group_size)
+                successes[n] += hit is not None
 
 
 def scan_mrss_phase(
@@ -606,17 +633,18 @@ def scan_mrss_phase(
     ``target_radius``. Rates are labelled empirical: the success constant is
     never asserted. Columns: n, trials, successes, rate, wilson bounds, echo.
 
-    Each distinct n is solved once, in ascending order. The exhaustive scan
-    without groups stops a trial at its first hit and counts it for every
-    larger n: the colex family of a prefix is a prefix of the larger family,
-    built by the same additions, so the exhaustive minimum can only fall as n
-    grows. Every requested n's family is checked against the enumeration
-    budget before the first trial. Greedy-swap and grouped scans solve every
-    n: a local-search miss is not monotone in n, and the last group of
-    :func:`partition_boost` changes its members with n. Greedy-swap trials
-    without groups are drawn, from the same substreams, and solved in
-    batches: one batched solve per (batch, n), each problem exactly its
-    one-trial solve, so every row is the one trial-by-trial solving gives.
+    The trials are drawn, each from its own substream, in batches
+    (:func:`_batches`; a trial's bytes are its draws plus what its solve holds
+    at the largest n), and each distinct n is solved once, in ascending
+    order. The exhaustive scan without groups stops a trial at its first hit
+    and counts it for every larger n (:func:`_exhaustive_batch`): the colex
+    family of a prefix is a prefix of the larger family, built by the same
+    additions, so the exhaustive minimum can only fall as n grows. Every
+    requested n's family is checked against the enumeration budget before the
+    first trial. Greedy-swap and grouped scans solve every n: a local-search
+    miss is not monotone in n, and the last group of :func:`partition_boost`
+    changes its members with n. Every row is the one solving trial by trial
+    gives.
     """
     sizes = _scan_sizes(n_values, k, trials)
     if not target_radius >= 0.0:  # a negative radius flips the target, NaN skips the projection
@@ -626,31 +654,22 @@ def scan_mrss_phase(
     if d < 1:  # sampling would reject it before any budget check
         raise ParameterError("d must be >= 1")
     base = SolverParams(epsilon=epsilon, k=k, strategy=strategy)
-    stop_at_first_hit = group_size is None and strategy is Strategy.EXHAUSTIVE
-    if stop_at_first_hit:
+    n_max = sizes[-1]
+    if group_size is not None:  # solved one trial at a time
+        solve, solve_bytes = functools.partial(_grouped_batch, base, group_size), 0
+    elif strategy is Strategy.GREEDY_SWAP:
+        solve = functools.partial(_greedy_batch, base)
+        solve_bytes = 8 * (base.restarts + 1) * k * n_max * d  # its starts' swap blocks
+    else:
         for n in n_values:  # in the given order, so the first n over budget is named
             _check_family_budget(int(n), [k], d, base.enumeration_budget)
-    if strategy is Strategy.GREEDY_SWAP and group_size is None:
-        successes = _batched_greedy_successes(d, k, sizes, trials, seed, base, target_radius)
-    else:
-        successes = dict.fromkeys(sizes, 0)
-        for trial in range(trials):
-            stream = seed.substream(trial)
-            ensemble = sample_nsn(sizes[-1], d, stream.substream(0))
-            target = _l1_projected_target(d, target_radius, stream.substream(1))
-            params = replace(base, seed=stream.substream(2))
-            for n in sizes:
-                prefix = ensemble.take(n)
-                if group_size is None:
-                    hit = search_subsets(prefix.vectors, target, params).solution is not None
-                elif n < group_size:
-                    hit = False
-                else:
-                    hit = partition_boost(prefix.vectors, target, params, group_size) is not None
-                if hit and stop_at_first_hit:
-                    _count_from(successes, n)
-                    break
-                successes[n] += hit
+        solve = functools.partial(_exhaustive_batch, k, epsilon)
+        solve_bytes = solvers._index_bytes(n_max, k, d)
+    trial_bytes = 16 * (n_max * (d + 1) + d + 2) + solve_bytes  # its draws' words and values
+    successes = dict.fromkeys(sizes, 0)
+    for batch in _batches(trials, trial_bytes):
+        streams = [seed.substream(trial) for trial in batch]
+        solve(successes, streams, *_mrss_draws(streams, n_max, d, target_radius))
     echo = {
         "d": d,
         "k": k,

@@ -301,7 +301,8 @@ class _PreparedLayer:
                         "entries survive the sign split (expected more than n/3)"
                     )
                 candidates = rows[list(pool)] * values[list(pool), None]
-                self.pools.append((channel, sign, pool, candidates, _SubsetIndex(candidates)))
+                index = _SubsetIndex(candidates[None])
+                self.pools.append((channel, sign, pool, candidates, index))
 
     def prune(self, target: Tensor4, params: PruneParams, seed: SeedSpec) -> LayerPruneResult:
         """One target's channel solves, masks and pruned kernels."""

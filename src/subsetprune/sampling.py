@@ -7,7 +7,7 @@ All draws are pure functions of a :class:`SeedSpec`. The byte stream comes
 from the counter-based Philox generator keyed by ``(master_seed, stream_id)``;
 uniforms are 53-bit integers mapped into the open interval (0, 1); an n-value
 normal draw takes 2 * ceil(n/2) uniforms at once and pairs uniform p with
-uniform ceil(n/2) + p in the Box-Muller transform (see :func:`_normals`).
+uniform ceil(n/2) + p in the Box-Muller transform (see :func:`_box_muller`).
 Hence ``(seed, stream, sequence of draw lengths)`` fully determines every
 value, independent of how work is scheduled; a value depends on the length of
 the call that drew it, so a longer draw does not extend a shorter one.
@@ -15,7 +15,11 @@ Distinct stream ids give independent streams; a single stream must be
 consumed sequentially.
 
 Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
-a splitmix64-style mix of ``(stream_id, index)``.
+a splitmix64-style mix of ``(stream_id, index)``. The scans draw many
+substreams at once (:func:`_nsn_vectors`, :func:`_uniforms`): one Philox per
+thread is rewound to each substream's key and the transform runs once over
+the whole ``(streams, words)`` block, each row the bytes of its stream's own
+:func:`sample_nsn` or :func:`sample_uniform`.
 """
 
 from __future__ import annotations
@@ -78,18 +82,19 @@ def _generator(seed: SeedSpec) -> np.random.Generator:
 _REWOUND = threading.local()
 
 
-def _substream_permutation_heads(seeds, indices, n: int, k: int) -> np.ndarray:
-    """Row ``s * len(indices) + i`` holds the first k entries of
-    ``_generator(seeds[s].substream(indices[i])).permutation(n)``; one
-    :class:`SeedSpec` counts as a list of one.
+def _substream_keys(seeds, indices) -> list[tuple[int, int]]:
+    """The Philox key ``(master_seed, stream_id)`` of ``seeds[s].substream(indices[i])``
+    at row ``s * len(indices) + i``, each mixed once, without a :class:`SeedSpec`."""
+    indices = [int(index) & _MASK64 for index in indices]
+    return [(seed.master_seed, _mix64(seed.stream_id, index))
+            for seed in seeds for index in indices]
 
-    The thread's one Philox is rewound to each pair's key, ``(master_seed,
-    _mix64(stream_id, index))``, with a zero counter and an empty buffer, the
-    state a fresh generator starts in, so the bytes are the same without
-    building a Philox, a Generator or a :class:`SeedSpec` per pair or per
-    call. The state is handed over as plain ints, which the setter reads
-    faster than arrays.
-    """
+
+def _rewound(keys):
+    """The thread's one Philox Generator, once per key: rewound to that key with a
+    zero counter and an empty buffer, the state a fresh generator starts in, so
+    its draws are the bytes of ``_generator`` on that stream. The state is
+    handed over as plain ints, which the setter reads faster than arrays."""
     if not hasattr(_REWOUND, "rng"):
         _REWOUND.rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
         fresh = _REWOUND.rng.bit_generator.state
@@ -98,53 +103,118 @@ def _substream_permutation_heads(seeds, indices, n: int, k: int) -> np.ndarray:
         _REWOUND.fresh = fresh
     rng, fresh = _REWOUND.rng, _REWOUND.fresh
     bitgen, key = rng.bit_generator, fresh["state"]["key"]
+    for key[0], key[1] in keys:
+        bitgen.state = fresh
+        yield rng
+
+
+def _substream_permutation_heads(seeds, indices, n, k: int) -> np.ndarray:
+    """Row ``s * len(indices) + i`` holds the first k entries of
+    ``_generator(seeds[s].substream(indices[i])).permutation(n)``; one
+    :class:`SeedSpec` counts as a list of one.
+
+    ``n`` may also be a sequence of sizes: the result then stacks one such
+    block per size, and each key is mixed once for all of them. Each
+    permutation is drawn from the thread's Philox rewound to its key
+    (:func:`_rewound`), without a Philox, a Generator or a :class:`SeedSpec`
+    per pair.
+    """
     seeds = [seeds] if isinstance(seeds, SeedSpec) else seeds
-    indices = [int(index) & _MASK64 for index in indices]
-    heads = np.empty((len(seeds) * len(indices), k), dtype=np.intp)
-    row = 0
-    for seed in seeds:
-        key[0] = seed.master_seed
-        for index in indices:
-            key[1] = _mix64(seed.stream_id, index)
-            bitgen.state = fresh
-            heads[row] = rng.permutation(n)[:k]
-            row += 1
-    return heads
+    sizes = [n] if np.ndim(n) == 0 else list(n)
+    keys = _substream_keys(seeds, indices)
+    heads = np.empty((len(sizes), len(keys), k), dtype=np.intp)
+    for size, block in zip(sizes, heads):
+        for row, rng in zip(block, _rewound(keys)):
+            row[:] = rng.permutation(size)[:k]
+    return heads[0] if np.ndim(n) == 0 else heads
+
+
+def _substream_words(seeds, indices, count: int) -> np.ndarray:
+    """``(rows, count)`` 53-bit words, row ``s * len(indices) + i`` the first
+    ``count`` words that ``integers(0, 2**53, dtype=np.uint64)`` draws from
+    stream ``seeds[s].substream(indices[i])``.
+
+    That draw is Lemire's multiply-shift, ``x * 2**53 >> 64``, whose rejection
+    threshold ``(2**64 - 2**53) % 2**53`` is 0: one raw word per value, shifted
+    right by 11. So each row is one ``random_raw`` of the rewound Philox
+    (:func:`_rewound`), shifted.
+    """
+    keys = _substream_keys(seeds, indices)
+    words = np.empty((len(keys), count), dtype=np.uint64)
+    for row, rng in zip(words, _rewound(keys)):
+        row[:] = rng.bit_generator.random_raw(count)
+    return np.right_shift(words, 11, out=words)
+
+
+def _open_uniforms(words: np.ndarray) -> np.ndarray:
+    """The open-interval (0, 1) uniform of each 53-bit word: (w + 0.5) * 2^-53."""
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def _uniform_open01(rng: np.random.Generator, n: int) -> np.ndarray:
-    bits = rng.integers(0, 1 << 53, size=int(n), dtype=np.uint64)
-    return (bits.astype(np.float64) + 0.5) * (2.0**-53)
+    return _open_uniforms(rng.integers(0, 1 << 53, size=int(n), dtype=np.uint64))
 
 
-def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Box-Muller on ``m = ceil(n/2)`` pairs from one draw of ``2m`` 53-bit words.
+def _box_muller(words: np.ndarray, n: int) -> np.ndarray:
+    """Box-Muller on each row of a ``(rows, 2m)`` block of 53-bit words: ``(rows, n)``
+    normals, ``n <= 2m``.
 
-    With ``u_i`` the open-interval uniform of word ``i``, pair ``p`` takes
-    ``u1 = u_p`` and ``u2 = u_{m+p}`` and yields values ``2p`` (the cosine) and
-    ``2p + 1`` (the sine), so a value depends on the call's length ``n``. The
-    pairs are transformed in chunks of ``_BOX_MULLER_PAIRS`` through reused
-    scratch buffers; every element sees the same operations as a whole-array
-    transform, so the chunking changes no byte.
+    With ``u_i`` the open-interval uniform of word ``i`` of a row, pair ``p``
+    takes ``u1 = u_p`` and ``u2 = u_{m+p}`` and yields values ``2p`` (the
+    cosine) and ``2p + 1`` (the sine). The pairs of all rows are transformed
+    ``_BOX_MULLER_PAIRS`` at a time (at least one column of pairs) through
+    reused contiguous scratch; every element sees the same operations as a
+    whole-array transform of its own row, so neither the chunking nor the
+    other rows change a byte.
     """
-    pairs = (n + 1) // 2
-    words = rng.integers(0, 1 << 53, size=2 * pairs, dtype=np.uint64)
-    out = np.empty(2 * pairs)
-    cosines, sines = out[0::2], out[1::2]
-    scratch = np.empty((3, min(pairs, _BOX_MULLER_PAIRS)))
-    for lo in range(0, pairs, _BOX_MULLER_PAIRS):
-        hi = min(lo + _BOX_MULLER_PAIRS, pairs)
-        radius, theta, trig = scratch[:, : hi - lo]
-        for u, first in ((radius, lo), (theta, pairs + lo)):  # as in _uniform_open01
-            np.add(words[first : first + hi - lo], 0.5, out=u)
+    rows, pairs = words.shape[0], words.shape[1] // 2
+    out = np.empty((rows, 2 * pairs))
+    cosines, sines = out[:, 0::2], out[:, 1::2]
+    columns = max(1, _BOX_MULLER_PAIRS // max(rows, 1))
+    scratch = np.empty(3 * rows * min(pairs, columns))
+    for lo in range(0, pairs, columns):
+        hi = min(lo + columns, pairs)
+        radius, theta, trig = scratch[: 3 * rows * (hi - lo)].reshape(3, rows, hi - lo)
+        for u, first in ((radius, lo), (theta, pairs + lo)):  # as in _open_uniforms
+            np.add(words[:, first : first + hi - lo], 0.5, out=u)
             np.multiply(u, 2.0**-53, out=u)
         np.log(radius, out=radius)
         np.multiply(-2.0, radius, out=radius)
         np.sqrt(radius, out=radius)
         np.multiply(2.0 * np.pi, theta, out=theta)
-        np.multiply(radius, np.cos(theta, out=trig), out=cosines[lo:hi])
-        np.multiply(radius, np.sin(theta, out=trig), out=sines[lo:hi])
-    return out[:n]
+        np.multiply(radius, np.cos(theta, out=trig), out=cosines[:, lo:hi])
+        np.multiply(radius, np.sin(theta, out=trig), out=sines[:, lo:hi])
+    return out[:, :n]
+
+
+def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` normals by :func:`_box_muller` on one draw of ``2 * ceil(n/2)``
+    53-bit words, so a value depends on the call's length ``n``."""
+    words = rng.integers(0, 1 << 53, size=(1, 2 * ((n + 1) // 2)), dtype=np.uint64)
+    return _box_muller(words, n)[0]
+
+
+def _uniforms(seeds, indices, n: int, low: float, high: float) -> np.ndarray:
+    """``(rows, n)`` uniforms, row ``s * len(indices) + i`` the bytes of
+    ``sample_uniform(n, seeds[s].substream(indices[i]), low, high)``."""
+    u = _open_uniforms(_substream_words(seeds, indices, n))
+    u *= high - low
+    u += low  # low + (high - low) * u, in place: IEEE addition commutes
+    return u
+
+
+def _nsn_vectors(seeds, indices, n: int, d: int) -> np.ndarray:
+    """``(rows, n, d)`` NSN vectors, row ``s * len(indices) + i`` the bytes of
+    ``sample_nsn(n, d, seeds[s].substream(indices[i])).vectors``: the scalars'
+    words, then the directions', from one draw per stream."""
+    head = 2 * ((n + 1) // 2)
+    words = _substream_words(seeds, indices, head + 2 * ((n * d + 1) // 2))
+    scalars = _box_muller(words[:, :head], n)
+    directions = _box_muller(words[:, head:], n * d).reshape(-1, n, d)
+    return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
 
 
 def standard_normals(n: int, seed: SeedSpec) -> np.ndarray:

@@ -49,28 +49,36 @@ Strategies of :func:`search_subsets`
     lexicographically smallest indices. The batch's block stays under one
     byte cap, ``_DESCENT_BYTES``: a start that stops leaves the batch and a
     waiting one enters. Restart r starts from the sorted first k of
-    ``_generator(seed.substream(r)).permutation(n)``, drawn by rewinding one
-    Philox to each substream key rather than building one per restart.
+    ``_generator(seed.substream(r)).permutation(n)``, which the caller draws
+    (:func:`_restart_heads`) by rewinding one Philox to each substream key
+    rather than building one per restart; a scan draws a batch's heads for
+    every n at once, mixing each key once.
 
-The exhaustive engine is one private subset index over a pool,
-``_SubsetIndex``: :func:`search_subsets` and :func:`subset_sum_number` build
-one per call, and a caller with many targets passes its own (pruning keeps
-one per (channel, sign) of the last pruned layer). For a query of the
-subsets of up to K vectors it stores every sum below the top layer: the
-colex layers of sizes 0..K-1, built coordinate-major as one stack, each sum
-a sum of the layer below plus one vector, added in ascending index order. They are kept in block
-order: block b of layer L holds the L-subsets whose largest index is b - 1
-(a colex run), sorted by coordinate 0, with sort keys ``s_0 + b * spacing``
-and each sum's place in the colex stack. That is 8 d + 12 bytes per sum
-below the top layer; the top layer, most of the family, is never built.
+The exhaustive engine is one private subset index, ``_SubsetIndex``, over P
+pools of one shape: each pool's blocks are blocks of one index.
+:func:`search_subsets` and :func:`subset_sum_number` build one over their one
+pool per call, and a caller with many targets passes its own (pruning keeps
+one per (channel, sign) of the last pruned layer); the exhaustive MRSS scan
+builds one per n over a batch of trials' prefixes and asks, in one count
+query, which pools hold a k-subset within eps. For a query of the subsets of
+up to K vectors it stores every sum below the top layer: the colex layers of
+sizes 0..K-1, built coordinate-major as one stack per pool, each sum a sum of
+the layer below plus one vector, added in ascending index order. They are
+kept in block order: block b of layer L holds the L-subsets whose largest
+index is b - 1 (a colex run), sorted by coordinate 0, with sort keys
+``s_0 + b * spacing`` and each sum's place in the colex stack; block b of
+pool p is block ``p * B + b`` of the one key array (B blocks a pool, one
+``spacing`` for all), and each pool is sorted on its own. That is 8 d + 12
+bytes per sum below the top layer; the top layer, most of the family, is
+never built.
 
 In colex order the j-subsets whose largest index is ``last`` (slice
 ``last``) are exactly the (j-1)-subsets in blocks b <= last plus
 ``vectors[last]``. So for a target z and a bound U, the j-subsets with
 ``|s_0 - z_0| <= U`` are, block by block, the run of coordinate 0 within
 ``z_0 - v_0 +- U`` (v the vector ``last``), and two searchsorted calls over
-every (slice, block) pair find all the runs at once. Each sum found is
-completed by the very add the build would make, prefix sum plus
+every (slice, block) pair of every pool find all the runs at once. Each sum
+found is completed by the very add the build would make, prefix sum plus
 ``vectors[last]``, and kept when its full L-inf residual is at most U.
 
 Why every bit is kept: the windows only ever admit extra sums, never lose
@@ -395,22 +403,29 @@ def _slices(n: int, j: int) -> tuple[np.ndarray, ...]:
     return lasts, tops, counts, shifts, ends
 
 
-class _SubsetIndex:
-    """The subset sums of one pool, built on first use and queried for any
-    number of targets (module docstring).
+_QUERY_BYTES = 1 << 20  # largest group of candidate subsets a count query tests at once
 
-    A query of cardinality up to K needs the colex layers below K: they are
-    built as one colex stack, rebuilt when a larger K is asked for, and kept
-    in block order (:func:`_block_sizes`), each block sorted by coordinate
-    0: ``rows`` holds the sums, ``keys`` the sort keys ``s_0 + b * spacing``
-    of block b and ``order`` each position's place in the colex stack.
+
+class _SubsetIndex:
+    """The subset sums of P pools of one shape, built on first use and queried
+    for any number of targets (module docstring).
+
+    ``vectors`` is ``(P, n, d)``. A query of cardinality up to K needs the
+    colex layers below K: they are built as one colex stack per pool, rebuilt
+    when a larger K is asked for, and kept in block order
+    (:func:`_block_sizes`), each block sorted by coordinate 0; block b of pool
+    p is block ``p * B + b`` of one key array, B blocks a pool. ``rows``
+    holds the sums, ``keys`` the sort keys ``s_0 + (p * B + b) * spacing``
+    and ``order`` each position's place in the pools' stacked colex stacks.
     ``d = 0`` is indexed as one zero coordinate, which leaves every residual
     0.0.
     """
 
     def __init__(self, vectors: np.ndarray):
-        n, d = vectors.shape
-        self.columns = np.ascontiguousarray(vectors.T) if d else np.zeros((1, n))
+        pools, n, d = vectors.shape
+        columns = vectors.transpose(2, 0, 1) if d else np.zeros((1, pools, n))
+        self.columns = np.ascontiguousarray(columns).reshape(len(columns), pools * n)  # p * n + i
+        self.pools, self.n = pools, n
         self.k_max = -1  # nothing built yet
 
     def _build(self, k_max: int) -> None:
@@ -418,48 +433,54 @@ class _SubsetIndex:
         if k_max <= self.k_max:
             return
         self.k_max = k_max
-        stack = self._colex_stack()
+        stack = self._colex_stack()  # (d, P, F)
         # |s_0| < radius, so block b's keys lie within b * spacing +- radius
         self.radius = float(np.abs(stack[0]).max(initial=0.0)) + 1.0
         self.spacing = 4.0 * self.radius
-        sizes = _block_sizes(self.columns.shape[1], k_max)
-        keys = (np.arange(sizes.size) * self.spacing).repeat(sizes)
+        sizes = _block_sizes(self.n, k_max)
+        family = stack.shape[2]
+        keys = (np.arange(self.pools * sizes.size) * self.spacing).repeat(
+            np.tile(sizes, self.pools)).reshape(self.pools, family)
         keys += stack[0]
-        places = np.int32 if stack.shape[1] < 2**31 else np.int64  # 4 bytes in practice
-        self.order = keys.argsort().astype(places)
-        self.keys = keys.take(self.order)
-        for row in stack:  # rearranged in place, a row at a time
+        places = np.int32 if stack[0].size < 2**31 else np.int64  # 4 bytes in practice
+        order = keys.argsort(axis=1).astype(places)  # per pool: one global sort is slower
+        if self.pools > 1:
+            order += np.arange(0, self.pools * family, family, dtype=places)[:, None]
+        self.order = order.ravel()
+        self.keys = keys.ravel().take(self.order)
+        self.rows = stack.reshape(stack.shape[0], -1)
+        for row in self.rows:  # rearranged in place, a row at a time
             row[:] = row.take(self.order)
-        self.rows = stack
-        # |p_0| + |v_0| <= k_max * max |v_0|, up to a relative k_max ulps
+        # |p_0| + |v_0| <= k_max * max |v_0| (over every pool), up to a relative k_max ulps
         self.magnitude = k_max * float(np.abs(self.columns[0]).max(initial=0.0))
 
     def _colex_stack(self) -> np.ndarray:
-        """Layers 0..k_max-1 side by side, column r of a layer summing its r-th
-        subset in colex order. The subsets with largest index ``last`` are the
-        first C(last, size-1) columns of the layer below plus
-        ``vectors[last]``, so each layer is filled slice by slice, written
-        straight into place; within a subset the adds go in ascending index
-        order. Layer 1 (0.0 plus each vector) takes one add, and layer 2 is
-        the lower triangle of one broadcast add of layer 1 and the vectors,
-        row by row its slices in order."""
-        d, n = self.columns.shape
-        addends = self.columns.T[:, :, None]  # addends[last]: vectors[last] as a column
-        stack = np.zeros((d, _family_size(n, range(self.k_max))))
+        """Each pool's layers 0..k_max-1 side by side, ``(d, P, F)``, column r of
+        a layer summing its r-th subset in colex order. The subsets with
+        largest index ``last`` are the first C(last, size-1) columns of the
+        layer below plus ``vectors[last]``, so each layer is filled slice by
+        slice, written straight into place; within a subset the adds go in
+        ascending index order. Layer 1 (0.0 plus each vector) takes one add,
+        and layer 2 is the lower triangle of one broadcast add of layer 1 and
+        the vectors, row by row its slices in order."""
+        d, n = self.columns.shape[0], self.n
+        columns = self.columns.reshape(d, self.pools, n)
+        addends = columns.transpose(2, 0, 1)[..., None]  # addends[last]: vectors[last], (d, P, 1)
+        stack = np.zeros((d, self.pools, _family_size(n, range(self.k_max))))
         if self.k_max > 1:
-            stack[:, 1 : n + 1] += self.columns
+            stack[:, :, 1 : n + 1] += columns
         if self.k_max > 2:  # row last, column i: layer 1's sum i plus vectors[last]
-            pairs = stack[:, None, 1 : n + 1] + self.columns[:, :, None]
+            pairs = stack[:, :, None, 1 : n + 1] + columns[..., None]
             ids = np.arange(n)
-            stack[:, n + 1 : n + 1 + math.comb(n, 2)] = pairs[:, ids[:, None] > ids]
+            stack[:, :, n + 1 : n + 1 + math.comb(n, 2)] = pairs[:, :, ids[:, None] > ids]
         below, start = n + 1, n + 1 + math.comb(n, 2)
         for size in range(3, self.k_max):
-            prev = stack[:, below:start]
+            prev = stack[:, :, below:start]
             for last in range(size - 1, n):
                 width = math.comb(last, size - 1)
-                np.add(prev[:, :width], addends[last], out=stack[:, start : start + width])
+                np.add(prev[:, :, :width], addends[last], out=stack[:, :, start : start + width])
                 start += width
-            below += prev.shape[1]
+            below += prev.shape[2]
         return stack
 
     def _needles(self, values: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -471,55 +492,68 @@ class _SubsetIndex:
         keys += blocks * self.spacing
         return keys
 
-    def _residuals(self, positions: np.ndarray, lasts: np.ndarray, target) -> np.ndarray:
+    def _residuals(self, positions: np.ndarray, lasts: np.ndarray, targets) -> np.ndarray:
         """L-inf residuals of the subsets made of the one at ``positions`` plus
-        ``vectors[lasts]``: each sum is the very add the colex build of the
-        layer above makes, so it is bit-identical to that layer built."""
+        vector ``lasts`` (``p * n + last`` in pool p) against their pool's
+        target: each sum is the very add the colex build of the layer above
+        makes, so it is bit-identical to that layer built."""
         sums = self.rows.take(positions, axis=1)
-        for row, column in zip(sums, self.columns):  # a row at a time: no second (d, m) block
+        owners = lasts // self.n if self.pools > 1 else 0
+        for row, column, goal in zip(sums, self.columns, targets.T):  # no second (d, m) block
             row += column.take(lasts)
-        sums -= target[:, None]
+            row -= goal.take(owners)
         return np.abs(sums, out=sums).max(axis=0)
 
     def _pivot_bound(self, j: int, target: np.ndarray) -> float:
-        """The smallest residual of a few real j-subsets near the target in
-        coordinate 0: per slice, the first subset of its pivot block at or
-        above ``z_0 - v_0``, or that block's last subset."""
-        lasts, blocks, _, _, ends = _slices(self.columns.shape[1], j)
+        """The smallest residual of a few real j-subsets of the one pool near the
+        target in coordinate 0: per slice, the first subset of its pivot block
+        at or above ``z_0 - v_0``, or that block's last subset."""
+        lasts, blocks, _, _, ends = _slices(self.n, j)
         needles = self._needles(target[0] - self.columns[0].take(lasts), blocks)
         positions = np.minimum(self.keys.searchsorted(needles), ends - 1)
-        return float(self._residuals(positions, lasts, target).min())
+        return float(self._residuals(positions, lasts, target[None]).min())
 
-    def _window(self, j: int, target: np.ndarray, bound: float):
-        """The j-subsets whose coordinate-0 gap may be at most ``bound``, as
-        (position in the layer below, last, residual): every one with residual
-        at most ``bound`` and a few more, which the callers' exact residual
-        tests drop. Each window pair takes its block's run of coordinate 0
-        within ``z_0 - v_0 +- bound``, widened by more than the rounding error
-        of computing its ends."""
-        lasts, _, counts, shifts, _ = _slices(self.columns.shape[1], j)
-        lasts = lasts.repeat(counts)  # one (last, block) pair per window
-        blocks = np.arange(lasts.size) + shifts.repeat(counts)
-        reach = bound + (2.0**-50 * (abs(target[0]) + bound + self.magnitude) + 2.0**-1070)
-        below, above = self._needles((target[0] - self.columns[0].take(lasts))
-                                     + np.array([[-reach], [reach]]), blocks)
-        lo = self.keys.searchsorted(below, side="left")
-        sizes = self.keys.searchsorted(above, side="right") - lo
+    def _runs(self, j: int, targets: np.ndarray, bound: float):
+        """The j-subsets of every pool whose coordinate-0 gap to the pool's
+        target may be at most ``bound``, as runs of the layer below: per
+        (slice, block) window pair of every pool, its first position, its
+        length and its vector ``last``, numbered ``p * n + last`` in pool p.
+        The runs hold every subset with residual at most ``bound`` and a few
+        more, which the callers' exact residual tests drop: each takes its
+        block's run of coordinate 0 within ``z_0 - v_0 +- bound``, widened by
+        more than the rounding error of computing its ends."""
+        lasts, _, counts, shifts, _ = _slices(self.n, j)
+        pools = np.arange(self.pools)[:, None]
+        blocks = np.arange(counts.sum()) + shifts.repeat(counts)  # one per (last, block) pair
+        blocks = blocks + pools * _block_sizes(self.n, self.k_max).size
+        lasts = lasts.repeat(counts) + pools * self.n
+        goals = targets[:, :1]
+        reach = bound + (2.0**-50 * (np.abs(goals) + bound + self.magnitude) + 2.0**-1070)
+        below, above = self._needles((goals - self.columns[0].take(lasts))
+                                     + np.stack([-reach, reach]), blocks)
+        lo = self.keys.searchsorted(below.ravel(), side="left")
+        return lo, self.keys.searchsorted(above.ravel(), side="right") - lo, lasts.ravel()
+
+    def _window(self, lo: np.ndarray, sizes: np.ndarray, lasts: np.ndarray, targets):
+        """Every subset of the runs ``(lo, sizes, lasts)`` as (position in the
+        layer below, last, residual)."""
         positions = (lo - (sizes.cumsum() - sizes)).repeat(sizes)
         positions += np.arange(positions.size)
         lasts = lasts.repeat(sizes)
-        return positions, lasts, self._residuals(positions, lasts, target)
+        return positions, lasts, self._residuals(positions, lasts, targets)
 
     def best(self, target: np.ndarray, cardinalities) -> tuple[tuple[int, ...], float]:
-        """The subset of any cardinality in ``cardinalities`` (ascending) with
-        the smallest residual, ties to the lexicographically smallest indices.
+        """The subset of the one pool of any cardinality in ``cardinalities``
+        (ascending) with the smallest residual, ties to the lexicographically
+        smallest indices.
 
         A layer's windows are bounded by the best residual so far, or by its
         pivots' before there is one. Only the layers tied at the final best
         are decoded.
         """
+        assert self.pools == 1
         target = target if target.size else np.zeros(1)
-        n = self.columns.shape[1]
+        n = self.n
         self._build(max(cardinalities))
         best, tied = math.inf, []  # tied: (j, positions, lasts) at the best residual
         if 0 in cardinalities:
@@ -528,7 +562,8 @@ class _SubsetIndex:
             if j == 0:
                 continue
             bound = best if best < math.inf else self._pivot_bound(j, target)
-            positions, lasts, residuals = self._window(j, target, bound)
+            positions, lasts, residuals = self._window(*self._runs(j, target[None], bound),
+                                                       target[None])
             res = float(residuals.min(initial=math.inf))
             if res > best or res == math.inf:
                 continue
@@ -547,13 +582,35 @@ class _SubsetIndex:
             winners.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
         return min(winners), best
 
-    def count(self, target: np.ndarray, k: int, epsilon: float) -> int:
-        """The number of k-subsets with residual at most ``epsilon``."""
-        target = target if target.size else np.zeros(1)
+    def count(self, targets: np.ndarray, k: int, epsilon: float) -> np.ndarray:
+        """Per pool, the number of its k-subsets with residual at most ``epsilon``
+        from its row of the ``(P, d)`` targets.
+
+        The runs are tested a group at a time, each group's subsets within
+        ``_QUERY_BYTES`` and one run, so a wide epsilon over many pools holds
+        little more at once than a narrow one.
+        """
+        targets = targets if targets.shape[1] else np.zeros((self.pools, 1))
         if k == 0:
-            return int(np.abs(target).max() <= epsilon)
+            return (np.abs(targets).max(axis=1) <= epsilon).astype(np.intp)
         self._build(k)
-        return int((self._window(k, target, epsilon)[2] <= epsilon).sum())
+        lo, sizes, lasts = self._runs(k, targets, epsilon)
+        step = max(1, _QUERY_BYTES // (8 * len(self.columns) + 48))  # subsets a group
+        cuts = sizes.cumsum().searchsorted(np.arange(step, sizes.sum(), step), side="right")
+        cuts = [0, *cuts, sizes.size]
+        counts = np.zeros(self.pools, dtype=np.intp)
+        for first, stop in zip(cuts, cuts[1:]):
+            _, hit, residuals = self._window(lo[first:stop], sizes[first:stop],
+                                             lasts[first:stop], targets)
+            counts += np.bincount(hit[residuals <= epsilon] // self.n, minlength=self.pools)
+        return counts
+
+
+def _index_bytes(n: int, k_max: int, d: int) -> int:
+    """What a :class:`_SubsetIndex` keeps per pool for queries of up to ``k_max``
+    vectors: the sums of every layer below ``k_max``, their sort keys and their
+    colex places, 8 d + 12 bytes each; nothing of the top layer."""
+    return (8 * max(d, 1) + 12) * _family_size(n, range(k_max))
 
 
 def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
@@ -561,9 +618,7 @@ def _check_family_budget(n: int, cardinalities, d: int, budget: int) -> None:
     if family > budget:
         k_max = max(cardinalities)
         sizes = f"{k_max}-subsets" if len(cardinalities) == 1 else f"subsets of size <= {k_max}"
-        # what _SubsetIndex keeps: the sums of every layer below k_max, their
-        # sort keys and their colex places; nothing of the top layer
-        needed = (8 * max(d, 1) + 12) * _family_size(n, range(k_max))
+        needed = _index_bytes(n, k_max, d)
         raise BudgetError(
             f"{family} {sizes} of {n} vectors exceed the enumeration budget {budget} "
             f"(building their {d}-dim sums would allocate {needed} bytes)"
@@ -675,19 +730,19 @@ def _swap_descents(
 
 
 def _greedy_swap_best(
-    vectors: np.ndarray, targets: np.ndarray, k: int, seeds, params: SolverParams
+    vectors: np.ndarray, targets: np.ndarray, k: int, heads: np.ndarray, params: SolverParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each of P problems' best k-subset found by swap descents from its greedy
-    build and ``params.restarts`` seeded random starts: the sorted first k of
-    substream r of ``seeds[p]``'s permutation, for r = 1, 2, ... ``vectors``
-    is ``(P, n, d)`` and ``targets`` ``(P, d)``; returns the ``(P, k)``
-    indices and the ``(P,)`` residuals, per problem the smallest residual with
-    ties to the lexicographically smallest indices."""
+    build and ``params.restarts`` random starts. ``vectors`` is ``(P, n, d)``,
+    ``targets`` ``(P, d)`` and ``heads`` ``(P * restarts, k)``, problem-major:
+    restart r of problem p starts from the sorted row ``p * restarts + r - 1``
+    (:func:`_restart_heads`). Returns the ``(P, k)`` indices and the ``(P,)``
+    residuals, per problem the smallest residual with ties to the
+    lexicographically smallest indices."""
     problems, n, _ = vectors.shape
     per = params.restarts + 1
     starts = np.empty((problems, per, k), dtype=np.intp)
     starts[:, 0] = _greedy_builds(vectors, targets, k)
-    heads = _substream_permutation_heads(seeds, range(1, per), n, k)
     starts[:, 1:] = heads.reshape(problems, per - 1, k)
     starts = starts.reshape(problems * per, k)
     starts.sort(axis=1)
@@ -695,6 +750,14 @@ def _greedy_swap_best(
     reached, residuals = _swap_descents(vectors, targets, owners, starts, params.max_iters)
     best = np.lexsort((*reached.T[::-1], residuals, owners))[::per]  # each problem's first
     return reached.take(best, axis=0), residuals.take(best)
+
+
+def _restart_heads(seeds, restarts: int, n, k: int) -> np.ndarray:
+    """The restart heads of :func:`_greedy_swap_best` for the problems seeded by
+    ``seeds``: row ``p * restarts + r - 1`` is the first k of
+    ``_generator(seeds[p].substream(r)).permutation(n)``, r = 1, 2, ...; a
+    sequence ``n`` gives one block per size."""
+    return _substream_permutation_heads(seeds, range(1, restarts + 1), n, k)
 
 
 def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchOutcome:
@@ -717,17 +780,18 @@ def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchO
 
     if params.strategy is Strategy.EXHAUSTIVE:
         _check_family_budget(n, cardinalities, d, params.enumeration_budget)
-        index = _SubsetIndex(vectors) if index is None else index
+        index = _SubsetIndex(vectors[None]) if index is None else index
         indices, residual = index.best(target, cardinalities)
         exhaustive = True
     else:
         best: tuple[tuple[int, ...], float] | None = None
+        heads = _restart_heads(params.seed, params.restarts, n, max(cardinalities))
         for k in cardinalities:
             if k == 0:
                 cand = ((), float(np.abs(target).max(initial=0.0)))
             else:
                 winners, residuals = _greedy_swap_best(vectors[None], target[None], k,
-                                                       [params.seed], params)
+                                                       heads[:, :k], params)
                 cand = (tuple(winners[0].tolist()), float(residuals[0]))
             if best is None or cand[1] < best[1] or (cand[1] == best[1] and cand[0] < best[0]):
                 best = cand
@@ -755,7 +819,7 @@ def subset_sum_number(
     if not 0 <= k <= n:
         raise ParameterError(f"k must be in [0, {n}]")
     _check_family_budget(n, [k], d, enumeration_budget)
-    return _SubsetIndex(vectors).count(target, k, epsilon)
+    return int(_SubsetIndex(vectors[None]).count(target[None], k, epsilon)[0])
 
 
 def partition_boost(

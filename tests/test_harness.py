@@ -10,7 +10,6 @@ import pytest
 from subsetprune import (
     BoundCheckResult,
     BoundDirection,
-    NsnEnsemble,
     ParameterError,
     PruneParams,
     SeedSpec,
@@ -34,7 +33,6 @@ from subsetprune import harness, solvers
 from subsetprune.harness import (
     _block_totals,
     _intersection_overlaps,
-    _l1_projected_target,
     binomial_std_error,
     chi_squared_tail_bound,
     intersection_tail_bound,
@@ -48,6 +46,24 @@ from subsetprune.solvers import _smallest_covering_prefix
 
 SEED = SeedSpec(777)
 SMALL = 20_000
+
+
+def _l1_projected_target(d, radius, seed):
+    """Reference: one trial's mrss-scan target, uniform on (-1, 1)^d from its own
+    stream and scaled into the L1 ball of ``radius`` when it lies outside."""
+    z = sample_uniform(d, seed, -1.0, 1.0)
+    l1 = float(np.abs(z).sum())
+    if l1 > radius:
+        z = z * (radius / l1)
+    return z
+
+
+def _one_decimal(values):
+    return np.round(values, 1)
+
+
+def _eighths(values):  # dyadic: every sum and residual exact
+    return np.round(values * 8.0) / 8.0
 
 
 class TestVerdictRule:
@@ -320,7 +336,10 @@ class TestScans:
         (1, 2, [2, 7, 12], 0.02, 30, 45, {"strategy": Strategy.GREEDY_SWAP}),
         (3, 3, [3, 9, 14], 0.3, 30, 46, {"strategy": Strategy.GREEDY_SWAP}),
         # pools and targets rounded to 1 decimal: many tied residuals
-        (2, 3, [6, 12, 18], 0.1, 30, 47, {"strategy": Strategy.GREEDY_SWAP, "rounded": True}),
+        (2, 3, [6, 12, 18], 0.1, 30, 47, {"strategy": Strategy.GREEDY_SWAP,
+                                          "rounded": _one_decimal}),
+        # rounded to eighths: some trials' best residual is exactly epsilon
+        (2, 3, [4, 6, 9], 0.25, 40, 53, {"rounded": _eighths, "tied": True}),
         (2, 3, [8, 16], 0.15, 30, 48, {"strategy": Strategy.GREEDY_SWAP,
                                        "solver": {"restarts": 0}}),
         (2, 3, [8, 16], 0.15, 30, 49, {"strategy": Strategy.GREEDY_SWAP,
@@ -329,6 +348,9 @@ class TestScans:
         (2, 3, [10, 15, 20], 0.25, 30, 50, {"strategy": Strategy.GREEDY_SWAP, "cap": 1}),
         (2, 3, [10, 15, 20], 0.25, 30, 51, {"strategy": Strategy.GREEDY_SWAP, "cap": 1.0}),
         (2, 3, [10, 20], 0.25, 31, 52, {"strategy": Strategy.GREEDY_SWAP, "cap": 4.0}),
+        (2, 3, [10, 15, 20], 0.25, 30, 54, {"cap": 1}),
+        (2, 3, [10, 20], 0.25, 31, 55, {"cap": 4.0}),
+        (2, 2, [6, 11, 8], 0.15, 31, 56, {"group_size": 4, "cap": 4.0}),
     ])
     def test_mrss_scan_matches_solving_every_n(self, monkeypatch, d, k, n_values, epsilon,
                                                trials, stream, extra):
@@ -337,38 +359,89 @@ class TestScans:
         if "solver" in extra:  # the scan's SolverParams, and the reference loop's
             monkeypatch.setattr(harness, "SolverParams",
                                 functools.partial(SolverParams, **extra.pop("solver")))
-        if extra.pop("rounded", False):
-            def rounded_nsn(count, dim, sub):
-                return NsnEnsemble.from_parts(np.ones(count),
-                                              np.round(sample_nsn(count, dim, sub).vectors, 1))
-            monkeypatch.setattr(harness, "sample_nsn", rounded_nsn)
-            monkeypatch.setattr(harness, "_l1_projected_target",
-                                lambda *args: np.round(_l1_projected_target(*args), 1))
-        if "cap" in extra:  # an int is bytes, a float a number of one trial's swap blocks
-            cap = extra.pop("cap")
-            one_trial = 8 * (harness.SolverParams(epsilon, k).restarts + 1) * k * max(n_values) * d
-            monkeypatch.setattr(solvers, "_DESCENT_BYTES",
-                                cap if isinstance(cap, int) else int(cap * one_trial))
+        rounded = extra.pop("rounded", None)
+        if rounded is not None:  # the scan's batched draw; the reference rounds its own
+            draws = harness._mrss_draws
+            monkeypatch.setattr(harness, "_mrss_draws",
+                                lambda *args: tuple(rounded(part) for part in draws(*args)))
+        tied = extra.pop("tied", False)
         strategy = extra.get("strategy", Strategy.EXHAUSTIVE)
+        cap, batch_sizes = extra.pop("cap", None), []
+        if cap is not None:  # an int is bytes, a float a number of one trial's bytes
+            if strategy is Strategy.GREEDY_SWAP:  # and the descent's, in swap blocks
+                one_start = 8 * k * max(n_values) * d
+                one_trial = (harness.SolverParams(epsilon, k).restarts + 1) * one_start
+                monkeypatch.setattr(solvers, "_DESCENT_BYTES",
+                                    cap if isinstance(cap, int) else int(cap * one_trial))
+            batches = harness._batches
+
+            def capped(count, trial_bytes):
+                monkeypatch.setattr(harness, "_BATCH_BYTES",
+                                    cap if isinstance(cap, int) else int(cap * trial_bytes))
+                batch_sizes.extend(len(batch) for batch in batches(count, trial_bytes))
+                return batches(count, trial_bytes)
+
+            monkeypatch.setattr(harness, "_batches", capped)
         group_size = extra.get("group_size")
         expect = dict.fromkeys(sorted(n_values), 0)
+        at_epsilon = 0
         for trial in range(trials):
             sub = seed.substream(trial)
-            ensemble = harness.sample_nsn(max(n_values), d, sub.substream(0))
-            target = harness._l1_projected_target(d, 1.0, sub.substream(1))
+            vectors = sample_nsn(max(n_values), d, sub.substream(0)).vectors
+            target = _l1_projected_target(d, 1.0, sub.substream(1))
+            if rounded is not None:
+                vectors, target = rounded(vectors), rounded(target)
             params = harness.SolverParams(epsilon=epsilon, k=k, strategy=strategy,
                                           seed=sub.substream(2))
             for n in expect:
-                prefix = ensemble.take(n)
                 if group_size is None:
-                    expect[n] += search_subsets(prefix.vectors, target, params).solution is not None
+                    outcome = search_subsets(vectors[:n], target, params)
+                    expect[n] += outcome.solution is not None
+                    at_epsilon += outcome.best.residual_inf == epsilon
                 elif n >= group_size:
-                    hit = partition_boost(prefix.vectors, target, params, group_size)
+                    hit = partition_boost(vectors[:n], target, params, group_size)
                     expect[n] += hit is not None
         rows = scan_mrss_phase(d, k, n_values, epsilon, trials, seed, **extra)
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)
         assert 0 < sum(expect.values()) < trials * len(expect)  # hits and misses both
+        if tied:
+            assert at_epsilon > 0
+        if cap is not None:
+            size = 1 if isinstance(cap, int) else int(cap)
+            assert batch_sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    @pytest.mark.parametrize("n,d,radius", [(1, 1, 1.0), (5, 2, 0.5), (7, 3, 1.0), (4, 9, 2.0),
+                                            (3, 17, 0.0), (6, 2, 10.0)])
+    def test_batched_trials_are_the_per_stream_trials(self, trials, n, d, radius):
+        streams = [SEED.substream(57).substream(trial) for trial in range(trials)]
+        vectors, targets = harness._mrss_draws(streams, n, d, radius)
+        expected = np.stack([sample_nsn(n, d, s.substream(0)).vectors for s in streams])
+        assert vectors.tobytes() == expected.tobytes()
+        expected = np.stack([_l1_projected_target(d, radius, s.substream(1)) for s in streams])
+        assert targets.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scan", ["exhaustive", "rssp"])
+    def test_scan_memory_does_not_grow_with_trials(self, scan):
+        # the peak is one full batch's: no exhaustive trial hits, so each
+        # batch indexes all of its pools at n = 40 (62 trials a batch), and
+        # the rssp epsilon covers the grid at once, so a batch holds its
+        # draws alone (196 trials a batch)
+        if scan == "rssp":
+            run = functools.partial(scan_rssp_phase, 1.5, [1, 500], 11)
+        else:
+            run = functools.partial(scan_mrss_phase, 2, 3, [10, 40], 1e-9)
+        run(5, SEED)  # fill the caches
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                run(trials, SEED.substream(58))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_greedy_scan_memory_does_not_grow_with_trials(self):
         scan_mrss_phase(2, 3, [10, 20], 0.25, 5, SEED, Strategy.GREEDY_SWAP)  # fill the caches

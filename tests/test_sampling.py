@@ -177,3 +177,30 @@ def test_normals_peak_memory_is_words_plus_output():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * n + (1 << 20)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (3, 2), (7, 3), (10, 2), (4, 5)])
+def test_batched_draws_are_the_per_stream_draws(rows, n, d):
+    # one rewound Philox and one transform over all rows give each row the
+    # bytes of its own stream's draw
+    seeds = [SeedSpec(13, 7).substream(row) for row in range(rows)]
+    expected = np.stack([sample_nsn(n, d, seed.substream(2)).vectors for seed in seeds])
+    assert sampling._nsn_vectors(seeds, [2], n, d).tobytes() == expected.tobytes()
+    expected = np.stack([sample_uniform(n * d, seed.substream(index), -3.0, 0.5)
+                         for seed in seeds for index in (0, 5)])
+    assert sampling._uniforms(seeds, [0, 5], n * d, -3.0, 0.5).tobytes() == expected.tobytes()
+
+
+def test_batched_box_muller_scratch_is_bounded():
+    # 2^13 rows of 2 pairs and one row of 2^16: the scratch stays about one
+    # chunk of pairs either way (plus a ufunc's cast buffer)
+    for rows, pairs in ((1 << 13, 2), (1, 1 << 16)):
+        words = np.ones((rows, 2 * pairs), dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            sampling._box_muller(words, 2 * pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * words.size + 3 * 8 * max(rows, _PAIRS) + (1 << 17)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import math
 import sys
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetprune import solvers
+from subsetprune import sampling, solvers
 from subsetprune import (
     BudgetError,
     CardinalityMode,
@@ -476,6 +477,67 @@ class TestWindowEdges:
                 )
 
 
+def many_pools(rng, pools, n, d, k):
+    """(pools, targets): generic pools, one scaled by 1e6 whose target is its
+    last k vectors' sum exactly, one vector repeated n times, and one dyadic
+    pool whose residuals tie exactly."""
+    vectors = rng.normal(size=(pools, n, d)) * 0.5
+    targets = rng.uniform(-1.0, 1.0, size=(pools, d))
+    vectors[1] *= 1e6
+    targets[1] = ascending_sum(vectors[1], range(n - k, n))
+    vectors[2] = vectors[2, 0]
+    targets[2] = ascending_sum(vectors[2], range(k)) + 0.01
+    vectors[3], targets[3] = np.round(vectors[3] * 8.0) / 8.0, np.round(targets[3] * 8.0) / 8.0
+    return vectors, targets
+
+
+class TestManyPools:
+    @pytest.mark.parametrize("n,d,k", [(7, 1, 2), (9, 2, 3), (8, 3, 4), (6, 2, 1), (5, 2, 5)])
+    @pytest.mark.parametrize("query_bytes", [None, 1, 3000], ids=["one-group", "one-run", "few"])
+    def test_pools_of_one_index_are_single_pool_indexes(self, monkeypatch, n, d, k, query_bytes):
+        # a count's runs in one group, a group per run, and groups of a few runs
+        if query_bytes is not None:
+            monkeypatch.setattr(solvers, "_QUERY_BYTES", query_bytes)
+        rng = np.random.default_rng(100 * n + d)
+        vectors, targets = many_pools(rng, 6, n, d, k)
+        index = solvers._SubsetIndex(vectors)
+        for epsilon in (0.0, 0.05, 0.125, 0.3, 2.0):
+            counts = index.count(targets, k, epsilon)
+            for pool, (one, target) in enumerate(zip(vectors, targets)):
+                alone = solvers._SubsetIndex(one[None])
+                assert counts[pool] == alone.count(target[None], k, epsilon)[0]
+                assert counts[pool] == len(enumerate_k_hits(one, target, k, epsilon))
+                hit = search_subsets(one, target, SolverParams(epsilon=max(epsilon, 1e-300), k=k))
+                assert (counts[pool] > 0) == (hit.best.residual_inf <= epsilon)
+        assert index.count(targets, k, 0.0)[1] >= 1  # the 1e6 pool's exact sum
+
+    def test_wide_count_memory_is_grouped(self):
+        # every 3-subset of 40 pools of 30 vectors is within 1e3: 162,400
+        # subsets, about 10 MB as one block of sums, residuals and places
+        vectors = np.random.default_rng(5).normal(size=(40, 30, 2))
+        index = solvers._SubsetIndex(vectors)
+        index._build(3)
+        tracemalloc.start()
+        try:
+            counts = index.count(np.zeros((40, 2)), 3, 1e3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == [math.comb(30, 3)] * 40
+        assert peak < 4 * solvers._QUERY_BYTES
+
+    def test_restart_heads_of_many_sizes_mix_each_key_once(self, monkeypatch):
+        seeds = [SeedSpec(3, stream) for stream in range(4)]
+        sizes = [5, 9, 20]
+        separate = [_substream_permutation_heads(seeds, range(1, 6), n, 3) for n in sizes]
+        mixed = []
+        mix = sampling._mix64
+        monkeypatch.setattr(sampling, "_mix64", lambda *args: mixed.append(args) or mix(*args))
+        stacked = _substream_permutation_heads(seeds, range(1, 6), sizes, 3)
+        assert stacked.tobytes() == np.stack(separate).tobytes()
+        assert len(mixed) == len(seeds) * 5
+
+
 class TestPartitionBoost:
     def test_single_group_reduces_to_plain_solve(self):
         vectors = sample_nsn(9, 1, SeedSpec(31)).vectors
@@ -640,8 +702,8 @@ def greedy_cases():
 
 def greedy_swap_best(vectors, target, k, params):
     """The batched engine on the one problem ``(vectors, target)``."""
-    indices, residuals = solvers._greedy_swap_best(vectors[None], target[None], k,
-                                                   [params.seed], params)
+    heads = solvers._restart_heads(params.seed, params.restarts, len(vectors), k)
+    indices, residuals = solvers._greedy_swap_best(vectors[None], target[None], k, heads, params)
     return tuple(indices[0].tolist()), float(residuals[0])
 
 
@@ -709,7 +771,8 @@ class TestGreedySwap:
                                   restarts=restarts, max_iters=max_iters)
             if cap is not None:
                 monkeypatch.setattr(solvers, "_DESCENT_BYTES", cap * 8 * k * n * d)
-            indices, residuals = solvers._greedy_swap_best(vectors, targets, k, seeds, params)
+            heads = solvers._restart_heads(seeds, restarts, n, k)
+            indices, residuals = solvers._greedy_swap_best(vectors, targets, k, heads, params)
             for problem, seed in enumerate(seeds):
                 expected = one_start_greedy_swap_best(vectors[problem], targets[problem], k,
                                                       dataclasses.replace(params, seed=seed))
