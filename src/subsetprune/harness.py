@@ -11,9 +11,10 @@ per-trial differences, whose expectation is exactly zero under the identity.
 Block rule: every check draws its trials in blocks of 2^14 (the intersection
 tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
 block ``b`` always draws from ``seed.substream(b)`` and the block totals are
-summed in block order. A block may be drawn in row chunks from its own
-generator (the intersection tail streams about 2^17 values at a time): the
-chunks take the same words, in the same order, as one whole-block draw.
+summed in block order. The intersection tail reads its block in row chunks
+from the thread's one generator, rewound to the block's stream (about 2^17
+values at a time, nothing else drawn between them): the chunks take the same
+words, in the same order, as one whole-block draw.
 Results are therefore bit-reproducible and independent of how trials would be
 fanned out across workers. Every check rejects ``trials < 1`` with
 :class:`ParameterError`.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .pruning import PruneParams, prune_random_layer
-from .sampling import SeedSpec, _generator, _normals, _nsn_vectors, _uniforms
+from .sampling import SeedSpec, _generator, _normals, _nsn_vectors, _substream_keys, _uniforms
 from . import solvers
 from .solvers import (
     SolverParams,
@@ -68,7 +69,7 @@ __all__ = [
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
 _TAIL_CHUNK = 1 << 17  # uniforms per intersection-tail row chunk
 _GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
-_BATCH_BYTES = 3 << 19  # what one batch of scan trials may hold: draws and solver state
+_BATCH_BYTES = 3 << 19  # a scan batch's draws plus the state its solves keep (not query scratch)
 
 
 class BoundDirection(Enum):
@@ -129,12 +130,14 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float,
 
 
 def _block_totals(trials: int, seed: SeedSpec, draw, block: int = _BLOCK) -> list:
-    """Per-position sums of ``draw(rng, count)`` over the blocks of the block rule."""
+    """Per-position sums of ``draw(key, count)`` over the blocks of the block rule,
+    ``key`` the Philox key of the block's stream."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     totals = None
-    for index, start in enumerate(range(0, trials, block)):
-        parts = draw(_generator(seed.substream(index)), min(block, trials - start))
+    starts = range(0, trials, block)
+    for key, start in zip(_substream_keys([seed], range(len(starts))), starts):
+        parts = draw(key, min(block, trials - start))
         totals = [total + part for total, part in zip(totals or [0] * len(parts), parts)]
     return totals
 
@@ -200,8 +203,8 @@ def check_chi_squared_tails(
     upper_threshold = d + 2.0 * math.sqrt(d * t) + 2.0 * t
     lower_threshold = d - 2.0 * math.sqrt(d * t)
 
-    def draw(rng, count):
-        draws = _normals(rng, count * d).reshape(count, d)
+    def draw(key, count):
+        draws = _normals([key], count * d).reshape(count, d)
         stat = (draws * draws).sum(axis=1)
         return int((stat >= upper_threshold).sum()), int((stat <= lower_threshold).sum())
 
@@ -225,8 +228,8 @@ def check_most_probable_interval(
     if not sigma > 0.0 or not epsilon > 0.0:
         raise ParameterError("need sigma > 0, epsilon > 0")
 
-    def draw(rng, count):
-        x = sigma * _normals(rng, count)
+    def draw(key, count):
+        x = sigma * _normals([key], count)[0]
         centre = (np.abs(x) <= epsilon).astype(np.float64)
         shifted = (np.abs(x - z) <= epsilon).astype(np.float64)
         delta = centre - shifted
@@ -242,13 +245,6 @@ def check_most_probable_interval(
         trials,
         {"sigma": sigma, "z": z, "epsilon": epsilon},
     )
-
-
-def _nsn_window_sums(rng, count: int, vectors: int, d: int) -> np.ndarray:
-    """(count, vectors, d) raw NSN draws: scalars first, then directions."""
-    scalars = _normals(rng, count * vectors).reshape(count, vectors)
-    directions = _normals(rng, count * vectors * d).reshape(count, vectors, d)
-    return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
 
 
 def check_nsn_hit_lower_bound(
@@ -268,8 +264,8 @@ def check_nsn_hit_lower_bound(
     if float(np.abs(z).sum()) > math.sqrt(k):
         raise ParameterError("hypothesis requires l1 norm of z at most sqrt(k)")
 
-    def draw(rng, count):
-        sums = _nsn_window_sums(rng, count, k, d).sum(axis=1)
+    def draw(key, count):
+        sums = _nsn_vectors([key], count * k, d).reshape(count, k, d).sum(axis=1)
         return (int((np.abs(sums - z) <= epsilon).all(axis=1).sum()),)
 
     (hits,) = _block_totals(trials, seed, draw)
@@ -298,8 +294,8 @@ def check_joint_upper_bound(
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
 
-    def draw(rng, count):
-        draws = _nsn_window_sums(rng, count, k + j, d)
+    def draw(key, count):
+        draws = _nsn_vectors([key], count * (k + j), d).reshape(count, k + j, d)
         first = draws[:, :j].sum(axis=1)
         middle = draws[:, j:k].sum(axis=1) if j < k else np.zeros_like(first)
         last = draws[:, k:].sum(axis=1)
@@ -382,8 +378,8 @@ def check_second_moment_identity(
         math.comb(k, k - j) * math.comb(n - k, j) / math.comb(n, k) for j in range(k + 1)
     ]
 
-    def draw(rng, count):
-        vectors = _nsn_window_sums(rng, count, n, d)
+    def draw(key, count):
+        vectors = _nsn_vectors([key], count * n, d).reshape(count, n, d)
         hit = np.empty((count, ncomb), dtype=bool)
         for lo in range(0, ncomb, chunk):
             sums = vectors[:, combos[lo : lo + chunk], :].sum(axis=2)
@@ -458,8 +454,9 @@ def check_intersection_tail(
         raise ParameterError("hypothesis requires n >= k^2")
     threshold = k / d
 
-    def draw(rng, count):
-        return (int((_intersection_overlaps(rng, count, n, k) >= threshold).sum()),)
+    def draw(key, count):
+        overlaps = _intersection_overlaps(_generator(SeedSpec(*key)), count, n, k)
+        return (int((overlaps >= threshold).sum()),)
 
     # the block size fixes which trials share a substream; draws stream in row chunks
     (hits,) = _block_totals(trials, seed, draw, max(1, min(_BLOCK, (1 << 24) // n)))
@@ -552,7 +549,7 @@ def scan_rssp_phase(
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, 16 * sizes[-1]):  # its words and its uniforms
         covered = [_smallest_covering_prefix(draws, epsilon, grid, sizes)
-                   for draws in _uniforms([seed], batch, sizes[-1], -1.0, 1.0)]
+                   for draws in _uniforms(_substream_keys([seed], batch), sizes[-1], -1.0, 1.0)]
         for first in covered:
             _count_from(successes, first)
     echo = {
@@ -569,8 +566,8 @@ def _mrss_draws(streams, n: int, d: int, radius: float) -> tuple[np.ndarray, np.
     ``streams``: trial stream s draws ``sample_nsn(n, d, s.substream(0))`` and
     a target uniform on (-1, 1)^d from ``s.substream(1)``, scaled into the L1
     ball of ``radius`` when it lies outside."""
-    vectors = _nsn_vectors(streams, [0], n, d)
-    targets = _uniforms(streams, [1], d, -1.0, 1.0)
+    vectors = _nsn_vectors(_substream_keys(streams, [0]), n, d)
+    targets = _uniforms(_substream_keys(streams, [1]), d, -1.0, 1.0)
     l1 = np.abs(targets).sum(axis=1)
     outside = l1 > radius
     targets[outside] *= (radius / l1[outside])[:, None]
@@ -634,17 +631,19 @@ def scan_mrss_phase(
     never asserted. Columns: n, trials, successes, rate, wilson bounds, echo.
 
     The trials are drawn, each from its own substream, in batches
-    (:func:`_batches`; a trial's bytes are its draws plus what its solve holds
-    at the largest n), and each distinct n is solved once, in ascending
-    order. The exhaustive scan without groups stops a trial at its first hit
-    and counts it for every larger n (:func:`_exhaustive_batch`): the colex
-    family of a prefix is a prefix of the larger family, built by the same
-    additions, so the exhaustive minimum can only fall as n grows. Every
-    requested n's family is checked against the enumeration budget before the
-    first trial. Greedy-swap and grouped scans solve every n: a local-search
-    miss is not monotone in n, and the last group of :func:`partition_boost`
-    changes its members with n. Every row is the one solving trial by trial
-    gives.
+    (:func:`_batches`; a trial's bytes are its draws and, at the largest n,
+    its exhaustive index's 8 d + 12 bytes per sum or its greedy starts' swap
+    blocks, but not a query's window arrays or ``_QUERY_BYTES`` group, so a
+    batch can hold a few times the cap), and each distinct n is solved once,
+    in ascending order. The exhaustive scan without groups stops a trial at
+    its first hit and counts it for every larger n (:func:`_exhaustive_batch`):
+    the colex family of a prefix is a prefix of the larger family, built by
+    the same additions, so the exhaustive minimum can only fall as n grows.
+    Every requested n's family is checked against the enumeration budget
+    before the first trial. Greedy-swap and grouped scans solve every n: a
+    local-search miss is not monotone in n, and the last group of
+    :func:`partition_boost` changes its members with n. Every row is the one
+    solving trial by trial gives.
     """
     sizes = _scan_sizes(n_values, k, trials)
     if not target_radius >= 0.0:  # a negative radius flips the target, NaN skips the projection

@@ -4,22 +4,28 @@ normally-scaled normal (NSN) ensembles, uniforms.
 Determinism contract
 --------------------
 All draws are pure functions of a :class:`SeedSpec`. The byte stream comes
-from the counter-based Philox generator keyed by ``(master_seed, stream_id)``;
-uniforms are 53-bit integers mapped into the open interval (0, 1); an n-value
-normal draw takes 2 * ceil(n/2) uniforms at once and pairs uniform p with
-uniform ceil(n/2) + p in the Box-Muller transform (see :func:`_box_muller`).
-Hence ``(seed, stream, sequence of draw lengths)`` fully determines every
-value, independent of how work is scheduled; a value depends on the length of
-the call that drew it, so a longer draw does not extend a shorter one.
-Distinct stream ids give independent streams; a single stream must be
-consumed sequentially.
+from the counter-based Philox generator keyed by ``(master_seed, stream_id)``.
+Each thread keeps one Philox, and every draw first rewinds it to its stream's
+key with a zero counter and an empty buffer: the state a freshly built
+generator on that key starts in, so the draw reads exactly what a fresh
+generator would (:func:`_rewound`). A rewound generator is valid until the
+thread's next draw, so no caller holds two at once: a draw reads all it needs
+from one stream before it rewinds to the next.
+
+One word reader (:func:`_words`) feeds every transform: a 53-bit word is a raw
+Philox word shifted right by 11, and a uniform maps it into the open interval
+(0, 1). An n-value normal draw takes 2 * ceil(n/2) words at once and pairs
+uniform p with uniform ceil(n/2) + p in the Box-Muller transform (see
+:func:`_box_muller`). Hence ``(seed, stream, sequence of draw lengths)`` fully
+determines every value, independent of how work is scheduled; a value depends
+on the length of the call that drew it, so a longer draw does not extend a
+shorter one. Distinct stream ids give independent streams; a single stream
+must be consumed sequentially.
 
 Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
-a splitmix64-style mix of ``(stream_id, index)``. The scans draw many
-substreams at once (:func:`_nsn_vectors`, :func:`_uniforms`): one Philox per
-thread is rewound to each substream's key and the transform runs once over
-the whole ``(streams, words)`` block, each row the bytes of its stream's own
-:func:`sample_nsn` or :func:`sample_uniform`.
+a splitmix64-style mix of ``(stream_id, index)``. Every builder takes a list
+of stream keys and transforms the whole ``(streams, words)`` block at once,
+each row the bytes of its own stream; the public samplers are one-row calls.
 """
 
 from __future__ import annotations
@@ -67,18 +73,10 @@ class SeedSpec:
 
     def substream(self, index: int) -> "SeedSpec":
         """Pure derived stream; distinct indices give independent streams."""
-        return SeedSpec(self.master_seed, _mix64(self.stream_id, int(index) & _MASK64))
-
-
-def _generator(seed: SeedSpec) -> np.random.Generator:
-    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        return SeedSpec(*_substream_keys([self], [index])[0])
 
 
 # Per thread: one Philox, its Generator and the state a fresh one starts in.
-# Every draw first resets it to that state under its own key, so no call sees
-# another's; keeping it saves building a Philox, seeded from OS entropy only
-# to be rekeyed, per call.
 _REWOUND = threading.local()
 
 
@@ -92,9 +90,11 @@ def _substream_keys(seeds, indices) -> list[tuple[int, int]]:
 
 def _rewound(keys):
     """The thread's one Philox Generator, once per key: rewound to that key with a
-    zero counter and an empty buffer, the state a fresh generator starts in, so
-    its draws are the bytes of ``_generator`` on that stream. The state is
-    handed over as plain ints, which the setter reads faster than arrays."""
+    zero counter and an empty buffer, the state a fresh ``Generator(Philox(key))``
+    starts in, so its draws are that generator's; this saves building a Philox,
+    seeded from OS entropy only to be rekeyed, per draw. Each key's generator is
+    valid until the next is yielded. The state is handed over as plain ints,
+    which the setter reads faster than arrays."""
     if not hasattr(_REWOUND, "rng"):
         _REWOUND.rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
         fresh = _REWOUND.rng.bit_generator.state
@@ -108,42 +108,30 @@ def _rewound(keys):
         yield rng
 
 
-def _substream_permutation_heads(seeds, indices, n, k: int) -> np.ndarray:
-    """Row ``s * len(indices) + i`` holds the first k entries of
-    ``_generator(seeds[s].substream(indices[i])).permutation(n)``; one
-    :class:`SeedSpec` counts as a list of one.
+def _key(seed: SeedSpec) -> tuple[int, int]:
+    return seed.master_seed, seed.stream_id
 
-    ``n`` may also be a sequence of sizes: the result then stacks one such
-    block per size, and each key is mixed once for all of them. Each
-    permutation is drawn from the thread's Philox rewound to its key
-    (:func:`_rewound`), without a Philox, a Generator or a :class:`SeedSpec`
-    per pair.
+
+def _generator(seed: SeedSpec) -> np.random.Generator:
+    """This thread's Philox Generator rewound to ``seed``'s stream, valid until
+    the thread's next draw."""
+    return next(_rewound([_key(seed)]))
+
+
+def _words(keys, *counts) -> list[np.ndarray]:
+    """One ``(len(keys), count)`` block of 53-bit words per count: row r of the
+    blocks, in turn, holds the consecutive words stream ``keys[r]`` starts with.
+    A word is a raw Philox word shifted right by 11, the value that
+    ``integers(0, 2**53, dtype=np.uint64)`` draws: its Lemire multiply-shift
+    ``x * 2**53 >> 64`` never rejects (threshold ``(2**64 - 2**53) % 2**53 = 0``).
     """
-    seeds = [seeds] if isinstance(seeds, SeedSpec) else seeds
-    sizes = [n] if np.ndim(n) == 0 else list(n)
-    keys = _substream_keys(seeds, indices)
-    heads = np.empty((len(sizes), len(keys), k), dtype=np.intp)
-    for size, block in zip(sizes, heads):
-        for row, rng in zip(block, _rewound(keys)):
-            row[:] = rng.permutation(size)[:k]
-    return heads[0] if np.ndim(n) == 0 else heads
-
-
-def _substream_words(seeds, indices, count: int) -> np.ndarray:
-    """``(rows, count)`` 53-bit words, row ``s * len(indices) + i`` the first
-    ``count`` words that ``integers(0, 2**53, dtype=np.uint64)`` draws from
-    stream ``seeds[s].substream(indices[i])``.
-
-    That draw is Lemire's multiply-shift, ``x * 2**53 >> 64``, whose rejection
-    threshold ``(2**64 - 2**53) % 2**53`` is 0: one raw word per value, shifted
-    right by 11. So each row is one ``random_raw`` of the rewound Philox
-    (:func:`_rewound`), shifted.
-    """
-    keys = _substream_keys(seeds, indices)
-    words = np.empty((len(keys), count), dtype=np.uint64)
-    for row, rng in zip(words, _rewound(keys)):
-        row[:] = rng.bit_generator.random_raw(count)
-    return np.right_shift(words, 11, out=words)
+    blocks = [np.empty((len(keys), count), dtype=np.uint64) for count in counts]
+    for row, rng in enumerate(_rewound(keys)):
+        for block in blocks:
+            block[row] = rng.bit_generator.random_raw(block.shape[1])
+    for block in blocks:
+        np.right_shift(block, 11, out=block)
+    return blocks
 
 
 def _open_uniforms(words: np.ndarray) -> np.ndarray:
@@ -152,10 +140,6 @@ def _open_uniforms(words: np.ndarray) -> np.ndarray:
     u += 0.5
     u *= 2.0**-53
     return u
-
-
-def _uniform_open01(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _open_uniforms(rng.integers(0, 1 << 53, size=int(n), dtype=np.uint64))
 
 
 def _box_muller(words: np.ndarray, n: int) -> np.ndarray:
@@ -190,38 +174,55 @@ def _box_muller(words: np.ndarray, n: int) -> np.ndarray:
     return out[:, :n]
 
 
-def _normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` normals by :func:`_box_muller` on one draw of ``2 * ceil(n/2)``
-    53-bit words, so a value depends on the call's length ``n``."""
-    words = rng.integers(0, 1 << 53, size=(1, 2 * ((n + 1) // 2)), dtype=np.uint64)
-    return _box_muller(words, n)[0]
+def _normals(keys, n: int) -> np.ndarray:
+    """``(len(keys), n)`` normals, row r :func:`_box_muller` of the first
+    ``2 * ceil(n/2)`` words of stream ``keys[r]``, so a value depends on the
+    draw's length ``n``."""
+    return _box_muller(_words(keys, 2 * ((n + 1) // 2))[0], n)
 
 
-def _uniforms(seeds, indices, n: int, low: float, high: float) -> np.ndarray:
-    """``(rows, n)`` uniforms, row ``s * len(indices) + i`` the bytes of
-    ``sample_uniform(n, seeds[s].substream(indices[i]), low, high)``."""
-    u = _open_uniforms(_substream_words(seeds, indices, n))
+def _uniforms(keys, n: int, low: float, high: float) -> np.ndarray:
+    """``(len(keys), n)`` uniforms on the open interval (low, high), row r from
+    the first n words of stream ``keys[r]``."""
+    u = _open_uniforms(_words(keys, n)[0])
     u *= high - low
     u += low  # low + (high - low) * u, in place: IEEE addition commutes
     return u
 
 
-def _nsn_vectors(seeds, indices, n: int, d: int) -> np.ndarray:
-    """``(rows, n, d)`` NSN vectors, row ``s * len(indices) + i`` the bytes of
-    ``sample_nsn(n, d, seeds[s].substream(indices[i])).vectors``: the scalars'
-    words, then the directions', from one draw per stream."""
-    head = 2 * ((n + 1) // 2)
-    words = _substream_words(seeds, indices, head + 2 * ((n * d + 1) // 2))
-    scalars = _box_muller(words[:, :head], n)
-    directions = _box_muller(words[:, head:], n * d).reshape(-1, n, d)
+def _nsn_parts(keys, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(rows, n)`` scalars and ``(rows, n, d)`` directions of the NSN
+    vectors of streams ``keys``: per stream, the scalars' ``2 * ceil(n/2)``
+    words, then the directions' ``2 * ceil(n d/2)``. The scalars' words are
+    dropped before the directions are transformed."""
+    scalar_words, direction_words = _words(keys, 2 * ((n + 1) // 2), 2 * ((n * d + 1) // 2))
+    scalars = _box_muller(scalar_words, n)
+    del scalar_words
+    return scalars, _box_muller(direction_words, n * d).reshape(-1, n, d)
+
+
+def _nsn_vectors(keys, n: int, d: int) -> np.ndarray:
+    """``(rows, n, d)`` NSN vectors: the directions of :func:`_nsn_parts`, each
+    scaled by its scalar in place."""
+    scalars, directions = _nsn_parts(keys, n, d)
     return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
+
+
+def _substream_permutation_heads(keys, sizes, k: int) -> np.ndarray:
+    """``(len(sizes), len(keys), k)``: block s, row r holds the first k entries of
+    the ``permutation(sizes[s])`` that stream ``keys[r]`` draws first."""
+    heads = np.empty((len(sizes), len(keys), k), dtype=np.intp)
+    for size, block in zip(sizes, heads):
+        for row, rng in zip(block, _rewound(keys)):
+            row[:] = rng.permutation(size)[:k]
+    return heads
 
 
 def standard_normals(n: int, seed: SeedSpec) -> np.ndarray:
     """``n`` i.i.d. N(0, 1) draws from the given stream."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    return _normals(_generator(seed), n)
+    return _normals([_key(seed)], n)[0]
 
 
 def sample_uniform(n: int, seed: SeedSpec, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -230,8 +231,7 @@ def sample_uniform(n: int, seed: SeedSpec, low: float = 0.0, high: float = 1.0) 
         raise ParameterError("n must be nonnegative")
     if not high > low:
         raise ParameterError("need high > low")
-    u = _uniform_open01(_generator(seed), n)
-    return low + (high - low) * u
+    return _uniforms([_key(seed)], n, low, high)[0]
 
 
 def sample_uniform_map(
@@ -281,14 +281,6 @@ class NsnEnsemble:
         object.__setattr__(self, "directions", directions)
         object.__setattr__(self, "vectors", vectors)
 
-    @classmethod
-    def from_parts(cls, scalars, directions) -> "NsnEnsemble":
-        scalars = np.asarray(scalars, dtype=np.float64)
-        directions = np.asarray(directions, dtype=np.float64)
-        if directions.ndim == 1:
-            directions = directions[:, None]
-        return cls(scalars, directions, scalars[:, None] * directions)
-
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
@@ -310,7 +302,5 @@ def sample_nsn(n: int, d: int, seed: SeedSpec) -> NsnEnsemble:
     """``n`` i.i.d. d-dimensional NSN vectors: fresh scalar and directions per vector."""
     if n < 1 or d < 1:
         raise ParameterError("n and d must be >= 1")
-    rng = _generator(seed)
-    scalars = _normals(rng, n)
-    directions = _normals(rng, n * d).reshape(n, d)
-    return NsnEnsemble.from_parts(scalars, directions)
+    (scalars,), (directions,) = _nsn_parts([_key(seed)], n, d)
+    return NsnEnsemble(scalars, directions, scalars[:, None] * directions)

@@ -48,10 +48,10 @@ Strategies of :func:`search_subsets`
     ``max_iters`` swaps; per problem the smallest residual wins, ties to the
     lexicographically smallest indices. The batch's block stays under one
     byte cap, ``_DESCENT_BYTES``: a start that stops leaves the batch and a
-    waiting one enters. Restart r starts from the sorted first k of
-    ``_generator(seed.substream(r)).permutation(n)``, which the caller draws
-    (:func:`_restart_heads`) by rewinding one Philox to each substream key
-    rather than building one per restart; a scan draws a batch's heads for
+    waiting one enters. Restart r starts from the sorted first k of the
+    ``permutation(n)`` that stream ``seed.substream(r)`` draws first, which
+    the caller draws (:func:`_restart_heads`) from the thread's one Philox,
+    rewound to each substream's key in turn; a scan draws a batch's heads for
     every n at once, mixing each key once.
 
 The exhaustive engine is one private subset index, ``_SubsetIndex``, over P
@@ -125,7 +125,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .sampling import SeedSpec, _substream_permutation_heads
+from .sampling import SeedSpec, _substream_keys, _substream_permutation_heads
 
 __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
@@ -752,12 +752,14 @@ def _greedy_swap_best(
     return reached.take(best, axis=0), residuals.take(best)
 
 
-def _restart_heads(seeds, restarts: int, n, k: int) -> np.ndarray:
+def _restart_heads(seeds, restarts: int, sizes, k: int) -> np.ndarray:
     """The restart heads of :func:`_greedy_swap_best` for the problems seeded by
-    ``seeds``: row ``p * restarts + r - 1`` is the first k of
-    ``_generator(seeds[p].substream(r)).permutation(n)``, r = 1, 2, ...; a
-    sequence ``n`` gives one block per size."""
-    return _substream_permutation_heads(seeds, range(1, restarts + 1), n, k)
+    ``seeds``, one block per n in ``sizes``: row ``p * restarts + r - 1`` of a
+    block is the first k of the ``permutation(n)`` that stream
+    ``seeds[p].substream(r)`` draws first, r = 1, 2, ...; each key is mixed
+    once for all sizes."""
+    keys = _substream_keys(seeds, range(1, restarts + 1))
+    return _substream_permutation_heads(keys, sizes, k)
 
 
 def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchOutcome:
@@ -785,7 +787,7 @@ def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchO
         exhaustive = True
     else:
         best: tuple[tuple[int, ...], float] | None = None
-        heads = _restart_heads(params.seed, params.restarts, n, max(cardinalities))
+        heads = _restart_heads([params.seed], params.restarts, [n], max(cardinalities))[0]
         for k in cardinalities:
             if k == 0:
                 cand = ((), float(np.abs(target).max(initial=0.0)))

@@ -3,6 +3,7 @@
 import base64
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -434,3 +435,31 @@ def test_config_null_keeps_a_null_default_only(tmp_path, capsys):
     config.write_text(json.dumps({"epsilon": None}))
     assert main(["rssp-scan", "--config", str(config)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: config key 'epsilon'")
+
+
+def test_every_command_builds_one_philox_per_thread(monkeypatch, tmp_path, capsys):
+    # every draw rewinds the thread's one Philox to its stream, so a fresh
+    # thread builds exactly one for all of these commands
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(1) or philox(*a, **kw))
+    net, one = str(tmp_path / "b.json"), str(tmp_path / "one.json")
+    scan = ["--n-list", "9,18", "--trials", "12", "--out", str(tmp_path / "scan.csv")]
+    commands = [
+        ["lemma-check", "--trials", "16500", "--out", str(tmp_path / "lemma.csv")],  # 2 blocks
+        ["rssp-scan", "--trials", "30", "--out", str(tmp_path / "rssp.csv")],
+        ["mrss-scan", *scan],
+        ["mrss-scan", "--strategy", "greedy_swap", *scan],
+        ["mrss-scan", "--group-size", "9", *scan],
+        ["prune-one", "--out", one],
+        ["prune-net", "--probes", "8", "--out", net],
+        ["dump-report", "--bundle", net],
+    ]
+    codes = []
+    thread = threading.Thread(target=lambda: codes.extend(main(argv) for argv in commands))
+    thread.start()
+    thread.join(timeout=600)
+    capsys.readouterr()
+    assert not thread.is_alive()
+    assert codes == [EXIT_OK] * len(commands)
+    assert len(built) == 1

@@ -41,11 +41,17 @@ from subsetprune.harness import (
     wilson_interval,
     write_csv,
 )
-from subsetprune.sampling import _generator
+from subsetprune.sampling import _generator, _words
 from subsetprune.solvers import _smallest_covering_prefix
 
 SEED = SeedSpec(777)
 SMALL = 20_000
+
+
+def _fresh(seed):
+    """The reference stream: a generator built afresh on ``seed``'s Philox key."""
+    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _l1_projected_target(d, radius, seed):
@@ -239,7 +245,7 @@ class TestIntersectionTail:
     def test_chunked_overlaps_match_one_shot_draw(self, n, k, count):
         stream = SEED.substream(n + count)
         got = _intersection_overlaps(_generator(stream), count, n, k)
-        assert np.array_equal(got, _one_shot_overlaps(_generator(stream), count, n, k))
+        assert np.array_equal(got, _one_shot_overlaps(_fresh(stream), count, n, k))
 
     @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])  # one row per chunk .. one chunk
     def test_check_matches_one_shot_blocks(self, monkeypatch, chunk):
@@ -248,7 +254,7 @@ class TestIntersectionTail:
         monkeypatch.setattr(harness, "_TAIL_CHUNK", chunk)
         res = check_intersection_tail(100, 10, 2, SMALL, SEED.substream(16))
         hits = sum(
-            int((_one_shot_overlaps(_generator(SEED.substream(16).substream(b)), count,
+            int((_one_shot_overlaps(_fresh(SEED.substream(16).substream(b)), count,
                                     100, 10) >= 5).sum())
             for b, count in enumerate((1 << 14, SMALL - (1 << 14)))
         )
@@ -523,12 +529,12 @@ def test_every_check_rejects_fewer_than_one_trial(check, trials):
 def test_block_totals_follow_the_block_rule():
     seen = []
 
-    def draw(rng, count):
-        seen.append((count, float(rng.random())))
+    def draw(key, count):
+        seen.append((count, _words([key], 4)[0][0].tolist()))
         return count, 0.5 * count
 
     totals = _block_totals(2 * 5 + 3, SEED, draw, block=5)
-    expected = [(count, float(_generator(SEED.substream(b)).random()))
+    expected = [(count, _fresh(SEED.substream(b)).integers(0, 1 << 53, 4, np.uint64).tolist())
                 for b, count in enumerate((5, 5, 3))]
     assert seen == expected
     assert totals == [13, 6.5]

@@ -16,7 +16,7 @@ from subsetprune import (
     standard_normals,
 )
 from subsetprune import sampling
-from subsetprune.sampling import _generator, _normals, _uniform_open01
+from subsetprune.sampling import _normals, _substream_keys, _words
 
 N_BIG = 1_000_000
 
@@ -128,17 +128,31 @@ def test_hand_built_ensemble_must_be_consistent():
         NsnEnsemble(np.ones(2), np.ones((2, 1)), np.full((2, 1), 2.0))
 
 
-def _box_muller_reference(seed: SeedSpec, n: int) -> np.ndarray:
-    """Whole-array Box-Muller: pair p of m = ceil(n/2) takes words p and m + p."""
+def _fresh(seed: SeedSpec) -> np.random.Generator:
+    """The reference stream: a generator built afresh on ``seed``'s Philox key."""
+    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _words_reference(rng, count: int) -> np.ndarray:
+    return rng.integers(0, 1 << 53, size=count, dtype=np.uint64)
+
+
+def _box_muller_reference(rng, n: int) -> np.ndarray:
+    """Whole-array Box-Muller of the next 2 * ceil(n/2) words of ``rng``: pair p
+    of m = ceil(n/2) takes words p and m + p."""
     m = (n + 1) // 2
-    words = _generator(seed).integers(0, 1 << 53, size=2 * m, dtype=np.uint64)
-    u = (words.astype(np.float64) + 0.5) * (2.0**-53)
+    u = (_words_reference(rng, 2 * m).astype(np.float64) + 0.5) * (2.0**-53)
     radius = np.sqrt(-2.0 * np.log(u[:m]))
     theta = (2.0 * np.pi) * u[m:]
     out = np.empty(2 * m)
     out[0::2] = radius * np.cos(theta)
     out[1::2] = radius * np.sin(theta)
     return out[:n]
+
+
+def _key(seed: SeedSpec) -> tuple[int, int]:
+    return seed.master_seed, seed.stream_id
 
 
 _PAIRS = sampling._BOX_MULLER_PAIRS
@@ -150,16 +164,17 @@ _PAIRS = sampling._BOX_MULLER_PAIRS
 )
 def test_chunked_box_muller_matches_whole_array_layout(n):
     seed = SeedSpec(31, n)
-    assert _normals(_generator(seed), n).tobytes() == _box_muller_reference(seed, n).tobytes()
+    expected = _box_muller_reference(_fresh(seed), n)
+    assert _normals([_key(seed)], n)[0].tobytes() == expected.tobytes()
 
 
 def test_one_word_draw_equals_two_half_draws():
-    # a 2^53 range takes one 64-bit word per value and never rejects
+    # a 2^53 range takes one 64-bit word per value and never rejects, so the
+    # shifted raw words are the integers draw, and a second block continues it
     m = 1001
-    words = _generator(SeedSpec(9)).integers(0, 1 << 53, size=2 * m, dtype=np.uint64)
-    rng = _generator(SeedSpec(9))
-    halves = np.concatenate([_uniform_open01(rng, m), _uniform_open01(rng, m)])
-    assert halves.tobytes() == ((words.astype(np.float64) + 0.5) * (2.0**-53)).tobytes()
+    first, second = _words([_key(SeedSpec(9))], m, m + 1)
+    expected = _words_reference(_fresh(SeedSpec(9)), 2 * m + 1)
+    assert np.concatenate([first[0], second[0]]).tobytes() == expected.tobytes()
 
 
 def test_normals_depend_on_the_call_length():
@@ -172,24 +187,58 @@ def test_normals_peak_memory_is_words_plus_output():
     n = 3_313_920  # joint-check directions of a 12945-trial block: 128 vectors x d = 2
     tracemalloc.start()
     try:
-        _normals(_generator(SeedSpec(4)), n)
+        _normals([_key(SeedSpec(4))], n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * n + (1 << 20)
 
 
+def test_nsn_draw_drops_the_scalar_words_first():
+    # 12945 trials of a 72-vector joint window in d = 2: the scalars' words
+    # are freed before the directions' transform, so the peak is the
+    # directions' words, their normals and the scalars
+    n, d = 12945 * 72, 2
+    tracemalloc.start()
+    try:
+        sampling._nsn_vectors([_key(SeedSpec(4))], n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n * d + n) + (1 << 20)
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("n,d", [(1, 1), (5, 1), (3, 2), (7, 3), (10, 2), (4, 5)])
 def test_batched_draws_are_the_per_stream_draws(rows, n, d):
     # one rewound Philox and one transform over all rows give each row the
-    # bytes of its own stream's draw
+    # bytes of a generator built afresh on its stream
     seeds = [SeedSpec(13, 7).substream(row) for row in range(rows)]
-    expected = np.stack([sample_nsn(n, d, seed.substream(2)).vectors for seed in seeds])
-    assert sampling._nsn_vectors(seeds, [2], n, d).tobytes() == expected.tobytes()
-    expected = np.stack([sample_uniform(n * d, seed.substream(index), -3.0, 0.5)
-                         for seed in seeds for index in (0, 5)])
-    assert sampling._uniforms(seeds, [0, 5], n * d, -3.0, 0.5).tobytes() == expected.tobytes()
+    keys = _substream_keys(seeds, [2])
+    assert keys == [_key(seed.substream(2)) for seed in seeds]
+    normals, uniforms, scalars, directions = [], [], [], []
+    for seed in seeds:
+        normals.append(_box_muller_reference(_fresh(seed.substream(2)), n * d))
+        u = (_words_reference(_fresh(seed.substream(2)), n * d) + 0.5) * (2.0**-53)
+        uniforms.append(-3.0 + (0.5 - -3.0) * u)
+        rng = _fresh(seed.substream(2))
+        scalars.append(_box_muller_reference(rng, n))
+        directions.append(_box_muller_reference(rng, n * d).reshape(n, d))
+    scalars, directions = np.stack(scalars), np.stack(directions)
+    vectors = scalars[:, :, None] * directions
+    assert _normals(keys, n * d).tobytes() == np.stack(normals).tobytes()
+    assert sampling._uniforms(keys, n * d, -3.0, 0.5).tobytes() == np.stack(uniforms).tobytes()
+    got = sampling._nsn_parts(keys, n, d)
+    assert got[0].tobytes() == scalars.tobytes() and got[1].tobytes() == directions.tobytes()
+    assert sampling._nsn_vectors(keys, n, d).tobytes() == vectors.tobytes()
+    for row, seed in enumerate(seeds):
+        stream = seed.substream(2)
+        assert standard_normals(n * d, stream).tobytes() == normals[row].tobytes()
+        assert sample_uniform(n * d, stream, -3.0, 0.5).tobytes() == uniforms[row].tobytes()
+        ensemble = sample_nsn(n, d, stream)
+        assert ensemble.scalars.tobytes() == scalars[row].tobytes()
+        assert ensemble.directions.tobytes() == directions[row].tobytes()
+        assert ensemble.vectors.tobytes() == vectors[row].tobytes()
 
 
 def test_batched_box_muller_scratch_is_bounded():

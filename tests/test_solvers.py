@@ -27,7 +27,7 @@ from subsetprune import (
     solve_rssp_1d,
     subset_sum_number,
 )
-from subsetprune.sampling import _generator, _substream_permutation_heads
+from subsetprune.sampling import _substream_keys, _substream_permutation_heads
 
 
 def verify_solution(solution, vectors, target, atol=1e-12):
@@ -529,11 +529,11 @@ class TestManyPools:
     def test_restart_heads_of_many_sizes_mix_each_key_once(self, monkeypatch):
         seeds = [SeedSpec(3, stream) for stream in range(4)]
         sizes = [5, 9, 20]
-        separate = [_substream_permutation_heads(seeds, range(1, 6), n, 3) for n in sizes]
+        separate = [solvers._restart_heads(seeds, 5, [n], 3)[0] for n in sizes]
         mixed = []
         mix = sampling._mix64
         monkeypatch.setattr(sampling, "_mix64", lambda *args: mixed.append(args) or mix(*args))
-        stacked = _substream_permutation_heads(seeds, range(1, 6), sizes, 3)
+        stacked = solvers._restart_heads(seeds, 5, sizes, 3)
         assert stacked.tobytes() == np.stack(separate).tobytes()
         assert len(mixed) == len(seeds) * 5
 
@@ -669,6 +669,12 @@ def one_start_swap_descent(vectors, target, start, max_iters):
     return tuple(inside), residual
 
 
+def _fresh(seed):
+    """The reference stream: a generator built afresh on ``seed``'s Philox key."""
+    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def one_start_greedy_swap_best(vectors, target, k, params):
     """Oracle: the greedy start, then each restart in turn, kept if strictly
     better or equal and lexicographically smaller."""
@@ -677,7 +683,7 @@ def one_start_greedy_swap_best(vectors, target, k, params):
         vectors, target, one_start_greedy_build(vectors, target, k), params.max_iters
     )
     for restart in range(1, params.restarts + 1):
-        rng = _generator(params.seed.substream(restart))
+        rng = _fresh(params.seed.substream(restart))
         start = sorted(int(i) for i in rng.permutation(n)[:k])
         indices, res = one_start_swap_descent(vectors, target, start, params.max_iters)
         if res < best_res or (res == best_res and indices < best_indices):
@@ -702,7 +708,7 @@ def greedy_cases():
 
 def greedy_swap_best(vectors, target, k, params):
     """The batched engine on the one problem ``(vectors, target)``."""
-    heads = solvers._restart_heads(params.seed, params.restarts, len(vectors), k)
+    heads = solvers._restart_heads([params.seed], params.restarts, [len(vectors)], k)[0]
     indices, residuals = solvers._greedy_swap_best(vectors[None], target[None], k, heads, params)
     return tuple(indices[0].tolist()), float(residuals[0])
 
@@ -771,7 +777,7 @@ class TestGreedySwap:
                                   restarts=restarts, max_iters=max_iters)
             if cap is not None:
                 monkeypatch.setattr(solvers, "_DESCENT_BYTES", cap * 8 * k * n * d)
-            heads = solvers._restart_heads(seeds, restarts, n, k)
+            heads = solvers._restart_heads(seeds, restarts, [n], k)[0]
             indices, residuals = solvers._greedy_swap_best(vectors, targets, k, heads, params)
             for problem, seed in enumerate(seeds):
                 expected = one_start_greedy_swap_best(vectors[problem], targets[problem], k,
@@ -794,22 +800,24 @@ class TestGreedySwap:
     @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(11, 3), SeedSpec(2**64 - 1, 2**63)])
     def test_restart_permutations_are_the_substream_permutations(self, seed):
         indices = [0, 1, 2, 7, 1000]
+        keys = _substream_keys([seed], indices)
         for n in (1, 2, 5, 20, 48):
-            heads = _substream_permutation_heads(seed, indices, n, n)
+            heads = _substream_permutation_heads(keys, [n], n)[0]
             for row, index in zip(heads, indices):
-                expected = _generator(seed.substream(index)).permutation(n)
+                expected = _fresh(seed.substream(index)).permutation(n)
                 assert row.astype(np.int64).tobytes() == expected.astype(np.int64).tobytes()
-            assert np.array_equal(_substream_permutation_heads(seed, indices, n, 1), heads[:, :1])
+            assert np.array_equal(_substream_permutation_heads(keys, [n], 1)[0], heads[:, :1])
 
     def test_restart_permutations_from_many_threads(self):
         # each thread rewinds its own Philox, so concurrent draws are the serial ones
         seeds = [SeedSpec(5, stream) for stream in range(40)]
-        expected = _substream_permutation_heads(seeds, range(1, 9), 20, 3)
+        keys = _substream_keys(seeds, range(1, 9))
+        expected = _substream_permutation_heads(keys, [20, 7], 3)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-                draws = [pool.submit(_substream_permutation_heads, seeds, range(1, 9), 20, 3)
+                draws = [pool.submit(_substream_permutation_heads, keys, [20, 7], 3)
                          for _ in range(8)]
                 results = [draw.result(timeout=60) for draw in draws]
         finally:
