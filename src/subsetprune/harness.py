@@ -39,7 +39,8 @@ from .solvers import (
     SolverParams,
     Strategy,
     _check_family_budget,
-    _smallest_covering_prefix,
+    _checked_cover_bytes,
+    _first_covering_sizes,
     dimension_constant,
     partition_boost,
 )
@@ -534,23 +535,30 @@ def scan_rssp_phase(
     Trial t draws max(n) uniforms on (-1, 1) once, from ``seed.substream(t)``,
     and reuses prefixes for every n (paired seeds), so the per-trial success
     indicator is monotone in n by construction. The trials are drawn in
-    batches (:func:`_batches`). Each distinct n is scanned once, in ascending
-    order, and a trial stops at its first covered n: it folds its interval
-    union once across n and counts a success for that n and every larger one,
-    which covering n alone would give bit for bit. Columns: n, trials,
-    successes, rate, wilson_low, wilson_high plus the parameter echo.
+    batches (:func:`_batches`). A trial's bytes are its draws and its cover
+    state at the largest n at worst: 24 bytes for each of at most
+    ``min(2^n, floor(n / epsilon) + 1)`` intervals. The fold sorts copies of
+    that state, so a batch can peak at a few times the cap. Before the first
+    draw that count is checked against ``DEFAULT_ENUMERATION_BUDGET``
+    (:class:`BudgetError`). A batch's trials fold their interval unions
+    together (:func:`solvers._first_covering_sizes`) across the distinct n,
+    ascending; a trial leaves at its first covered n and counts a success
+    for that n and every larger one, which covering n alone would give bit
+    for bit. Columns: n, trials, successes, rate, wilson_low, wilson_high
+    plus the parameter echo.
     """
     sizes = _scan_sizes(n_values, 1, trials)
     if grid_size < 1:
         raise ParameterError("grid_size must be >= 1")
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
+    trial_bytes = 16 * sizes[-1] + _checked_cover_bytes(sizes[-1], epsilon,
+                                                        solvers.DEFAULT_ENUMERATION_BUDGET)
     grid = np.linspace(-1.0, 1.0, grid_size)
     successes = dict.fromkeys(sizes, 0)
-    for batch in _batches(trials, 16 * sizes[-1]):  # its words and its uniforms
-        covered = [_smallest_covering_prefix(draws, epsilon, grid, sizes)
-                   for draws in _uniforms(_substream_keys([seed], batch), sizes[-1], -1.0, 1.0)]
-        for first in covered:
+    for batch in _batches(trials, trial_bytes):
+        draws = _uniforms(_substream_keys([seed], batch), sizes[-1], -1.0, 1.0)
+        for first in _first_covering_sizes(draws, epsilon, grid, sizes):
             _count_from(successes, first)
     echo = {
         "epsilon": epsilon,

@@ -19,9 +19,9 @@ Entry points
     each half-table at ``2^ceil(n/2)`` sums.
 :func:`subset_sum_number`
     The exact count of k-subsets inside the box.
-:func:`_smallest_covering_prefix`
-    The 1-D cover question over a target grid, by interval union; the engine
-    of the RSSP phase scan.
+:func:`_first_covering_sizes`
+    The 1-D cover question over a target grid, by interval union, for a
+    block of trials at once; the engine of the RSSP phase scan.
 
 Strategies of :func:`search_subsets`
 ------------------------------------
@@ -105,14 +105,26 @@ always a real subset. An L-inf residual is never below its coordinate-0
 term, so the minimum and every tie at it survive the bound.
 
 The 1-D cover question ("is every grid point hit by some subset sum?") is
-answered exactly for any n by :func:`_smallest_covering_prefix`. It maintains
-the union of ``[s - eps, s + eps]`` over all subset sums s as a sorted list of
-disjoint closed intervals: start from the empty subset's interval and fold in
-one value at a time (union of the shifted and unshifted families). Interval
-merging is exact, so membership agrees with full enumeration up to the usual
-one-ulp reassociation caveat at exact box boundaries. A fold never drops a
-point, so cover is monotone in the prefix length: the fold runs once across a
-list of prefix sizes and stops at the first that covers the grid.
+answered exactly for any n by :func:`_first_covering_sizes`, for a ``(T, N)``
+block of trials at once. Each trial's union of ``[s - eps, s + eps]`` over
+its subset sums s is a sorted run of disjoint closed intervals, and all the
+runs live in one state ``(owner, lo, hi)`` sorted by owner and then ``lo``.
+Starting from the empty subset's interval, value i is folded into every
+trial still folding at once: each run and its shift by its trial's ``x[i]``
+are sorted together and merged where a ``lo`` is within the running max of
+``hi``, a max that restarts at each owner. Each endpoint is the one addition
+``lo + x`` or ``hi + x`` that a fold of that trial alone makes, and the
+merged set does not depend on the order among ties, so every trial's union
+is the one it would reach alone. Interval merging is exact, so membership
+agrees with full enumeration up to the usual one-ulp reassociation caveat
+at exact box boundaries. A fold never drops a point, so cover is monotone in
+the prefix length: at each requested size, ascending, every trial counts
+the grid points inside its intervals, and one that holds them all leaves the
+state with that size. For values in (-1, 1) a trial's union holds at most
+``min(2^n, floor(n / eps) + 1)`` intervals, each at least 2 eps wide inside
+[-n - eps, n + eps]; :func:`_checked_cover_bytes` turns that count into
+bytes for the scan's batches and raises :class:`BudgetError` when it is over
+the enumeration budget.
 """
 
 from __future__ import annotations
@@ -852,46 +864,64 @@ def partition_boost(
 # ---------------------------------------------------------------------------
 
 
-def _coalesce(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    cummax = np.maximum.accumulate(hi)
-    fresh = np.empty(lo.size, dtype=bool)
-    fresh[0] = True
-    fresh[1:] = lo[1:] > cummax[:-1]
-    starts = np.flatnonzero(fresh)
-    ends = np.append(starts[1:], lo.size) - 1
-    return lo[starts], cummax[ends]
+_INTERVAL_BYTES = 24  # one interval of the cover state: its owner, lo and hi
 
 
-def _fold_intervals(lo: np.ndarray, hi: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the values ``xs`` into the interval union ``(lo, hi)``, in order."""
-    for x in xs:
-        lo, hi = _coalesce(np.concatenate([lo, lo + x]), np.concatenate([hi, hi + x]))
-    return lo, hi
+def _checked_cover_bytes(n: int, epsilon: float, budget: int) -> int:
+    """The bytes of one trial's cover state after ``n`` uniforms on (-1, 1), at
+    worst; :class:`BudgetError` when its interval count exceeds ``budget``.
 
-
-def _smallest_covering_prefix(xs: np.ndarray, epsilon: float, grid: np.ndarray, sizes):
-    """The first n in ``sizes`` (ascending) whose prefix ``xs[:n]`` covers every
-    grid point, or None.
-
-    The union is folded once: the union of ``xs[:n]`` is where folding the
-    next values starts, and folding stops at the first covered n. A fold
-    never loses a point (U is inside the union of U and U + x), so every
-    larger prefix covers the grid as well.
+    The union holds at most one interval per subset sum, 2^n, and its disjoint
+    intervals are each at least 2 eps wide inside [-n - eps, n + eps], so at
+    most floor(n / eps) + 1 of them.
     """
-    lo, hi = np.array([-epsilon]), np.array([epsilon])
+    intervals = 1 << n if n / epsilon >= 1 << n else math.floor(n / epsilon) + 1
+    state = _INTERVAL_BYTES * intervals
+    if intervals > budget:
+        raise BudgetError(
+            f"the cover of n={n} values at epsilon={epsilon} may hold {intervals} intervals "
+            f"({state} bytes) a trial, over the budget of {budget}"
+        )
+    return state
+
+
+def _first_covering_sizes(draws: np.ndarray, epsilon: float, grid: np.ndarray, sizes) -> list:
+    """Per row of the ``(T, N)`` draws, the first n in ``sizes`` (ascending)
+    whose prefix ``row[:n]`` covers every point of the ascending ``grid``, or
+    None (the fold is the module docstring's)."""
+    first = [None] * draws.shape[0]
+    live, rows = np.arange(draws.shape[0]), draws
+    owner = np.arange(live.size)  # a row of ``rows``
+    lo, hi = np.full(live.size, -epsilon), np.full(live.size, epsilon)
     done = 0
     for n in sizes:
-        lo, hi = _fold_intervals(lo, hi, xs[done:n])
+        for i in range(done, n):
+            shift = rows[owner, i]
+            lo, hi = np.concatenate([lo, lo + shift]), np.concatenate([hi, hi + shift])
+            owner = np.concatenate([owner, owner])
+            order = np.lexsort((lo, owner))
+            lo, hi, owner = lo[order], hi[order], owner[order]
+            size = lo.size
+            by_hi = np.argsort(hi)
+            rank = np.empty(size, dtype=np.int64)
+            rank[by_hi] = np.arange(size)
+            base = owner * size  # keys grow across owners, so their running max restarts
+            reach = hi[by_hi[np.maximum.accumulate(base + rank) - base]]
+            fresh = np.empty(size, dtype=bool)
+            fresh[0] = True
+            fresh[1:] = (owner[1:] != owner[:-1]) | (lo[1:] > reach[:-1])
+            starts = np.flatnonzero(fresh)
+            lo, hi, owner = lo[starts], reach[np.append(starts[1:], size) - 1], owner[starts]
         done = n
-        if _covered(lo, hi, grid).all():
-            return n
-    return None
-
-
-def _covered(lo: np.ndarray, hi: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Whether each grid point lies in the union of the disjoint sorted closed
-    intervals ``[lo, hi]``: in the last interval starting at or before it."""
-    idx = np.searchsorted(lo, grid, side="right") - 1
-    return (idx >= 0) & (grid <= hi[np.clip(idx, 0, hi.size - 1)])
+        # touching intervals merge, so a row's grid counts add up to its covered points
+        inside = np.searchsorted(grid, hi, side="right") - np.searchsorted(grid, lo, side="left")
+        covered = np.bincount(owner, inside, live.size) == grid.size
+        for row in live[covered]:
+            first[row] = n
+        if covered.any():
+            kept, staying = ~covered, ~covered[owner]
+            live, rows = live[kept], rows[kept]
+            lo, hi, owner = lo[staying], hi[staying], (np.cumsum(kept) - 1)[owner[staying]]
+            if not live.size:
+                break
+    return first

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from subsetprune import cli, pruning
+from subsetprune import cli, harness, pruning
 from subsetprune.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from subsetprune.masks import StructureReport, channel_blocked_mask
 from subsetprune.pruning import PrunedNetworkBundle, PruneParams, save_bundle
@@ -57,6 +57,20 @@ def test_mrss_scan_budget_checked_for_every_n(capsys):
                  "--epsilon", "100", "--trials", "2"])
     assert code == EXIT_BUDGET
     assert "of 400 vectors exceed the enumeration budget" in capsys.readouterr().err
+
+
+def test_rssp_scan_budget_checked_before_drawing(monkeypatch, capsys):
+    # 2^28 intervals a trial is over the default budget; the scan must not draw
+    def no_draws(*args):
+        raise AssertionError("drew uniforms")
+
+    monkeypatch.setattr(harness, "_uniforms", no_draws)
+    code = main(["rssp-scan", "--epsilon", "1e-9", "--n-list", "28", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET
+    assert err.startswith("budget error: the cover of n=28 values at epsilon=1e-09 "
+                          "may hold 268435456 intervals (6442450944 bytes)")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("radius", ["-1", "nan"])

@@ -42,7 +42,7 @@ from subsetprune.harness import (
     write_csv,
 )
 from subsetprune.sampling import _generator, _words
-from subsetprune.solvers import _smallest_covering_prefix
+from test_solvers import reference_first_cover
 
 SEED = SeedSpec(777)
 SMALL = 20_000
@@ -326,8 +326,7 @@ class TestScans:
         for trial in range(trials):
             draws = sample_uniform(max(n_values), seed.substream(trial), -1.0, 1.0)
             for n in expect:
-                covering = _smallest_covering_prefix(draws[:n], epsilon, grid, [n])
-                expect[n] += covering is not None
+                expect[n] += reference_first_cover(draws, epsilon, grid, [n]) is not None
         rows = scan_rssp_phase(epsilon, n_values, grid_size, trials, seed)
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)
@@ -433,7 +432,8 @@ class TestScans:
         # the peak is one full batch's: no exhaustive trial hits, so each
         # batch indexes all of its pools at n = 40 (62 trials a batch), and
         # the rssp epsilon covers the grid at once, so a batch holds its
-        # draws alone (196 trials a batch)
+        # draws and a small state (98 trials a batch by the worst case's 334
+        # intervals)
         if scan == "rssp":
             run = functools.partial(scan_rssp_phase, 1.5, [1, 500], 11)
         else:
@@ -461,6 +461,27 @@ class TestScans:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_small_epsilon_rssp_scan_stays_near_the_cap(self):
+        # at n = 60 a trial's cover may hold 60,001 intervals, so each batch
+        # is one trial; all 1600 trials folded in one state held about 242 MB
+        seed = SEED.substream(60)
+        scan_rssp_phase(0.001, [20], 201, 2, seed)  # fill the caches
+        tracemalloc.start()
+        try:
+            rows = scan_rssp_phase(0.001, [20, 40, 60], 201, 1600, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * harness._BATCH_BYTES, peak
+        grid = np.linspace(-1.0, 1.0, 201)
+        expect = dict.fromkeys([20, 40, 60], 0)
+        for trial in range(1600):
+            draws = sample_uniform(60, seed.substream(trial), -1.0, 1.0)
+            first = reference_first_cover(draws, 0.001, grid, [20, 40, 60])
+            for n in expect:
+                expect[n] += first is not None and first <= n
+        assert {row["n"]: row["successes"] for row in rows} == expect
 
     @pytest.mark.parametrize("n_values,distinct", [([10, 10], [10]), ([20, 5, 20, 5], [5, 20])])
     def test_duplicate_n_is_scanned_once(self, n_values, distinct):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsetprune import sampling, solvers
@@ -575,11 +575,41 @@ class TestPartitionBoost:
             partition_boost(vectors, [0.0], SolverParams(epsilon=0.1, k=3), group_size=8)
 
 
+def reference_first_cover(xs, epsilon, grid, sizes):
+    """Reference: the first n in ``sizes`` (ascending) whose prefix ``xs[:n]``
+    covers every grid point, or None, by one row's own fold. The union of
+    ``[s - eps, s + eps]`` over the subset sums s is a sorted list of disjoint
+    closed intervals; each value is folded in by sorting the union and its
+    shift together and merging where a ``lo`` is within the running max of
+    ``hi``, and a grid point is covered when the last interval starting at or
+    before it reaches it."""
+    lo, hi = np.array([-epsilon]), np.array([epsilon])
+    done = 0
+    for n in sizes:
+        for x in xs[done:n]:
+            lo, hi = np.concatenate([lo, lo + x]), np.concatenate([hi, hi + x])
+            order = np.argsort(lo, kind="stable")
+            lo, reach = lo[order], np.maximum.accumulate(hi[order])
+            starts = np.flatnonzero(np.append(True, lo[1:] > reach[:-1]))
+            lo, hi = lo[starts], reach[np.append(starts[1:], lo.size) - 1]
+        done = n
+        idx = np.searchsorted(lo, grid, side="right") - 1
+        if ((idx >= 0) & (grid <= hi[np.clip(idx, 0, hi.size - 1)])).all():
+            return n
+    return None
+
+
 def covers(xs, epsilon, z):
     """Whether the cover engine of rssp-scan puts ``z`` within ``epsilon`` of a
     subset sum of all of ``xs`` (0 is a covering prefix size too, hence ``is
     not None``)."""
-    return solvers._smallest_covering_prefix(xs, epsilon, np.array([z]), [xs.size]) is not None
+    first = solvers._first_covering_sizes(np.reshape(xs, (1, -1)), epsilon, np.array([z]),
+                                          [len(xs)])
+    return first[0] is not None
+
+
+def reference_covers(xs, epsilon, z):
+    return reference_first_cover(xs, epsilon, np.array([z]), [len(xs)]) is not None
 
 
 class TestCover:
@@ -594,23 +624,48 @@ class TestCover:
         xs = sample_uniform(12, SeedSpec(2000 + trial), -1.0, 1.0)
         eps = 0.05
         for z in np.linspace(-1.0, 1.0, 41):
-            assert covers(xs, eps, z) == bool(enumerate_1d_hits(xs.tolist(), float(z), eps))
+            hit = bool(enumerate_1d_hits(xs.tolist(), float(z), eps))
+            assert covers(xs, eps, z) == hit
+            assert reference_covers(xs, eps, z) == hit
 
     def test_cover_matches_mitm_oracle_at_n40(self):
         xs = sample_uniform(40, SeedSpec(2100), -1.0, 1.0)
         eps = 0.05
         for z in np.linspace(-1.0, 1.0, 41):
-            assert covers(xs, eps, z) == (solve_rssp_1d(xs, float(z), eps) is not None)
+            hit = solve_rssp_1d(xs, float(z), eps) is not None
+            assert covers(xs, eps, z) == hit
+            assert reference_covers(xs, eps, z) == hit
 
     def test_intervals_grow_with_values(self):
-        start = np.array([-0.1]), np.array([0.1])
-        lo1, hi1 = solvers._fold_intervals(*start, [0.3])
-        lo2, hi2 = solvers._fold_intervals(*start, [0.3, 0.4])
         # every point covered before stays covered
         for point in np.linspace(-0.2, 0.5, 30):
-            in1 = any(a <= point <= b for a, b in zip(lo1, hi1))
-            in2 = any(a <= point <= b for a, b in zip(lo2, hi2))
-            assert in2 or not in1
+            if covers(np.array([0.3]), 0.1, point):
+                assert covers(np.array([0.3, 0.4]), 0.1, point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        epsilon=st.floats(0.01, 0.5) | st.sampled_from([1 / 16, 1 / 8, 1 / 4]),
+        half_width=st.floats(0.0, 1.0),
+        grid_size=st.integers(1, 81),
+        sizes=st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True).map(sorted),
+        trials=st.integers(1, 40),
+        eighths=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(epsilon=0.01, half_width=1.0, grid_size=81, sizes=[1, 2], trials=5, eighths=False,
+             seed=0)  # no row covers
+    @example(epsilon=0.5, half_width=0.5, grid_size=11, sizes=[0, 4], trials=3, eighths=False,
+             seed=1)  # the empty subset covers
+    @example(epsilon=1 / 16, half_width=1.0, grid_size=33, sizes=[3, 6, 12], trials=20,
+             eighths=True, seed=2)  # intervals touch at grid points
+    def test_batched_engine_is_the_per_row_fold(self, epsilon, half_width, grid_size, sizes,
+                                                trials, eighths, seed):
+        draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, sizes[-1]))
+        if eighths:  # many equal endpoints
+            draws = np.round(draws * 8.0) / 8.0
+        grid = np.linspace(-half_width, half_width, grid_size)
+        expect = [reference_first_cover(row, epsilon, grid, sizes) for row in draws]
+        assert solvers._first_covering_sizes(draws, epsilon, grid, sizes) == expect
 
 
 def one_start_greedy_build(vectors, target, k):
