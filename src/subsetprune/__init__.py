@@ -28,7 +28,6 @@ from .solvers import (
     Strategy,
     SubsetSolution,
     dimension_constant,
-    partition_boost,
     search_subsets,
     solve_rssp_1d,
     subset_sum_number,

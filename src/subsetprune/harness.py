@@ -23,15 +23,14 @@ fanned out across workers. Every check rejects ``trials < 1`` with
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 from .pruning import PruneParams, prune_random_layer
 from .sampling import SeedSpec, _generator, _normals, _nsn_vectors, _substream_keys, _uniforms
 from . import solvers
@@ -42,7 +41,6 @@ from .solvers import (
     _checked_cover_bytes,
     _first_covering_sizes,
     dimension_constant,
-    partition_boost,
 )
 
 __all__ = [
@@ -539,21 +537,24 @@ def scan_rssp_phase(
     state at the largest n at worst: 24 bytes for each of at most
     ``min(2^n, floor(n / epsilon) + 1)`` intervals. The fold sorts copies of
     that state, so a batch can peak at a few times the cap. Before the first
-    draw that count is checked against ``DEFAULT_ENUMERATION_BUDGET``
-    (:class:`BudgetError`). A batch's trials fold their interval unions
-    together (:func:`solvers._first_covering_sizes`) across the distinct n,
-    ascending; a trial leaves at its first covered n and counts a success
-    for that n and every larger one, which covering n alone would give bit
-    for bit. Columns: n, trials, successes, rate, wilson_low, wilson_high
-    plus the parameter echo.
+    draw that count, and ``grid_size``, are checked against
+    ``DEFAULT_ENUMERATION_BUDGET`` (:class:`BudgetError`). A batch's trials
+    fold their interval unions together (:func:`solvers._first_covering_sizes`)
+    across the distinct n, ascending; a trial leaves at its first covered n
+    and counts a success for that n and every larger one, which covering n
+    alone would give bit for bit. Columns: n, trials, successes, rate,
+    wilson_low, wilson_high plus the parameter echo.
     """
     sizes = _scan_sizes(n_values, 1, trials)
     if grid_size < 1:
         raise ParameterError("grid_size must be >= 1")
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
-    trial_bytes = 16 * sizes[-1] + _checked_cover_bytes(sizes[-1], epsilon,
-                                                        solvers.DEFAULT_ENUMERATION_BUDGET)
+    budget = solvers.DEFAULT_ENUMERATION_BUDGET
+    trial_bytes = 16 * sizes[-1] + _checked_cover_bytes(sizes[-1], epsilon, budget)
+    if grid_size > budget:
+        raise BudgetError(f"a grid of {grid_size} points ({8 * grid_size} bytes) is over the "
+                          f"budget of {budget}")
     grid = np.linspace(-1.0, 1.0, grid_size)
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, trial_bytes):
@@ -582,42 +583,54 @@ def _mrss_draws(streams, n: int, d: int, radius: float) -> tuple[np.ndarray, np.
     return vectors, targets
 
 
-def _exhaustive_batch(k: int, epsilon: float, successes: dict, streams, vectors, targets):
-    """Count the batch's exhaustive hits: per n, ascending, one subset index over
-    the prefixes of the trials without a hit yet asks which hold a k-subset
-    within epsilon, its residuals added as the one-trial search adds its
-    witness's; a trial that hits leaves the batch and counts for that n and
-    every larger one."""
+def _groups(n: int, group_size: int | None) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` groups of an n-prefix: the whole prefix without
+    ``group_size``, else consecutive groups of ``group_size`` whose last absorbs
+    the remainder, and none when n < ``group_size``."""
+    if group_size is None:
+        return [(0, n)]
+    starts = list(range(0, n - group_size + 1, group_size))
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def _solve_batch(base: SolverParams, group_size: int | None, successes: dict, streams, vectors,
+                 targets):
+    """Count the batch's hits: per n, ascending, each group of the prefix is
+    solved for every trial without a hit yet in one engine call, and a trial
+    hits when any of its groups does. An exhaustive group asks one subset index
+    over the trials' group vectors which hold a k-subset within epsilon; a
+    greedy group is one batched descent, each problem exactly its one-trial
+    solve, each trial's restart heads drawn once for every group length. The
+    ungrouped exhaustive scan stops a trial at its first hit and counts it for
+    that n and every larger one."""
+    k, epsilon = base.k, base.epsilon
+    greedy = base.strategy is Strategy.GREEDY_SWAP
+    if greedy:
+        lengths = sorted({hi - lo for n in successes for lo, hi in _groups(n, group_size)})
+        drawn = solvers._restart_heads([stream.substream(2) for stream in streams],
+                                       base.restarts, lengths, k)
+        heads = {length: block.reshape(len(streams), base.restarts, k)
+                 for length, block in zip(lengths, drawn)}
     live = np.arange(len(streams))  # trials without a hit yet
     for n in successes:
-        hits = solvers._SubsetIndex(vectors[live, :n]).count(targets[live], k, epsilon) > 0
-        _count_from(successes, n, int(np.count_nonzero(hits)))
-        live = live[~hits]
-        if not live.size:
-            break
-
-
-def _greedy_batch(base: SolverParams, successes: dict, streams, vectors, targets):
-    """Count the batch's greedy-swap hits: one batched solve per n, each problem
-    exactly its one-trial solve, each trial's restart heads drawn once for
-    every n."""
-    k = base.k
-    heads = solvers._restart_heads([stream.substream(2) for stream in streams], base.restarts,
-                                   list(successes), k)
-    for n, block in zip(successes, heads):
-        residuals = solvers._greedy_swap_best(vectors[:, :n], targets, k, block, base)[1]
-        successes[n] += int(np.count_nonzero(residuals <= base.epsilon))
-
-
-def _grouped_batch(base: SolverParams, group_size: int, successes: dict, streams, vectors,
-                   targets):
-    """Count the batch's grouped hits, trial by trial and n by n."""
-    for stream, ensemble, target in zip(streams, vectors, targets):
-        params = replace(base, seed=stream.substream(2))
-        for n in successes:
-            if n >= group_size:
-                hit = partition_boost(ensemble[:n], target, params, group_size)
-                successes[n] += hit is not None
+        pending = live  # trials without a hit at this n
+        for lo, hi in _groups(n, group_size):
+            pool, goals = vectors[pending, lo:hi], targets[pending]
+            if greedy:
+                block = heads[hi - lo][pending].reshape(-1, k)
+                hits = solvers._greedy_swap_best(pool, goals, k, block, base)[1] <= epsilon
+            else:
+                hits = solvers._SubsetIndex(pool).count(goals, k, epsilon) > 0
+            pending = pending[~hits]
+            if not pending.size:
+                break
+        if greedy or group_size is not None:
+            successes[n] += live.size - pending.size
+        else:
+            _count_from(successes, n, live.size - pending.size)
+            live = pending
+            if not live.size:
+                break
 
 
 def scan_mrss_phase(
@@ -638,20 +651,25 @@ def scan_mrss_phase(
     ``target_radius``. Rates are labelled empirical: the success constant is
     never asserted. Columns: n, trials, successes, rate, wilson bounds, echo.
 
+    With ``group_size`` G, an n-prefix is split into consecutive disjoint
+    groups of G vectors, the last absorbing the remainder (none when n < G),
+    and a trial hits when any group holds a hit; without it the group is the
+    whole prefix (:func:`_groups`).
+
     The trials are drawn, each from its own substream, in batches
-    (:func:`_batches`; a trial's bytes are its draws and, at the largest n,
-    its exhaustive index's 8 d + 12 bytes per sum or its greedy starts' swap
-    blocks, but not a query's window arrays or ``_QUERY_BYTES`` group, so a
-    batch can hold a few times the cap), and each distinct n is solved once,
-    in ascending order. The exhaustive scan without groups stops a trial at
-    its first hit and counts it for every larger n (:func:`_exhaustive_batch`):
-    the colex family of a prefix is a prefix of the larger family, built by
-    the same additions, so the exhaustive minimum can only fall as n grows.
-    Every requested n's family is checked against the enumeration budget
-    before the first trial. Greedy-swap and grouped scans solve every n: a
-    local-search miss is not monotone in n, and the last group of
-    :func:`partition_boost` changes its members with n. Every row is the one
-    solving trial by trial gives.
+    (:func:`_batches`; a trial's bytes are its draws and, for its largest
+    group, its exhaustive index's 8 d + 12 bytes per sum or its greedy starts'
+    swap blocks, but not a query's window arrays or ``_QUERY_BYTES`` group, so
+    a batch can hold a few times the cap), and each distinct n is solved once,
+    in ascending order, each group for the whole batch in one engine call
+    (:func:`_solve_batch`). The exhaustive scan without groups stops a trial
+    at its first hit and counts it for every larger n: the colex family of a
+    prefix is a prefix of the larger family, built by the same additions, so
+    the exhaustive minimum can only fall as n grows. An exhaustive scan checks
+    every group's family against the enumeration budget before the first
+    draw, in the order of ``n_values``. Greedy-swap and grouped scans solve every n: a
+    local-search miss is not monotone in n, and the last group changes its
+    members with n. Every row is the one solving trial by trial gives.
     """
     sizes = _scan_sizes(n_values, k, trials)
     if not target_radius >= 0.0:  # a negative radius flips the target, NaN skips the projection
@@ -661,22 +679,20 @@ def scan_mrss_phase(
     if d < 1:  # sampling would reject it before any budget check
         raise ParameterError("d must be >= 1")
     base = SolverParams(epsilon=epsilon, k=k, strategy=strategy)
-    n_max = sizes[-1]
-    if group_size is not None:  # solved one trial at a time
-        solve, solve_bytes = functools.partial(_grouped_batch, base, group_size), 0
-    elif strategy is Strategy.GREEDY_SWAP:
-        solve = functools.partial(_greedy_batch, base)
-        solve_bytes = 8 * (base.restarts + 1) * k * n_max * d  # its starts' swap blocks
+    longest = max((hi - lo for n in sizes for lo, hi in _groups(n, group_size)), default=0)
+    if strategy is Strategy.GREEDY_SWAP:
+        solve_bytes = 8 * (base.restarts + 1) * k * longest * d  # its starts' swap blocks
     else:
-        for n in n_values:  # in the given order, so the first n over budget is named
-            _check_family_budget(int(n), [k], d, base.enumeration_budget)
-        solve = functools.partial(_exhaustive_batch, k, epsilon)
-        solve_bytes = solvers._index_bytes(n_max, k, d)
-    trial_bytes = 16 * (n_max * (d + 1) + d + 2) + solve_bytes  # its draws' words and values
+        for n in n_values:  # in the given order, so the first group over budget is named
+            for lo, hi in _groups(int(n), group_size):
+                _check_family_budget(hi - lo, [k], d, base.enumeration_budget)
+        solve_bytes = solvers._index_bytes(longest, k, d)
+    trial_bytes = 16 * (sizes[-1] * (d + 1) + d + 2) + solve_bytes  # its draws' words and values
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, trial_bytes):
         streams = [seed.substream(trial) for trial in batch]
-        solve(successes, streams, *_mrss_draws(streams, n_max, d, target_radius))
+        _solve_batch(base, group_size, successes, streams,
+                     *_mrss_draws(streams, sizes[-1], d, target_radius))
     echo = {
         "d": d,
         "k": k,

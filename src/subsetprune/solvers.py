@@ -12,7 +12,7 @@ Entry points
 ------------
 :func:`search_subsets`
     The d-dimensional search over subsets of exactly (or at most) ``k``
-    vectors; :func:`partition_boost` runs it on disjoint groups.
+    vectors.
 :func:`solve_rssp_1d`
     The 1-D any-cardinality solve, exact by meet-in-the-middle
     (sort-and-search, Horowitz & Sahni 1974); the enumeration budget caps
@@ -52,15 +52,15 @@ Strategies of :func:`search_subsets`
     ``permutation(n)`` that stream ``seed.substream(r)`` draws first, which
     the caller draws (:func:`_restart_heads`) from the thread's one Philox,
     rewound to each substream's key in turn; a scan draws a batch's heads for
-    every n at once, mixing each key once.
+    every group length at once, mixing each key once.
 
 The exhaustive engine is one private subset index, ``_SubsetIndex``, over P
 pools of one shape: each pool's blocks are blocks of one index.
 :func:`search_subsets` and :func:`subset_sum_number` build one over their one
 pool per call, and a caller with many targets passes its own (pruning keeps
 one per (channel, sign) of the last pruned layer); the exhaustive MRSS scan
-builds one per n over a batch of trials' prefixes and asks, in one count
-query, which pools hold a k-subset within eps. For a query of the subsets of
+builds one per n and group over a batch of trials' group vectors and asks, in
+one count query, which pools hold a k-subset within eps. For a query of the subsets of
 up to K vectors it stores every sum below the top layer: the colex layers of
 sizes 0..K-1, built coordinate-major as one stack per pool, each sum a sum of
 the layer below plus one vector, added in ascending index order. They are
@@ -150,7 +150,6 @@ __all__ = [
     "solve_rssp_1d",
     "search_subsets",
     "subset_sum_number",
-    "partition_boost",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
@@ -834,29 +833,6 @@ def subset_sum_number(
         raise ParameterError(f"k must be in [0, {n}]")
     _check_family_budget(n, [k], d, enumeration_budget)
     return int(_SubsetIndex(vectors[None]).count(target[None], k, epsilon)[0])
-
-
-def partition_boost(
-    vectors, target, params: SolverParams, group_size: int
-) -> SubsetSolution | None:
-    """Search consecutive disjoint groups of ``group_size`` vectors (the last
-    group absorbs any remainder) in order; the first hit wins, with indices
-    into the whole pool, so success can only improve with the number of
-    groups. ``None`` when no group hits.
-    """
-    vectors, target = _validated(vectors, target)
-    n = vectors.shape[0]
-    if group_size < params.k * params.k:
-        raise ParameterError("group_size must be at least k^2")
-    if n < group_size:
-        raise ParameterError("fewer vectors than one group")
-    starts = list(range(0, n - group_size + 1, group_size))
-    for lo, hi in zip(starts, [*starts[1:], n]):
-        hit = search_subsets(vectors[lo:hi], target, params).solution
-        if hit is not None:
-            shifted = tuple(i + lo for i in hit.indices)
-            return SubsetSolution(shifted, hit.achieved, hit.residual_inf)
-    return None
 
 
 # ---------------------------------------------------------------------------

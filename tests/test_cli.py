@@ -59,18 +59,36 @@ def test_mrss_scan_budget_checked_for_every_n(capsys):
     assert "of 400 vectors exceed the enumeration budget" in capsys.readouterr().err
 
 
-def test_rssp_scan_budget_checked_before_drawing(monkeypatch, capsys):
-    # 2^28 intervals a trial is over the default budget; the scan must not draw
+@pytest.mark.parametrize("flags,message", [
+    # 2^28 intervals a trial is over the default budget
+    (["--epsilon", "1e-9", "--n-list", "28"],
+     "the cover of n=28 values at epsilon=1e-09 may hold 268435456 intervals (6442450944 bytes)"),
+    # 10^11 grid points would be 800 GB of float64
+    (["--grid-size", "100000000000"], "a grid of 100000000000 points (800000000000 bytes)"),
+], ids=["cover", "grid"])
+def test_rssp_scan_budget_checked_before_drawing(monkeypatch, capsys, flags, message):
+    # the scan must not draw
     def no_draws(*args):
         raise AssertionError("drew uniforms")
 
     monkeypatch.setattr(harness, "_uniforms", no_draws)
-    code = main(["rssp-scan", "--epsilon", "1e-9", "--n-list", "28", "--trials", "1"])
+    code = main(["rssp-scan", *flags, "--trials", "1"])
     err = capsys.readouterr().err
     assert code == EXIT_BUDGET
-    assert err.startswith("budget error: the cover of n=28 values at epsilon=1e-09 "
-                          "may hold 268435456 intervals (6442450944 bytes)")
+    assert err.startswith("budget error: " + message)
     assert "Traceback" not in err
+
+
+def test_grouped_mrss_scan_budget_checked_before_drawing(monkeypatch, capsys):
+    # C(100, 5) 5-subsets of the one group of 100 are over the default budget
+    def no_draws(*args):
+        raise AssertionError("drew a batch")
+
+    monkeypatch.setattr(harness, "_mrss_draws", no_draws)
+    code = main(["mrss-scan", "--k", "5", "--group-size", "100", "--n-list", "100"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET
+    assert err.startswith("budget error: 75287520 5-subsets of 100 vectors exceed")
 
 
 @pytest.mark.parametrize("radius", ["-1", "nan"])
@@ -95,10 +113,14 @@ def test_trials_is_not_a_prune_flag(command, capsys):
     assert "unrecognized arguments: --trials" in capsys.readouterr().err
 
 
-def test_parameter_error_exit_code():
-    code = main(["mrss-scan", "--d", "1", "--k", "5", "--n-list", "2",
-                 "--epsilon", "0.2", "--trials", "5"])  # n < k
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "5", "--n-list", "2"], "every n must be >= 5"),
+    (["--k", "3", "--group-size", "8", "--n-list", "9"], "group_size must be >= k^2"),
+], ids=["n-below-k", "group-below-k-squared"])
+def test_parameter_error_exit_code(capsys, flags, message):
+    code = main(["mrss-scan", "--d", "1", *flags, "--epsilon", "0.2", "--trials", "5"])
     assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def test_usage_error_from_argparse():

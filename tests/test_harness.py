@@ -21,7 +21,6 @@ from subsetprune import (
     check_most_probable_interval,
     check_nsn_hit_lower_bound,
     check_second_moment_identity,
-    partition_boost,
     sample_nsn,
     sample_uniform,
     scan_mrss_phase,
@@ -62,6 +61,16 @@ def _l1_projected_target(d, radius, seed):
     if l1 > radius:
         z = z * (radius / l1)
     return z
+
+
+def reference_grouped_hit(vectors, target, params, group_size):
+    """Reference: whether any of the consecutive disjoint groups of
+    ``group_size`` vectors (the last absorbing the remainder, none when there
+    are fewer vectors than one group) holds a hit, each group searched alone."""
+    n = len(vectors)
+    starts = list(range(0, n - group_size + 1, group_size))
+    return any(search_subsets(vectors[lo:hi], target, params).solution is not None
+               for lo, hi in zip(starts, [*starts[1:], n]))
 
 
 def _one_decimal(values):
@@ -356,6 +365,12 @@ class TestScans:
         (2, 3, [10, 15, 20], 0.25, 30, 54, {"cap": 1}),
         (2, 3, [10, 20], 0.25, 31, 55, {"cap": 4.0}),
         (2, 2, [6, 11, 8], 0.15, 31, 56, {"group_size": 4, "cap": 4.0}),
+        # greedy groups: an n below one group, a last group absorbing a
+        # remainder, and 4 trials a batch
+        (2, 2, [3, 8, 12], 0.15, 30, 61, {"strategy": Strategy.GREEDY_SWAP, "group_size": 4}),
+        (2, 2, [6, 11], 0.15, 30, 62, {"strategy": Strategy.GREEDY_SWAP, "group_size": 4}),
+        (2, 2, [6, 11, 8], 0.15, 31, 63, {"strategy": Strategy.GREEDY_SWAP, "group_size": 4,
+                                          "cap": 4.0}),
     ])
     def test_mrss_scan_matches_solving_every_n(self, monkeypatch, d, k, n_values, epsilon,
                                                trials, stream, extra):
@@ -403,9 +418,8 @@ class TestScans:
                     outcome = search_subsets(vectors[:n], target, params)
                     expect[n] += outcome.solution is not None
                     at_epsilon += outcome.best.residual_inf == epsilon
-                elif n >= group_size:
-                    hit = partition_boost(vectors[:n], target, params, group_size)
-                    expect[n] += hit is not None
+                else:
+                    expect[n] += reference_grouped_hit(vectors[:n], target, params, group_size)
         rows = scan_mrss_phase(d, k, n_values, epsilon, trials, seed, **extra)
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)
@@ -415,6 +429,39 @@ class TestScans:
         if cap is not None:
             size = 1 if isinstance(cap, int) else int(cap)
             assert batch_sizes == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_one_group_of_n_is_the_ungrouped_row(self, strategy):
+        seed = SEED.substream(64)
+        for n in (4, 9, 13):
+            grouped = scan_mrss_phase(2, 2, [n], 0.1, 30, seed, strategy, group_size=n)
+            plain = scan_mrss_phase(2, 2, [n], 0.1, 30, seed, strategy)
+            assert grouped[0]["successes"] == plain[0]["successes"]
+            assert (grouped[0]["group_size"], plain[0]["group_size"]) == (n, "")
+
+    def test_groups_hit_at_least_as_often_as_the_first_group(self):
+        # the first group of every n >= 2G is the G-prefix, drawn alike
+        seed, n_values = SEED.substream(65), [4, 8, 11, 12]
+        grouped = scan_mrss_phase(2, 2, n_values, 0.08, 40, seed, group_size=4)
+        first = scan_mrss_phase(2, 2, n_values, 0.08, 40, seed)[0]["successes"]
+        assert 0 < first < 40
+        assert all(row["successes"] >= first for row in grouped[1:])
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_hit_in_the_second_group_counts(self, monkeypatch, strategy):
+        # the first group's values are huge; only {4, 5} of the second hits 1.5
+        pool = np.array([100.0, 100.0, 100.0, 100.0, 1.0, 0.5, 0.25, 0.1])[:, None]
+
+        def planted(streams, n, d, radius):
+            return np.tile(pool[:n], (len(streams), 1, 1)), np.full((len(streams), 1), 1.5)
+
+        monkeypatch.setattr(harness, "_mrss_draws", planted)
+        rows = scan_mrss_phase(1, 2, [4, 8], 0.05, 6, SEED, strategy, group_size=4)
+        assert [row["successes"] for row in rows] == [0, 6]
+
+    def test_group_size_below_k_squared_is_rejected(self):
+        with pytest.raises(ParameterError, match="group_size must be >= k\\^2"):
+            scan_mrss_phase(2, 3, [9, 18], 0.1, 5, SEED, group_size=8)
 
     @pytest.mark.parametrize("trials", [1, 7])
     @pytest.mark.parametrize("n,d,radius", [(1, 1, 1.0), (5, 2, 0.5), (7, 3, 1.0), (4, 9, 2.0),
@@ -427,15 +474,18 @@ class TestScans:
         expected = np.stack([_l1_projected_target(d, radius, s.substream(1)) for s in streams])
         assert targets.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("scan", ["exhaustive", "rssp"])
+    @pytest.mark.parametrize("scan", ["exhaustive", "grouped", "rssp"])
     def test_scan_memory_does_not_grow_with_trials(self, scan):
         # the peak is one full batch's: no exhaustive trial hits, so each
-        # batch indexes all of its pools at n = 40 (62 trials a batch), and
+        # batch indexes all of its pools at n = 40 (62 trials a batch), or,
+        # grouped, each of its two groups of 20 there (198 trials a batch);
         # the rssp epsilon covers the grid at once, so a batch holds its
         # draws and a small state (98 trials a batch by the worst case's 334
         # intervals)
         if scan == "rssp":
             run = functools.partial(scan_rssp_phase, 1.5, [1, 500], 11)
+        elif scan == "grouped":
+            run = functools.partial(scan_mrss_phase, 2, 3, [10, 40], 1e-9, group_size=20)
         else:
             run = functools.partial(scan_mrss_phase, 2, 3, [10, 40], 1e-9)
         run(5, SEED)  # fill the caches

@@ -20,7 +20,6 @@ from subsetprune import (
     SeedSpec,
     SolverParams,
     Strategy,
-    partition_boost,
     sample_nsn,
     sample_uniform,
     search_subsets,
@@ -536,43 +535,6 @@ class TestManyPools:
         stacked = solvers._restart_heads(seeds, 5, sizes, 3)
         assert stacked.tobytes() == np.stack(separate).tobytes()
         assert len(mixed) == len(seeds) * 5
-
-
-class TestPartitionBoost:
-    def test_single_group_reduces_to_plain_solve(self):
-        vectors = sample_nsn(9, 1, SeedSpec(31)).vectors
-        params = SolverParams(epsilon=0.1, k=2)
-        plain = solve(vectors, [0.2], params)
-        boosted = partition_boost(vectors, [0.2], params, group_size=9)
-        assert (plain is None) == (boosted is None)
-        if plain is not None:
-            assert boosted.indices == plain.indices
-
-    def test_solution_comes_from_the_feasible_group(self):
-        # group 1 entries are huge in magnitude; only group 2 can hit
-        vectors = column([100.0, 100.0, 100.0, 100.0, 1.0, 0.5, 0.25, 0.1])
-        params = SolverParams(epsilon=0.05, k=2)
-        assert search_subsets(vectors[:4], [1.5], params).status == "proven-infeasible"
-        result = partition_boost(vectors, [1.5], params, group_size=4)
-        assert result.indices == (4, 5)
-        assert verify_solution(result, vectors, [1.5])
-
-    def test_boost_at_least_single_group_rate(self):
-        params = SolverParams(epsilon=0.08, k=2)
-        single = 0
-        boosted = 0
-        trials = 40
-        for trial in range(trials):
-            vectors = sample_nsn(8, 2, SeedSpec(1500 + trial)).vectors
-            z = sample_uniform(2, SeedSpec(1600 + trial), -0.5, 0.5)
-            single += int(solve(vectors[:4], z, params) is not None)
-            boosted += int(partition_boost(vectors, z, params, group_size=4) is not None)
-        assert boosted >= single
-
-    def test_group_size_must_cover_k_squared(self):
-        vectors = sample_nsn(8, 1, SeedSpec(1)).vectors
-        with pytest.raises(ParameterError):
-            partition_boost(vectors, [0.0], SolverParams(epsilon=0.1, k=3), group_size=8)
 
 
 def reference_first_cover(xs, epsilon, grid, sizes):
