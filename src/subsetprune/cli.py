@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 assertion/check failure, 2 usage or parameter error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -384,11 +385,17 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`main` reuses: parsing leaves no state in it, and a
+    build costs about 30 parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(_parser(), argv)
         return _HANDLERS[args.command](args)
     except (ParameterError, ShapeError, StructureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

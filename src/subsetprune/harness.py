@@ -420,19 +420,22 @@ def check_second_moment_identity(
 def _intersection_overlaps(rng, count: int, n: int, k: int) -> np.ndarray:
     """Per-trial ``|{0, .., k-1} meet S|`` for ``count`` uniform k-subsets S of [n].
 
-    Trial t's S holds the k smallest of row t of ``rng.random((count, n))``.
-    The rows are drawn ``_TAIL_CHUNK // n`` at a time (at least one);
-    ``Generator.random`` takes one word per value, so the chunks are that
-    one draw. Each chunk keeps a copy of its first k columns and is then
-    partitioned in place.
+    Trial t's S holds the k smallest of row t of ``count`` rows of n uniforms
+    ``w * 2**-53``, w the 53-bit words (raw words shifted right by 11) that
+    ``rng``'s bit generator reads in turn: the values ``Generator.random``
+    draws. Scaling by a power of two keeps their order and ties, so the rows
+    are compared as the words themselves. They are drawn ``_TAIL_CHUNK // n``
+    rows at a time (at least one); each chunk keeps a copy of its first k
+    columns and is then partitioned in place.
     """
     rows = max(1, _TAIL_CHUNK // n)
     overlaps = np.empty(count, dtype=np.intp)
     for lo in range(0, count, rows):
-        u = rng.random((min(rows, count - lo), n))
-        head = u[:, :k].copy()
-        u.partition(k - 1, axis=1)
-        np.sum(head <= u[:, k - 1 : k], axis=1, out=overlaps[lo : lo + len(u)])
+        words = rng.bit_generator.random_raw((min(rows, count - lo), n))
+        np.right_shift(words, 11, out=words)
+        head = words[:, :k].copy()
+        words.partition(k - 1, axis=1)
+        np.sum(head <= words[:, k - 1 : k], axis=1, out=overlaps[lo : lo + len(words)])
     return overlaps
 
 

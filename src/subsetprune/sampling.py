@@ -12,10 +12,12 @@ generator would (:func:`_rewound`). A rewound generator is valid until the
 thread's next draw, so no caller holds two at once: a draw reads all it needs
 from one stream before it rewinds to the next.
 
-One word reader (:func:`_words`) feeds every transform: a 53-bit word is a raw
-Philox word shifted right by 11, and a uniform maps it into the open interval
-(0, 1). An n-value normal draw takes 2 * ceil(n/2) words at once and pairs
-uniform p with uniform ceil(n/2) + p in the Box-Muller transform (see
+One word reader (:func:`_raw`) reads each stream's block at once; only the
+intersection tail streams its words in chunks from :func:`_generator`. A
+53-bit word (:func:`_words`) is a raw Philox word shifted right by 11, and a
+uniform maps it into the open interval (0, 1). An n-value normal draw takes
+2 * ceil(n/2) words at once and pairs uniform p with uniform ceil(n/2) + p in
+the Box-Muller transform (see
 :func:`_box_muller`). Hence ``(seed, stream, sequence of draw lengths)`` fully
 determines every value, independent of how work is scheduled; a value depends
 on the length of the call that drew it, so a longer draw does not extend a
@@ -26,6 +28,14 @@ Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
 a splitmix64-style mix of ``(stream_id, index)``. Every builder takes a list
 of stream keys and transforms the whole ``(streams, words)`` block at once,
 each row the bytes of its own stream; the public samplers are one-row calls.
+
+Every draw reads raw words (``random_raw``); no ``Generator`` sampling method
+is called, because numpy keeps bit-generator streams stable across releases
+but not the streams of ``Generator`` methods (NEP 19). Restart heads, the
+first k of a random permutation, replay numpy's shuffle from the raw words
+(:func:`_shuffle_heads`): each word's 32-bit halves, low half first, feed a
+Fisher-Yates shuffle whose step i draws j by masked rejection, and every size
+starts again from the start of its stream.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L2
+_HEAD_WORDS = 48  # raw words a restart-heads draw first reads per key, at least
+_HEADS_BYTES = 1 << 22  # largest block of words and shuffled rows a heads draw replays at once
 
 
 def _mix64(a: int, b: int) -> int:
@@ -118,17 +130,24 @@ def _generator(seed: SeedSpec) -> np.random.Generator:
     return next(_rewound([_key(seed)]))
 
 
-def _words(keys, *counts) -> list[np.ndarray]:
-    """One ``(len(keys), count)`` block of 53-bit words per count: row r of the
-    blocks, in turn, holds the consecutive words stream ``keys[r]`` starts with.
-    A word is a raw Philox word shifted right by 11, the value that
-    ``integers(0, 2**53, dtype=np.uint64)`` draws: its Lemire multiply-shift
-    ``x * 2**53 >> 64`` never rejects (threshold ``(2**64 - 2**53) % 2**53 = 0``).
-    """
+def _raw(keys, *counts) -> list[np.ndarray]:
+    """One ``(len(keys), count)`` block of raw Philox words per count: row r of
+    the blocks, in turn, holds the consecutive words stream ``keys[r]`` starts
+    with."""
     blocks = [np.empty((len(keys), count), dtype=np.uint64) for count in counts]
     for row, rng in enumerate(_rewound(keys)):
         for block in blocks:
             block[row] = rng.bit_generator.random_raw(block.shape[1])
+    return blocks
+
+
+def _words(keys, *counts) -> list[np.ndarray]:
+    """The :func:`_raw` blocks as 53-bit words: a raw Philox word shifted right
+    by 11, the value that ``integers(0, 2**53, dtype=np.uint64)`` draws: its
+    Lemire multiply-shift ``x * 2**53 >> 64`` never rejects (threshold
+    ``(2**64 - 2**53) % 2**53 = 0``).
+    """
+    blocks = _raw(keys, *counts)
     for block in blocks:
         np.right_shift(block, 11, out=block)
     return blocks
@@ -208,13 +227,92 @@ def _nsn_vectors(keys, n: int, d: int) -> np.ndarray:
     return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
 
 
+def _shuffle_heads(halves: np.ndarray, sizes: np.ndarray, owners: np.ndarray, k: int):
+    """Replay numpy's shuffle of ``arange(sizes[q])`` for every row q at once,
+    each from the 32-bit halves ``halves[owners[q]]``; ``sizes`` descending.
+
+    Step i = n-1, .., 1 of a row draws j by ``random_interval``'s masked
+    rejection (the next half ``& (2**bitlen(i) - 1)``, drawn again while > i)
+    and swaps positions i and j. Returns the ``(rows, k)`` heads and which rows
+    ran past their halves: a short row's heads are not its stream's, and a
+    draw past its halves reads as 0 so that every swap stays in its own row.
+    """
+    rows, width = len(sizes), halves.shape[1]
+    top = int(sizes[0])
+    flat = halves.reshape(-1)
+    position = owners * width  # each row's next half in ``flat``
+    limit = position + width
+    shuffled = np.tile(np.arange(top), rows)  # row q at q * top
+    starts = np.arange(0, rows * top, top)
+    masks = np.array([(1 << i.bit_length()) - 1 for i in range(top)], dtype=np.uint32)
+    actives = np.searchsorted(-sizes, -np.arange(2, top + 1), side="right")  # sizes >= t + 2
+    for step, active in enumerate(actives.tolist(), 1):
+        i = sizes[:active] - step
+        mask = masks.take(i)
+        at = position[:active]
+        j = flat.take(at, mode="clip")
+        j &= mask
+        at += 1
+        rejected = (j > i).nonzero()[0]
+        while rejected.size:
+            again = at.take(rejected)
+            at[rejected] = again + 1
+            redraw = np.where(again < limit.take(rejected), flat.take(again, mode="clip"), 0)
+            redraw &= mask.take(rejected)
+            j[rejected] = redraw
+            rejected = rejected[redraw > i.take(rejected)]
+        mine, theirs = starts[:active] + i, starts[:active] + j
+        held = shuffled.take(mine)
+        shuffled[mine] = shuffled.take(theirs)
+        shuffled[theirs] = held
+    return shuffled.reshape(rows, top)[:, :k], position > limit
+
+
+def _replayed_heads(keys, sizes: np.ndarray, owners: np.ndarray, k: int, words: int):
+    """:func:`_shuffle_heads` of rows ``(sizes[q], keys[owners[q]])`` from each
+    key's first ``words`` raw words, one rewind per key, each word split into its
+    32-bit halves low half first, the order numpy's ``next_uint32`` serves them.
+    A row that runs past them is replayed from twice as many words of its own
+    stream."""
+    (raw,) = _raw(keys, words)
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    heads, short = _shuffle_heads(halves, sizes, owners, k)
+    if short.any():
+        redo = short.nonzero()[0]
+        again, owners_again = np.unique(owners[redo], return_inverse=True)
+        heads[redo] = _replayed_heads([keys[r] for r in again.tolist()], sizes[redo],
+                                      owners_again, k, 2 * words)
+    return heads
+
+
 def _substream_permutation_heads(keys, sizes, k: int) -> np.ndarray:
     """``(len(sizes), len(keys), k)``: block s, row r holds the first k entries of
-    the ``permutation(sizes[s])`` that stream ``keys[r]`` draws first."""
+    the permutation of ``sizes[s]`` that ``Generator.permutation`` draws first
+    from stream ``keys[r]``.
+
+    It is replayed from the raw words (:func:`_replayed_heads`), every size from
+    the stream's start, so the bytes are the shuffle's and not whatever a numpy
+    release's ``Generator`` does. Each key's stream is read once for all sizes,
+    at first ``max(_HEAD_WORDS, 3 n / 4)`` words for the largest n: 1.5 halves
+    a step, where a step draws ``(mask + 1) / (i + 1)`` halves on average,
+    under 2 and about 1.35 over a shuffle. The keys are replayed in chunks
+    under ``_HEADS_BYTES``: per key its words, and per row its shuffled
+    ``arange`` and about eight row vectors.
+    """
     heads = np.empty((len(sizes), len(keys), k), dtype=np.intp)
-    for size, block in zip(sizes, heads):
-        for row, rng in zip(block, _rewound(keys)):
-            row[:] = rng.permutation(size)[:k]
+    if not heads.size:
+        return heads
+    order = np.argsort(sizes, kind="stable")[::-1]
+    descending = np.asarray(sizes, dtype=np.intp)[order]
+    top = int(descending[0])
+    words = max(_HEAD_WORDS, 3 * top // 4)
+    chunk = max(1, _HEADS_BYTES // (8 * words + 8 * len(sizes) * (top + 8)))
+    for lo in range(0, len(keys), chunk):
+        part = keys[lo : lo + chunk]
+        rows = np.repeat(descending, len(part))
+        owners = np.tile(np.arange(len(part)), len(sizes))
+        drawn = _replayed_heads(part, rows, owners, k, words)
+        heads[order, lo : lo + len(part)] = drawn.reshape(len(sizes), len(part), k)
     return heads
 
 

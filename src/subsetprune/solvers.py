@@ -50,9 +50,12 @@ Strategies of :func:`search_subsets`
     byte cap, ``_DESCENT_BYTES``: a start that stops leaves the batch and a
     waiting one enters. Restart r starts from the sorted first k of the
     ``permutation(n)`` that stream ``seed.substream(r)`` draws first, which
-    the caller draws (:func:`_restart_heads`) from the thread's one Philox,
-    rewound to each substream's key in turn; a scan draws a batch's heads for
-    every group length at once, mixing each key once.
+    the caller draws (:func:`_restart_heads`): numpy's shuffle replayed from
+    the substream's raw Philox words, split into 32-bit halves low half first,
+    each step's index drawn by masked rejection and every n from the start of
+    the stream (``sampling._substream_permutation_heads``). A scan draws a
+    batch's heads for every group length at once, mixing each key once and
+    reading each key's stream once.
 
 The exhaustive engine is one private subset index, ``_SubsetIndex``, over P
 pools of one shape: each pool's blocks are blocks of one index.

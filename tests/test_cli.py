@@ -385,6 +385,39 @@ def test_config_explicit_flag_wins(tmp_path, capsys):
     assert "rate=1.000" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # a usage error, a good run, a config run and a flags-only run in one
+    # process each give what a call with a freshly built parser gives
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epsilon": 0.2, "n_list": "4,8", "grid_size": 11,
+                                  "trials": 10, "seed": 42}))
+    calls = [["rssp-scan", "--grid-size", "x"],
+             ["mrss-scan", "--d", "1", "--k", "2", "--n-list", "4,8", "--trials", "6"],
+             ["rssp-scan", "--config", str(config)],
+             ["rssp-scan", "--epsilon", "0.3", "--n-list", "5", "--trials", "4"]]
+
+    def run(argv, out):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+    cli._parser()  # built before the first call, as after any earlier one
+    shared = [run(argv, tmp_path / f"shared{i}.csv") for i, argv in enumerate(calls)]
+    fresh = []
+    for i, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{i}.csv"))
+    assert [result[0] for result in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+    for (code, (out, err), data), (fresh_code, (fresh_out, fresh_err), fresh_data) in zip(
+        shared, fresh
+    ):
+        assert code == fresh_code and err == fresh_err and data == fresh_data
+        assert out.replace("shared", "fresh") == fresh_out
+    assert all(data for _, _, data in shared[1:])
+
+
 def _drop_k_budget(payload):
     del payload["report"]["layers"][0]["k_budget"]
     return payload

@@ -1,5 +1,6 @@
 """Seeded sampling: determinism, moments, ensemble structure."""
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -15,8 +16,10 @@ from subsetprune import (
     sample_uniform,
     standard_normals,
 )
-from subsetprune import sampling
-from subsetprune.sampling import _normals, _substream_keys, _words
+from subsetprune import harness, sampling
+from subsetprune.harness import check_intersection_tail, scan_mrss_phase
+from subsetprune.sampling import _normals, _raw, _substream_keys, _substream_permutation_heads, _words
+from subsetprune.solvers import Strategy
 
 N_BIG = 1_000_000
 
@@ -253,3 +256,126 @@ def test_batched_box_muller_scratch_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= 8 * words.size + 3 * 8 * max(rows, _PAIRS) + (1 << 17)
+
+
+# Restart heads: numpy's shuffle replayed from the raw words
+
+_HEAD_KEYS = _substream_keys([SeedSpec(77, stream) for stream in range(1250)], range(1, 9))
+
+
+def _permutation_reference(key, n: int) -> np.ndarray:
+    """``permutation(n)`` of a generator built afresh on the Philox ``key``."""
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64))).permutation(n)
+
+
+def _shuffle_reference(words: np.ndarray, n: int) -> tuple[list[int], int]:
+    """numpy's shuffle of ``arange(n)`` in plain Python, from raw words split
+    into 32-bit halves low half first: for i = n-1 .. 1, j is the next half
+    masked to ``2**bitlen(i) - 1``, drawn again while j > i, and positions i
+    and j swap. Returns the permutation and the number of halves drawn."""
+    halves = [half for word in words.tolist() for half in (word & 0xFFFFFFFF, word >> 32)]
+    shuffled, drawn = list(range(n)), 0
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while (j := halves[drawn] & mask) > i:
+            drawn += 1
+        drawn += 1
+        shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+    return shuffled, drawn
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 48, 64])
+def test_replayed_heads_are_the_generator_permutations(n):
+    expected = np.array([_permutation_reference(key, n) for key in _HEAD_KEYS])
+    for k in sorted({1, min(3, n), n}):
+        heads = _substream_permutation_heads(_HEAD_KEYS, [n], k)
+        assert heads.shape == (1, len(_HEAD_KEYS), k)
+        assert np.array_equal(heads[0], expected[:, :k])
+
+
+def test_every_size_starts_from_the_stream_start():
+    sizes = [20, 2, 64, 7, 20]
+    keys = _HEAD_KEYS[:500]
+    heads = _substream_permutation_heads(keys, sizes, 2)
+    for block, n in zip(heads, sizes):
+        assert np.array_equal(block, _substream_permutation_heads(keys, [n], 2)[0])
+        assert np.array_equal(block, [_permutation_reference(key, n)[:2] for key in keys])
+
+
+def test_the_shuffle_reference_is_numpys():
+    (words,) = _raw(_HEAD_KEYS[:300], 96)
+    for n in (2, 9, 33, 64):
+        for key, row in zip(_HEAD_KEYS, words):
+            assert _shuffle_reference(row, n)[0] == _permutation_reference(key, n).tolist()
+
+
+def test_short_rows_reread_a_longer_prefix(monkeypatch):
+    # at n = 64 a step draws about 1.3 halves on average, so a few keys need
+    # more than the first read's 2 * 48 halves; exactly those are read again
+    n, keys = 64, _HEAD_KEYS[:2000]
+    first = max(sampling._HEAD_WORDS, 3 * n // 4)
+    (words,) = _raw(keys, 4 * first)
+    drawn = np.array([_shuffle_reference(row, n)[1] for row in words])
+    short = {key for key, count in zip(keys, drawn) if count > 2 * first}
+    assert 0 < len(short) < len(keys) // 10
+    reads = []
+    raw = sampling._raw
+    monkeypatch.setattr(sampling, "_raw", lambda keys, *counts: reads.append(
+        (list(keys), counts)) or raw(keys, *counts))
+    heads = _substream_permutation_heads(keys, [n], 5)[0]
+    assert [counts for _, counts in reads] == [(first,), (2 * first,)]
+    assert set(reads[1][0]) == short
+    assert np.array_equal(heads, [_permutation_reference(key, n)[:5] for key in keys])
+
+
+def test_forced_rereads_and_chunks_keep_the_heads(monkeypatch):
+    keys, sizes = _HEAD_KEYS[:600], [5, 64, 20, 33]
+    expected = _substream_permutation_heads(keys, sizes, 3)
+    for words, cap in ((1, 1 << 22), (2, 20_000), (sampling._HEAD_WORDS, 1)):
+        monkeypatch.setattr(sampling, "_HEAD_WORDS", words)
+        monkeypatch.setattr(sampling, "_HEADS_BYTES", cap)
+        assert np.array_equal(_substream_permutation_heads(keys, sizes, 3), expected)
+
+
+def test_restart_heads_are_pinned():
+    # the package's own bytes: they no longer follow numpy's Generator code
+    keys = _substream_keys([SeedSpec(20240801)], [1, 2])
+    assert _substream_permutation_heads(keys, [10, 20, 64], 3).tolist() == [
+        [[6, 7, 5], [5, 1, 3]], [[0, 19, 4], [16, 0, 5]], [[32, 58, 22], [43, 56, 1]]]
+    assert _substream_permutation_heads(keys[:1], [20], 20)[0, 0].tolist() == [
+        0, 19, 4, 7, 1, 9, 5, 13, 3, 18, 10, 8, 14, 6, 17, 11, 2, 12, 15, 16]
+
+
+def test_empty_heads_draw_nothing(monkeypatch):
+    monkeypatch.setattr(sampling, "_raw", None)
+    assert _substream_permutation_heads([], [10], 3).shape == (1, 0, 3)
+    assert _substream_permutation_heads(_HEAD_KEYS[:4], [], 3).shape == (0, 4, 3)
+    assert _substream_permutation_heads(_HEAD_KEYS[:4], [5], 0).shape == (1, 4, 0)
+
+
+class _RawOnly(np.random.Generator):
+    """A generator whose sampling methods raise: only its bit generator reads."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a Generator sampling method was called")
+
+    permutation = shuffle = random = integers = choice = _refuse
+
+
+def test_no_generator_sampling_method_is_called(monkeypatch):
+    # Generator is an immutable extension type, so the refusing subclass takes
+    # its place; a new thread builds its one Philox generator from it
+    def work():
+        assert isinstance(sampling._generator(SeedSpec(0)), np.random.Generator)
+        rows = scan_mrss_phase(2, 3, [10, 15, 20], 0.25, 40, SeedSpec(3),
+                               strategy=Strategy.GREEDY_SWAP)
+        tail = check_intersection_tail(100, 10, 2, 20_000, SeedSpec(4))
+        return type(sampling._generator(SeedSpec(0))), rows, tail.estimate
+
+    expected = work()[1:]
+    monkeypatch.setattr(np.random, "Generator", _RawOnly)
+    monkeypatch.setattr(harness, "_TAIL_CHUNK", 1000)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        kind, rows, estimate = pool.submit(work).result(timeout=120)
+    assert kind is _RawOnly
+    assert (rows, estimate) == expected
