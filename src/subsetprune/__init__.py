@@ -13,7 +13,6 @@ from .tensors import (
     relu,
 )
 from .sampling import (
-    NsnEnsemble,
     SeedSpec,
     sample_normal_tensor,
     sample_nsn,

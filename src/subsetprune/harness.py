@@ -575,9 +575,10 @@ def scan_rssp_phase(
 
 def _mrss_draws(streams, n: int, d: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The ``(P, n, d)`` ensembles and ``(P, d)`` targets of the trials on
-    ``streams``: trial stream s draws ``sample_nsn(n, d, s.substream(0))`` and
-    a target uniform on (-1, 1)^d from ``s.substream(1)``, scaled into the L1
-    ball of ``radius`` when it lies outside."""
+    ``streams``: trial stream s draws the ``(n, d)`` vectors of
+    ``sample_nsn(n, d, s.substream(0))`` and a target uniform on (-1, 1)^d
+    from ``s.substream(1)``, scaled into the L1 ball of ``radius`` when it
+    lies outside."""
     vectors = _nsn_vectors(_substream_keys(streams, [0]), n, d)
     targets = _uniforms(_substream_keys(streams, [1]), d, -1.0, 1.0)
     l1 = np.abs(targets).sum(axis=1)

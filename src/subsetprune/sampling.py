@@ -1,5 +1,5 @@
 """Seeded sampling of every random object used here: normal tensors,
-normally-scaled normal (NSN) ensembles, uniforms.
+normally-scaled normal (NSN) vectors, uniforms.
 
 Determinism contract
 --------------------
@@ -16,18 +16,21 @@ One word reader (:func:`_raw`) reads each stream's block at once; only the
 intersection tail streams its words in chunks from :func:`_generator`. A
 53-bit word (:func:`_words`) is a raw Philox word shifted right by 11, and a
 uniform maps it into the open interval (0, 1). An n-value normal draw takes
-2 * ceil(n/2) words at once and pairs uniform p with uniform ceil(n/2) + p in
-the Box-Muller transform (see
-:func:`_box_muller`). Hence ``(seed, stream, sequence of draw lengths)`` fully
-determines every value, independent of how work is scheduled; a value depends
-on the length of the call that drew it, so a longer draw does not extend a
-shorter one. Distinct stream ids give independent streams; a single stream
-must be consumed sequentially.
+2 * ceil(n/2) words and pairs uniform p with uniform ceil(n/2) + p in the
+Box-Muller transform (see :func:`_box_muller`). A large normal draw is split
+into tiles over one thread per CPU (:func:`_normal_parts`). A tile of a
+single stream reads its words at their place in the stream
+(:func:`_words_at`: counter word // 4, then word % 4 words skipped) and
+writes straight into the output; each value is computed from its own two
+words alone, so no byte depends on the CPU count or on scheduling. Hence
+``(seed, stream, sequence of draw lengths)`` fully determines every value; a
+value depends on the length of the call that drew it, so a longer draw does
+not extend a shorter one. Distinct stream ids give independent streams.
 
 Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
 a splitmix64-style mix of ``(stream_id, index)``. Every builder takes a list
-of stream keys and transforms the whole ``(streams, words)`` block at once,
-each row the bytes of its own stream; the public samplers are one-row calls.
+of stream keys and fills one ``(streams, values)`` array, each row the bytes
+of its own stream; the public samplers are one-row calls.
 
 Every draw reads raw words (``random_raw``); no ``Generator`` sampling method
 is called, because numpy keeps bit-generator streams stable across releases
@@ -40,6 +43,8 @@ starts again from the start of its stream.
 
 from __future__ import annotations
 
+import functools
+import os
 import threading
 from dataclasses import dataclass
 
@@ -50,7 +55,6 @@ from .tensors import FeatureMap, Tensor4
 
 __all__ = [
     "SeedSpec",
-    "NsnEnsemble",
     "standard_normals",
     "sample_uniform",
     "sample_uniform_map",
@@ -60,6 +64,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L2
+_TILE_PAIRS = 1 << 16  # pairs a tile reads and transforms at once
+_INLINE_PAIRS = 1 << 15  # a normal draw of fewer pairs runs on the calling thread alone
 _HEAD_WORDS = 48  # raw words a restart-heads draw first reads per key, at least
 _HEADS_BYTES = 1 << 22  # largest block of words and shuffled rows a heads draw replays at once
 
@@ -91,6 +97,47 @@ class SeedSpec:
 # Per thread: one Philox, its Generator and the state a fresh one starts in.
 _REWOUND = threading.local()
 
+# Threads a large normal draw runs on, one tile each: the calling thread and
+# _WORKERS - 1 workers of the pool. One per CPU this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = None  # the tile workers, built on a draw's first use; a forked child drops it
+_POOL_LOCK = threading.Lock()
+
+
+def _drop_pool() -> None:
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _pool():
+    """The tile workers: ``_WORKERS - 1`` threads (at least one), built once.
+    ``concurrent.futures`` is imported here, so that a process whose draws all
+    stay inline never loads it."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="sampling-tile")
+        return _POOL
+
+
+def _run(tiles) -> None:
+    """Run each tile (a callable): the first on this thread, the others on the
+    pool, and wait for all of them."""
+    futures = [_pool().submit(tile) for tile in tiles[1:]]
+    try:
+        if tiles:
+            tiles[0]()
+    finally:
+        for future in futures:
+            future.result()
+
 
 def _substream_keys(seeds, indices) -> list[tuple[int, int]]:
     """The Philox key ``(master_seed, stream_id)`` of ``seeds[s].substream(indices[i])``
@@ -100,20 +147,26 @@ def _substream_keys(seeds, indices) -> list[tuple[int, int]]:
             for seed in seeds for index in indices]
 
 
-def _rewound(keys):
-    """The thread's one Philox Generator, once per key: rewound to that key with a
-    zero counter and an empty buffer, the state a fresh ``Generator(Philox(key))``
-    starts in, so its draws are that generator's; this saves building a Philox,
-    seeded from OS entropy only to be rekeyed, per draw. Each key's generator is
-    valid until the next is yielded. The state is handed over as plain ints,
-    which the setter reads faster than arrays."""
+def _thread_philox():
+    """This thread's one Philox Generator and the state a fresh one starts in,
+    built on the thread's first draw. The state is held as plain ints, which
+    the setter reads faster than arrays."""
     if not hasattr(_REWOUND, "rng"):
         _REWOUND.rng = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
         fresh = _REWOUND.rng.bit_generator.state
         fresh["state"] = {name: part.tolist() for name, part in fresh["state"].items()}
         fresh["buffer"] = fresh["buffer"].tolist()
         _REWOUND.fresh = fresh
-    rng, fresh = _REWOUND.rng, _REWOUND.fresh
+    return _REWOUND.rng, _REWOUND.fresh
+
+
+def _rewound(keys):
+    """The thread's one Philox Generator, once per key: rewound to that key with a
+    zero counter and an empty buffer, the state a fresh ``Generator(Philox(key))``
+    starts in, so its draws are that generator's; this saves building a Philox,
+    seeded from OS entropy only to be rekeyed, per draw. Each key's generator is
+    valid until the next is yielded."""
+    rng, fresh = _thread_philox()
     bitgen, key = rng.bit_generator, fresh["state"]["key"]
     for key[0], key[1] in keys:
         bitgen.state = fresh
@@ -153,6 +206,25 @@ def _words(keys, *counts) -> list[np.ndarray]:
     return blocks
 
 
+def _words_at(key, start: int, count: int) -> np.ndarray:
+    """The 53-bit words ``start, .., start + count - 1`` of stream ``key``, as a
+    ``(1, count)`` block. Philox makes four words per counter value and steps
+    its counter before it makes them, so the thread's Philox is rewound to the
+    key with counter ``start // 4`` and then skips ``start % 4`` words; the
+    fresh state's counter is set back to zero for :func:`_rewound`."""
+    rng, fresh = _thread_philox()
+    bitgen, state = rng.bit_generator, fresh["state"]
+    state["key"][:] = key
+    state["counter"][0] = start // 4
+    try:
+        bitgen.state = fresh
+    finally:
+        state["counter"][0] = 0
+    bitgen.random_raw(start % 4)
+    words = bitgen.random_raw((1, count))
+    return np.right_shift(words, 11, out=words)
+
+
 def _open_uniforms(words: np.ndarray) -> np.ndarray:
     """The open-interval (0, 1) uniform of each 53-bit word: (w + 0.5) * 2^-53."""
     u = words.astype(np.float64)
@@ -161,28 +233,27 @@ def _open_uniforms(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def _box_muller(words: np.ndarray, n: int) -> np.ndarray:
-    """Box-Muller on each row of a ``(rows, 2m)`` block of 53-bit words: ``(rows, n)``
-    normals, ``n <= 2m``.
+def _box_muller(radius_words: np.ndarray, theta_words: np.ndarray, out: np.ndarray) -> None:
+    """Box-Muller on two ``(rows, m)`` blocks of 53-bit words into the
+    ``(rows, 2m)`` array ``out``.
 
-    With ``u_i`` the open-interval uniform of word ``i`` of a row, pair ``p``
-    takes ``u1 = u_p`` and ``u2 = u_{m+p}`` and yields values ``2p`` (the
-    cosine) and ``2p + 1`` (the sine). The pairs of all rows are transformed
-    ``_BOX_MULLER_PAIRS`` at a time (at least one column of pairs) through
-    reused contiguous scratch; every element sees the same operations as a
-    whole-array transform of its own row, so neither the chunking nor the
-    other rows change a byte.
+    With ``u`` the open-interval uniform of a word, pair ``p`` of a row takes
+    ``u1 = u(radius_words[p])`` and ``u2 = u(theta_words[p])`` and yields
+    values ``2p`` (the cosine) and ``2p + 1`` (the sine). The pairs of all rows
+    are transformed ``_BOX_MULLER_PAIRS`` at a time (at least one column of
+    pairs) through reused contiguous scratch; every element sees the same
+    operations as a whole-array transform of its own row, so neither the
+    chunking nor the other rows change a byte.
     """
-    rows, pairs = words.shape[0], words.shape[1] // 2
-    out = np.empty((rows, 2 * pairs))
+    rows, pairs = radius_words.shape
     cosines, sines = out[:, 0::2], out[:, 1::2]
     columns = max(1, _BOX_MULLER_PAIRS // max(rows, 1))
     scratch = np.empty(3 * rows * min(pairs, columns))
     for lo in range(0, pairs, columns):
         hi = min(lo + columns, pairs)
         radius, theta, trig = scratch[: 3 * rows * (hi - lo)].reshape(3, rows, hi - lo)
-        for u, first in ((radius, lo), (theta, pairs + lo)):  # as in _open_uniforms
-            np.add(words[:, first : first + hi - lo], 0.5, out=u)
+        for u, words in ((radius, radius_words), (theta, theta_words)):  # as in _open_uniforms
+            np.add(words[:, lo:hi], 0.5, out=u)
             np.multiply(u, 2.0**-53, out=u)
         np.log(radius, out=radius)
         np.multiply(-2.0, radius, out=radius)
@@ -190,14 +261,65 @@ def _box_muller(words: np.ndarray, n: int) -> np.ndarray:
         np.multiply(2.0 * np.pi, theta, out=theta)
         np.multiply(radius, np.cos(theta, out=trig), out=cosines[:, lo:hi])
         np.multiply(radius, np.sin(theta, out=trig), out=sines[:, lo:hi])
-    return out[:, :n]
+
+
+def _pair_tile(key, parts) -> None:
+    """Pairs ``lo:hi`` of each part ``(first, m, lo, hi, out)`` of a one-row draw
+    whose part starts at word ``first`` and has m pairs: pair p takes words
+    ``first + p`` and ``first + m + p``, read from their place in the stream
+    ``_TILE_PAIRS`` pairs at a time, and writes ``out[:, 2p : 2p + 2]``."""
+    for first, m, lo, hi, out in parts:
+        for a in range(lo, hi, _TILE_PAIRS):
+            b = min(a + _TILE_PAIRS, hi)
+            _box_muller(_words_at(key, first + a, b - a), _words_at(key, first + m + a, b - a),
+                        out[:, 2 * a : 2 * b])
+
+
+def _row_tile(keys, outs) -> None:
+    """Every part of rows ``keys`` into ``outs``, about ``_TILE_PAIRS`` pairs of
+    rows at a time (at least one row): each key is rewound once and its parts'
+    words read in turn (:func:`_words`)."""
+    pairs = [out.shape[1] // 2 for out in outs]
+    step = max(1, _TILE_PAIRS // max(1, sum(pairs)))
+    for lo in range(0, len(keys), step):
+        blocks = _words(keys[lo : lo + step], *(2 * m for m in pairs))
+        for block, m, out in zip(blocks, pairs, outs):
+            _box_muller(block[:, :m], block[:, m:], out[lo : lo + step])
+
+
+def _normal_parts(keys, *lengths) -> list[np.ndarray]:
+    """One ``(len(keys), n)`` block of normals per length n: in each row, part
+    i is :func:`_box_muller` of the ``2 * ceil(n/2)`` words of stream
+    ``keys[r]`` that follow the earlier parts' words, pair p taking words p and
+    ``ceil(n/2) + p`` of them.
+
+    A draw of at least ``_INLINE_PAIRS`` pairs runs as ``_WORKERS`` tiles
+    (:func:`_run`): a one-row draw splits each part's pairs into equal ranges
+    (:func:`_pair_tile`), a draw of many rows splits its rows
+    (:func:`_row_tile`). A smaller draw is one row tile on this thread. Each
+    value is computed from its own two words alone, so no byte depends on the
+    tiles."""
+    outs = [np.empty((len(keys), 2 * ((n + 1) // 2))) for n in lengths]
+    pairs = [out.shape[1] // 2 for out in outs]
+    large = len(keys) * sum(pairs) >= _INLINE_PAIRS
+    tiles = _WORKERS if large else 1
+    if large and len(keys) == 1:
+        firsts = [2 * sum(pairs[:i]) for i in range(len(pairs))]
+        _run([functools.partial(_pair_tile, keys[0], [
+            (first, m, m * t // tiles, m * (t + 1) // tiles, out)
+            for first, m, out in zip(firsts, pairs, outs)]) for t in range(tiles)])
+    else:
+        bounds = [len(keys) * t // tiles for t in range(tiles + 1)]
+        _run([functools.partial(_row_tile, keys[lo:hi], [out[lo:hi] for out in outs])
+              for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
+    return [out[:, :n] for out, n in zip(outs, lengths)]
 
 
 def _normals(keys, n: int) -> np.ndarray:
     """``(len(keys), n)`` normals, row r :func:`_box_muller` of the first
     ``2 * ceil(n/2)`` words of stream ``keys[r]``, so a value depends on the
     draw's length ``n``."""
-    return _box_muller(_words(keys, 2 * ((n + 1) // 2))[0], n)
+    return _normal_parts(keys, n)[0]
 
 
 def _uniforms(keys, n: int, low: float, high: float) -> np.ndarray:
@@ -212,12 +334,9 @@ def _uniforms(keys, n: int, low: float, high: float) -> np.ndarray:
 def _nsn_parts(keys, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(rows, n)`` scalars and ``(rows, n, d)`` directions of the NSN
     vectors of streams ``keys``: per stream, the scalars' ``2 * ceil(n/2)``
-    words, then the directions' ``2 * ceil(n d/2)``. The scalars' words are
-    dropped before the directions are transformed."""
-    scalar_words, direction_words = _words(keys, 2 * ((n + 1) // 2), 2 * ((n * d + 1) // 2))
-    scalars = _box_muller(scalar_words, n)
-    del scalar_words
-    return scalars, _box_muller(direction_words, n * d).reshape(-1, n, d)
+    words, then the directions' ``2 * ceil(n d/2)``."""
+    scalars, directions = _normal_parts(keys, n, n * d)
+    return scalars, directions.reshape(-1, n, d)
 
 
 def _nsn_vectors(keys, n: int, d: int) -> np.ndarray:
@@ -352,53 +471,9 @@ def sample_normal_tensor(shape: tuple[int, int, int, int], seed: SeedSpec) -> Te
     return Tensor4(standard_normals(total, seed).reshape(shape))
 
 
-@dataclass(frozen=True, eq=False)
-class NsnEnsemble:
-    """``n`` sampled d-dimensional NSN vectors with their generating parts retained.
-
-    Row ``i`` of :attr:`vectors` is ``scalars[i] * directions[i, :]`` exactly as
-    stored, where the scalar and the d direction entries are i.i.d. standard
-    normals. Keeping the parts lets diagnostics condition on the scalars.
-    """
-
-    scalars: np.ndarray  # (n,)
-    directions: np.ndarray  # (n, d)
-    vectors: np.ndarray  # (n, d)
-
-    def __post_init__(self) -> None:
-        scalars = np.ascontiguousarray(np.asarray(self.scalars, dtype=np.float64))
-        directions = np.ascontiguousarray(np.asarray(self.directions, dtype=np.float64))
-        vectors = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
-        if scalars.ndim != 1 or directions.ndim != 2 or vectors.ndim != 2:
-            raise ShapeError("scalars must be 1-D; directions and vectors 2-D")
-        if directions.shape != vectors.shape or directions.shape[0] != scalars.shape[0]:
-            raise ShapeError("inconsistent ensemble shapes")
-        if not np.array_equal(vectors, scalars[:, None] * directions):
-            raise ValueError("vectors must equal scalars[:, None] * directions exactly")
-        object.__setattr__(self, "scalars", scalars)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-    def take(self, count: int) -> "NsnEnsemble":
-        """Prefix sub-ensemble; used for paired sweeps over growing n."""
-        if not 0 <= count <= self.n:
-            raise ParameterError(f"count must be in [0, {self.n}]")
-        return NsnEnsemble(
-            self.scalars[:count], self.directions[:count], self.vectors[:count]
-        )
-
-
-def sample_nsn(n: int, d: int, seed: SeedSpec) -> NsnEnsemble:
-    """``n`` i.i.d. d-dimensional NSN vectors: fresh scalar and directions per vector."""
+def sample_nsn(n: int, d: int, seed: SeedSpec) -> np.ndarray:
+    """``(n, d)`` i.i.d. d-dimensional NSN vectors: row i is a standard normal
+    scalar times its own d standard normal directions (:func:`_nsn_parts`)."""
     if n < 1 or d < 1:
         raise ParameterError("n and d must be >= 1")
-    (scalars,), (directions,) = _nsn_parts([_key(seed)], n, d)
-    return NsnEnsemble(scalars, directions, scalars[:, None] * directions)
+    return _nsn_vectors([_key(seed)], n, d)[0]

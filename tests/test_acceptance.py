@@ -176,10 +176,9 @@ def test_criterion_09_solver_oracle_equivalence():
         for d in (1, 2):
             for trial in range(50):
                 stream = MASTER.substream(9_000 + 100 * d + trial)
-                ensemble = sample_nsn(10, d, stream.substream(0))
+                vectors = sample_nsn(10, d, stream.substream(0))
                 z = sample_uniform(d, stream.substream(1), -1.0, 1.0)
                 z = z / max(1.0, float(np.abs(z).sum()))
-                vectors = ensemble.vectors
                 enum = search_subsets(
                     vectors, z, SolverParams(epsilon=0.2, k=3, strategy=Strategy.EXHAUSTIVE)
                 ).solution

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from subsetprune import cli, harness, pruning
+from subsetprune import cli, harness, pruning, sampling
 from subsetprune.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from subsetprune.masks import StructureReport, channel_blocked_mask
 from subsetprune.pruning import PrunedNetworkBundle, PruneParams, save_bundle
@@ -508,10 +508,14 @@ def test_config_null_keeps_a_null_default_only(tmp_path, capsys):
 
 def test_every_command_builds_one_philox_per_thread(monkeypatch, tmp_path, capsys):
     # every draw rewinds the thread's one Philox to its stream, so a fresh
-    # thread builds exactly one for all of these commands
+    # thread builds exactly one for all of these commands, and so does each
+    # worker of the pool that lemma-check's large draws start here
     built = []
     philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(1) or philox(*a, **kw))
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(
+        threading.get_ident()) or philox(*a, **kw))
+    monkeypatch.setattr(sampling, "_WORKERS", 3)
+    monkeypatch.setattr(sampling, "_POOL", None)
     net, one = str(tmp_path / "b.json"), str(tmp_path / "one.json")
     scan = ["--n-list", "9,18", "--trials", "12", "--out", str(tmp_path / "scan.csv")]
     commands = [
@@ -531,4 +535,9 @@ def test_every_command_builds_one_philox_per_thread(monkeypatch, tmp_path, capsy
     capsys.readouterr()
     assert not thread.is_alive()
     assert codes == [EXIT_OK] * len(commands)
-    assert len(built) == 1
+    pool = sampling._POOL
+    assert pool is not None
+    pool.shutdown()
+    assert sorted(set(built)) == sorted(built)
+    assert thread.ident in built
+    assert 2 <= len(built) <= 1 + pool._max_workers

@@ -311,10 +311,10 @@ class TestScans:
 
     def test_mrss_scan_k1_with_vector_targets(self):
         # k=1 and the target equal to an ensemble vector always hits
-        ensemble = sample_nsn(5, 2, SEED.substream(19))
+        vectors = sample_nsn(5, 2, SEED.substream(19))
         params = SolverParams(epsilon=1e-9, k=1)
         for i in range(5):
-            sol = search_subsets(ensemble.vectors, ensemble.vectors[i], params).solution
+            sol = search_subsets(vectors, vectors[i], params).solution
             assert sol is not None and sol.indices == (i,)
 
     def test_mrss_scan_monotone_in_n(self):
@@ -407,7 +407,7 @@ class TestScans:
         at_epsilon = 0
         for trial in range(trials):
             sub = seed.substream(trial)
-            vectors = sample_nsn(max(n_values), d, sub.substream(0)).vectors
+            vectors = sample_nsn(max(n_values), d, sub.substream(0))
             target = _l1_projected_target(d, 1.0, sub.substream(1))
             if rounded is not None:
                 vectors, target = rounded(vectors), rounded(target)
@@ -469,7 +469,7 @@ class TestScans:
     def test_batched_trials_are_the_per_stream_trials(self, trials, n, d, radius):
         streams = [SEED.substream(57).substream(trial) for trial in range(trials)]
         vectors, targets = harness._mrss_draws(streams, n, d, radius)
-        expected = np.stack([sample_nsn(n, d, s.substream(0)).vectors for s in streams])
+        expected = np.stack([sample_nsn(n, d, s.substream(0)) for s in streams])
         assert vectors.tobytes() == expected.tobytes()
         expected = np.stack([_l1_projected_target(d, radius, s.substream(1)) for s in streams])
         assert targets.tobytes() == expected.tobytes()

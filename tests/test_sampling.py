@@ -2,13 +2,16 @@
 
 import concurrent.futures
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from subsetprune import (
-    NsnEnsemble,
     SeedSpec,
     ShapeError,
     sample_normal_tensor,
@@ -29,9 +32,7 @@ def test_same_seed_bit_identical():
     a = sample_normal_tensor((2, 3, 4, 5), seed)
     b = sample_normal_tensor((2, 3, 4, 5), seed)
     assert np.array_equal(a.data, b.data)
-    e1 = sample_nsn(7, 3, seed)
-    e2 = sample_nsn(7, 3, seed)
-    assert np.array_equal(e1.vectors, e2.vectors)
+    assert np.array_equal(sample_nsn(7, 3, seed), sample_nsn(7, 3, seed))
 
 
 def test_distinct_streams_differ():
@@ -56,11 +57,10 @@ def test_zero_dimension_rejected():
 
 
 def test_nsn_product_identity_and_moments():
-    ensemble = sample_nsn(N_BIG, 1, SeedSpec(11, 3))
-    assert np.array_equal(
-        ensemble.vectors, ensemble.scalars[:, None] * ensemble.directions
-    )
-    y = ensemble.vectors[:, 0]
+    vectors = sample_nsn(N_BIG, 1, SeedSpec(11, 3))
+    scalars, directions = sampling._nsn_parts([_key(SeedSpec(11, 3))], N_BIG, 1)
+    assert np.array_equal(vectors, scalars[0, :, None] * directions[0])
+    y = vectors[:, 0]
     # |product of two standard normals| has mean 2/pi
     target = 2.0 / math.pi
     se = np.abs(y).std(ddof=1) / math.sqrt(y.size)
@@ -69,14 +69,13 @@ def test_nsn_product_identity_and_moments():
 
 
 def test_nsn_entries_share_their_scalar():
-    ensemble = sample_nsn(50, 4, SeedSpec(5))
-    ratio = ensemble.vectors / ensemble.directions
-    assert np.allclose(ratio, ensemble.scalars[:, None], rtol=1e-12, atol=0.0)
+    (scalars,), (directions,) = sampling._nsn_parts([_key(SeedSpec(5))], 50, 4)
+    ratio = sample_nsn(50, 4, SeedSpec(5)) / directions
+    assert np.allclose(ratio, scalars[:, None], rtol=1e-12, atol=0.0)
 
 
 def test_nsn_cross_vector_independence():
-    ensemble = sample_nsn(200_000, 1, SeedSpec(8, 1))
-    y = ensemble.vectors[:, 0]
+    y = sample_nsn(200_000, 1, SeedSpec(8, 1))[:, 0]
     first, second = y[0::2], y[1::2]
     corr = np.corrcoef(first, second)[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(first.size)
@@ -93,7 +92,7 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 def test_half_normal_scaling_reproduces_nsn_magnitudes():
     # |scalar| * |direction| with a half-normal scalar matches |NSN entry|
     m = 100_000
-    nsn = np.abs(sample_nsn(m, 1, SeedSpec(17, 0)).vectors[:, 0])
+    nsn = np.abs(sample_nsn(m, 1, SeedSpec(17, 0))[:, 0])
     half = np.abs(standard_normals(m, SeedSpec(17, 1)))
     signed = standard_normals(m, SeedSpec(17, 2))
     alt = half * np.abs(signed)
@@ -104,8 +103,8 @@ def test_scalar_squares_follow_chi_squared_tails():
     # sum of k squared ensemble scalars is chi-squared(k); its tails must
     # respect exp(-t) at the standard thresholds
     k, t = 8, 2.0
-    ensemble = sample_nsn(400_000, 1, SeedSpec(21, 2))
-    stats = (ensemble.scalars**2).reshape(-1, k).sum(axis=1)
+    (scalars,), _ = sampling._nsn_parts([_key(SeedSpec(21, 2))], 400_000, 1)
+    stats = (scalars**2).reshape(-1, k).sum(axis=1)
     bound = math.exp(-t)
     upper = (stats >= k + 2 * math.sqrt(k * t) + 2 * t).mean()
     lower = (stats <= k - 2 * math.sqrt(k * t)).mean()
@@ -118,17 +117,6 @@ def test_uniform_range_and_mean():
     draws = sample_uniform(200_000, SeedSpec(4, 4), -1.0, 1.0)
     assert draws.min() > -1.0 and draws.max() < 1.0
     assert abs(draws.mean()) <= 3.0 * draws.std(ddof=1) / math.sqrt(draws.size)
-
-
-def test_ensemble_take_prefix():
-    ensemble = sample_nsn(20, 2, SeedSpec(6))
-    prefix = ensemble.take(5)
-    assert np.array_equal(prefix.vectors, ensemble.vectors[:5])
-
-
-def test_hand_built_ensemble_must_be_consistent():
-    with pytest.raises(ValueError):
-        NsnEnsemble(np.ones(2), np.ones((2, 1)), np.full((2, 1), 2.0))
 
 
 def _fresh(seed: SeedSpec) -> np.random.Generator:
@@ -186,7 +174,24 @@ def test_normals_depend_on_the_call_length():
     assert standard_normals(6, SeedSpec(3))[0] == pytest.approx(0.112, abs=5e-4)
 
 
-def test_normals_peak_memory_is_words_plus_output():
+@pytest.fixture(params=[1, 2, 3, 7])
+def workers(request, monkeypatch):
+    """Large draws split over this many threads, on a pool of their own."""
+    monkeypatch.setattr(sampling, "_WORKERS", request.param)
+    monkeypatch.setattr(sampling, "_POOL", None)
+    yield request.param
+    if sampling._POOL is not None:
+        sampling._POOL.shutdown()
+
+
+def _tile_scratch(workers: int) -> int:
+    """What the tiles of a one-row draw hold at once beside the output: per
+    tile, the two word windows of one sub-chunk, the Box-Muller scratch and
+    64 KiB for a ufunc's cast buffer."""
+    return workers * (2 * 8 * sampling._TILE_PAIRS + 3 * 8 * _PAIRS + (1 << 16))
+
+
+def test_normals_peak_memory_is_output_plus_tile_scratch(workers):
     n = 3_313_920  # joint-check directions of a 12945-trial block: 128 vectors x d = 2
     tracemalloc.start()
     try:
@@ -194,13 +199,12 @@ def test_normals_peak_memory_is_words_plus_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * n + (1 << 20)
+    assert peak <= 8 * n + _tile_scratch(workers)
 
 
-def test_nsn_draw_drops_the_scalar_words_first():
-    # 12945 trials of a 72-vector joint window in d = 2: the scalars' words
-    # are freed before the directions' transform, so the peak is the
-    # directions' words, their normals and the scalars
+def test_nsn_draw_peak_memory_is_output_plus_tile_scratch(workers):
+    # 12945 trials of a 72-vector joint window in d = 2: no word block is
+    # kept, and the vectors are the directions scaled in place
     n, d = 12945 * 72, 2
     tracemalloc.start()
     try:
@@ -208,7 +212,109 @@ def test_nsn_draw_drops_the_scalar_words_first():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (2 * n * d + n) + (1 << 20)
+    assert peak <= 8 * (n * d + n) + _tile_scratch(workers)
+
+
+_TILE, _INLINE = sampling._TILE_PAIRS, sampling._INLINE_PAIRS
+
+
+def _assert_fresh_draws(rows: int, n: int, d: int) -> None:
+    """``_normals``, ``_nsn_parts`` and ``_nsn_vectors`` of ``rows`` streams
+    are, byte for byte, whole-array draws of generators built afresh."""
+    seeds = [SeedSpec(41, 1000 * n + d).substream(row) for row in range(rows)]
+    keys = [_key(seed) for seed in seeds]
+    normals = np.stack([_box_muller_reference(_fresh(seed), n * d) for seed in seeds])
+    scalars, directions = [], []
+    for seed in seeds:
+        rng = _fresh(seed)
+        scalars.append(_box_muller_reference(rng, n))
+        directions.append(_box_muller_reference(rng, n * d).reshape(n, d))
+    scalars, directions = np.stack(scalars), np.stack(directions)
+    assert _normals(keys, n * d).tobytes() == normals.tobytes()
+    got = sampling._nsn_parts(keys, n, d)
+    assert got[0].tobytes() == scalars.tobytes() and got[1].tobytes() == directions.tobytes()
+    vectors = sampling._nsn_vectors(keys, n, d)
+    assert vectors.tobytes() == (scalars[:, :, None] * directions).tobytes()
+
+
+@pytest.mark.parametrize("rows,n,d", [
+    (1, 2 * _INLINE - 2, 1),  # normals one pair below the inline threshold, NSN above
+    (1, 2 * _INLINE - 1, 1),  # normals at the threshold
+    (1, 2 * _INLINE + 1, 3),  # odd n and odd n d: the directions start at word 2 mod 4
+    (1, 2 * _TILE + 1, 1),  # at one worker, the tile crosses a sub-chunk edge
+    (1, 14 * _TILE + 1, 1),  # at 7 workers, one tile crosses a sub-chunk edge
+    (7, 2 * _INLINE // 7 + 1, 3),  # 7 rows, split by rows
+    (7, 5, 3),  # 7 rows, inline
+])
+def test_tiles_keep_every_byte(workers, rows, n, d):
+    _assert_fresh_draws(rows, n, d)
+
+
+def test_tiles_keep_every_byte_at_small_sizes(workers, monkeypatch):
+    # sub-chunks of 5 pairs and tiles from 3 pairs: most tiles start and end
+    # inside a Philox block of four words, and rows are read 1 to 5 at a time
+    monkeypatch.setattr(sampling, "_TILE_PAIRS", 5)
+    monkeypatch.setattr(sampling, "_INLINE_PAIRS", 3)
+    monkeypatch.setattr(sampling, "_BOX_MULLER_PAIRS", 2)
+    for rows in (1, 7):
+        for n in (1, 2, 3, 6, 7, 13, 29):
+            for d in (1, 2, 3):
+                _assert_fresh_draws(rows, n, d)
+
+
+@pytest.mark.parametrize("start", [0, 1, 3, 4, 5, (1 << 16) + 3])
+def test_words_at_reads_from_the_words_place_in_the_stream(start):
+    seed = SeedSpec(12, start)
+    expected = _words_reference(_fresh(seed), start + 9)
+    assert sampling._words_at(_key(seed), start, 9).tobytes() == expected[start:].tobytes()
+    # the thread's next rewind starts at word 0 again
+    assert _words([_key(seed)], 3)[0].tobytes() == expected[:3].tobytes()
+
+
+def test_concurrent_large_draws_keep_every_byte(workers):
+    # four calling threads share the pool while the interpreter switches
+    # threads every microsecond; every thread reads its own Philox
+    seeds = [SeedSpec(43, i) for i in range(4)] * 3
+    n = 2 * _INLINE + 7
+    expected = [_box_muller_reference(_fresh(seed), n).tobytes() for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as callers:
+            futures = [callers.submit(lambda key: _normals([key], n)[0].tobytes(), _key(seed))
+                       for seed in seeds]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_on_a_pool_of_its_own(monkeypatch):
+    # the parent's pool threads do not exist in a forked child: a child that
+    # kept the pool would wait forever on its tiles
+    monkeypatch.setattr(sampling, "_WORKERS", 2)
+    monkeypatch.setattr(sampling, "_POOL", None)
+    key, n = _key(SeedSpec(5, 5)), 4 * _INLINE
+    try:
+        expected = _normals([key], n).tobytes()
+        assert sampling._POOL is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = int(sampling._POOL is not None or _normals([key], n).tobytes() != expected)
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (status := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not status[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status[0] and os.waitstatus_to_exitcode(status[1]) == 0
+    finally:
+        sampling._POOL.shutdown()
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -238,24 +344,22 @@ def test_batched_draws_are_the_per_stream_draws(rows, n, d):
         stream = seed.substream(2)
         assert standard_normals(n * d, stream).tobytes() == normals[row].tobytes()
         assert sample_uniform(n * d, stream, -3.0, 0.5).tobytes() == uniforms[row].tobytes()
-        ensemble = sample_nsn(n, d, stream)
-        assert ensemble.scalars.tobytes() == scalars[row].tobytes()
-        assert ensemble.directions.tobytes() == directions[row].tobytes()
-        assert ensemble.vectors.tobytes() == vectors[row].tobytes()
+        assert sample_nsn(n, d, stream).tobytes() == vectors[row].tobytes()
 
 
 def test_batched_box_muller_scratch_is_bounded():
     # 2^13 rows of 2 pairs and one row of 2^16: the scratch stays about one
     # chunk of pairs either way (plus a ufunc's cast buffer)
     for rows, pairs in ((1 << 13, 2), (1, 1 << 16)):
-        words = np.ones((rows, 2 * pairs), dtype=np.uint64)
+        words = np.ones((rows, pairs), dtype=np.uint64)
+        out = np.empty((rows, 2 * pairs))
         tracemalloc.start()
         try:
-            sampling._box_muller(words, 2 * pairs)
+            sampling._box_muller(words, words, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * words.size + 3 * 8 * max(rows, _PAIRS) + (1 << 17)
+        assert peak <= 3 * 8 * max(rows, _PAIRS) + (1 << 17)
 
 
 # Restart heads: numpy's shuffle replayed from the raw words

@@ -173,7 +173,7 @@ class TestMrss:
     def test_greedy_subset_of_enum_and_ground_truth(self, d):
         k = 3
         for trial in range(8):
-            vectors = sample_nsn(10, d, SeedSpec(700 + trial, d)).vectors
+            vectors = sample_nsn(10, d, SeedSpec(700 + trial, d))
             targets = [
                 sample_uniform(d, SeedSpec(800 + trial, 10 * d + i), -1.0, 1.0)
                 for i in range(25)
@@ -198,7 +198,7 @@ class TestMrss:
                     assert verify_solution(greedy, vectors, z)
 
     def test_enum_monotone_in_epsilon(self):
-        vectors = sample_nsn(9, 2, SeedSpec(42, 42)).vectors
+        vectors = sample_nsn(9, 2, SeedSpec(42, 42))
         params_small = SolverParams(epsilon=0.1, k=3)
         params_large = SolverParams(epsilon=0.2, k=3)
         for i in range(20):
@@ -214,13 +214,13 @@ class TestMrss:
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_witnesses_reverify(self, seed):
-        ensemble = sample_nsn(8, 2, SeedSpec(seed))
+        vectors = sample_nsn(8, 2, SeedSpec(seed))
         z = sample_uniform(2, SeedSpec(seed, 1), -1.0, 1.0)
         outcome = search_subsets(
-            ensemble.vectors, z, SolverParams(epsilon=0.3, k=3, mode=CardinalityMode.AT_MOST)
+            vectors, z, SolverParams(epsilon=0.3, k=3, mode=CardinalityMode.AT_MOST)
         )
         assert outcome.best is not None
-        assert verify_solution(outcome.best, ensemble.vectors, z)
+        assert verify_solution(outcome.best, vectors, z)
         if outcome.solution is not None:
             assert outcome.solution.residual_inf <= 0.3
 
@@ -233,15 +233,15 @@ class TestSubsetSumNumber:
         assert subset_sum_number(column([0.3, 0.2, -0.1]), [0.1], 2, 10.0) == 3
 
     def test_zero_epsilon_generic_ensemble(self):
-        assert subset_sum_number(sample_nsn(8, 1, SeedSpec(77)).vectors, [0.123], 3, 0.0) == 0
+        assert subset_sum_number(sample_nsn(8, 1, SeedSpec(77)), [0.123], 3, 0.0) == 0
 
     def test_budget_guard(self):
-        vectors = sample_nsn(40, 1, SeedSpec(78)).vectors
+        vectors = sample_nsn(40, 1, SeedSpec(78))
         with pytest.raises(BudgetError):
             subset_sum_number(vectors, [0.0], 20, 0.1, enumeration_budget=1000)
 
     def test_target_of_another_dimension_or_non_finite_rejected(self):
-        vectors = sample_nsn(8, 2, SeedSpec(79)).vectors
+        vectors = sample_nsn(8, 2, SeedSpec(79))
         with pytest.raises(ParameterError, match="shape"):  # not broadcast over 28 pairs
             subset_sum_number(vectors, [0.0], 2, 10.0)
         with pytest.raises(ParameterError, match="finite"):
@@ -249,7 +249,7 @@ class TestSubsetSumNumber:
 
     def test_positive_count_iff_enum_success(self):
         for trial in range(10):
-            vectors = sample_nsn(9, 2, SeedSpec(500 + trial)).vectors
+            vectors = sample_nsn(9, 2, SeedSpec(500 + trial))
             z = sample_uniform(2, SeedSpec(600 + trial), -1.0, 1.0)
             count = subset_sum_number(vectors, z, 3, 0.2)
             sol = solve(vectors, z, SolverParams(epsilon=0.2, k=3))
@@ -350,7 +350,7 @@ class TestExhaustiveOracle:
         # 200 distinct pools of the phase-scan shape: each index is about 7 KB,
         # so a search-level cache of them would leave over 1 MB behind
         params = SolverParams(epsilon=0.25, k=3)
-        pools = [sample_nsn(20, 2, SeedSpec(1400 + i)).vectors for i in range(201)]
+        pools = [sample_nsn(20, 2, SeedSpec(1400 + i)) for i in range(201)]
         search_subsets(pools[0], np.zeros(2), params)  # fills the shape caches
         tracemalloc.start()
         try:
@@ -388,7 +388,7 @@ class TestExhaustiveOracle:
         with pytest.raises(BudgetError, match=r"10701 subsets of size <= 3 of 40 vectors.*"
                                               r"budget 1000.* 29556 bytes"):
             search_subsets(np.zeros((40, 3)), np.zeros(3), params)
-        vectors = sample_nsn(40, 1, SeedSpec(78)).vectors
+        vectors = sample_nsn(40, 1, SeedSpec(78))
         # EXACT mode indexes every lower layer too: (8 + 12) * sum(C(40, j) for j < 20)
         with pytest.raises(BudgetError, match=r"137846528820 20-subsets of 40 vectors.*"
                                               r" 9616650989560 bytes"):
