@@ -17,12 +17,13 @@ intersection tail streams its words in chunks from :func:`_generator`. A
 53-bit word (:func:`_words`) is a raw Philox word shifted right by 11, and a
 uniform maps it into the open interval (0, 1). An n-value normal draw takes
 2 * ceil(n/2) words and pairs uniform p with uniform ceil(n/2) + p in the
-Box-Muller transform (see :func:`_box_muller`). A large normal draw is split
-into tiles over one thread per CPU (:func:`_normal_parts`). A tile of a
-single stream reads its words at their place in the stream
-(:func:`_words_at`: counter word // 4, then word % 4 words skipped) and
-writes straight into the output; each value is computed from its own two
-words alone, so no byte depends on the CPU count or on scheduling. Hence
+Box-Muller transform (see :func:`_box_muller`). A large one-stream normal
+draw is split into tiles over one thread per CPU (:func:`_normal_parts`).
+Each tile reads its words at their place in the stream (:func:`_words_at`:
+counter word // 4, then word % 4 words skipped) and writes straight into
+the output; a draw of many streams runs on the calling thread. Each value
+is computed from its own two words alone, so no byte depends on the CPU
+count or on scheduling. Hence
 ``(seed, stream, sequence of draw lengths)`` fully determines every value; a
 value depends on the length of the call that drew it, so a longer draw does
 not extend a shorter one. Distinct stream ids give independent streams.
@@ -293,25 +294,20 @@ def _normal_parts(keys, *lengths) -> list[np.ndarray]:
     ``keys[r]`` that follow the earlier parts' words, pair p taking words p and
     ``ceil(n/2) + p`` of them.
 
-    A draw of at least ``_INLINE_PAIRS`` pairs runs as ``_WORKERS`` tiles
-    (:func:`_run`): a one-row draw splits each part's pairs into equal ranges
-    (:func:`_pair_tile`), a draw of many rows splits its rows
-    (:func:`_row_tile`). A smaller draw is one row tile on this thread. Each
-    value is computed from its own two words alone, so no byte depends on the
-    tiles."""
+    A one-row draw of at least ``_INLINE_PAIRS`` pairs (each lemma check's)
+    runs as ``_WORKERS`` tiles (:func:`_run`), each part's pairs split into
+    equal ranges (:func:`_pair_tile`). Any other draw is one row tile on this
+    thread (:func:`_row_tile`). Each value is computed from its own two words
+    alone, so no byte depends on the tiles."""
     outs = [np.empty((len(keys), 2 * ((n + 1) // 2))) for n in lengths]
     pairs = [out.shape[1] // 2 for out in outs]
-    large = len(keys) * sum(pairs) >= _INLINE_PAIRS
-    tiles = _WORKERS if large else 1
-    if large and len(keys) == 1:
+    if len(keys) == 1 and sum(pairs) >= _INLINE_PAIRS:
         firsts = [2 * sum(pairs[:i]) for i in range(len(pairs))]
         _run([functools.partial(_pair_tile, keys[0], [
-            (first, m, m * t // tiles, m * (t + 1) // tiles, out)
-            for first, m, out in zip(firsts, pairs, outs)]) for t in range(tiles)])
+            (first, m, m * t // _WORKERS, m * (t + 1) // _WORKERS, out)
+            for first, m, out in zip(firsts, pairs, outs)]) for t in range(_WORKERS)])
     else:
-        bounds = [len(keys) * t // tiles for t in range(tiles + 1)]
-        _run([functools.partial(_row_tile, keys[lo:hi], [out[lo:hi] for out in outs])
-              for lo, hi in zip(bounds, bounds[1:]) if hi > lo])
+        _row_tile(keys, outs)
     return [out[:, :n] for out, n in zip(outs, lengths)]
 
 

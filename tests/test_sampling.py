@@ -243,7 +243,7 @@ def _assert_fresh_draws(rows: int, n: int, d: int) -> None:
     (1, 2 * _INLINE + 1, 3),  # odd n and odd n d: the directions start at word 2 mod 4
     (1, 2 * _TILE + 1, 1),  # at one worker, the tile crosses a sub-chunk edge
     (1, 14 * _TILE + 1, 1),  # at 7 workers, one tile crosses a sub-chunk edge
-    (7, 2 * _INLINE // 7 + 1, 3),  # 7 rows, split by rows
+    (7, 2 * _INLINE // 7 + 1, 3),  # 7 rows above the threshold: one row tile, inline
     (7, 5, 3),  # 7 rows, inline
 ])
 def test_tiles_keep_every_byte(workers, rows, n, d):
