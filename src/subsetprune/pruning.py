@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StructureError
+from .errors import BudgetError, ParameterError, ShapeError, StructureError
 from .masks import (
     ChannelBlocked,
     Mask4,
@@ -305,7 +305,9 @@ class _PreparedLayer:
                 self.pools.append((channel, sign, pool, candidates, index))
 
     def prune(self, target: Tensor4, params: PruneParams, seed: SeedSpec) -> LayerPruneResult:
-        """One target's channel solves, masks and pruned kernels."""
+        """One target's channel solves, masks and pruned kernels. A solve over
+        the enumeration budget raises :class:`BudgetError` naming its channel,
+        sign and pool size."""
         mixing, expansion = self.mixing, self.expansion
         d, c1, c0 = mixing.rows, mixing.kernels, expansion.channels_in
         if target.shape != (d, d, c0, c1):
@@ -329,8 +331,12 @@ class _PreparedLayer:
                 enumeration_budget=params.enumeration_budget,
                 seed=seed.substream(2 * channel + (sign < 0)),
             )
-            solve = _channel_solve(channel, sign, pool, tolerance,
-                                   search_subsets(candidates, flat_target, solver, index))
+            try:
+                outcome = search_subsets(candidates, flat_target, solver, index)
+            except BudgetError as exc:
+                raise BudgetError(f"channel {channel} sign {sign:+d}, pool of {len(pool)}: "
+                                  f"{exc}") from exc
+            solve = _channel_solve(channel, sign, pool, tolerance, outcome)
             kept.update(solve.selected)
             solves.append(solve)
 
@@ -510,7 +516,8 @@ def prune_network(
     two constant corners at +-M, with M the magnitude bound) estimate the sup
     error; the algebraic per-layer bounds are the actual guarantee, and the
     reported bound is ``M * composition_bound(eps, ell)``. Partial failures
-    are carried in the returned bundle's report.
+    are carried in the returned bundle's report; a :class:`BudgetError` names
+    its layer, counted from 1.
     """
     targets = list(target_kernels)
     randoms = list(random_kernels)
@@ -518,11 +525,13 @@ def prune_network(
     if depth < 1 or len(randoms) != 2 * depth:
         raise ParameterError("need 2 random kernels per target layer")
     layer_params = dataclasses.replace(params, epsilon=params.epsilon / (2.0 * depth))
-    results = [
-        prune_single_layer(randoms[2 * i + 1], randoms[2 * i], targets[i], layer_params,
-                           seed.substream(_STREAM_SOLVER + i))
-        for i in range(depth)
-    ]
+    results = []
+    for i in range(depth):
+        try:
+            results.append(prune_single_layer(randoms[2 * i + 1], randoms[2 * i], targets[i],
+                                              layer_params, seed.substream(_STREAM_SOLVER + i)))
+        except BudgetError as exc:
+            raise BudgetError(f"layer {i + 1}: {exc}") from exc
     bound = params.magnitude_bound * composition_bound(params.epsilon, depth)
     return _reported_bundle(randoms, targets, results, params, seed, spatial, bound)
 

@@ -75,37 +75,50 @@ pool p is block ``p * B + b`` of the one key array (B blocks a pool, one
 bytes per sum below the top layer; the top layer, most of the family, is
 never built.
 
-In colex order the j-subsets whose largest index is ``last`` (slice
-``last``) are exactly the (j-1)-subsets in blocks b <= last plus
-``vectors[last]``. So for a target z and a bound U, the j-subsets with
-``|s_0 - z_0| <= U`` are, block by block, the run of coordinate 0 within
-``z_0 - v_0 +- U`` (v the vector ``last``), and two searchsorted calls over
-every (slice, block) pair of every pool find all the runs at once. Each sum
-found is completed by the very add the build would make, prefix sum plus
-``vectors[last]``, and kept when its full L-inf residual is at most U.
+A query of cardinality j below the built K reads layer j itself: its sums
+are stored, each the very add ``prefix + vectors[last]`` that windows of
+the layer below would recompute, so its j-subsets with ``|s_0 - z_0| <= U`` are, block by block,
+the run of coordinate 0 within ``z_0 +- U``: n + 1 windows a pool, found by
+two searchsorted calls, and a sum found decodes from its place in the colex
+stack alone. The top layer K is not stored. In colex order its subsets whose
+largest index is ``last`` (slice ``last``) are exactly the (K-1)-subsets in
+blocks b <= last plus ``vectors[last]``, so the runs are those of coordinate
+0 within ``z_0 - v_0 +- U`` (v the vector ``last``), one per (slice, block)
+pair, about n^2 / 2 a pool; each sum found is completed by the very add the
+build would make, prefix sum plus ``vectors[last]``.
+
+Every candidate of either kind is then tested one coordinate at a time,
+coordinates 1..d-1 first and coordinate 0, which the window already bounds,
+last: coordinate c's gap ``|fl(s_c - z_c)|`` (``s_c`` the stored sum or
+``fl(p_c + v_c)``) is computed, the candidates whose gap is over U leave,
+and only the rest gather the next coordinate. A subset leaves only when one
+of its coordinate terms exceeds U, and its L-inf residual, the running max
+of its gaps, is at least that term; max is exact in any order.
 
 Why every bit is kept: the windows only ever admit extra sums, never lose
 one. ``fl(p_0 + v_0)`` and then ``fl(. - z_0)`` are nondecreasing in
-``p_0``, so the sums that pass the exact test ``|(p_0 + v_0) - z_0| <= U``
-have ``p_0`` in one interval around ``z_0 - v_0``. Its ends, computed in
-floating point, may be off by a few ulps of ``|z_0| + U + |p_0| + |v_0|``,
-so each window is widened by 2^-50 of that bound, more than the rounding
-error of those few operations, plus a subnormal floor. The keys add
-``b * spacing`` to ``s_0`` and the lookups add it to the window's ends,
-clipped first to the range of ``s_0`` so a lookup stays in its block;
-``x -> fl(x + c)`` is nondecreasing too, so a key window holds every sum of
-its value window. Everything admitted is then re-tested exactly, its
-residual computed as the build and the witness compute it. So the minimum,
-every tie at it and every count are those of a scan of the whole family,
-and the tied colex ranks are decoded in one vectorised pass over a cached
-``C(last, size)`` table, the lexicographically smallest winning.
+``p_0`` (and ``fl(s_0 - z_0)`` in ``s_0``), so the sums that pass the exact
+test have ``p_0`` (or ``s_0``) in one interval around ``z_0 - v_0`` (or
+``z_0``). Its ends, computed in floating point, may be off by a few ulps of
+``|z_0| + U + |p_0| + |v_0|``, so each window is widened by 2^-50 of that
+bound, more than the rounding error of those few operations, plus a
+subnormal floor. The keys add ``b * spacing`` to ``s_0`` and the lookups add
+it to the window's ends, clipped first to the range of ``s_0`` so a lookup
+stays in its block; ``x -> fl(x + c)`` is nondecreasing too, so a key window
+holds every sum of its value window. Everything admitted is then tested
+exactly, coordinate by coordinate, each gap computed as the build and the
+witness compute it, and a subset is dropped only when a gap exceeds U, so
+never one with residual at most U. So the minimum, every tie at it and every
+count are those of a scan of the whole family, and the tied colex ranks are
+decoded in one vectorised pass over a cached ``C(last, size)`` table, the
+lexicographically smallest winning.
 
 The bound is ``eps`` for the count. The search takes the layers in
 ascending cardinality and bounds each by the best residual so far or,
 before there is one, by its pivots': per slice, the subset of its largest
 block nearest ``z_0 - v_0`` in coordinate 0, clipped into the block, so
-always a real subset. An L-inf residual is never below its coordinate-0
-term, so the minimum and every tie at it survive the bound.
+always a real subset. An L-inf residual is never below any of its
+coordinate terms, so the minimum and every tie at it survive the bound.
 
 The 1-D cover question ("is every grid point hit by some subset sum?") is
 answered exactly for any n by :func:`_first_covering_sizes`, for a ``(T, N)``
@@ -452,7 +465,7 @@ class _SubsetIndex:
         self.radius = float(np.abs(stack[0]).max(initial=0.0)) + 1.0
         self.spacing = 4.0 * self.radius
         sizes = _block_sizes(self.n, k_max)
-        family = stack.shape[2]
+        self.family = family = stack.shape[2]  # sums a pool
         keys = (np.arange(self.pools * sizes.size) * self.spacing).repeat(
             np.tile(sizes, self.pools)).reshape(self.pools, family)
         keys += stack[0]
@@ -503,20 +516,36 @@ class _SubsetIndex:
         holds every sum whose coordinate 0 lies in the value window."""
         keys = np.minimum(values, self.radius)
         np.maximum(keys, -self.radius, out=keys)
-        keys += blocks * self.spacing
-        return keys
+        return keys + blocks * self.spacing
 
-    def _residuals(self, positions: np.ndarray, lasts: np.ndarray, targets) -> np.ndarray:
-        """L-inf residuals of the subsets made of the one at ``positions`` plus
-        vector ``lasts`` (``p * n + last`` in pool p) against their pool's
-        target: each sum is the very add the colex build of the layer above
-        makes, so it is bit-identical to that layer built."""
-        sums = self.rows.take(positions, axis=1)
-        owners = lasts // self.n if self.pools > 1 else 0
-        for row, column, goal in zip(sums, self.columns, targets.T):  # no second (d, m) block
-            row += column.take(lasts)
-            row -= goal.take(owners)
-        return np.abs(sums, out=sums).max(axis=0)
+    def _kept(self, positions: np.ndarray, lasts, targets: np.ndarray, bound: float):
+        """The subsets at ``positions`` whose L-inf residual against their
+        pool's target is at most ``bound``, as (positions, lasts, residuals).
+
+        A stored subset (``lasts`` None) is the sum at its position; otherwise
+        it is that sum plus vector ``lasts`` (``p * n + last`` in pool p), the
+        very add the colex build of the layer above makes, so bit-identical to
+        that layer built. Coordinate by coordinate, each gap ``|fl(s_c - z_c)|``
+        is computed as that sum's, a subset whose gap is over ``bound`` leaves,
+        and the next coordinate is gathered for the rest only: coordinates 1,
+        ..., d - 1 first and coordinate 0, which the windows already bound,
+        last. The residual is the running max of the gaps, exact in any order."""
+        owners = positions // self.family if self.pools > 1 else 0
+        residuals = np.zeros(positions.size)
+        for c in [*range(1, len(self.rows)), 0]:
+            gaps = self.rows[c].take(positions)
+            if lasts is not None:
+                gaps += self.columns[c].take(lasts)
+            gaps -= targets[:, c].take(owners)
+            np.abs(gaps, out=gaps)
+            keep = (gaps <= bound).nonzero()[0]
+            if keep.size < positions.size:
+                positions, gaps = positions.take(keep), gaps.take(keep)
+                residuals = residuals.take(keep)
+                lasts = None if lasts is None else lasts.take(keep)
+                owners = owners.take(keep) if self.pools > 1 else 0
+            np.maximum(residuals, gaps, out=residuals)
+        return positions, lasts, residuals
 
     def _pivot_bound(self, j: int, target: np.ndarray) -> float:
         """The smallest residual of a few real j-subsets of the one pool near the
@@ -525,36 +554,44 @@ class _SubsetIndex:
         lasts, blocks, _, _, ends = _slices(self.n, j)
         needles = self._needles(target[0] - self.columns[0].take(lasts), blocks)
         positions = np.minimum(self.keys.searchsorted(needles), ends - 1)
-        return float(self._residuals(positions, lasts, target[None]).min())
+        return float(self._kept(positions, lasts, target[None], math.inf)[2].min())
 
     def _runs(self, j: int, targets: np.ndarray, bound: float):
         """The j-subsets of every pool whose coordinate-0 gap to the pool's
-        target may be at most ``bound``, as runs of the layer below: per
-        (slice, block) window pair of every pool, its first position, its
-        length and its vector ``last``, numbered ``p * n + last`` in pool p.
-        The runs hold every subset with residual at most ``bound`` and a few
-        more, which the callers' exact residual tests drop: each takes its
-        block's run of coordinate 0 within ``z_0 - v_0 +- bound``, widened by
-        more than the rounding error of computing its ends."""
-        lasts, _, counts, shifts, _ = _slices(self.n, j)
-        pools = np.arange(self.pools)[:, None]
-        blocks = np.arange(counts.sum()) + shifts.repeat(counts)  # one per (last, block) pair
-        blocks = blocks + pools * _block_sizes(self.n, self.k_max).size
-        lasts = lasts.repeat(counts) + pools * self.n
-        goals = targets[:, :1]
-        reach = bound + (2.0**-50 * (np.abs(goals) + bound + self.magnitude) + 2.0**-1070)
-        below, above = self._needles((goals - self.columns[0].take(lasts))
-                                     + np.stack([-reach, reach]), blocks)
-        lo = self.keys.searchsorted(below.ravel(), side="left")
-        return lo, self.keys.searchsorted(above.ravel(), side="right") - lo, lasts.ravel()
+        target may be at most ``bound``, as runs: per window its first
+        position, its length and, unless layer j is stored (then None), its
+        vector ``last``, numbered ``p * n + last`` in pool p.
 
-    def _window(self, lo: np.ndarray, sizes: np.ndarray, lasts: np.ndarray, targets):
-        """Every subset of the runs ``(lo, sizes, lasts)`` as (position in the
-        layer below, last, residual)."""
+        A stored layer (j below the built ``k_max``) is windowed in its own
+        n + 1 blocks, each within ``z_0 +- bound``; the top layer in every
+        (slice, block) pair of the layer below, each within
+        ``z_0 - v_0 +- bound``. The runs hold every subset with residual at
+        most ``bound`` and a few more, which :meth:`_kept` drops: each window
+        is widened by more than the rounding error of computing its ends."""
+        n = self.n
+        pools = np.arange(self.pools)[:, None]
+        offsets = pools * _block_sizes(n, self.k_max).size
+        goals = targets[:, :1]
+        if j < self.k_max:
+            blocks, lasts, centres = j * (n + 1) + np.arange(n + 1) + offsets, None, goals
+        else:
+            lasts, _, counts, shifts, _ = _slices(n, j)
+            blocks = np.arange(counts.sum()) + shifts.repeat(counts) + offsets
+            lasts = lasts.repeat(counts) + pools * n
+            centres = goals - self.columns[0].take(lasts)
+        reach = bound + (2.0**-50 * (np.abs(goals) + bound + self.magnitude) + 2.0**-1070)
+        below, above = self._needles(centres + np.stack([-reach, reach]), blocks)
+        lo = self.keys.searchsorted(below.ravel(), side="left")
+        sizes = self.keys.searchsorted(above.ravel(), side="right") - lo
+        return lo, sizes, None if lasts is None else lasts.ravel()
+
+    def _window(self, lo: np.ndarray, sizes: np.ndarray, lasts, targets, bound: float):
+        """The subsets of the runs ``(lo, sizes, lasts)`` with residual at most
+        ``bound``, as :meth:`_kept` returns them."""
         positions = (lo - (sizes.cumsum() - sizes)).repeat(sizes)
         positions += np.arange(positions.size)
-        lasts = lasts.repeat(sizes)
-        return positions, lasts, self._residuals(positions, lasts, targets)
+        lasts = None if lasts is None else lasts.repeat(sizes)
+        return self._kept(positions, lasts, targets, bound)
 
     def best(self, target: np.ndarray, cardinalities) -> tuple[tuple[int, ...], float]:
         """The subset of the one pool of any cardinality in ``cardinalities``
@@ -577,12 +614,12 @@ class _SubsetIndex:
                 continue
             bound = best if best < math.inf else self._pivot_bound(j, target)
             positions, lasts, residuals = self._window(*self._runs(j, target[None], bound),
-                                                       target[None])
-            res = float(residuals.min(initial=math.inf))
-            if res > best or res == math.inf:
+                                                       target[None], bound)
+            if not residuals.size:  # nothing at or below the best so far
                 continue
+            res = float(residuals.min())
             ties = (residuals == res).nonzero()[0]
-            layer = (j, positions.take(ties), lasts.take(ties))
+            layer = (j, positions.take(ties), None if lasts is None else lasts.take(ties))
             best, tied = res, ([*tied, layer] if res == best else [layer])
         assert tied
         if tied[0][0] == 0:  # the empty set precedes every other tied set
@@ -590,8 +627,13 @@ class _SubsetIndex:
         table = _colex_table(n, self.k_max)
         winners = []
         for j, positions, lasts in tied:
-            # where slice ``last`` begins plus the prefix's colex rank in layer j-1
-            ranks = table[j].take(lasts) + self.order.take(positions) - _family_size(n, range(j - 1))
+            # a stored sum's colex place less its layer's start; a top-layer
+            # subset's is where slice ``last`` begins plus its prefix's rank
+            ranks = self.order.take(positions).astype(np.int64)
+            if lasts is None:
+                ranks -= _family_size(n, range(j))
+            else:
+                ranks += table[j].take(lasts) - _family_size(n, range(j - 1))
             rows = _colex_rows(table, ranks, j)
             winners.append(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
         return min(winners), best
@@ -614,9 +656,9 @@ class _SubsetIndex:
         cuts = [0, *cuts, sizes.size]
         counts = np.zeros(self.pools, dtype=np.intp)
         for first, stop in zip(cuts, cuts[1:]):
-            _, hit, residuals = self._window(lo[first:stop], sizes[first:stop],
-                                             lasts[first:stop], targets)
-            counts += np.bincount(hit[residuals <= epsilon] // self.n, minlength=self.pools)
+            group = None if lasts is None else lasts[first:stop]
+            hits, _, _ = self._window(lo[first:stop], sizes[first:stop], group, targets, epsilon)
+            counts += np.bincount(hits // self.family, minlength=self.pools)
         return counts
 
 

@@ -148,6 +148,21 @@ def test_prune_one_and_bundle(capsys, tmp_path):
     assert bundle.exists()
 
 
+@pytest.mark.parametrize("command,prefix", [
+    # C(101, <= 5) = 83,463,472 subsets of the first pool are over the default budget
+    (["prune-one", "--n", "200", "--k-budget", "5"], "channel 0 sign +1, pool of 101: "),
+    # 2,952 subsets of the first layer's first pool of 26 are over a budget of 100
+    (["prune-net", "--enumeration-budget", "100"], "layer 1: channel 0 sign +1, pool of 26: "),
+], ids=["prune-one", "prune-net"])
+def test_prune_budget_errors_name_their_solve(command, prefix, capsys, tmp_path):
+    code = main([*command, "--out", str(tmp_path / "bundle.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET
+    assert err.startswith("budget error: " + prefix) and err.count("\n") == 1
+    assert "exceed the enumeration budget" in err and "Traceback" not in err
+    assert not (tmp_path / "bundle.json").exists()
+
+
 @pytest.mark.parametrize("magnitude", ["inf", "1e308"])
 @pytest.mark.parametrize("command", ["prune-one", "prune-net"])
 def test_unrepresentable_magnitude_rejected_up_front(command, magnitude, capsys):

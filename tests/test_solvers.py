@@ -476,6 +476,125 @@ class TestWindowEdges:
                 )
 
 
+class TestStoredLayers:
+    """A layer below the top is windowed in its own n + 1 blocks, the top layer
+    in every (slice, block) pair, and each candidate is rejected one
+    coordinate at a time."""
+
+    @pytest.mark.parametrize("mode", list(CardinalityMode))
+    @pytest.mark.parametrize("d", [0, 1, 2, 4])
+    def test_both_modes_match_brute_force(self, mode, d):
+        # generic and quarter-rounded pools; in AT_MOST mode some winners lie
+        # in a stored layer and some in the top one
+        rng = np.random.default_rng(50 + d)
+        lengths = set()
+        for trial in range(6):
+            n = 7 + trial % 3
+            vectors = rng.normal(size=(n, d)) * 0.5
+            target = rng.uniform(-0.6, 0.6, size=d)
+            rounded = np.round(vectors * 4) / 4, np.round(target * 4) / 4
+            for pool, z in ((vectors, target), rounded):
+                for k in (1, 3, 5):
+                    cardinalities = [k] if mode is CardinalityMode.EXACT else range(k + 1)
+                    outcome = search_subsets(pool, z, SolverParams(epsilon=0.1, k=k, mode=mode))
+                    expected = brute_force_best(pool, z, cardinalities)
+                    assert outcome.best.indices == expected[0]
+                    assert repr(outcome.best.residual_inf) == repr(expected[1])
+                    lengths.add(len(expected[0]) == k)
+        if mode is CardinalityMode.AT_MOST and d:
+            assert lengths == {False, True}
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_winner_in_a_stored_layer(self, d):
+        # the target is the exact sum of two generic vectors, so an AT_MOST
+        # k = 4 search wins in stored layer 2, decoded from its own place
+        rng = np.random.default_rng(41 + d)
+        vectors = rng.normal(size=(10, d)) * 0.5
+        params = SolverParams(epsilon=1e-9, k=4, mode=CardinalityMode.AT_MOST)
+        for pair in [(0, 1), (0, 9), (3, 4), (2, 7), (8, 9)]:
+            target = ascending_sum(vectors, pair)
+            outcome = search_subsets(vectors, target, params)
+            assert outcome.best.indices == pair and outcome.best.residual_inf == 0.0
+            assert brute_force_best(vectors, target, range(5)) == (pair, 0.0)
+
+    @pytest.mark.parametrize("zero_at", [0, 9])
+    def test_ties_across_a_stored_and_the_top_layer(self, zero_at):
+        # a zero vector adds nothing, so {a, b} in stored layer 2 and {a, b} plus
+        # the zero in top layer 3 tie at residual 0.0: with the zero at index 0
+        # the top-layer set is lexicographically first, at index 9 the stored one
+        rng = np.random.default_rng(43)
+        vectors = np.insert(rng.normal(size=(9, 3)) * 0.5, zero_at, 0.0, axis=0)
+        params = SolverParams(epsilon=0.1, k=3, mode=CardinalityMode.AT_MOST)
+        others = [i for i in range(10) if i != zero_at]
+        for a, b in [(others[0], others[1]), (others[2], others[6]), (others[7], others[8])]:
+            target = ascending_sum(vectors, (a, b))
+            winner = (0, a, b) if zero_at == 0 else (a, b)
+            outcome = search_subsets(vectors, target, params)
+            assert outcome.best.indices == winner and outcome.best.residual_inf == 0.0
+            assert brute_force_best(vectors, target, range(4)) == (winner, 0.0)
+
+    def test_coordinate_1_gaps_equal_to_the_bound(self):
+        # dyadic sums are exact, and every coordinate-0 gap is below 1/8, so at
+        # each epsilon a multiple of 1/8 the box boundary is met in coordinate 1;
+        # one index built for k = 5 counts stored layers 1..4 and the top layer
+        rng = np.random.default_rng(44)
+        vectors = np.column_stack([rng.integers(-4, 5, size=11) / 256.0, dyadic_pool(45, n=11)])
+        index = solvers._SubsetIndex(vectors[None])
+        index._build(5)
+        for z1 in (0.375, -0.25, 1.0):
+            target = np.array([0.0, z1])
+            for k in range(1, 6):
+                for epsilon in (0.125, 0.25, 0.375, 0.5):
+                    expected = len(enumerate_k_hits(vectors, target, k, epsilon))
+                    assert index.count(target[None], k, epsilon)[0] == expected
+            for k in (2, 4, 5):
+                assert_matches_oracles(vectors, target, k, 0.125)
+
+    def test_stored_layers_issue_n_plus_1_windows(self, monkeypatch):
+        # n = 48, k <= 5: layers 1..4 are stored and take 49 windows each; the
+        # top layer's (slice, block) pairs number sum_{last=4}^{47} (last - 3) = 990
+        windows = []
+        runs = solvers._SubsetIndex._runs
+
+        def spy(self, j, targets, bound):
+            lo, sizes, lasts = runs(self, j, targets, bound)
+            windows.append((j, lo.size, lasts is None))
+            return lo, sizes, lasts
+
+        monkeypatch.setattr(solvers._SubsetIndex, "_runs", spy)
+        rng = np.random.default_rng(46)
+        vectors = rng.normal(size=(48, 4)) * 0.3
+        index = solvers._SubsetIndex(vectors[None])
+        params = SolverParams(epsilon=0.03, k=5, mode=CardinalityMode.AT_MOST)
+        search_subsets(vectors, rng.uniform(-0.5, 0.5, size=4), params, index)
+        assert windows == [(1, 49, True), (2, 49, True), (3, 49, True), (4, 49, True),
+                           (5, 990, False)]
+        windows.clear()
+        index.count(np.zeros((1, 4)), 3, 0.03)
+        assert windows == [(3, 49, True)]
+
+    def test_query_memory_at_the_prune_layer_shape(self):
+        # a built index of 48 vectors of 4 coordinates, queried up to k = 5 at
+        # the prune-layer tolerance: each query gathers one coordinate of its
+        # candidates at a time. Measured peak over 20 targets: 5.1 MB (6.3 MB
+        # when every candidate's four coordinates were gathered at once)
+        rng = np.random.default_rng(48)
+        vectors = rng.normal(size=(48, 4)) * 0.3
+        index = solvers._SubsetIndex(vectors[None])
+        index._build(5)
+        params = SolverParams(epsilon=0.03125, k=5, mode=CardinalityMode.AT_MOST)
+        peak = 0
+        for _ in range(20):
+            target = rng.uniform(-0.5, 0.5, size=4)
+            tracemalloc.start()
+            try:
+                search_subsets(vectors, target, params, index)
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peak < 6e6
+
+
 def many_pools(rng, pools, n, d, k):
     """(pools, targets): generic pools, one scaled by 1e6 whose target is its
     last k vectors' sum exactly, one vector repeated n times, and one dyadic
