@@ -28,7 +28,6 @@ from .solvers import (
     SubsetSolution,
     dimension_constant,
     search_subsets,
-    solve_rssp_1d,
     subset_sum_number,
 )
 from .masks import (

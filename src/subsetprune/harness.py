@@ -12,9 +12,9 @@ Block rule: every check draws its trials in blocks of 2^14 (the intersection
 tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
 block ``b`` always draws from ``seed.substream(b)`` and the block totals are
 summed in block order. The intersection tail reads its block in row chunks
-from the thread's one generator, rewound to the block's stream (about 2^17
-values at a time, nothing else drawn between them): the chunks take the same
-words, in the same order, as one whole-block draw.
+(about 2^17 values at a time), each chunk's words at their place in the
+block's stream: the chunks take the same words, in the same order, as one
+whole-block draw.
 Results are therefore bit-reproducible and independent of how trials would be
 fanned out across workers. Every check rejects ``trials < 1`` with
 :class:`ParameterError`.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .pruning import PruneParams, prune_random_layer
-from .sampling import SeedSpec, _generator, _normals, _nsn_vectors, _substream_keys, _uniforms
+from .sampling import SeedSpec, _normals, _nsn_vectors, _substream_keys, _uniforms, _words_at
 from . import solvers
 from .solvers import (
     SolverParams,
@@ -417,22 +417,23 @@ def check_second_moment_identity(
     )
 
 
-def _intersection_overlaps(rng, count: int, n: int, k: int) -> np.ndarray:
+def _intersection_overlaps(key, count: int, n: int, k: int) -> np.ndarray:
     """Per-trial ``|{0, .., k-1} meet S|`` for ``count`` uniform k-subsets S of [n].
 
     Trial t's S holds the k smallest of row t of ``count`` rows of n uniforms
     ``w * 2**-53``, w the 53-bit words (raw words shifted right by 11) that
-    ``rng``'s bit generator reads in turn: the values ``Generator.random``
-    draws. Scaling by a power of two keeps their order and ties, so the rows
-    are compared as the words themselves. They are drawn ``_TAIL_CHUNK // n``
-    rows at a time (at least one); each chunk keeps a copy of its first k
+    stream ``key`` reads in turn: the values ``Generator.random`` draws.
+    Scaling by a power of two keeps their order and ties, so the rows are
+    compared as the words themselves. They are read ``_TAIL_CHUNK // n`` rows
+    at a time (at least one), each chunk at its place in the stream
+    (:func:`sampling._words_at`); each chunk keeps a copy of its first k
     columns and is then partitioned in place.
     """
     rows = max(1, _TAIL_CHUNK // n)
     overlaps = np.empty(count, dtype=np.intp)
     for lo in range(0, count, rows):
-        words = rng.bit_generator.random_raw((min(rows, count - lo), n))
-        np.right_shift(words, 11, out=words)
+        chunk = min(rows, count - lo)
+        words = _words_at(key, lo * n, chunk * n).reshape(chunk, n)
         head = words[:, :k].copy()
         words.partition(k - 1, axis=1)
         np.sum(head <= words[:, k - 1 : k], axis=1, out=overlaps[lo : lo + len(words)])
@@ -457,7 +458,7 @@ def check_intersection_tail(
     threshold = k / d
 
     def draw(key, count):
-        overlaps = _intersection_overlaps(_generator(SeedSpec(*key)), count, n, k)
+        overlaps = _intersection_overlaps(key, count, n, k)
         return (int((overlaps >= threshold).sum()),)
 
     # the block size fixes which trials share a substream; draws stream in row chunks
@@ -557,7 +558,7 @@ def scan_rssp_phase(
     trial_bytes = 16 * sizes[-1] + _checked_cover_bytes(sizes[-1], epsilon, budget)
     if grid_size > budget:
         raise BudgetError(f"a grid of {grid_size} points ({8 * grid_size} bytes) is over the "
-                          f"budget of {budget}")
+                          f"budget of {budget} points")
     grid = np.linspace(-1.0, 1.0, grid_size)
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, trial_bytes):

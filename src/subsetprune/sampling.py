@@ -13,7 +13,7 @@ thread's next draw, so no caller holds two at once: a draw reads all it needs
 from one stream before it rewinds to the next.
 
 One word reader (:func:`_raw`) reads each stream's block at once; only the
-intersection tail streams its words in chunks from :func:`_generator`. A
+intersection tail reads its words in chunks, each with :func:`_words_at`. A
 53-bit word (:func:`_words`) is a raw Philox word shifted right by 11, and a
 uniform maps it into the open interval (0, 1). An n-value normal draw takes
 2 * ceil(n/2) words and pairs uniform p with uniform ceil(n/2) + p in the
@@ -180,7 +180,8 @@ def _key(seed: SeedSpec) -> tuple[int, int]:
 
 def _generator(seed: SeedSpec) -> np.random.Generator:
     """This thread's Philox Generator rewound to ``seed``'s stream, valid until
-    the thread's next draw."""
+    the thread's next draw. No package code calls it; it stays because the
+    bench's tracer (``bench/tracing.py``) names it."""
     return next(_rewound([_key(seed)]))
 
 

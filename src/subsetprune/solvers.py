@@ -2,9 +2,9 @@
 
 A target ``z`` is *hit* by an index set ``S`` when the achieved sum lands in
 the closed infinity-norm box ``[z - eps, z + eps]``; boundary hits count.
-Every solver takes raw ``(n, d)`` vectors (1-D values for the 1-D solvers),
-and one validator rejects non-finite values and a target of another dimension
-with :class:`ParameterError`. Among equal-residual candidates the
+The search and the count take raw ``(n, d)`` vectors, and one validator
+rejects non-finite values and a target of another dimension with
+:class:`ParameterError`. Among equal-residual candidates the
 lexicographically smallest index set wins, and greedy restarts draw from an
 explicit :class:`SeedSpec`.
 
@@ -13,15 +13,12 @@ Entry points
 :func:`search_subsets`
     The d-dimensional search over subsets of exactly (or at most) ``k``
     vectors.
-:func:`solve_rssp_1d`
-    The 1-D any-cardinality solve, exact by meet-in-the-middle
-    (sort-and-search, Horowitz & Sahni 1974); the enumeration budget caps
-    each half-table at ``2^ceil(n/2)`` sums.
 :func:`subset_sum_number`
     The exact count of k-subsets inside the box.
 :func:`_first_covering_sizes`
-    The 1-D cover question over a target grid, by interval union, for a
-    block of trials at once; the engine of the RSSP phase scan.
+    The one 1-D engine: the any-cardinality cover question over a target
+    grid, by interval union, for a block of trials at once; the engine of
+    the RSSP phase scan.
 
 Strategies of :func:`search_subsets`
 ------------------------------------
@@ -163,7 +160,6 @@ __all__ = [
     "SubsetSolution",
     "SearchOutcome",
     "dimension_constant",
-    "solve_rssp_1d",
     "search_subsets",
     "subset_sum_number",
 ]
@@ -265,94 +261,6 @@ class SearchOutcome:
         if self.solution is not None:
             return "hit"
         return "proven-infeasible" if self.exhaustive else "not-found"
-
-
-# ---------------------------------------------------------------------------
-# 1-D any-cardinality solver
-# ---------------------------------------------------------------------------
-
-
-def _all_subset_sums(xs: np.ndarray) -> np.ndarray:
-    """All 2^n subset sums; entry m sums the set bits of m in ascending index order."""
-    sums = np.zeros(1, dtype=np.float64)
-    for x in xs:
-        sums = np.concatenate([sums, sums + x])
-    return sums
-
-
-def _mask_indices(mask: int, offset: int = 0) -> tuple[int, ...]:
-    out = []
-    bit = 0
-    while mask:
-        if mask & 1:
-            out.append(offset + bit)
-        mask >>= 1
-        bit += 1
-    return tuple(out)
-
-
-def _lex_min_mask(masks: np.ndarray) -> int:
-    """The set among ``masks`` (bit i set when index i is in) whose ascending
-    index tuple is lexicographically smallest: a set with no index left wins,
-    else the smallest next index, one index at a time."""
-    chosen = 0
-    while (masks != 0).all():
-        low = masks & -masks
-        first = low.min()
-        masks = masks[low == first] ^ first
-        chosen |= int(first)
-    return chosen
-
-
-def solve_rssp_1d(
-    xs,
-    target: float,
-    epsilon: float,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> SubsetSolution | None:
-    """Any-cardinality 1-D subset sum within ``epsilon`` of ``target``, by
-    meet-in-the-middle over the halves ``xs[:ceil(n/2)]`` and the rest.
-
-    Exact: ``None`` means no subset (including the empty one) lands in the
-    closed interval. Each left sum meets the right sums nearest its need; the
-    witness is the lexicographically smallest set over every left sum at the
-    best residual and the whole run of right sums equal to its nearest one.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 1:
-        raise ParameterError("xs must be a 1-D array")
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon must be positive")
-    vectors, tvec = _validated(xs[:, None], target)
-    target = float(tvec[0])
-    n_left = (xs.size + 1) // 2
-    if 2**n_left > enumeration_budget:
-        raise BudgetError(f"meet-in-the-middle half-table 2^{n_left} exceeds the budget")
-
-    left = _all_subset_sums(xs[:n_left])
-    right = _all_subset_sums(xs[n_left:])
-    order = np.argsort(right, kind="stable")
-    right_sorted = right[order]
-    pos = np.searchsorted(right_sorted, target - left)
-    near = np.clip(np.stack([pos - 1, pos]), 0, right.size - 1)  # below, at or above
-    near_sums = right_sorted[near]
-    residuals = np.abs(left + near_sums - target)
-    tied = residuals == residuals.min()
-    # A left set whose tied right run holds the empty set (sum 0.0) ends
-    # there; any other continues past every left index, as bit n_left says.
-    lefts = np.flatnonzero(tied.any(axis=0))
-    ends = (tied[:, lefts] & (near_sums[:, lefts] == 0.0)).any(axis=0)
-    pick = _lex_min_mask(np.where(ends, lefts, lefts | (1 << n_left)))
-    left_mask, right_mask = pick & ((1 << n_left) - 1), 0
-    if pick >> n_left:
-        runs = [
-            order[right_sorted.searchsorted(v, "left") : right_sorted.searchsorted(v, "right")]
-            for v in near_sums[tied[:, left_mask], left_mask]
-        ]
-        right_mask = _lex_min_mask(np.concatenate(runs))
-    indices = _mask_indices(left_mask) + _mask_indices(right_mask, n_left)
-    solution = _make_solution(vectors, indices, tvec)
-    return solution if solution.residual_inf <= epsilon else None
 
 
 # ---------------------------------------------------------------------------
@@ -862,21 +770,16 @@ def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchO
     return SearchOutcome(hit, solution, exhaustive)
 
 
-def subset_sum_number(
-    vectors,
-    target,
-    k: int,
-    epsilon: float,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> int:
-    """Exact count of k-subsets whose sum lands in the closed box around target."""
+def subset_sum_number(vectors, target, k: int, epsilon: float) -> int:
+    """Exact count of k-subsets whose sum lands in the closed box around target,
+    within the default enumeration budget."""
     vectors, target = _validated(vectors, target)
     n, d = vectors.shape
     if not epsilon >= 0.0:
         raise ParameterError("epsilon must be nonnegative")
     if not 0 <= k <= n:
         raise ParameterError(f"k must be in [0, {n}]")
-    _check_family_budget(n, [k], d, enumeration_budget)
+    _check_family_budget(n, [k], d, DEFAULT_ENUMERATION_BUDGET)
     return int(_SubsetIndex(vectors[None]).count(target[None], k, epsilon)[0])
 
 
@@ -901,7 +804,7 @@ def _checked_cover_bytes(n: int, epsilon: float, budget: int) -> int:
     if intervals > budget:
         raise BudgetError(
             f"the cover of n={n} values at epsilon={epsilon} may hold {intervals} intervals "
-            f"({state} bytes) a trial, over the budget of {budget}"
+            f"({state} bytes) a trial, over the budget of {budget} intervals"
         )
     return state
 

@@ -40,7 +40,7 @@ from subsetprune.harness import (
     wilson_interval,
     write_csv,
 )
-from subsetprune.sampling import _generator, _words
+from subsetprune.sampling import _key, _words
 from test_solvers import reference_first_cover
 
 SEED = SeedSpec(777)
@@ -253,7 +253,7 @@ class TestIntersectionTail:
     )
     def test_chunked_overlaps_match_one_shot_draw(self, n, k, count):
         stream = SEED.substream(n + count)
-        got = _intersection_overlaps(_generator(stream), count, n, k)
+        got = _intersection_overlaps(_key(stream), count, n, k)
         assert np.array_equal(got, _one_shot_overlaps(_fresh(stream), count, n, k))
 
     @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])  # one row per chunk .. one chunk

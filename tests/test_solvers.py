@@ -23,7 +23,6 @@ from subsetprune import (
     sample_nsn,
     sample_uniform,
     search_subsets,
-    solve_rssp_1d,
     subset_sum_number,
 )
 from subsetprune.sampling import _substream_keys, _substream_permutation_heads
@@ -55,6 +54,35 @@ def enumerate_1d_hits(xs, target, epsilon):
     return hits
 
 
+def all_subset_sums(xs):
+    """All 2^n subset sums; entry m sums the set bits of m in ascending index order."""
+    sums = np.zeros(1)
+    for x in xs:
+        sums = np.concatenate([sums, sums + x])
+    return sums
+
+
+def mitm_hits(xs, epsilon):
+    """Oracle: ``hit(z)``, whether a subset of ``xs`` of any cardinality (the
+    empty one included) sums to within ``epsilon`` of z, by meet-in-the-middle
+    (Horowitz & Sahni 1974). Each half's subset sums are built and sorted once
+    per pool. A target is one searchsorted of the ascending needles ``z -
+    left[::-1]`` into the sorted right half, and it hits when the nearest right
+    sum r on either side of some needle gives ``|l + r - z| <= epsilon``."""
+    half = (len(xs) + 1) // 2
+    descending = np.sort(all_subset_sums(xs[:half]))[::-1]
+    right = np.sort(all_subset_sums(xs[half:]))
+
+    def hit(z):
+        above = right.searchsorted(z - descending)
+        below = np.maximum(above - 1, 0)
+        np.minimum(above, right.size - 1, out=above)
+        return any((np.abs(descending + right[near] - z) <= epsilon).any()
+                   for near in (below, above))
+
+    return hit
+
+
 def enumerate_k_hits(vectors, target, k, epsilon):
     """Oracle: all k-subsets of row vectors within the epsilon box."""
     hits = []
@@ -67,83 +95,10 @@ def enumerate_k_hits(vectors, target, k, epsilon):
     return hits
 
 
-def brute_force_1d(xs, target):
-    """Oracle: (residual, indices) of the best subset of any cardinality, each
-    summed in ascending index order; ties go to the lexicographically first set."""
-    best = None
-    for mask in range(2 ** len(xs)):
-        indices = tuple(i for i in range(len(xs)) if mask >> i & 1)
-        total = 0.0
-        for i in indices:
-            total += xs[i]
-        candidate = (abs(total - target), indices)
-        best = candidate if best is None else min(best, candidate)
-    return best
-
-
 def dyadic_pool(seed, n=12):
     """Multiples of 1/8 of magnitude at most 1: every subset sum is exact, so
     equal sums are exact ties."""
     return np.random.default_rng(seed).integers(-8, 9, size=n) / 8.0
-
-
-class TestRssp1d:
-    def test_exact_hit(self):
-        xs = np.array([0.5, -0.25, 0.75])
-        sol = solve_rssp_1d(xs, 0.25, 0.01)
-        assert sol.indices == (0, 1)
-        assert sol.residual_inf == 0.0
-        assert verify_solution(sol, xs[:, None], [0.25])
-
-    def test_infeasible_by_range(self):
-        assert solve_rssp_1d(np.array([0.5, -0.25, 0.75]), 2.0, 0.01) is None
-
-    def test_empty_subset_hits_small_targets(self):
-        sol = solve_rssp_1d(np.array([5.0, 7.0]), 0.0, 0.5)
-        assert sol.indices == ()
-
-    @pytest.mark.parametrize("trial", range(3))
-    def test_mitm_equals_enumeration_on_grid(self, trial):
-        xs = sample_uniform(12, SeedSpec(300 + trial), -1.0, 1.0)
-        eps = 0.03
-        for z in np.linspace(-1.0, 1.0, 21):
-            oracle = enumerate_1d_hits(xs.tolist(), float(z), eps)
-            got = solve_rssp_1d(xs, float(z), eps)
-            assert (got is not None) == bool(oracle)
-            if got is not None:
-                assert got.residual_inf <= eps
-                assert verify_solution(got, xs[:, None], [float(z)])
-        # exact ties: the witness is the brute-force lexicographic minimum
-        xs = dyadic_pool(trial)
-        for z in np.linspace(-2.0, 2.0, 33):
-            residual, indices = brute_force_1d(xs.tolist(), float(z))
-            got = solve_rssp_1d(xs, float(z), 0.2)
-            assert (got is not None) == (residual <= 0.2)
-            if got is not None:
-                assert got.indices == indices
-                assert repr(got.residual_inf) == repr(residual)
-
-    def test_tie_across_a_right_run_prefers_lexicographically_smallest(self):
-        # 0.375 is both x4 and x3 + x5, two right-half sets with equal sums
-        sol = solve_rssp_1d(np.array([5.0, 7.0, 9.0, 0.125, 0.375, 0.25]), 0.375, 0.01)
-        assert sol.indices == (3, 5)
-
-    def test_tie_break_prefers_lexicographically_smallest(self):
-        sol = solve_rssp_1d(np.array([0.25, 0.25]), 0.25, 0.01)
-        assert sol.indices == (0,)
-
-    def test_capacity_and_budget_errors(self):
-        with pytest.raises(BudgetError):  # 2^32 half-table
-            solve_rssp_1d(np.zeros(64), 0.0, 0.1)
-        with pytest.raises(BudgetError):
-            solve_rssp_1d(np.zeros(60), 0.0, 0.1, enumeration_budget=1000)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_inputs_rejected(self, bad):
-        with pytest.raises(ParameterError, match="finite"):
-            solve_rssp_1d(np.array([0.5, bad]), 0.0, 0.1)
-        with pytest.raises(ParameterError, match="finite"):
-            solve_rssp_1d(np.array([0.5, 0.25]), bad, 0.1)
 
 
 def column(values):
@@ -237,8 +192,8 @@ class TestSubsetSumNumber:
 
     def test_budget_guard(self):
         vectors = sample_nsn(40, 1, SeedSpec(78))
-        with pytest.raises(BudgetError):
-            subset_sum_number(vectors, [0.0], 20, 0.1, enumeration_budget=1000)
+        with pytest.raises(BudgetError, match="exceed the enumeration budget 5000000 "):
+            subset_sum_number(vectors, [0.0], 20, 0.1)
 
     def test_target_of_another_dimension_or_non_finite_rejected(self):
         vectors = sample_nsn(8, 2, SeedSpec(79))
@@ -392,7 +347,7 @@ class TestExhaustiveOracle:
         # EXACT mode indexes every lower layer too: (8 + 12) * sum(C(40, j) for j < 20)
         with pytest.raises(BudgetError, match=r"137846528820 20-subsets of 40 vectors.*"
                                               r" 9616650989560 bytes"):
-            subset_sum_number(vectors, [0.0], 20, 0.1, enumeration_budget=1000)
+            subset_sum_number(vectors, [0.0], 20, 0.1)
 
 
 def assert_matches_oracles(vectors, target, k, epsilon):
@@ -709,13 +664,34 @@ class TestCover:
             assert covers(xs, eps, z) == hit
             assert reference_covers(xs, eps, z) == hit
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 12])
+    def test_mitm_oracle_matches_enumeration(self, n):
+        pools = [
+            (sample_uniform(n, SeedSpec(300 + n), -1.0, 1.0), 0.03, np.linspace(-1.0, 1.0, 21)),
+            # sums are exact multiples of 1/8, so a target at an odd multiple
+            # of 1/16 is hit only on a box boundary, exactly eps away
+            (dyadic_pool(n, n=n), 1 / 16, np.linspace(-4.0, 4.0, 129)),
+        ]
+        for xs, eps, targets in pools:
+            hit = mitm_hits(xs, eps)
+            for z in targets:
+                assert hit(float(z)) == bool(enumerate_1d_hits(xs.tolist(), float(z), eps))
+
     def test_cover_matches_mitm_oracle_at_n40(self):
         xs = sample_uniform(40, SeedSpec(2100), -1.0, 1.0)
         eps = 0.05
-        for z in np.linspace(-1.0, 1.0, 41):
-            hit = solve_rssp_1d(xs, float(z), eps) is not None
-            assert covers(xs, eps, z) == hit
-            assert reference_covers(xs, eps, z) == hit
+        hit = mitm_hits(xs, eps)
+        targets = [(float(z), hit(float(z))) for z in np.linspace(-1.0, 1.0, 41)]
+        # the largest and the smallest subset sum, pushed outward by eps/2 (a
+        # hit) and by 2 eps (a miss), so an engine that always covers fails
+        largest, smallest = xs[xs > 0].sum(), xs[xs < 0].sum()
+        for outward, expected in [(eps / 2, True), (2 * eps, False)]:
+            for z in (largest + outward, smallest - outward):
+                assert hit(z) == expected
+                targets.append((z, expected))
+        for z, expected in targets:
+            assert covers(xs, eps, z) == expected
+            assert reference_covers(xs, eps, z) == expected
 
     def test_intervals_grow_with_values(self):
         # every point covered before stays covered
