@@ -655,6 +655,48 @@ class TestCover:
     def test_single_value_misses_far_target(self):
         assert not covers(np.array([0.5]), 0.1, -0.9)
 
+    def test_exact_hit_at_zero_epsilon(self):
+        # 0.5 - 0.25 is exact, so a zero-width box still holds it
+        xs = np.array([0.5, -0.25, 0.75])
+        assert covers(xs, 0.0, 0.25)
+        assert mitm_hits(xs, 0.0)(0.25)
+
+    def test_target_beyond_the_range_of_sums_missed(self):
+        xs = np.array([0.5, -0.25, 0.75])  # every subset sum lies in [-0.25, 1.25]
+        for z in (2.0, -1.0):
+            assert not covers(xs, 0.01, z)
+            assert not mitm_hits(xs, 0.01)(z)
+
+    @pytest.mark.parametrize("z,hit", [(0.0, True), (0.5, True), (0.6, False)])
+    def test_empty_subset_covers_only_small_targets(self, z, hit):
+        # 0 is the only subset sum within 1 of the origin
+        xs = np.array([5.0, 7.0])
+        assert covers(xs, 0.5, z) == hit
+        assert mitm_hits(xs, 0.5)(z) == hit
+
+    def test_equal_sums_within_one_half(self):
+        # 0.375 is both x4 and x3 + x5, two right-half sets with equal sums
+        xs = np.array([5.0, 7.0, 9.0, 0.125, 0.375, 0.25])
+        assert covers(xs, 0.0, 0.375)
+        assert mitm_hits(xs, 0.0)(0.375)
+        assert not covers(xs, 0.0, 0.0625)
+        assert not mitm_hits(xs, 0.0)(0.0625)
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_cover_and_mitm_oracle_match_enumeration_on_grid(self, trial):
+        xs = sample_uniform(12, SeedSpec(300 + trial), -1.0, 1.0)
+        hit = mitm_hits(xs, 0.03)
+        for z in np.linspace(-1.0, 1.0, 21):
+            expected = bool(enumerate_1d_hits(xs.tolist(), float(z), 0.03))
+            assert covers(xs, 0.03, z) == hit(float(z)) == expected
+        # sums are exact multiples of 1/8, so a target at an odd multiple of
+        # 1/16 lies on the boundary of every box it is in
+        xs = dyadic_pool(trial)
+        hit = mitm_hits(xs, 1 / 16)
+        for z in np.linspace(-4.0, 4.0, 129):
+            expected = bool(enumerate_1d_hits(xs.tolist(), float(z), 1 / 16))
+            assert covers(xs, 1 / 16, z) == hit(float(z)) == expected
+
     @pytest.mark.parametrize("trial", range(5))
     def test_interval_engine_matches_enumeration(self, trial):
         xs = sample_uniform(12, SeedSpec(2000 + trial), -1.0, 1.0)
