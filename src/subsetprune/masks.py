@@ -90,7 +90,7 @@ class Mask4:
             raise ShapeError(f"mask must be 4-D, got ndim={bits.ndim}")
         if min(bits.shape) < 1:
             raise ShapeError("all mask dimensions must be positive")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("mask bits must be 0 or 1")
         object.__setattr__(self, "bits", bits.astype(np.uint8))
 

@@ -68,7 +68,7 @@ from .solvers import (
     _make_solution,
     search_subsets,
 )
-from .tensors import FeatureMap, Tensor4, conv, neg_part, norm_l1, pos_part, relu
+from .tensors import FeatureMap, Tensor4, _conv, _finite, neg_part, norm_l1, pos_part
 
 __all__ = [
     "NetworkSpec",
@@ -401,19 +401,20 @@ def prune_single_layer(
     return _prepared_layer(mixing, expansion).prune(target, params, seed)
 
 
-def _kept_channels(masked: Tensor4, following: Tensor4):
-    """``(kept, masked', following')``: the output columns of ``masked`` whose data
-    hold a nonzero entry, ascending, and the pair cut down to them, those columns
-    and the input channels of ``following`` they feed; None kernels if none is kept.
+def _kept_channels(masked: np.ndarray, following: np.ndarray):
+    """``(kept, masked', following')``: the output columns of the kernel data
+    ``masked`` that hold a nonzero entry, ascending, and the pair of kernel data
+    cut down to them, those columns and the input channels of ``following``
+    they feed; None arrays if none is kept.
 
     The cut pair's output is bit-equal: a dropped column's conv output and ReLU
     are +0.0, so each term it feeds into ``following`` is an exact +-0.0, which
     leaves a running sum that started at +0.0 unchanged (see :mod:`.tensors`).
     """
-    kept = np.flatnonzero(masked.data.reshape(-1, masked.kernels).any(axis=0))
+    kept = masked.reshape(-1, masked.shape[3]).any(axis=0).nonzero()[0]
     if not kept.size:
         return kept, None, None
-    return kept, Tensor4(masked.data[..., kept]), Tensor4(following.data[:, :, kept])
+    return kept, masked.take(kept, axis=3), following.take(kept, axis=2)
 
 
 def single_layer_output(mixing: Tensor4, pruned_expansion: Tensor4, probe: FeatureMap) -> FeatureMap:
@@ -444,20 +445,24 @@ def evaluate_network(kernels, fmap: FeatureMap) -> FeatureMap:
 
     Every kernel but the last runs on its kept channels only
     (:func:`_kept_channels`), which gives the full-width result bit for bit.
+    The shapes are checked here, once; the chain then runs on arrays through
+    the conv core, each map channel-major, and only the last map is wrapped.
+    Every conv output must be finite, as a :class:`FeatureMap` would require,
+    so an overflow raises ``ValueError`` even where a ReLU would clear it.
     """
     kernels = list(kernels)
     if not kernels:
         raise ParameterError("need at least one kernel")
     if [k.channels_in for k in kernels] != [fmap.channels] + [k.kernels for k in kernels[:-1]]:
         raise ShapeError("each kernel must read the channels the one before it writes")
-    shape = (fmap.height, fmap.width, kernels[-1].kernels)
-    x = fmap
-    for i in range(len(kernels) - 1):
-        _, kernel, kernels[i + 1] = _kept_channels(kernels[i], kernels[i + 1])
+    weights = [kernel.data for kernel in kernels]
+    x = fmap.data.transpose(2, 0, 1)
+    for i in range(len(weights) - 1):
+        _, kernel, weights[i + 1] = _kept_channels(weights[i], weights[i + 1])
         if kernel is None:  # every later map is +0.0 as well
-            return FeatureMap(np.zeros(shape))
-        x = relu(conv(kernel, x))
-    return conv(kernels[-1], x)
+            return FeatureMap(np.zeros((fmap.height, fmap.width, kernels[-1].kernels)))
+        x = np.maximum(_finite(_conv(kernel, x)), 0.0)
+    return FeatureMap(_conv(weights[-1], x).transpose(1, 2, 0))
 
 
 def probe_error(target_kernels, random_kernels, masks, probes) -> float:
@@ -796,7 +801,7 @@ def kept_channel_costs(bundle: PrunedNetworkBundle) -> list[tuple[int, int, int,
     costs = []
     for i, mask in enumerate(bundle.masks):
         expansion, mixing = bundle.random_kernels[2 * i : 2 * i + 2]
-        kept = _kept_channels(mask.apply(expansion), mixing)[0].size
+        kept = _kept_channels(mask.apply(expansion).data, mixing.data)[0].size
         per_kernel = bundle.spatial**2 * (expansion.data[..., 0].size + mixing.data[:, :, 0].size)
         costs.append((kept, expansion.kernels, per_kernel * expansion.kernels, per_kernel * kept))
     return costs

@@ -322,20 +322,22 @@ def _slices(n: int, j: int) -> tuple[np.ndarray, ...]:
     (:func:`_block_sizes`).
 
     Slice ``last`` is layer j-1's nonempty blocks b <= last plus
-    ``vectors[last]``: ``counts`` consecutive blocks up to ``tops``, the
-    largest, which ends just before ``ends`` in the stack. Block ``p`` of a
-    query's flattened run of all of them is ``p + shifts[slice]``. Cached
+    ``vectors[last]``: consecutive blocks up to ``tops``, the largest, which
+    ends just before ``ends`` in the stack. ``pair_lasts`` and ``pair_blocks``
+    list every (slice, block) pair block-major, slices ascending within a
+    block, so a query's needles ascend from block to block. Cached
     (read-only) like :func:`_colex_table`.
     """
     size, first = j - 1, (j - 1) * (n + 1)
     lasts = np.arange(size, n)
     tops = first + (lasts if size else np.zeros_like(lasts))
-    counts = tops - (first + size) + 1
-    shifts = first + size - (counts.cumsum() - counts)
     ends = _family_size(n, range(size)) + np.array([math.comb(last, size) for last in lasts])
-    for array in (lasts, tops, counts, shifts, ends):
+    blocks = np.arange(first + size, tops.max(initial=first + size - 1) + 1)
+    rows, cols = (tops >= blocks[:, None]).nonzero()  # (block, slice) pairs, block-major
+    pair_lasts, pair_blocks = lasts.take(cols), blocks.take(rows)
+    for array in (lasts, tops, ends, pair_lasts, pair_blocks):
         array.flags.writeable = False
-    return lasts, tops, counts, shifts, ends
+    return lasts, tops, ends, pair_lasts, pair_blocks
 
 
 _QUERY_BYTES = 1 << 20  # largest group of candidate subsets a count query tests at once
@@ -459,7 +461,7 @@ class _SubsetIndex:
         """The smallest residual of a few real j-subsets of the one pool near the
         target in coordinate 0: per slice, the first subset of its pivot block
         at or above ``z_0 - v_0``, or that block's last subset."""
-        lasts, blocks, _, _, ends = _slices(self.n, j)
+        lasts, blocks, ends, _, _ = _slices(self.n, j)
         needles = self._needles(target[0] - self.columns[0].take(lasts), blocks)
         positions = np.minimum(self.keys.searchsorted(needles), ends - 1)
         return float(self._kept(positions, lasts, target[None], math.inf)[2].min())
@@ -472,7 +474,7 @@ class _SubsetIndex:
 
         A stored layer (j below the built ``k_max``) is windowed in its own
         n + 1 blocks, each within ``z_0 +- bound``; the top layer in every
-        (slice, block) pair of the layer below, each within
+        (slice, block) pair of the layer below, block-major, each within
         ``z_0 - v_0 +- bound``. The runs hold every subset with residual at
         most ``bound`` and a few more, which :meth:`_kept` drops: each window
         is widened by more than the rounding error of computing its ends."""
@@ -483,9 +485,8 @@ class _SubsetIndex:
         if j < self.k_max:
             blocks, lasts, centres = j * (n + 1) + np.arange(n + 1) + offsets, None, goals
         else:
-            lasts, _, counts, shifts, _ = _slices(n, j)
-            blocks = np.arange(counts.sum()) + shifts.repeat(counts) + offsets
-            lasts = lasts.repeat(counts) + pools * n
+            _, _, _, lasts, blocks = _slices(n, j)
+            blocks, lasts = blocks + offsets, lasts + pools * n
             centres = goals - self.columns[0].take(lasts)
         reach = bound + (2.0**-50 * (np.abs(goals) + bound + self.magnitude) + 2.0**-1070)
         below, above = self._needles(centres + np.stack([-reach, reach]), blocks)

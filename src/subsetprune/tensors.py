@@ -13,19 +13,28 @@ Conventions
   Re-running on the same platform is therefore bit-stable, and tests may use
   exact equality against a direct index-summation oracle.
 
-:func:`conv` evaluates that order without a Python loop per term. One strided
-view of the input, zero-padded on the top and left, holds ``X[r-i, s-j, t]`` at
-``(i, j, t, r, s)``, and one ``np.multiply`` by the kernel writes every term
-``K[i, j, t, :] * X[r-i, s-j, t]`` into a stack in ascending ``(i, j, t)`` order,
-below the running sum (+0.0 at first). ``np.add.accumulate`` sums the stack
-along the term axis with documented strictly sequential semantics
+Validation happens at the boundary. :func:`conv` checks its operands'
+channels, runs the array core :func:`_conv` and wraps the result in one
+validated :class:`FeatureMap`; a chain of layers (``pruning.evaluate_network``)
+checks its shapes once, runs the core on arrays, requires every conv output to
+be finite, and wraps only its last map. The core reads a map channel-major,
+``(channel, row, col)``, flattened behind one +0.0 that stands for the padding:
+``[+0.0, *x.ravel()]``. A cached index per map and kernel shape holds, for
+term ``(i, j, t)`` and output cell ``(r, s)``, the place of ``X[r-i, s-j, t]``
+there, or of the +0.0. One gather through it lays the terms out as a
+``(terms, cells)`` matrix, rows in ascending ``(i, j, t)`` order, and one
+``np.multiply`` by the kernel writes every term ``K[i, j, t, l] * X[r-i, s-j, t]``
+into a ``(terms, kernels, cells)`` stack below the running sum (+0.0 at first),
+with the cells as the contiguous inner axis. ``np.add.accumulate`` sums the
+stack along the term axis with documented strictly sequential semantics
 (``r[n] = r[n-1] + a[n]``); ``sum``, ``einsum`` and BLAS would sum pairwise or
 in an unspecified order. A stack with few rows next to its cells (a 1x1 conv)
 is instead summed by one whole-row ``np.add`` per row, the same additions. A
 term read from the padding is an exact +-0.0, and a running sum that starts at
 +0.0 never becomes -0.0, so adding such a term changes no bit: every cell sees
-exactly the additions of the direct formula. A stack beyond a fixed byte size
-is split into passes, each a box of the term order seeded with the running sum.
+exactly the additions of the direct formula. When the stack and the gathered
+rows would pass a fixed byte size, the terms are taken in passes, consecutive
+runs of the term order, each summed onto the running sum.
 
 No strides, dilation, bias or FFT: this is the reference semantics, kept small
 enough to audit.
@@ -33,7 +42,7 @@ enough to audit.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +60,14 @@ __all__ = [
     "norm_max",
 ]
 
-_STACK_BYTES = 1 << 22  # largest term stack conv builds in one pass
+_STACK_BYTES = 1 << 22  # largest term stack and gathered terms conv holds in one pass
 _ROWS_PER_CELL_SUM = 32  # stacks with 32x more cells than rows are summed row by row
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor entries must be finite")
+    return arr
 
 
 def _validated(data, ndim: int) -> np.ndarray:
@@ -61,9 +76,7 @@ def _validated(data, ndim: int) -> np.ndarray:
         raise ShapeError(f"expected a {ndim}-D array, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise ShapeError(f"all dimensions must be positive, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor entries must be finite")
-    return arr
+    return _finite(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,37 +146,59 @@ def conv(kernel: Tensor4, fmap: FeatureMap) -> FeatureMap:
         raise ShapeError(
             f"kernel expects {kernel.channels_in} input channels, map has {fmap.channels}"
         )
-    height, width, channels = fmap.shape
+    return FeatureMap(_conv(kernel.data, fmap.data.transpose(2, 0, 1)).transpose(1, 2, 0))
+
+
+@functools.lru_cache(maxsize=32)
+def _window_index(channels: int, height: int, width: int, rows: int, cols: int) -> np.ndarray:
+    """``(rows * cols * channels, height * width)``: for term ``(i, j, t)`` in
+    ascending order and cell ``r * width + s``, the place of ``x[t, r - i, s - j]``
+    in ``[+0.0, *x.ravel()]`` of a channel-major map ``x``, or 0 (the +0.0) off
+    the map. Cached (read-only): a chain evaluates the same few shapes for
+    every probe, and at the package's shapes an index is a few KB."""
+    r = np.arange(height)[:, None] - np.arange(rows)[:, None, None, None, None]
+    s = np.arange(width) - np.arange(cols)[:, None, None, None]
+    t = np.arange(channels)[:, None, None] * (height * width)
+    index = np.where((r >= 0) & (s >= 0), 1 + t + r * width + s, 0)  # (i, j, t, r, s)
+    index = index.reshape(-1, height * width)
+    index.flags.writeable = False
+    return index
+
+
+def _conv(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`conv` on arrays: ``weights`` ``(rows, cols, channels, kernels)``
+    and a channel-major map ``x`` ``(channels, height, width)``, whose channels
+    the caller has matched, to a new channel-major ``(kernels, height, width)``
+    map. Nothing is validated here."""
+    channels, height, width = x.shape
     # Offsets at or past the map's edge read only padding; skipping them drops only +-0.0 terms.
-    rows, cols = min(kernel.rows, height), min(kernel.cols, width)
-    cell = (height, width, kernel.kernels)
-    # Channel-minor input padded on the top and left, and one view of it with
-    # windows[i, j, t, r, s] = x[r - i, s - j, t], an exact +0.0 off the map.
-    padded = np.zeros((height + rows - 1, width + cols - 1, channels))
-    padded[rows - 1 :, cols - 1 :] = fmap.data
-    s0, s1, s2 = padded.strides
-    windows = np.ndarray((rows, cols, channels, height, width), buffer=padded,
-                         offset=(rows - 1) * s0 + (cols - 1) * s1, strides=(-s0, -s1, s2, s0, s1))
-    weights = kernel.data[:rows, :cols, :, None, None, :]  # (i, j, t, 1, 1, l)
-    capacity = max(1, _STACK_BYTES // (8 * math.prod(cell)) - 1)  # terms per pass
-    di = max(1, capacity // (cols * channels))  # a pass holds whole kernel rows,
-    dj = min(cols, max(1, capacity // channels))  # or else offsets of one row,
-    dt = min(channels, capacity)  # or else channels of one offset
-    passes = [np.s_[i : i + di, j : j + dj, t : t + dt] for i in range(0, rows, di)
-              for j in range(0, cols, dj) for t in range(0, channels, dt)]
-    total = 0.0  # the running sum every cell starts from
-    for box in passes:
-        terms = windows[box]
-        stack = np.empty((1 + math.prod(terms.shape[:3]), *cell))
-        stack[0] = total
-        np.multiply(weights[box], terms[..., None], out=stack[1:].reshape(*terms.shape, cell[2]))
-        if len(stack) * _ROWS_PER_CELL_SUM <= stack[0].size:
-            total = stack[0]  # few terms over many cells: one add per row
-            for row in stack[1:]:
-                np.add(total, row, out=total)
+    rows, cols = min(weights.shape[0], height), min(weights.shape[1], width)
+    kernels, cells = weights.shape[3], height * width
+    padded = np.empty(1 + x.size)
+    padded[0] = 0.0  # what every read of the padding gathers
+    padded[1:].reshape(x.shape)[...] = x
+    index = _window_index(channels, height, width, rows, cols)
+    terms = weights[:rows, :cols].reshape(len(index), kernels, 1)
+    # terms per pass: each holds a stack row (every kernel and cell) and a gathered row
+    step = max(1, (_STACK_BYTES // (8 * cells) - kernels) // (kernels + 1))
+    stack = np.empty((1 + min(step, len(index)), kernels, cells))
+    stack[0] = 0.0  # the running sum every cell starts from
+    top = 0  # the row that holds the running sum
+    for first in range(0, len(index), step):
+        gathered = padded.take(index[first : first + step])  # (terms, cells)
+        if top:
+            stack[0] = stack[top]
+        block = stack[: 1 + len(gathered)]
+        np.multiply(terms[first : first + step], gathered[:, None], out=block[1:])
+        block = block.reshape(len(block), -1)
+        if len(block) * _ROWS_PER_CELL_SUM <= block.shape[1]:
+            for row in block[1:]:  # few terms over many cells: one add per row
+                np.add(block[0], row, out=block[0])
+            top = 0
         else:
-            total = np.add.accumulate(stack, axis=0, out=stack)[-1]
-    return FeatureMap(total.copy())  # not a view that keeps the whole stack alive
+            np.add.accumulate(block, axis=0, out=block)
+            top = len(block) - 1
+    return stack[top].reshape(kernels, height, width).copy()  # not a view of the stack
 
 
 def relu(fmap: FeatureMap) -> FeatureMap:

@@ -163,6 +163,18 @@ class TestValidate:
         report = validate_structure(Mask4(mask.bits, FilterRemoval(kept=(0, 1, 2, 3))))
         assert not report.valid
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_bits_other_than_zero_and_one_are_rejected(self, bad):
+        bits = np.ones((1, 1, 1, 2))
+        bits[0, 0, 0, 1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            Mask4(bits, FilterRemoval(kept=(0, 1)))
+
+    def test_bool_bits_are_accepted(self):
+        mask = Mask4(np.array([True, False]).reshape(1, 1, 1, 2), FilterRemoval(kept=(0,)))
+        assert mask.bits.dtype == np.uint8 and mask.bits.ravel().tolist() == [1, 0]
+        assert validate_structure(mask).valid
+
 
 @given(
     d=st.integers(1, 2),

@@ -156,6 +156,38 @@ class TestEvaluateNetwork:
         chained = evaluate_network([k1, k2], probe)
         assert np.abs(nested.data - chained.data).max() <= 1e-12
 
+    @pytest.mark.parametrize("case", ["signed-zero-columns", "dropped-layer", "one-output"])
+    def test_matches_public_chain_bytes(self, case):
+        rng = np.random.default_rng(90)
+        shapes = [(1, 1, 2, 6), (2, 2, 6, 3), (2, 1, 3, 2)]
+        if case == "one-output":
+            shapes = [(2, 2, 2, 1), (1, 1, 1, 1), (2, 2, 1, 1)]
+        data = [rng.standard_normal(shape) for shape in shapes]
+        if case == "signed-zero-columns":  # a -0.0 column and an all-zero one are dropped
+            data[0][..., 1] = -0.0
+            data[0][..., 4] = 0.0
+            data[1][:, :, :, 0] = -np.abs(data[1][:, :, :, 0])  # -0.0 products after the ReLU
+        if case == "dropped-layer":  # the second layer keeps no column: +0.0 out
+            data[1][:] = -0.0
+        kernels = [Tensor4(d) for d in data]
+        for probe in signed_zero_probes((4, 3, 2), 3, 90):
+            got = evaluate_network(kernels, probe)
+            assert got.data.tobytes() == full_width_chain(kernels, probe).data.tobytes()
+            if case == "dropped-layer":
+                assert not got.data.any() and not np.signbit(got.data).any()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_intermediate_overflow_raises(self, sign):
+        # the first map overflows to +-inf; a ReLU would clear -inf, but the
+        # overflow is an error either way, as it is for the public conv
+        first = Tensor4(np.full((2, 2, 1, 1), sign * 1e308))
+        kernels = [first, Tensor4(np.ones((1, 1, 1, 1)))]
+        probe = FeatureMap(np.ones((3, 3, 1)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            evaluate_network(kernels, probe)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            full_width_chain(kernels, probe)
+
 
 class TestSingleLayer:
     def test_zero_target_removes_everything(self):
@@ -230,7 +262,7 @@ class TestSingleLayer:
         mixing = sample_normal_tensor((2, 2, 16, 2), seed.substream(1))
         target = unit_l1((2, 2, 1, 2), seed.substream(2))
         result = prune_single_layer(mixing, expansion, target, PruneParams(epsilon=0.5))
-        kept, _, _ = pruning._kept_channels(result.pruned_first, mixing)
+        kept, _, _ = pruning._kept_channels(result.pruned_first.data, mixing.data)
         assert 0 < len(result.kept_kernels) < 16
         assert tuple(kept) == result.kept_kernels
         probe = sample_uniform_map(4, 4, 1, seed.substream(3))
@@ -503,11 +535,11 @@ class TestCompactEvaluation:
     def test_kept_columns_are_decided_from_the_data(self):
         masked = Tensor4(np.array([[[[0.0, 1.0, -0.0, 0.0], [0.0, 0.0, -0.0, 2.0]]]]))
         mixing = Tensor4(np.arange(2 * 2 * 4 * 3, dtype=float).reshape(2, 2, 4, 3))
-        kept, small, following = pruning._kept_channels(masked, mixing)
+        kept, small, following = pruning._kept_channels(masked.data, mixing.data)
         assert list(kept) == [1, 3]
-        assert np.array_equal(small.data, masked.data[..., [1, 3]])
-        assert np.array_equal(following.data, mixing.data[:, :, [1, 3]])
-        empty = pruning._kept_channels(Tensor4(-np.zeros((1, 1, 2, 4))), mixing)
+        assert np.array_equal(small, masked.data[..., [1, 3]])
+        assert np.array_equal(following, mixing.data[:, :, [1, 3]])
+        empty = pruning._kept_channels(-np.zeros((1, 1, 2, 4)), mixing.data)
         assert empty[0].size == 0 and empty[1:] == (None, None)
 
     def test_shape_mismatch_raises_even_when_nothing_is_kept(self):

@@ -1,5 +1,7 @@
 """Tensor arithmetic against independent oracles and stated invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,20 @@ def test_conv_matches_direct_oracle(case):
     assert np.array_equal(got, want)
 
 
+def _oracle_case(rng, kernel_shape, map_shape, kind):
+    """A kernel and a map of one kind: normal, or a ReLU'd map (so +-0.0 products)
+    under a half-zero or an all-negative kernel."""
+    kernel = rng.standard_normal(kernel_shape)
+    fmap = rng.standard_normal(map_shape)
+    if kind != "normal":
+        fmap = np.maximum(fmap, 0.0)
+    if kind == "half-zero":
+        kernel[rng.random(kernel_shape) < 0.5] = 0.0
+    if kind == "negative":
+        kernel = -np.abs(kernel)
+    return kernel, fmap
+
+
 _BIT_FOR_BIT_CASES = [
     ((4, 3, 2, 2), (2, 2, 2), "normal"),  # kernel larger than the map
     ((3, 1, 1, 1), (1, 5, 1), "normal"),
@@ -92,14 +108,7 @@ _BIT_FOR_BIT_CASES = [
 @pytest.mark.parametrize("kernel_shape, map_shape, kind", _BIT_FOR_BIT_CASES)
 def test_conv_matches_direct_oracle_bit_for_bit(kernel_shape, map_shape, kind):
     rng = np.random.default_rng(sum(kernel_shape) * 31 + sum(map_shape))
-    kernel = rng.standard_normal(kernel_shape)
-    fmap = rng.standard_normal(map_shape)
-    if kind != "normal":
-        fmap = np.maximum(fmap, 0.0)
-    if kind == "half-zero":
-        kernel[rng.random(kernel_shape) < 0.5] = 0.0
-    if kind == "negative":
-        kernel = -np.abs(kernel)
+    kernel, fmap = _oracle_case(rng, kernel_shape, map_shape, kind)
     got = conv(Tensor4(kernel), FeatureMap(fmap)).data
     want = direct_conv_oracle(kernel, fmap)
     assert got.tobytes() == want.tobytes()  # signed zeros included
@@ -116,7 +125,7 @@ def test_conv_summation_paths_match_direct_oracle(
 
 @pytest.mark.parametrize("stack_bytes", [1, 600, 3000])
 def test_conv_in_blocks_matches_direct_oracle(monkeypatch, stack_bytes):
-    # a small cap forces one term per pass, channel blocks and offset groups
+    # a small cap forces one term per pass, and runs that split or span kernel offsets
     monkeypatch.setattr(tensors, "_STACK_BYTES", stack_bytes)
     rng = np.random.default_rng(stack_bytes)
     kernel = -np.abs(rng.standard_normal((3, 2, 5, 2)))
@@ -128,15 +137,17 @@ def test_conv_in_blocks_matches_direct_oracle(monkeypatch, stack_bytes):
 @pytest.mark.parametrize("rows_per_cell", [1, 10**9])  # row sums / accumulate in every pass
 @pytest.mark.parametrize("terms_per_pass", [1, 3, 9, 30, 10**6])
 @pytest.mark.parametrize("kernel_shape, map_shape", [
-    ((3, 3, 4, 2), (4, 5, 4)),  # 36 terms: 30 per pass take two kernel rows,
-                                # 9 two offsets of one row, 3 three channels of one offset
+    ((3, 3, 4, 2), (4, 5, 4)),  # 36 terms: 30 per pass take seven offsets,
+                                # 9 two offsets, 3 three channels of one offset
     ((5, 4, 3, 1), (3, 2, 3)),  # kernel larger than the map: 18 terms reach it
 ])
 def test_conv_passes_match_direct_oracle(
     monkeypatch, rows_per_cell, terms_per_pass, kernel_shape, map_shape
 ):
-    cells = map_shape[0] * map_shape[1] * kernel_shape[3]
-    monkeypatch.setattr(tensors, "_STACK_BYTES", 8 * cells * (1 + terms_per_pass))
+    cells, kernels = map_shape[0] * map_shape[1], kernel_shape[3]
+    # a pass holds the running sum, and per term a stack row and a gathered row
+    stack_bytes = 8 * cells * (kernels + terms_per_pass * (kernels + 1))
+    monkeypatch.setattr(tensors, "_STACK_BYTES", stack_bytes)
     monkeypatch.setattr(tensors, "_ROWS_PER_CELL_SUM", rows_per_cell)
     rng = np.random.default_rng(terms_per_pass)
     kernel = -np.abs(rng.standard_normal(kernel_shape))
@@ -145,6 +156,49 @@ def test_conv_passes_match_direct_oracle(
     got = conv(Tensor4(kernel), FeatureMap(fmap)).data
     assert got.tobytes() == direct_conv_oracle(kernel, fmap).tobytes()
     assert fmap.tobytes() == before.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kernel_rc=st.tuples(st.integers(1, 5), st.integers(1, 5)),  # up to larger than the map
+    map_hw=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    channels=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    kind=st.sampled_from(["normal", "half-zero", "negative"]),
+    stack_bytes=st.sampled_from([1, 200, 1000, 1 << 22]),  # one term a pass up to one pass
+)
+@settings(max_examples=60, deadline=None)
+def test_conv_sweep_matches_direct_oracle(seed, kernel_rc, map_hw, channels, kind, stack_bytes):
+    rng = np.random.default_rng(seed)
+    kernel, fmap = _oracle_case(rng, (*kernel_rc, *channels), (*map_hw, channels[0]), kind)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensors, "_STACK_BYTES", stack_bytes)
+        got = conv(Tensor4(kernel), FeatureMap(fmap)).data
+    assert got.tobytes() == direct_conv_oracle(kernel, fmap).tobytes()
+
+
+@pytest.mark.parametrize("stack_bytes", [5_000, 16_000, 64_000])
+def test_conv_holds_its_byte_cap(monkeypatch, stack_bytes):
+    # one pass of all 72 terms would take about 190 KB; the caps fit 1, 5 and 24
+    monkeypatch.setattr(tensors, "_STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(stack_bytes)
+    kernel = Tensor4(rng.standard_normal((3, 3, 8, 4)))
+    fmap = FeatureMap(rng.standard_normal((8, 8, 8)))
+    conv(kernel, fmap)  # caches the window index before the measurement
+    # a broadcast multiply also holds numpy's buffers, up to 2 x 8 x bufsize
+    # bytes (128 KB by default) whatever the cap; a small bufsize keeps them
+    # below the caps measured here
+    bufsize = np.setbufsize(256)
+    tracemalloc.start()
+    try:
+        out = conv(kernel, fmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    index = tensors._window_index(8, 8, 8, 3, 3)
+    slack = fmap.data.nbytes + 2 * 8 * 256 + 4096  # the padded map, ufunc buffers, small temporaries
+    assert peak <= stack_bytes + out.data.nbytes + index.nbytes + slack
+    assert out.data.tobytes() == direct_conv_oracle(kernel.data, fmap.data).tobytes()
 
 
 def test_conv_channel_mismatch_raises():
