@@ -11,13 +11,19 @@ per-trial differences, whose expectation is exactly zero under the identity.
 Block rule: every check draws its trials in blocks of 2^14 (the intersection
 tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
 block ``b`` always draws from ``seed.substream(b)`` and the block totals are
-summed in block order. The intersection tail reads its block in row chunks
-(about 2^17 values at a time), each chunk's words at their place in the
-block's stream: the chunks take the same words, in the same order, as one
-whole-block draw.
-Results are therefore bit-reproducible and independent of how trials would be
-fanned out across workers. Every check rejects ``trials < 1`` with
-:class:`ParameterError`.
+summed in block order.
+
+Checks that count hits (NSN hit, joint window, chi-squared tails and the
+intersection tail) stream each block: the block's trials are split into
+contiguous ranges, one per tile (``sampling._map_rows``), and each tile reads
+its trials in row chunks, each chunk's words at their place in the block's
+stream, and counts the chunk's hits; the counts are summed. Each trial is
+reduced by the expression a whole-block draw would get, on a slice of the
+same row shape, so the counts are those of one whole-block draw. The checks
+that sum floats (most probable interval, second moment) reduce each whole
+block on the calling thread, where the order of the additions is fixed.
+Results are therefore bit-reproducible and independent of the CPU count.
+Every check rejects ``trials < 1`` with :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,16 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .pruning import PruneParams, prune_random_layer
-from .sampling import SeedSpec, _normals, _nsn_vectors, _substream_keys, _uniforms, _words_at
+from .sampling import (
+    SeedSpec,
+    _map_rows,
+    _normals,
+    _nsn_vectors,
+    _reduce_normals,
+    _substream_keys,
+    _uniforms,
+    _words_at,
+)
 from . import solvers
 from .solvers import (
     SolverParams,
@@ -196,18 +211,20 @@ def intersection_tail_bound(k: int, d: int) -> float:
 def check_chi_squared_tails(
     d: int, t: float, trials: int, seed: SeedSpec
 ) -> tuple[BoundCheckResult, BoundCheckResult]:
-    """Empirical chi-squared(d) tail frequencies against exp(-t) on both sides."""
+    """Empirical chi-squared(d) tail frequencies against exp(-t) on both sides.
+    Each trial's d normals are counted on the tiles, chunk by chunk."""
     if d < 1 or not t > 0.0:
         raise ParameterError("need d >= 1, t > 0")
     upper_threshold = d + 2.0 * math.sqrt(d * t) + 2.0 * t
     lower_threshold = d - 2.0 * math.sqrt(d * t)
 
-    def draw(key, count):
-        draws = _normals([key], count * d).reshape(count, d)
+    def tails(lo, values):
+        draws = values.reshape(len(values), d)
         stat = (draws * draws).sum(axis=1)
         return int((stat >= upper_threshold).sum()), int((stat <= lower_threshold).sum())
 
-    hits_hi, hits_lo = _block_totals(trials, seed, draw)
+    hits_hi, hits_lo = _block_totals(
+        trials, seed, lambda key, count: _reduce_normals(key, count, 1, d, tails, scaled=False))
     bound = chi_squared_tail_bound(t)
     params = {"d": d, "t": t}
     return (
@@ -223,7 +240,7 @@ def check_most_probable_interval(
 ) -> BoundCheckResult:
     """For centred normals, the interval around 0 is the most probable one of
     its width. Tested paired: per draw, 1[centre hit] - 1[shifted hit] has
-    nonnegative expectation."""
+    nonnegative expectation. Its float sums run on the calling thread."""
     if not sigma > 0.0 or not epsilon > 0.0:
         raise ParameterError("need sigma > 0, epsilon > 0")
 
@@ -250,7 +267,8 @@ def check_nsn_hit_lower_bound(
     d: int, k: int, epsilon: float, z, trials: int, seed: SeedSpec
 ) -> BoundCheckResult:
     """Frequency of ``sum of k NSN vectors`` landing in the eps box around z,
-    against the closed-form lower bound."""
+    against the closed-form lower bound. A trial is a row of k vectors, its
+    hits counted on the tiles, chunk by chunk."""
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if k < 16:
         raise ParameterError("hypothesis requires k >= 16")
@@ -263,11 +281,12 @@ def check_nsn_hit_lower_bound(
     if float(np.abs(z).sum()) > math.sqrt(k):
         raise ParameterError("hypothesis requires l1 norm of z at most sqrt(k)")
 
-    def draw(key, count):
-        sums = _nsn_vectors([key], count * k, d).reshape(count, k, d).sum(axis=1)
+    def hits_of(lo, vectors):
+        sums = vectors.sum(axis=1)
         return (int((np.abs(sums - z) <= epsilon).all(axis=1).sum()),)
 
-    (hits,) = _block_totals(trials, seed, draw)
+    (hits,) = _block_totals(
+        trials, seed, lambda key, count: _reduce_normals(key, count, k, d, hits_of))
     return _frequency(f"nsn hit lower bound d={d} k={k} eps={epsilon}", hits,
                       nsn_hit_lower_bound(d, k, epsilon), BoundDirection.LOWER, trials,
                       {"d": d, "k": k, "epsilon": epsilon, "z": z.tolist()})
@@ -281,7 +300,8 @@ def check_joint_upper_bound(
     Windows share the middle block: A sums vectors 1..j, B sums j+1..k, C sums
     k+1..k+j; the event is {A+B and B+C both in the box}. The asymptotic
     hypothesis on k carries an unknown constant, so only the fixed desk regime
-    k >= 64 is enforced here and the bound is checked empirically.
+    k >= 64 is enforced here and the bound is checked empirically. A trial is
+    a row of k + j vectors, its hits counted on the tiles, chunk by chunk.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if not 1 <= j <= k:
@@ -293,8 +313,7 @@ def check_joint_upper_bound(
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
 
-    def draw(key, count):
-        draws = _nsn_vectors([key], count * (k + j), d).reshape(count, k + j, d)
+    def hits_of(lo, draws):
         first = draws[:, :j].sum(axis=1)
         middle = draws[:, j:k].sum(axis=1) if j < k else np.zeros_like(first)
         last = draws[:, k:].sum(axis=1)
@@ -302,7 +321,8 @@ def check_joint_upper_bound(
         hit &= (np.abs(middle + last - z) <= epsilon).all(axis=1)
         return (int(hit.sum()),)
 
-    (hits,) = _block_totals(trials, seed, draw)
+    (hits,) = _block_totals(
+        trials, seed, lambda key, count: _reduce_normals(key, count, k + j, d, hits_of))
     return _frequency(f"joint window upper bound d={d} k={k} j={j} eps={epsilon}", hits,
                       joint_hit_upper_bound(d, j, epsilon), BoundDirection.UPPER, trials,
                       {"d": d, "k": k, "j": j, "epsilon": epsilon, "z": z.tolist(),
@@ -356,6 +376,9 @@ class SecondMomentReport:
 def check_second_moment_identity(
     n: int, k: int, d: int, epsilon: float, z, trials: int, seed: SeedSpec
 ) -> SecondMomentReport:
+    """The identities of :class:`SecondMomentReport` over ``trials`` ensembles
+    of n NSN vectors. Each block is drawn whole, and its float sums run on the
+    calling thread."""
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if n > 10 or k > 4:
         raise ParameterError("double enumeration budget requires n <= 10 and k <= 4")
@@ -424,19 +447,22 @@ def _intersection_overlaps(key, count: int, n: int, k: int) -> np.ndarray:
     ``w * 2**-53``, w the 53-bit words (raw words shifted right by 11) that
     stream ``key`` reads in turn: the values ``Generator.random`` draws.
     Scaling by a power of two keeps their order and ties, so the rows are
-    compared as the words themselves. They are read ``_TAIL_CHUNK // n`` rows
+    compared as the words themselves. The rows are split over the tiles
+    (:func:`sampling._map_rows`), each tile reading ``_TAIL_CHUNK // n`` rows
     at a time (at least one), each chunk at its place in the stream
     (:func:`sampling._words_at`); each chunk keeps a copy of its first k
-    columns and is then partitioned in place.
+    columns, is partitioned in place and writes its rows' overlaps.
     """
-    rows = max(1, _TAIL_CHUNK // n)
     overlaps = np.empty(count, dtype=np.intp)
-    for lo in range(0, count, rows):
-        chunk = min(rows, count - lo)
-        words = _words_at(key, lo * n, chunk * n).reshape(chunk, n)
+
+    def chunk(lo, hi):
+        words = _words_at(key, lo * n, (hi - lo) * n).reshape(hi - lo, n)
         head = words[:, :k].copy()
         words.partition(k - 1, axis=1)
-        np.sum(head <= words[:, k - 1 : k], axis=1, out=overlaps[lo : lo + len(words)])
+        np.sum(head <= words[:, k - 1 : k], axis=1, out=overlaps[lo:hi])
+        return ()
+
+    _map_rows(count, _TAIL_CHUNK // n, count * n, chunk)
     return overlaps
 
 

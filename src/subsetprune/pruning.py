@@ -57,7 +57,7 @@ from .masks import (
     sign_split_mask,
     validate_structure,
 )
-from .sampling import SeedSpec, sample_normal_tensor, sample_uniform_map
+from .sampling import SeedSpec, _substream_keys, _uniforms, sample_normal_tensor
 from .solvers import (
     DEFAULT_ENUMERATION_BUDGET,
     CardinalityMode,
@@ -430,13 +430,20 @@ def make_probes(
     seed: SeedSpec,
     magnitude: float = 1.0,
 ) -> list[FeatureMap]:
-    """Seeded uniform probes plus the two constant corner inputs at +-magnitude."""
-    probes = [
-        sample_uniform_map(height, width, channels, seed.substream(i), magnitude)
-        for i in range(count)
-    ]
-    probes.append(FeatureMap(np.full((height, width, channels), magnitude)))
-    probes.append(FeatureMap(np.full((height, width, channels), -magnitude)))
+    """Seeded uniform probes plus the two constant corner inputs at +-magnitude.
+
+    Probe i is ``sample_uniform_map(height, width, channels, seed.substream(i),
+    magnitude)``, with its checks; all probes are drawn in one keyed read."""
+    shape = (height, width, channels)
+    if count > 0 and min(shape) < 1:
+        raise ShapeError("all dimensions must be positive")
+    if count > 0 and not magnitude > 0.0:
+        raise ParameterError("need high > low")
+    draws = _uniforms(_substream_keys([seed], range(count)), height * width * channels,
+                      -magnitude, magnitude)
+    probes = [FeatureMap(row.reshape(shape)) for row in draws]
+    probes.append(FeatureMap(np.full(shape, magnitude)))
+    probes.append(FeatureMap(np.full(shape, -magnitude)))
     return probes
 
 

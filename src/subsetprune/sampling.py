@@ -12,18 +12,27 @@ generator would (:func:`_rewound`). A rewound generator is valid until the
 thread's next draw, so no caller holds two at once: a draw reads all it needs
 from one stream before it rewinds to the next.
 
-One word reader (:func:`_raw`) reads each stream's block at once; only the
-intersection tail reads its words in chunks, each with :func:`_words_at`. A
-53-bit word (:func:`_words`) is a raw Philox word shifted right by 11, and a
-uniform maps it into the open interval (0, 1). An n-value normal draw takes
+One word reader (:func:`_raw`) reads each stream's block at once; the tiles
+below read their chunks' words at their place in the stream instead
+(:func:`_words_at`: counter word // 4, then word % 4 words skipped). A 53-bit
+word (:func:`_words`) is a raw Philox word shifted right by 11, and a uniform
+maps it into the open interval (0, 1). An n-value normal draw takes
 2 * ceil(n/2) words and pairs uniform p with uniform ceil(n/2) + p in the
-Box-Muller transform (see :func:`_box_muller`). A large one-stream normal
-draw is split into tiles over one thread per CPU (:func:`_normal_parts`).
-Each tile reads its words at their place in the stream (:func:`_words_at`:
-counter word // 4, then word % 4 words skipped) and writes straight into
-the output; a draw of many streams runs on the calling thread. Each value
-is computed from its own two words alone, so no byte depends on the CPU
-count or on scheduling. Hence
+Box-Muller transform (see :func:`_box_muller`).
+
+A large one-stream draw is one map-reduce over tiles, one thread per CPU
+(:func:`_map_rows`). Each tile walks a contiguous range of the draw's rows in
+chunks, reads each chunk's words, and hands the chunk to a reducer that
+returns integer counts; the tiles' counts are summed. For normals and NSN
+vectors (:func:`_reduce_normals`) a chunk is its rows' values; a large
+:func:`_normals` or :func:`_nsn_vectors` draw is the same map with a reducer
+that writes each chunk into the output. The lemma checks that count hits
+(NSN hit, joint window, chi-squared tails, intersection tail) reduce on the
+tiles; the checks that sum floats reduce on the calling thread, since
+splitting a float sum would reorder its additions. A draw of many streams
+runs on the calling thread. Each value is computed from its own two words
+alone, and a sum of ints does not depend on the order of its terms, so no
+byte depends on the CPU count or on scheduling. Hence
 ``(seed, stream, sequence of draw lengths)`` fully determines every value; a
 value depends on the length of the call that drew it, so a longer draw does
 not extend a shorter one. Distinct stream ids give independent streams.
@@ -65,7 +74,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L2
-_TILE_PAIRS = 1 << 16  # pairs a tile reads and transforms at once
+_TILE_PAIRS = 1 << 15  # pairs a tile reads and transforms at once
 _INLINE_PAIRS = 1 << 15  # a normal draw of fewer pairs runs on the calling thread alone
 _HEAD_WORDS = 48  # raw words a restart-heads draw first reads per key, at least
 _HEADS_BYTES = 1 << 22  # largest block of words and shuffled rows a heads draw replays at once
@@ -128,16 +137,40 @@ def _pool():
         return _POOL
 
 
-def _run(tiles) -> None:
+def _run(tiles) -> list:
     """Run each tile (a callable): the first on this thread, the others on the
-    pool, and wait for all of them."""
+    pool. Wait for all of them, and return their results in order."""
     futures = [_pool().submit(tile) for tile in tiles[1:]]
     try:
-        if tiles:
-            tiles[0]()
+        first = tiles[0]()
     finally:
-        for future in futures:
-            future.result()
+        for future in futures:  # wait for every tile, even when this one raised
+            future.exception()
+    return [first] + [future.result() for future in futures]
+
+
+def _map_rows(rows: int, chunk: int, words: int, work) -> list[int]:
+    """Map-reduce over the rows ``0 .. rows - 1`` of a one-row draw of
+    ``words`` words: the position-wise sums of the tuples of ints that
+    ``work(lo, hi)`` returns for rows ``lo:hi``, ``chunk`` rows at a time (at
+    least one).
+
+    A draw of at least ``2 * _INLINE_PAIRS`` words runs as ``_WORKERS`` tiles
+    (:func:`_run`), each a contiguous range of rows; any other as one tile on
+    this thread. ``work`` reads its chunk's words at their place in the stream
+    (:func:`_words_at`) and must start no tiled draw: a tile that waits on the
+    pool its own worker belongs to could wait forever. Sums of ints do not
+    depend on the order they are added in, so no total depends on the tiles or
+    the chunks."""
+    tiles = _WORKERS if words >= 2 * _INLINE_PAIRS else 1
+    chunk = max(1, chunk)
+
+    def tile(first: int, last: int) -> list:
+        return [work(lo, min(lo + chunk, last)) for lo in range(first, last, chunk)]
+
+    tiled = _run([functools.partial(tile, rows * t // tiles, rows * (t + 1) // tiles)
+                  for t in range(tiles)])
+    return [sum(column) for column in zip(*(part for parts in tiled for part in parts))]
 
 
 def _substream_keys(seeds, indices) -> list[tuple[int, int]]:
@@ -265,16 +298,56 @@ def _box_muller(radius_words: np.ndarray, theta_words: np.ndarray, out: np.ndarr
         np.multiply(radius, np.sin(theta, out=trig), out=sines[:, lo:hi])
 
 
-def _pair_tile(key, parts) -> None:
-    """Pairs ``lo:hi`` of each part ``(first, m, lo, hi, out)`` of a one-row draw
-    whose part starts at word ``first`` and has m pairs: pair p takes words
-    ``first + p`` and ``first + m + p``, read from their place in the stream
-    ``_TILE_PAIRS`` pairs at a time, and writes ``out[:, 2p : 2p + 2]``."""
-    for first, m, lo, hi, out in parts:
-        for a in range(lo, hi, _TILE_PAIRS):
-            b = min(a + _TILE_PAIRS, hi)
-            _box_muller(_words_at(key, first + a, b - a), _words_at(key, first + m + a, b - a),
-                        out[:, 2 * a : 2 * b])
+def _chunk_normals(key, first: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """Values ``lo:hi`` of the part of a one-row draw that starts at word
+    ``first`` and has m pairs: :func:`_box_muller` of the pairs that hold them,
+    pair p from words ``first + p`` and ``first + m + p``, read at their place
+    in the stream (:func:`_words_at`). A pair split by ``lo`` or ``hi`` is
+    transformed whole and only its half inside is kept."""
+    a, b = lo // 2, (hi + 1) // 2
+    out = np.empty((1, 2 * (b - a)))
+    _box_muller(_words_at(key, first + a, b - a), _words_at(key, first + m + a, b - a), out)
+    return out[0, lo - 2 * a : hi - 2 * a]
+
+
+def _reduce_normals(key, rows: int, width: int, d: int, reduce, scaled: bool = True) -> list[int]:
+    """The sums of ``reduce(lo, values)`` over a one-row draw of ``rows`` rows
+    of ``width`` d-dimensional vectors, ``values`` the ``(hi - lo, width, d)``
+    vectors of rows ``lo:hi``, in chunks of about ``_TILE_PAIRS`` pairs, on
+    the tiles (:func:`_map_rows`).
+
+    The draw is :func:`_nsn_vectors` of ``rows * width`` vectors, or with
+    ``scaled`` false :func:`_normals` of ``rows * width * d`` values: each
+    part's values of a chunk are :func:`_chunk_normals`, the directions scaled
+    in place, so a row's values are the whole draw's bytes. ``reduce`` returns
+    a tuple of ints, or writes its rows into an output and returns ``()``; it
+    never draws (see :func:`_map_rows`)."""
+    widths = (width, width * d) if scaled else (width * d,)
+    pairs = [(rows * w + 1) // 2 for w in widths]
+    firsts = [2 * sum(pairs[:i]) for i in range(len(pairs))]
+
+    def work(lo: int, hi: int):
+        parts = [_chunk_normals(key, first, m, lo * w, hi * w)
+                 for first, m, w in zip(firsts, pairs, widths)]
+        values = parts[-1].reshape(hi - lo, width, d)
+        if scaled:  # IEEE x commutes
+            np.multiply(values, parts[0].reshape(hi - lo, width, 1), out=values)
+        return reduce(lo, values)
+
+    return _map_rows(rows, 2 * _TILE_PAIRS // sum(widths), 2 * sum(pairs), work)
+
+
+def _tiled(key, n: int, d: int, scaled: bool) -> np.ndarray:
+    """The ``(1, n, d)`` draw of :func:`_reduce_normals` at width 1, each chunk
+    written into its rows."""
+    out = np.empty((1, n, d))
+
+    def write(lo: int, values: np.ndarray) -> tuple:
+        out[0, lo : lo + len(values)] = values[:, 0]
+        return ()
+
+    _reduce_normals(key, n, 1, d, write, scaled)
+    return out
 
 
 def _row_tile(keys, outs) -> None:
@@ -290,32 +363,23 @@ def _row_tile(keys, outs) -> None:
 
 
 def _normal_parts(keys, *lengths) -> list[np.ndarray]:
-    """One ``(len(keys), n)`` block of normals per length n: in each row, part
-    i is :func:`_box_muller` of the ``2 * ceil(n/2)`` words of stream
-    ``keys[r]`` that follow the earlier parts' words, pair p taking words p and
-    ``ceil(n/2) + p`` of them.
-
-    A one-row draw of at least ``_INLINE_PAIRS`` pairs (each lemma check's)
-    runs as ``_WORKERS`` tiles (:func:`_run`), each part's pairs split into
-    equal ranges (:func:`_pair_tile`). Any other draw is one row tile on this
-    thread (:func:`_row_tile`). Each value is computed from its own two words
-    alone, so no byte depends on the tiles."""
+    """One ``(len(keys), n)`` block of normals per length n, drawn on this
+    thread (:func:`_row_tile`): in each row, part i is :func:`_box_muller` of
+    the ``2 * ceil(n/2)`` words of stream ``keys[r]`` that follow the earlier
+    parts' words, pair p taking words p and ``ceil(n/2) + p`` of them."""
     outs = [np.empty((len(keys), 2 * ((n + 1) // 2))) for n in lengths]
-    pairs = [out.shape[1] // 2 for out in outs]
-    if len(keys) == 1 and sum(pairs) >= _INLINE_PAIRS:
-        firsts = [2 * sum(pairs[:i]) for i in range(len(pairs))]
-        _run([functools.partial(_pair_tile, keys[0], [
-            (first, m, m * t // _WORKERS, m * (t + 1) // _WORKERS, out)
-            for first, m, out in zip(firsts, pairs, outs)]) for t in range(_WORKERS)])
-    else:
-        _row_tile(keys, outs)
+    _row_tile(keys, outs)
     return [out[:, :n] for out, n in zip(outs, lengths)]
 
 
 def _normals(keys, n: int) -> np.ndarray:
     """``(len(keys), n)`` normals, row r :func:`_box_muller` of the first
     ``2 * ceil(n/2)`` words of stream ``keys[r]``, so a value depends on the
-    draw's length ``n``."""
+    draw's length ``n``. A one-row draw of at least ``_INLINE_PAIRS`` pairs
+    runs on the tiles (:func:`_tiled`); each value is computed from its own two
+    words alone, so no byte depends on the path."""
+    if len(keys) == 1 and (n + 1) // 2 >= _INLINE_PAIRS:
+        return _tiled(keys[0], n, 1, scaled=False).reshape(1, n)
     return _normal_parts(keys, n)[0]
 
 
@@ -330,15 +394,18 @@ def _uniforms(keys, n: int, low: float, high: float) -> np.ndarray:
 
 def _nsn_parts(keys, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(rows, n)`` scalars and ``(rows, n, d)`` directions of the NSN
-    vectors of streams ``keys``: per stream, the scalars' ``2 * ceil(n/2)``
-    words, then the directions' ``2 * ceil(n d/2)``."""
+    vectors of streams ``keys``, drawn on this thread: per stream, the
+    scalars' ``2 * ceil(n/2)`` words, then the directions' ``2 * ceil(n d/2)``."""
     scalars, directions = _normal_parts(keys, n, n * d)
     return scalars, directions.reshape(-1, n, d)
 
 
 def _nsn_vectors(keys, n: int, d: int) -> np.ndarray:
     """``(rows, n, d)`` NSN vectors: the directions of :func:`_nsn_parts`, each
-    scaled by its scalar in place."""
+    scaled by its scalar in place. A one-row draw of at least ``_INLINE_PAIRS``
+    pairs runs on the tiles (:func:`_tiled`), with the same bytes."""
+    if len(keys) == 1 and (n + 1) // 2 + (n * d + 1) // 2 >= _INLINE_PAIRS:
+        return _tiled(keys[0], n, d, scaled=True)
     scalars, directions = _nsn_parts(keys, n, d)
     return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
 

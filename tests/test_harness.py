@@ -2,6 +2,7 @@
 
 import functools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from subsetprune import (
     scan_rssp_phase,
     search_subsets,
 )
-from subsetprune import harness, solvers
+from subsetprune import harness, sampling, solvers
 from subsetprune.harness import (
     _block_totals,
     _intersection_overlaps,
@@ -41,6 +42,7 @@ from subsetprune.harness import (
     write_csv,
 )
 from subsetprune.sampling import _key, _words
+from test_sampling import _rows_reference, workers  # noqa: F401 (a fixture)
 from test_solvers import reference_first_cover
 
 SEED = SeedSpec(777)
@@ -280,6 +282,144 @@ class TestIntersectionTail:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+# Streamed checks against full-draw reference loops: each block of the block
+# rule is drawn whole on a fresh generator and reduced by the expression the
+# check applies to its chunks
+
+
+def _full_draw_totals(trials, seed, block_totals, block=1 << 14):
+    """Sums of ``block_totals(stream, count)`` over the blocks of the block rule."""
+    starts = range(0, trials, block)
+    return sum(np.asarray(block_totals(seed.substream(b), min(block, trials - start)))
+               for b, start in enumerate(starts)).tolist()
+
+
+def _streamed_estimates(trials):
+    """The estimates of the streamed checks (NSN hit, joint window, both
+    chi-squared tails): a row width of 16 in d = 2, an odd 65 in d = 1, and 3
+    plain normals."""
+    results = [check_nsn_hit_lower_bound(2, 16, 0.249, [0.1, -0.1], trials, SEED.substream(41)),
+               check_joint_upper_bound(1, 64, 1, 1.5, [0.3], trials, SEED.substream(42)),
+               *check_chi_squared_tails(3, 0.5, trials, SEED.substream(43))]
+    return [result.estimate for result in results]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_draw_hits(trials):
+    def nsn(stream, count):
+        sums = _rows_reference(stream, count, 16, 2, True).sum(axis=1)
+        return [(np.abs(sums - [0.1, -0.1]) <= 0.249).all(axis=1).sum()]
+
+    def joint(stream, count):
+        draws = _rows_reference(stream, count, 65, 1, True)
+        first, middle, last = (draws[:, :1].sum(axis=1), draws[:, 1:64].sum(axis=1),
+                               draws[:, 64:].sum(axis=1))
+        hit = (np.abs(first + middle - 0.3) <= 1.5).all(axis=1)
+        hit &= (np.abs(middle + last - 0.3) <= 1.5).all(axis=1)
+        return [hit.sum()]
+
+    def chi(stream, count):
+        draws = _rows_reference(stream, count, 1, 3, False).reshape(count, 3)
+        stat = (draws * draws).sum(axis=1)
+        return [(stat >= 3 + 2 * math.sqrt(1.5) + 1).sum(), (stat <= 3 - 2 * math.sqrt(1.5)).sum()]
+
+    return [*_full_draw_totals(trials, SEED.substream(41), nsn),
+            *_full_draw_totals(trials, SEED.substream(42), joint),
+            *_full_draw_totals(trials, SEED.substream(43), chi)]
+
+
+class TestStreamedChecks:
+    @pytest.mark.parametrize("trials", [1, 12945, 40000])
+    def test_equal_full_draws(self, workers, trials):
+        # 40000 trials: three blocks, the last partial, several chunks per tile
+        hits = _full_draw_hits(trials)
+        assert _streamed_estimates(trials) == [h / trials for h in hits]
+        assert trials == 1 or min(hits) > 0
+
+    @pytest.mark.parametrize("trials", [1, 7, 300])
+    def test_equal_full_draws_in_chunks_of_a_few_rows(self, workers, monkeypatch, trials):
+        # one row a chunk for the NSN checks, 26 for chi-squared, all tiled
+        monkeypatch.setattr(sampling, "_TILE_PAIRS", 40)
+        monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
+        assert _streamed_estimates(trials) == [h / trials for h in _full_draw_hits(trials)]
+
+    @pytest.mark.parametrize("trials", [1, 12945, 40000])
+    def test_tail_equals_full_draws(self, workers, trials):
+        assert check_intersection_tail(100, 10, 2, trials, SEED.substream(18)).estimate == (
+            _tail_full_draw_hits(trials) / trials)
+
+    @pytest.mark.parametrize("trials", [1, 301])
+    def test_tail_equals_full_draws_in_chunks_of_a_few_rows(self, workers, monkeypatch, trials):
+        monkeypatch.setattr(harness, "_TAIL_CHUNK", 250)  # two rows of 100
+        monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
+        assert check_intersection_tail(100, 10, 2, trials, SEED.substream(18)).estimate == (
+            _tail_full_draw_hits(trials) / trials)
+
+    @pytest.mark.parametrize("check", [
+        lambda seed: check_joint_upper_bound(2, 64, 64, 0.1, [0, 0], 12945, seed),
+        lambda seed: check_nsn_hit_lower_bound(3, 64, 0.2, [0, 0, 0], 12945, seed),
+    ], ids=["joint", "nsn"])
+    def test_memory_is_a_few_chunks(self, monkeypatch, check):
+        # a whole block of normals is 42.1 MB for the joint window, 28.9 MB
+        # for the d = 3 NSN hit; three tiles hold a chunk each
+        monkeypatch.setattr(sampling, "_WORKERS", 3)
+        monkeypatch.setattr(sampling, "_POOL", None)
+        try:
+            check(SEED.substream(44))  # the pool's threads and generators exist
+            tracemalloc.start()
+            try:
+                check(SEED.substream(44))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            sampling._POOL.shutdown()
+        assert peak < 8e6
+
+    def test_no_reducer_draws_and_no_tile_starts_tiles(self, workers, monkeypatch):
+        # a draw from a reducer on a worker could wait on the pool its own
+        # tile holds a worker of
+        expected = _streamed_estimates(300), check_intersection_tail(100, 10, 2, 300, SEED)
+        state = threading.local()
+        engine, run, philox = sampling._reduce_normals, sampling._run, sampling._thread_philox
+
+        def flagged(name, call):
+            def wrapper(*args):
+                setattr(state, name, True)
+                try:
+                    return call(*args)
+                finally:
+                    setattr(state, name, False)
+            return wrapper
+
+        def guarded_engine(key, rows, width, d, reduce, scaled=True):
+            return engine(key, rows, width, d, flagged("reducing", reduce), scaled)
+
+        def guarded_run(tiles):
+            assert not getattr(state, "tile", False), "a tile started tiles"
+            return run([flagged("tile", tile) for tile in tiles])
+
+        def guarded_philox():
+            assert not getattr(state, "reducing", False), "a reducer drew"
+            return philox()
+
+        monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
+        monkeypatch.setattr(harness, "_reduce_normals", guarded_engine)
+        monkeypatch.setattr(sampling, "_run", guarded_run)
+        monkeypatch.setattr(sampling, "_thread_philox", guarded_philox)
+        got = _streamed_estimates(300), check_intersection_tail(100, 10, 2, 300, SEED)
+        assert got == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_full_draw_hits(trials):
+    """Intersection-tail hits of ``check_intersection_tail(100, 10, 2, trials,
+    SEED.substream(18))`` from one-shot blocks of 2^14."""
+    (hits,) = _full_draw_totals(trials, SEED.substream(18), lambda stream, count: [
+        (_one_shot_overlaps(_fresh(stream), count, 100, 10) >= 5).sum()])
+    return hits
 
 
 def _one_shot_overlaps(rng, count, n, k):

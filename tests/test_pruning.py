@@ -570,6 +570,24 @@ class TestProbeError:
         assert worst > 0.0
         assert probe_error((target,), (expansion, mixing), (result.mask,), probes) == worst
 
+    @pytest.mark.parametrize("count", [0, 1, 254])
+    @pytest.mark.parametrize("shape, magnitude", [((4, 4, 1), 1.0), ((3, 5, 2), 0.25),
+                                                  ((1, 1, 1), 3.0)])
+    def test_probes_are_the_per_probe_draws(self, count, shape, magnitude):
+        seed = SeedSpec(61, count)
+        expected = [sample_uniform_map(*shape, seed.substream(i), magnitude) for i in range(count)]
+        expected += [FeatureMap(np.full(shape, sign * magnitude)) for sign in (1.0, -1.0)]
+        probes = make_probes(*shape, count, seed, magnitude)
+        assert [p.shape for p in probes] == [e.shape for e in expected]
+        assert [p.data.tobytes() for p in probes] == [e.data.tobytes() for e in expected]
+
+    def test_probe_draw_checks_are_the_per_probe_ones(self):
+        with pytest.raises(ShapeError):
+            make_probes(0, 4, 1, 3, SeedSpec(1))
+        with pytest.raises(ParameterError):
+            make_probes(4, 4, 1, 3, SeedSpec(1), 0.0)
+        assert len(make_probes(4, 4, 1, 0, SeedSpec(1), 0.0)) == 2  # no probe drawn
+
     def test_mask_count_must_match_the_layers(self):
         seed = SeedSpec(124)
         randoms = NetworkSpec(1, 4, (1, 1), (2,), (4,)).sample_random_net(seed)

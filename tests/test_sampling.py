@@ -1,6 +1,7 @@
 """Seeded sampling: determinism, moments, ensemble structure."""
 
 import concurrent.futures
+import functools
 import math
 import os
 import signal
@@ -186,13 +187,21 @@ def workers(request, monkeypatch):
 
 def _tile_scratch(workers: int) -> int:
     """What the tiles of a one-row draw hold at once beside the output: per
-    tile, the two word windows of one sub-chunk, the Box-Muller scratch and
-    64 KiB for a ufunc's cast buffer."""
-    return workers * (2 * 8 * sampling._TILE_PAIRS + 3 * 8 * _PAIRS + (1 << 16))
+    tile, one chunk's values and the two word windows of one of its parts
+    (each at most 16 bytes a pair of the chunk's ``_TILE_PAIRS``), the
+    Box-Muller scratch and 64 KiB for a ufunc's cast buffer."""
+    return workers * (4 * 8 * sampling._TILE_PAIRS + 3 * 8 * _PAIRS + (1 << 16))
+
+
+def _warm_tiles() -> None:
+    """One small tiled draw, so that the pool's threads and their Philox
+    generators exist before a peak is traced."""
+    _normals([_key(SeedSpec(4))], 2 * sampling._INLINE_PAIRS)
 
 
 def test_normals_peak_memory_is_output_plus_tile_scratch(workers):
     n = 3_313_920  # joint-check directions of a 12945-trial block: 128 vectors x d = 2
+    _warm_tiles()
     tracemalloc.start()
     try:
         _normals([_key(SeedSpec(4))], n)
@@ -203,16 +212,17 @@ def test_normals_peak_memory_is_output_plus_tile_scratch(workers):
 
 
 def test_nsn_draw_peak_memory_is_output_plus_tile_scratch(workers):
-    # 12945 trials of a 72-vector joint window in d = 2: no word block is
-    # kept, and the vectors are the directions scaled in place
+    # 12945 trials of a 72-vector joint window in d = 2: no word block and no
+    # scalar block is kept, each chunk's directions are scaled in place
     n, d = 12945 * 72, 2
+    _warm_tiles()
     tracemalloc.start()
     try:
         sampling._nsn_vectors([_key(SeedSpec(4))], n, d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (n * d + n) + _tile_scratch(workers)
+    assert peak <= 8 * n * d + _tile_scratch(workers)
 
 
 _TILE, _INLINE = sampling._TILE_PAIRS, sampling._INLINE_PAIRS
@@ -260,6 +270,73 @@ def test_tiles_keep_every_byte_at_small_sizes(workers, monkeypatch):
         for n in (1, 2, 3, 6, 7, 13, 29):
             for d in (1, 2, 3):
                 _assert_fresh_draws(rows, n, d)
+
+
+def _rows_reference(seed: SeedSpec, rows: int, width: int, d: int, scaled: bool) -> np.ndarray:
+    """The ``(rows, width, d)`` values of a whole-array draw on a fresh
+    generator: NSN vectors, or plain normals when not ``scaled``."""
+    rng = _fresh(seed)
+    if not scaled:
+        return _box_muller_reference(rng, rows * width * d).reshape(rows, width, d)
+    scalars = _box_muller_reference(rng, rows * width).reshape(rows, width, 1)
+    return _box_muller_reference(rng, rows * width * d).reshape(rows, width, d) * scalars
+
+
+def _assert_reduced_rows(rows: int, width: int, d: int, scaled: bool, cap: int) -> None:
+    """Every chunk ``_reduce_normals`` hands over holds its rows' bytes, and
+    the totals are the whole draw's."""
+    seed = SeedSpec(47, rows * width * d)
+    expected = _rows_reference(seed, rows, width, d, scaled)
+    got = np.full_like(expected, np.nan)
+
+    def reduce(lo, values):
+        assert values.shape[1:] == (width, d) and 1 <= len(values) <= cap
+        got[lo : lo + len(values)] = values
+        return len(values), int(np.signbit(values).sum())
+
+    totals = sampling._reduce_normals(_key(seed), rows, width, d, reduce, scaled)
+    assert got.tobytes() == expected.tobytes()
+    assert totals == [rows, int(np.signbit(expected).sum())]
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("rows,width,d", [(1, 1, 1), (2, 1, 1), (7, 3, 1), (5, 1, 3),
+                                          (40, 3, 2), (33, 65, 1)])
+def test_reduced_chunks_of_a_few_rows_keep_every_byte(workers, monkeypatch, rows, width, d,
+                                                      scaled):
+    # chunks of 1 to 4 rows, tiled at every size: an odd row width splits a
+    # Box-Muller pair at chunk and tile edges, and the pair is kept whole
+    monkeypatch.setattr(sampling, "_TILE_PAIRS", 4)
+    monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
+    monkeypatch.setattr(sampling, "_BOX_MULLER_PAIRS", 2)
+    _assert_reduced_rows(rows, width, d, scaled, max(1, 8 // (width * (d + scaled))))
+
+
+@pytest.mark.parametrize("rows,width,d,scaled", [
+    (12945, 65, 1, True),  # 504-row chunks of an odd width; at 3 tiles a tile starts mid-pair
+    (12945, 1, 16, False),  # the chi-squared check at d = 16
+    (1, 128, 2, True),  # one row, below the inline threshold
+])
+def test_reduced_chunks_keep_every_byte(workers, rows, width, d, scaled):
+    _assert_reduced_rows(rows, width, d, scaled, max(1, 2 * _TILE // (width * (d + scaled))))
+
+
+def test_run_returns_tile_results_after_every_tile_ends(workers):
+    ended = []
+
+    def tile(t):
+        time.sleep(0.01 * t)
+        ended.append(t)
+        if t == 0:
+            raise ValueError("tile 0")
+        return t
+
+    assert sampling._run([functools.partial(tile, t) for t in range(1, workers + 1)]) == list(
+        range(1, workers + 1))
+    ended.clear()
+    with pytest.raises(ValueError, match="tile 0"):
+        sampling._run([functools.partial(tile, t) for t in range(workers + 1)])
+    assert sorted(ended) == list(range(workers + 1))
 
 
 @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, (1 << 16) + 3])
