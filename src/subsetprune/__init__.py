@@ -8,9 +8,7 @@ from .tensors import (
     conv,
     neg_part,
     norm_l1,
-    norm_max,
     pos_part,
-    relu,
 )
 from .sampling import (
     SeedSpec,

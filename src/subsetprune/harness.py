@@ -13,15 +13,15 @@ tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
 block ``b`` always draws from ``seed.substream(b)`` and the block totals are
 summed in block order.
 
-Checks that count hits (NSN hit, joint window, chi-squared tails and the
-intersection tail) stream each block: the block's trials are split into
-contiguous ranges, one per tile (``sampling._map_rows``), and each tile reads
-its trials in row chunks, each chunk's words at their place in the block's
-stream, and counts the chunk's hits; the counts are summed. Each trial is
-reduced by the expression a whole-block draw would get, on a slice of the
-same row shape, so the counts are those of one whole-block draw. The checks
-that sum floats (most probable interval, second moment) reduce each whole
-block on the calling thread, where the order of the additions is fixed.
+Checks that count (most probable interval, NSN hit, joint window,
+chi-squared tails and the intersection tail) stream each block: the block's
+trials are split into contiguous ranges, one per tile (``sampling._map_rows``),
+and each tile reads its trials in row chunks, each chunk's words at their
+place in the block's stream, and counts the chunk's hits; the counts are
+summed. Each trial is reduced by the expression a whole-block draw would get,
+on a slice of the same row shape, so the counts are those of one whole-block
+draw. Only the second moment sums floats: it draws each whole block and
+reduces it on the calling thread, where the order of the additions is fixed.
 Results are therefore bit-reproducible and independent of the CPU count.
 Every check rejects ``trials < 1`` with :class:`ParameterError`.
 """
@@ -41,8 +41,8 @@ from .pruning import PruneParams, prune_random_layer
 from .sampling import (
     SeedSpec,
     _map_rows,
-    _normals,
     _nsn_vectors,
+    _one_stream,
     _reduce_normals,
     _substream_keys,
     _uniforms,
@@ -80,6 +80,7 @@ __all__ = [
     "write_csv",
 ]
 
+_Z = 3.0  # z of the Agresti-Coull and Wilson intervals: README's three standard errors
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
 _TAIL_CHUNK = 1 << 17  # uniforms per intersection-tail row chunk
 _GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
@@ -121,18 +122,21 @@ class BoundCheckResult:
         )
 
 
-def binomial_std_error(successes: int, trials: int, z: float = 3.0) -> float:
-    """Agresti-Coull adjusted standard error; positive even at 0 or all hits."""
+def binomial_std_error(successes: int, trials: int) -> float:
+    """Agresti-Coull adjusted standard error at ``_Z``; positive even at 0 or all hits."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    z = _Z
     adjusted_n = trials + z * z
     p = (successes + z * z / 2.0) / adjusted_n
     return math.sqrt(p * (1.0 - p) / adjusted_n)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The Wilson score interval of a binomial rate at ``_Z``."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    z = _Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2.0 * trials)) / denom
@@ -240,18 +244,20 @@ def check_most_probable_interval(
 ) -> BoundCheckResult:
     """For centred normals, the interval around 0 is the most probable one of
     its width. Tested paired: per draw, 1[centre hit] - 1[shifted hit] has
-    nonnegative expectation. Its float sums run on the calling thread."""
+    nonnegative expectation. Each term is -1, 0 or 1, so the sums of the
+    differences and of their squares are the counts of draws in only one of
+    the two windows, counted on the tiles, chunk by chunk."""
     if not sigma > 0.0 or not epsilon > 0.0:
         raise ParameterError("need sigma > 0, epsilon > 0")
 
-    def draw(key, count):
-        x = sigma * _normals([key], count)[0]
-        centre = (np.abs(x) <= epsilon).astype(np.float64)
-        shifted = (np.abs(x - z) <= epsilon).astype(np.float64)
-        delta = centre - shifted
-        return float(delta.sum()), float((delta * delta).sum())
+    def counts(lo, values):
+        x = sigma * values
+        centre, shifted = np.abs(x) <= epsilon, np.abs(x - z) <= epsilon
+        return int((centre > shifted).sum()), int((shifted > centre).sum())
 
-    mean, std_error = _paired(*_block_totals(trials, seed, draw), trials)
+    only_centre, only_shifted = _block_totals(
+        trials, seed, lambda key, count: _reduce_normals(key, count, 1, 1, counts, scaled=False))
+    mean, std_error = _paired(only_centre - only_shifted, only_centre + only_shifted, trials)
     return BoundCheckResult(
         f"most probable interval sigma={sigma} z={z} eps={epsilon}",
         mean,
@@ -401,7 +407,7 @@ def check_second_moment_identity(
     ]
 
     def draw(key, count):
-        vectors = _nsn_vectors([key], count * n, d).reshape(count, n, d)
+        vectors = _one_stream(key, count * n, d, scaled=True).reshape(count, n, d)
         hit = np.empty((count, ncomb), dtype=bool)
         for lo in range(0, ncomb, chunk):
             sums = vectors[:, combos[lo : lo + chunk], :].sum(axis=2)

@@ -55,6 +55,8 @@ __all__ = [
     "mask_from_bytes",
 ]
 
+_MAX_VIOLATIONS = 16  # deviating coordinates a StructureReport lists
+
 
 @dataclass(frozen=True)
 class ChannelBlocked:
@@ -217,15 +219,16 @@ class StructureReport:
     message: str
 
 
-def validate_structure(mask: Mask4, max_violations: int = 16) -> StructureReport:
-    """Check the declared kind's invariant against the stored bits."""
+def validate_structure(mask: Mask4) -> StructureReport:
+    """Check the declared kind's invariant against the stored bits; the report
+    names the first ``_MAX_VIOLATIONS`` deviating coordinates."""
     expected = _expected_bits(mask.kind, mask.shape)
     if isinstance(expected, str):
         return StructureReport(False, mask.kind, (), expected)
     mismatch = np.argwhere(mask.bits != expected)
     if mismatch.size == 0:
         return StructureReport(True, mask.kind, (), "ok")
-    coords = tuple(tuple(int(v) for v in row) for row in mismatch[:max_violations])
+    coords = tuple(tuple(int(v) for v in row) for row in mismatch[:_MAX_VIOLATIONS])
     return StructureReport(
         False, mask.kind, coords, f"{mismatch.shape[0]} bit(s) deviate from the declared kind"
     )

@@ -20,27 +20,30 @@ maps it into the open interval (0, 1). An n-value normal draw takes
 2 * ceil(n/2) words and pairs uniform p with uniform ceil(n/2) + p in the
 Box-Muller transform (see :func:`_box_muller`).
 
-A large one-stream draw is one map-reduce over tiles, one thread per CPU
-(:func:`_map_rows`). Each tile walks a contiguous range of the draw's rows in
-chunks, reads each chunk's words, and hands the chunk to a reducer that
-returns integer counts; the tiles' counts are summed. For normals and NSN
-vectors (:func:`_reduce_normals`) a chunk is its rows' values; a large
-:func:`_normals` or :func:`_nsn_vectors` draw is the same map with a reducer
-that writes each chunk into the output. The lemma checks that count hits
-(NSN hit, joint window, chi-squared tails, intersection tail) reduce on the
-tiles; the checks that sum floats reduce on the calling thread, since
-splitting a float sum would reorder its additions. A draw of many streams
-runs on the calling thread. Each value is computed from its own two words
-alone, and a sum of ints does not depend on the order of its terms, so no
-byte depends on the CPU count or on scheduling. Hence
+There is one builder per shape of draw. Every normal or NSN draw of one
+stream is one map-reduce over the draw's rows (:func:`_map_rows`): a draw of
+at least ``2 * _INLINE_PAIRS`` words runs as tiles, one thread per CPU, and
+any other as one tile on the calling thread. Each tile walks a contiguous
+range of the rows in chunks, reads each chunk's words, and hands the chunk to
+a reducer that returns integer counts; the tiles' counts are summed. For
+normals and NSN vectors (:func:`_reduce_normals`) a chunk is its rows'
+values; a drawn array (:func:`_one_stream`) is the same map with a reducer
+that writes each chunk into the output. The lemma checks that count (most
+probable interval, NSN hit, joint window, chi-squared tails, intersection
+tail) reduce on the tiles; only the second moment sums floats, on the calling
+thread, since splitting a float sum would reorder its additions. A draw of
+many streams (:func:`_normal_parts`, :func:`_nsn_vectors`) runs on the
+calling thread, a few rows at a time. Each value is computed from its own two
+words alone, and a sum of ints does not depend on the order of its terms, so
+no byte depends on the CPU count or on scheduling. Hence
 ``(seed, stream, sequence of draw lengths)`` fully determines every value; a
 value depends on the length of the call that drew it, so a longer draw does
 not extend a shorter one. Distinct stream ids give independent streams.
 
 Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
-a splitmix64-style mix of ``(stream_id, index)``. Every builder takes a list
-of stream keys and fills one ``(streams, values)`` array, each row the bytes
-of its own stream; the public samplers are one-row calls.
+a splitmix64-style mix of ``(stream_id, index)``. A many-stream builder takes
+a list of stream keys and fills one ``(streams, values)`` array, each row the
+bytes its stream's one-stream draw would have.
 
 Every draw reads raw words (``random_raw``); no ``Generator`` sampling method
 is called, because numpy keeps bit-generator streams stable across releases
@@ -75,7 +78,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L2
 _TILE_PAIRS = 1 << 15  # pairs a tile reads and transforms at once
-_INLINE_PAIRS = 1 << 15  # a normal draw of fewer pairs runs on the calling thread alone
+_INLINE_PAIRS = 1 << 15  # a one-stream draw of fewer than 2x this many words runs on one thread
 _HEAD_WORDS = 48  # raw words a restart-heads draw first reads per key, at least
 _HEADS_BYTES = 1 << 22  # largest block of words and shuffled rows a heads draw replays at once
 
@@ -316,8 +319,8 @@ def _reduce_normals(key, rows: int, width: int, d: int, reduce, scaled: bool = T
     vectors of rows ``lo:hi``, in chunks of about ``_TILE_PAIRS`` pairs, on
     the tiles (:func:`_map_rows`).
 
-    The draw is :func:`_nsn_vectors` of ``rows * width`` vectors, or with
-    ``scaled`` false :func:`_normals` of ``rows * width * d`` values: each
+    The draw is the stream's ``rows * width`` NSN vectors, or with ``scaled``
+    false its ``rows * width * d`` normals (:func:`_one_stream`): each
     part's values of a chunk are :func:`_chunk_normals`, the directions scaled
     in place, so a row's values are the whole draw's bytes. ``reduce`` returns
     a tuple of ints, or writes its rows into an output and returns ``()``; it
@@ -337,50 +340,42 @@ def _reduce_normals(key, rows: int, width: int, d: int, reduce, scaled: bool = T
     return _map_rows(rows, 2 * _TILE_PAIRS // sum(widths), 2 * sum(pairs), work)
 
 
-def _tiled(key, n: int, d: int, scaled: bool) -> np.ndarray:
-    """The ``(1, n, d)`` draw of :func:`_reduce_normals` at width 1, each chunk
-    written into its rows."""
-    out = np.empty((1, n, d))
+def _one_stream(key, n: int, d: int, scaled: bool) -> np.ndarray:
+    """The ``(n, d)`` draw of :func:`_reduce_normals` at width 1, each chunk
+    written into its rows: every normal and NSN draw of one stream."""
+    out = np.empty((n, d))
 
     def write(lo: int, values: np.ndarray) -> tuple:
-        out[0, lo : lo + len(values)] = values[:, 0]
+        out[lo : lo + len(values)] = values[:, 0]
         return ()
 
     _reduce_normals(key, n, 1, d, write, scaled)
     return out
 
 
-def _row_tile(keys, outs) -> None:
-    """Every part of rows ``keys`` into ``outs``, about ``_TILE_PAIRS`` pairs of
-    rows at a time (at least one row): each key is rewound once and its parts'
-    words read in turn (:func:`_words`)."""
-    pairs = [out.shape[1] // 2 for out in outs]
+def _normals(key, n: int) -> np.ndarray:
+    """``n`` normals of stream ``key``: :func:`_box_muller` of its first
+    ``2 * ceil(n/2)`` words, so a value depends on the draw's length ``n``.
+    It is :func:`standard_normals` without the check, and keeps its own name
+    because the bench's tracer (``bench/tracing.py``) wraps it."""
+    return _one_stream(key, n, 1, scaled=False).reshape(n)
+
+
+def _normal_parts(keys, *lengths) -> list[np.ndarray]:
+    """One ``(len(keys), n)`` block of normals per length n, drawn on this
+    thread about ``_TILE_PAIRS`` pairs of rows at a time (at least one row):
+    in each row, part i is :func:`_box_muller` of the ``2 * ceil(n/2)`` words
+    of stream ``keys[r]`` that follow the earlier parts' words, pair p taking
+    words p and ``ceil(n/2) + p`` of them. Each key is rewound once and its
+    parts' words read in turn (:func:`_words`)."""
+    pairs = [(n + 1) // 2 for n in lengths]
+    outs = [np.empty((len(keys), 2 * m)) for m in pairs]
     step = max(1, _TILE_PAIRS // max(1, sum(pairs)))
     for lo in range(0, len(keys), step):
         blocks = _words(keys[lo : lo + step], *(2 * m for m in pairs))
         for block, m, out in zip(blocks, pairs, outs):
             _box_muller(block[:, :m], block[:, m:], out[lo : lo + step])
-
-
-def _normal_parts(keys, *lengths) -> list[np.ndarray]:
-    """One ``(len(keys), n)`` block of normals per length n, drawn on this
-    thread (:func:`_row_tile`): in each row, part i is :func:`_box_muller` of
-    the ``2 * ceil(n/2)`` words of stream ``keys[r]`` that follow the earlier
-    parts' words, pair p taking words p and ``ceil(n/2) + p`` of them."""
-    outs = [np.empty((len(keys), 2 * ((n + 1) // 2))) for n in lengths]
-    _row_tile(keys, outs)
     return [out[:, :n] for out, n in zip(outs, lengths)]
-
-
-def _normals(keys, n: int) -> np.ndarray:
-    """``(len(keys), n)`` normals, row r :func:`_box_muller` of the first
-    ``2 * ceil(n/2)`` words of stream ``keys[r]``, so a value depends on the
-    draw's length ``n``. A one-row draw of at least ``_INLINE_PAIRS`` pairs
-    runs on the tiles (:func:`_tiled`); each value is computed from its own two
-    words alone, so no byte depends on the path."""
-    if len(keys) == 1 and (n + 1) // 2 >= _INLINE_PAIRS:
-        return _tiled(keys[0], n, 1, scaled=False).reshape(1, n)
-    return _normal_parts(keys, n)[0]
 
 
 def _uniforms(keys, n: int, low: float, high: float) -> np.ndarray:
@@ -392,21 +387,13 @@ def _uniforms(keys, n: int, low: float, high: float) -> np.ndarray:
     return u
 
 
-def _nsn_parts(keys, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(rows, n)`` scalars and ``(rows, n, d)`` directions of the NSN
-    vectors of streams ``keys``, drawn on this thread: per stream, the
-    scalars' ``2 * ceil(n/2)`` words, then the directions' ``2 * ceil(n d/2)``."""
-    scalars, directions = _normal_parts(keys, n, n * d)
-    return scalars, directions.reshape(-1, n, d)
-
-
 def _nsn_vectors(keys, n: int, d: int) -> np.ndarray:
-    """``(rows, n, d)`` NSN vectors: the directions of :func:`_nsn_parts`, each
-    scaled by its scalar in place. A one-row draw of at least ``_INLINE_PAIRS``
-    pairs runs on the tiles (:func:`_tiled`), with the same bytes."""
-    if len(keys) == 1 and (n + 1) // 2 + (n * d + 1) // 2 >= _INLINE_PAIRS:
-        return _tiled(keys[0], n, d, scaled=True)
-    scalars, directions = _nsn_parts(keys, n, d)
+    """``(len(keys), n, d)`` NSN vectors of streams ``keys``, drawn on this
+    thread (:func:`_normal_parts`): per stream, the scalars'
+    ``2 * ceil(n/2)`` words, then the directions' ``2 * ceil(n d/2)``, each
+    direction scaled by its scalar in place."""
+    scalars, directions = _normal_parts(keys, n, n * d)
+    directions = directions.reshape(-1, n, d)
     return np.multiply(directions, scalars[:, :, None], out=directions)  # IEEE x commutes
 
 
@@ -503,7 +490,7 @@ def standard_normals(n: int, seed: SeedSpec) -> np.ndarray:
     """``n`` i.i.d. N(0, 1) draws from the given stream."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    return _normals([_key(seed)], n)[0]
+    return _normals(_key(seed), n)
 
 
 def sample_uniform(n: int, seed: SeedSpec, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -537,7 +524,7 @@ def sample_normal_tensor(shape: tuple[int, int, int, int], seed: SeedSpec) -> Te
 
 def sample_nsn(n: int, d: int, seed: SeedSpec) -> np.ndarray:
     """``(n, d)`` i.i.d. d-dimensional NSN vectors: row i is a standard normal
-    scalar times its own d standard normal directions (:func:`_nsn_parts`)."""
+    scalar times its own d standard normal directions (:func:`_one_stream`)."""
     if n < 1 or d < 1:
         raise ParameterError("n and d must be >= 1")
-    return _nsn_vectors([_key(seed)], n, d)[0]
+    return _one_stream(_key(seed), n, d, scaled=True)

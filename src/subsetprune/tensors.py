@@ -34,7 +34,9 @@ term read from the padding is an exact +-0.0, and a running sum that starts at
 +0.0 never becomes -0.0, so adding such a term changes no bit: every cell sees
 exactly the additions of the direct formula. When the stack and the gathered
 rows would pass a fixed byte size, the terms are taken in passes, consecutive
-runs of the term order, each summed onto the running sum.
+runs of the term order, each summed onto the running sum. That size bounds the
+stack and the gathered rows, not the peak: the broadcast ``np.multiply`` holds
+numpy's iterator buffers, up to ``2 * 8 * np.getbufsize()`` bytes, on top.
 
 No strides, dilation, bias or FFT: this is the reference semantics, kept small
 enough to audit.
@@ -53,14 +55,12 @@ __all__ = [
     "FeatureMap",
     "Tensor4",
     "conv",
-    "relu",
     "pos_part",
     "neg_part",
     "norm_l1",
-    "norm_max",
 ]
 
-_STACK_BYTES = 1 << 22  # largest term stack and gathered terms conv holds in one pass
+_STACK_BYTES = 1 << 22  # a pass's term stack and gathered terms; ufunc buffers come on top
 _ROWS_PER_CELL_SUM = 32  # stacks with 32x more cells than rows are summed row by row
 
 
@@ -201,11 +201,6 @@ def _conv(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return stack[top].reshape(kernels, height, width).copy()  # not a view of the stack
 
 
-def relu(fmap: FeatureMap) -> FeatureMap:
-    """Elementwise ``max(0, .)``; 1-Lipschitz in every entry."""
-    return FeatureMap(np.maximum(fmap.data, 0.0))
-
-
 def _rewrap(tensor, data: np.ndarray):
     return type(tensor)(data)
 
@@ -223,16 +218,6 @@ def neg_part(tensor):
     return _rewrap(tensor, np.where(d < 0.0, -d, 0.0))
 
 
-def _as_array(tensor) -> np.ndarray:
-    if isinstance(tensor, np.ndarray):
-        return tensor
-    return tensor.data
-
-
 def norm_l1(tensor) -> float:
-    return float(np.abs(_as_array(tensor)).sum())
-
-
-def norm_max(tensor) -> float:
-    arr = _as_array(tensor)
-    return float(np.abs(arr).max()) if arr.size else 0.0
+    """Entrywise L1 norm of a FeatureMap or Tensor4."""
+    return float(np.abs(tensor.data).sum())

@@ -30,11 +30,9 @@ from subsetprune import (
     make_probes,
     neg_part,
     norm_l1,
-    norm_max,
     pos_part,
     prune_network,
     prune_single_layer,
-    relu,
     sample_nsn,
     sample_normal_tensor,
     sample_uniform,
@@ -86,7 +84,7 @@ def test_criterion_01_drop_relu_identity():
             _, combined = drop_relu_decompose(expansion, blocked)
             masked = combined.apply(expansion)
             probe = FeatureMap(rng.uniform(-1.0, 1.0, (spatial, spatial, c)))
-            lhs = relu(conv(masked, probe)).data
+            lhs = np.maximum(conv(masked, probe).data, 0.0)
             rhs = (
                 conv(pos_part(masked), pos_part(probe)).data
                 + conv(neg_part(masked), neg_part(probe)).data
@@ -105,7 +103,8 @@ def test_criterion_02_convolution_inequality():
             spatial = int(rng.integers(2, 7))
             kernel = Tensor4(rng.standard_normal((d, dp, c_in, c_out)))
             fmap = FeatureMap(rng.standard_normal((spatial, spatial, c_in)))
-            assert norm_max(conv(kernel, fmap)) <= norm_l1(kernel) * norm_max(fmap) + 1e-12
+            out_max, in_max = np.abs(conv(kernel, fmap).data).max(), np.abs(fmap.data).max()
+            assert out_max <= norm_l1(kernel) * in_max + 1e-12
 
 
 def test_criterion_03_chi_squared_tails():

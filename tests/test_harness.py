@@ -297,13 +297,21 @@ def _full_draw_totals(trials, seed, block_totals, block=1 << 14):
 
 
 def _streamed_estimates(trials):
-    """The estimates of the streamed checks (NSN hit, joint window, both
-    chi-squared tails): a row width of 16 in d = 2, an odd 65 in d = 1, and 3
-    plain normals."""
+    """The estimates and standard errors of the streamed checks (NSN hit,
+    joint window, both chi-squared tails, most probable interval): a row width
+    of 16 in d = 2, an odd 65 in d = 1, 3 plain normals and 1 scaled one."""
     results = [check_nsn_hit_lower_bound(2, 16, 0.249, [0.1, -0.1], trials, SEED.substream(41)),
                check_joint_upper_bound(1, 64, 1, 1.5, [0.3], trials, SEED.substream(42)),
-               *check_chi_squared_tails(3, 0.5, trials, SEED.substream(43))]
-    return [result.estimate for result in results]
+               *check_chi_squared_tails(3, 0.5, trials, SEED.substream(43)),
+               check_most_probable_interval(1.5, 0.5, 0.3, trials, SEED.substream(45))]
+    return [(result.estimate, result.std_error) for result in results]
+
+
+def _full_draw_estimates(trials):
+    """What :func:`_streamed_estimates` gives on the full-draw totals."""
+    *hits, total, squares = _full_draw_hits(trials)
+    return [*((h / trials, binomial_std_error(h, trials)) for h in hits),
+            harness._paired(total, squares, trials)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,25 +333,31 @@ def _full_draw_hits(trials):
         stat = (draws * draws).sum(axis=1)
         return [(stat >= 3 + 2 * math.sqrt(1.5) + 1).sum(), (stat <= 3 - 2 * math.sqrt(1.5)).sum()]
 
+    def interval(stream, count):  # the per-draw differences, summed as floats
+        x = 1.5 * _rows_reference(stream, count, 1, 1, False).reshape(count)
+        delta = (np.abs(x) <= 0.3).astype(np.float64) - (np.abs(x - 0.5) <= 0.3).astype(np.float64)
+        return [delta.sum(), (delta * delta).sum()]
+
     return [*_full_draw_totals(trials, SEED.substream(41), nsn),
             *_full_draw_totals(trials, SEED.substream(42), joint),
-            *_full_draw_totals(trials, SEED.substream(43), chi)]
+            *_full_draw_totals(trials, SEED.substream(43), chi),
+            *_full_draw_totals(trials, SEED.substream(45), interval)]
 
 
 class TestStreamedChecks:
     @pytest.mark.parametrize("trials", [1, 12945, 40000])
     def test_equal_full_draws(self, workers, trials):
         # 40000 trials: three blocks, the last partial, several chunks per tile
-        hits = _full_draw_hits(trials)
-        assert _streamed_estimates(trials) == [h / trials for h in hits]
-        assert trials == 1 or min(hits) > 0
+        assert _streamed_estimates(trials) == _full_draw_estimates(trials)
+        assert trials == 1 or min(_full_draw_hits(trials)) > 0
 
     @pytest.mark.parametrize("trials", [1, 7, 300])
     def test_equal_full_draws_in_chunks_of_a_few_rows(self, workers, monkeypatch, trials):
-        # one row a chunk for the NSN checks, 26 for chi-squared, all tiled
+        # one row a chunk for the NSN checks, 26 for chi-squared, 80 for the
+        # interval, all tiled
         monkeypatch.setattr(sampling, "_TILE_PAIRS", 40)
         monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
-        assert _streamed_estimates(trials) == [h / trials for h in _full_draw_hits(trials)]
+        assert _streamed_estimates(trials) == _full_draw_estimates(trials)
 
     @pytest.mark.parametrize("trials", [1, 12945, 40000])
     def test_tail_equals_full_draws(self, workers, trials):

@@ -40,7 +40,6 @@ from subsetprune import (
     prune_network,
     prune_random_layer,
     prune_single_layer,
-    relu,
     sample_normal_tensor,
     sample_uniform_map,
     save_bundle,
@@ -66,14 +65,14 @@ def full_width_chain(kernels, fmap, masks=None):
             kernel = masks[i].apply(kernel)
         x = conv(kernel, x)
         if i + 1 < len(kernels):
-            x = relu(x)
+            x = FeatureMap(np.maximum(x.data, 0.0))
     return x
 
 
 def drop_relu_sides(expansion, blocked_mask, probe):
     _, combined = drop_relu_decompose(expansion, blocked_mask)
     masked = combined.apply(expansion)
-    lhs = relu(conv(masked, probe)).data
+    lhs = np.maximum(conv(masked, probe).data, 0.0)
     rhs = (
         conv(pos_part(masked), pos_part(probe)).data
         + conv(neg_part(masked), neg_part(probe)).data
@@ -152,7 +151,7 @@ class TestEvaluateNetwork:
         k1 = Tensor4(rng.standard_normal((2, 2, 2, 3)))
         k2 = Tensor4(rng.standard_normal((3, 3, 3, 1)))
         probe = FeatureMap(rng.uniform(-1, 1, (5, 5, 2)))
-        nested = conv(k2, relu(conv(k1, probe)))
+        nested = conv(k2, FeatureMap(np.maximum(conv(k1, probe).data, 0.0)))
         chained = evaluate_network([k1, k2], probe)
         assert np.abs(nested.data - chained.data).max() <= 1e-12
 

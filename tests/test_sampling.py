@@ -59,7 +59,7 @@ def test_zero_dimension_rejected():
 
 def test_nsn_product_identity_and_moments():
     vectors = sample_nsn(N_BIG, 1, SeedSpec(11, 3))
-    scalars, directions = sampling._nsn_parts([_key(SeedSpec(11, 3))], N_BIG, 1)
+    scalars, directions = _nsn_parts([_key(SeedSpec(11, 3))], N_BIG, 1)
     assert np.array_equal(vectors, scalars[0, :, None] * directions[0])
     y = vectors[:, 0]
     # |product of two standard normals| has mean 2/pi
@@ -70,7 +70,7 @@ def test_nsn_product_identity_and_moments():
 
 
 def test_nsn_entries_share_their_scalar():
-    (scalars,), (directions,) = sampling._nsn_parts([_key(SeedSpec(5))], 50, 4)
+    (scalars,), (directions,) = _nsn_parts([_key(SeedSpec(5))], 50, 4)
     ratio = sample_nsn(50, 4, SeedSpec(5)) / directions
     assert np.allclose(ratio, scalars[:, None], rtol=1e-12, atol=0.0)
 
@@ -104,7 +104,7 @@ def test_scalar_squares_follow_chi_squared_tails():
     # sum of k squared ensemble scalars is chi-squared(k); its tails must
     # respect exp(-t) at the standard thresholds
     k, t = 8, 2.0
-    (scalars,), _ = sampling._nsn_parts([_key(SeedSpec(21, 2))], 400_000, 1)
+    (scalars,) = sampling._normal_parts([_key(SeedSpec(21, 2))], 400_000)  # the NSN scalars
     stats = (scalars**2).reshape(-1, k).sum(axis=1)
     bound = math.exp(-t)
     upper = (stats >= k + 2 * math.sqrt(k * t) + 2 * t).mean()
@@ -147,6 +147,13 @@ def _key(seed: SeedSpec) -> tuple[int, int]:
     return seed.master_seed, seed.stream_id
 
 
+def _nsn_parts(keys, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(rows, n)`` scalars and ``(rows, n, d)`` directions that
+    ``_nsn_vectors(keys, n, d)`` multiplies."""
+    scalars, directions = sampling._normal_parts(keys, n, n * d)
+    return scalars, directions.reshape(-1, n, d)
+
+
 _PAIRS = sampling._BOX_MULLER_PAIRS
 
 
@@ -157,7 +164,7 @@ _PAIRS = sampling._BOX_MULLER_PAIRS
 def test_chunked_box_muller_matches_whole_array_layout(n):
     seed = SeedSpec(31, n)
     expected = _box_muller_reference(_fresh(seed), n)
-    assert _normals([_key(seed)], n)[0].tobytes() == expected.tobytes()
+    assert _normals(_key(seed), n).tobytes() == expected.tobytes()
 
 
 def test_one_word_draw_equals_two_half_draws():
@@ -196,7 +203,7 @@ def _tile_scratch(workers: int) -> int:
 def _warm_tiles() -> None:
     """One small tiled draw, so that the pool's threads and their Philox
     generators exist before a peak is traced."""
-    _normals([_key(SeedSpec(4))], 2 * sampling._INLINE_PAIRS)
+    _normals(_key(SeedSpec(4)), 2 * sampling._INLINE_PAIRS)
 
 
 def test_normals_peak_memory_is_output_plus_tile_scratch(workers):
@@ -204,7 +211,7 @@ def test_normals_peak_memory_is_output_plus_tile_scratch(workers):
     _warm_tiles()
     tracemalloc.start()
     try:
-        _normals([_key(SeedSpec(4))], n)
+        _normals(_key(SeedSpec(4)), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,7 +225,7 @@ def test_nsn_draw_peak_memory_is_output_plus_tile_scratch(workers):
     _warm_tiles()
     tracemalloc.start()
     try:
-        sampling._nsn_vectors([_key(SeedSpec(4))], n, d)
+        sampling._one_stream(_key(SeedSpec(4)), n, d, scaled=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,8 +236,10 @@ _TILE, _INLINE = sampling._TILE_PAIRS, sampling._INLINE_PAIRS
 
 
 def _assert_fresh_draws(rows: int, n: int, d: int) -> None:
-    """``_normals``, ``_nsn_parts`` and ``_nsn_vectors`` of ``rows`` streams
-    are, byte for byte, whole-array draws of generators built afresh."""
+    """The many-stream draws of ``rows`` streams (``_normal_parts``,
+    ``_nsn_vectors``) and each stream's one-stream draws (``_normals``,
+    ``_one_stream``) are, byte for byte, whole-array draws of generators
+    built afresh."""
     seeds = [SeedSpec(41, 1000 * n + d).substream(row) for row in range(rows)]
     keys = [_key(seed) for seed in seeds]
     normals = np.stack([_box_muller_reference(_fresh(seed), n * d) for seed in seeds])
@@ -240,11 +249,14 @@ def _assert_fresh_draws(rows: int, n: int, d: int) -> None:
         scalars.append(_box_muller_reference(rng, n))
         directions.append(_box_muller_reference(rng, n * d).reshape(n, d))
     scalars, directions = np.stack(scalars), np.stack(directions)
-    assert _normals(keys, n * d).tobytes() == normals.tobytes()
-    got = sampling._nsn_parts(keys, n, d)
+    vectors = scalars[:, :, None] * directions
+    assert sampling._normal_parts(keys, n * d)[0].tobytes() == normals.tobytes()
+    got = _nsn_parts(keys, n, d)
     assert got[0].tobytes() == scalars.tobytes() and got[1].tobytes() == directions.tobytes()
-    vectors = sampling._nsn_vectors(keys, n, d)
-    assert vectors.tobytes() == (scalars[:, :, None] * directions).tobytes()
+    assert sampling._nsn_vectors(keys, n, d).tobytes() == vectors.tobytes()
+    for key, row_normals, row_vectors in zip(keys, normals, vectors):
+        assert _normals(key, n * d).tobytes() == row_normals.tobytes()
+        assert sampling._one_stream(key, n, d, scaled=True).tobytes() == row_vectors.tobytes()
 
 
 @pytest.mark.parametrize("rows,n,d", [
@@ -253,7 +265,7 @@ def _assert_fresh_draws(rows: int, n: int, d: int) -> None:
     (1, 2 * _INLINE + 1, 3),  # odd n and odd n d: the directions start at word 2 mod 4
     (1, 2 * _TILE + 1, 1),  # at one worker, the tile crosses a sub-chunk edge
     (1, 14 * _TILE + 1, 1),  # at 7 workers, one tile crosses a sub-chunk edge
-    (7, 2 * _INLINE // 7 + 1, 3),  # 7 rows above the threshold: one row tile, inline
+    (7, 2 * _INLINE // 7 + 1, 3),  # 7 rows above the threshold: one row at a time, inline
     (7, 5, 3),  # 7 rows, inline
 ])
 def test_tiles_keep_every_byte(workers, rows, n, d):
@@ -358,7 +370,7 @@ def test_concurrent_large_draws_keep_every_byte(workers):
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(4) as callers:
-            futures = [callers.submit(lambda key: _normals([key], n)[0].tobytes(), _key(seed))
+            futures = [callers.submit(lambda key: _normals(key, n).tobytes(), _key(seed))
                        for seed in seeds]
             got = [future.result(timeout=120) for future in futures]
     finally:
@@ -374,13 +386,13 @@ def test_a_forked_child_draws_on_a_pool_of_its_own(monkeypatch):
     monkeypatch.setattr(sampling, "_POOL", None)
     key, n = _key(SeedSpec(5, 5)), 4 * _INLINE
     try:
-        expected = _normals([key], n).tobytes()
+        expected = _normals(key, n).tobytes()
         assert sampling._POOL is not None
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                code = int(sampling._POOL is not None or _normals([key], n).tobytes() != expected)
+                code = int(sampling._POOL is not None or _normals(key, n).tobytes() != expected)
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -412,9 +424,9 @@ def test_batched_draws_are_the_per_stream_draws(rows, n, d):
         directions.append(_box_muller_reference(rng, n * d).reshape(n, d))
     scalars, directions = np.stack(scalars), np.stack(directions)
     vectors = scalars[:, :, None] * directions
-    assert _normals(keys, n * d).tobytes() == np.stack(normals).tobytes()
+    assert sampling._normal_parts(keys, n * d)[0].tobytes() == np.stack(normals).tobytes()
     assert sampling._uniforms(keys, n * d, -3.0, 0.5).tobytes() == np.stack(uniforms).tobytes()
-    got = sampling._nsn_parts(keys, n, d)
+    got = _nsn_parts(keys, n, d)
     assert got[0].tobytes() == scalars.tobytes() and got[1].tobytes() == directions.tobytes()
     assert sampling._nsn_vectors(keys, n, d).tobytes() == vectors.tobytes()
     for row, seed in enumerate(seeds):

@@ -15,9 +15,7 @@ from subsetprune import (
     conv,
     neg_part,
     norm_l1,
-    norm_max,
     pos_part,
-    relu,
 )
 
 
@@ -226,24 +224,8 @@ def test_conv_inequality(seed):
     rng = np.random.default_rng(seed)
     kernel = Tensor4(rng.standard_normal((2, 3, 2, 2)))
     fmap = FeatureMap(rng.standard_normal((5, 4, 2)))
-    assert norm_max(conv(kernel, fmap)) <= norm_l1(kernel) * norm_max(fmap) + 1e-12
-
-
-def test_relu_examples():
-    fmap = FeatureMap(np.array([[-1.0, 2.0], [0.0, -3.0]])[:, :, None])
-    assert np.array_equal(relu(fmap).data[:, :, 0], [[0.0, 2.0], [0.0, 0.0]])
-    nonneg = FeatureMap(np.abs(np.random.default_rng(0).standard_normal((3, 3, 2))))
-    assert np.array_equal(relu(nonneg).data, nonneg.data)
-
-
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_relu_is_1_lipschitz(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 3, 2))
-    y = rng.standard_normal((3, 3, 2))
-    gap = np.abs(relu(FeatureMap(x)).data - relu(FeatureMap(y)).data)
-    assert (gap <= np.abs(x - y) + 1e-15).all()
+    out_max, in_max = np.abs(conv(kernel, fmap).data).max(), np.abs(fmap.data).max()
+    assert out_max <= norm_l1(kernel) * in_max + 1e-12
 
 
 def test_pos_neg_part_examples():
@@ -266,16 +248,14 @@ def test_pos_neg_decomposition(seed):
 def test_norm_examples():
     fmap = FeatureMap(np.array([3.0, -4.0]).reshape(1, 1, 2))
     assert norm_l1(fmap) == 7.0
-    assert norm_max(fmap) == 4.0
-    zero = Tensor4(np.zeros((1, 2, 3, 4)))
-    assert norm_l1(zero) == norm_max(zero) == 0.0
+    assert norm_l1(Tensor4(np.zeros((1, 2, 3, 4)))) == 0.0
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_norm_chain(seed):
     t = Tensor4(np.random.default_rng(seed).standard_normal((2, 2, 3, 2)))
-    assert norm_max(t) <= norm_l1(t) + 1e-12
+    assert np.abs(t.data).max() <= norm_l1(t) + 1e-12
 
 
 def test_tensor_validation():
