@@ -636,38 +636,90 @@ def _solve_batch(base: SolverParams, group_size: int | None, successes: dict, st
     solved for every trial without a hit yet in one engine call, and a trial
     hits when any of its groups does. An exhaustive group asks one subset index
     over the trials' group vectors which hold a k-subset within epsilon; a
-    greedy group is one batched descent, each problem exactly its one-trial
-    solve, each trial's restart heads drawn once for every group length. The
-    ungrouped exhaustive scan stops a trial at its first hit and counts it for
-    that n and every larger one."""
+    greedy scan is :func:`_solve_greedy_batch`. The ungrouped exhaustive scan
+    stops a trial at its first hit and counts it for that n and every larger
+    one."""
+    if base.strategy is Strategy.GREEDY_SWAP:
+        _solve_greedy_batch(base, group_size, successes, streams, vectors, targets)
+        return
     k, epsilon = base.k, base.epsilon
-    greedy = base.strategy is Strategy.GREEDY_SWAP
-    if greedy:
-        lengths = sorted({hi - lo for n in successes for lo, hi in _groups(n, group_size)})
-        drawn = solvers._restart_heads([stream.substream(2) for stream in streams],
-                                       base.restarts, lengths, k)
-        heads = {length: block.reshape(len(streams), base.restarts, k)
-                 for length, block in zip(lengths, drawn)}
     live = np.arange(len(streams))  # trials without a hit yet
     for n in successes:
         pending = live  # trials without a hit at this n
         for lo, hi in _groups(n, group_size):
-            pool, goals = vectors[pending, lo:hi], targets[pending]
-            if greedy:
-                block = heads[hi - lo][pending].reshape(-1, k)
-                hits = solvers._greedy_swap_best(pool, goals, k, block, base)[1] <= epsilon
-            else:
-                hits = solvers._SubsetIndex(pool).count(goals, k, epsilon) > 0
+            hits = solvers._SubsetIndex(vectors[pending, lo:hi]).count(targets[pending], k,
+                                                                       epsilon) > 0
             pending = pending[~hits]
             if not pending.size:
                 break
-        if greedy or group_size is not None:
+        if group_size is not None:
             successes[n] += live.size - pending.size
         else:
             _count_from(successes, n, live.size - pending.size)
             live = pending
             if not live.size:
                 break
+
+
+def _descent_hits(base: SolverParams, pool: np.ndarray, goals: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Which of the P problems (``(P, n, d)`` pool, ``(P, d)`` goals) end a
+    swap descent within epsilon from one of their ``(P, S, k)`` starts, all
+    descending in one batch (:func:`solvers._swap_descents`)."""
+    problems, per, k = starts.shape
+    starts = np.sort(starts.reshape(problems * per, k), axis=1)
+    owners = np.arange(problems).repeat(per)
+    residuals = solvers._swap_descents(pool, goals, owners, starts, base.max_iters)[1]
+    return (residuals.reshape(problems, per) <= base.epsilon).any(axis=1)
+
+
+def _solve_greedy_batch(base: SolverParams, group_size: int | None, successes: dict, streams,
+                        vectors, targets):
+    """Count the batch's greedy hits in two phases; a trial hits at n when a
+    descent from the greedy build or from a restart head of one of its groups
+    ends within epsilon.
+
+    Phase 1: per n and group, every trial without a build hit at that n yet
+    descends from its greedy build alone. Phase 2: only the trials whose
+    every build missed at some n draw restart heads, once for the batch (each
+    key mixed once and its stream read once for every group length,
+    :func:`solvers._restart_heads`), and per n and group those without a hit
+    yet descend from their ``restarts`` heads. A start's descent does not
+    depend on the other starts of its batch, and a problem's minimum residual
+    over its starts is within epsilon exactly when one start's is, so each
+    trial's hit is its one-trial :func:`solvers.search_subsets` solve's."""
+    k = base.k
+    groups = {n: _groups(n, group_size) for n in successes}
+    missed = {}  # n: the trials whose every group's build missed
+    for n, spans in groups.items():
+        pending = np.arange(len(streams))
+        for lo, hi in spans:
+            pool, goals = vectors[pending, lo:hi], targets[pending]
+            builds = solvers._greedy_builds(pool, goals, k)[:, None]
+            pending = pending[~_descent_hits(base, pool, goals, builds)]
+            if not pending.size:
+                break
+        missed[n] = pending
+    needy = np.unique(np.concatenate(list(missed.values())))
+    if base.restarts and needy.size:
+        lengths = sorted({hi - lo for n, spans in groups.items() if missed[n].size
+                          for lo, hi in spans})
+        drawn = solvers._restart_heads([streams[t].substream(2) for t in needy.tolist()],
+                                       base.restarts, lengths, k)
+        heads = {length: block.reshape(needy.size, base.restarts, k)
+                 for length, block in zip(lengths, drawn)}
+        for n, spans in groups.items():
+            pending = missed[n]
+            for lo, hi in spans:
+                if not pending.size:
+                    break
+                rows = needy.searchsorted(pending)
+                hits = _descent_hits(base, vectors[pending, lo:hi], targets[pending],
+                                     heads[hi - lo][rows])
+                pending = pending[~hits]
+            missed[n] = pending
+    for n in successes:
+        successes[n] += len(streams) - missed[n].size
 
 
 def scan_mrss_phase(
@@ -706,7 +758,11 @@ def scan_mrss_phase(
     every group's family against the enumeration budget before the first
     draw, in the order of ``n_values``. Greedy-swap and grouped scans solve every n: a
     local-search miss is not monotone in n, and the last group changes its
-    members with n. Every row is the one solving trial by trial gives.
+    members with n. A greedy batch solves in two phases
+    (:func:`_solve_greedy_batch`): every trial descends from its greedy
+    builds, and only the trials whose builds all missed at some n draw
+    restart heads and descend from them. Every row is the one solving trial
+    by trial gives.
     """
     sizes = _scan_sizes(n_values, k, trials)
     if not target_radius >= 0.0:  # a negative radius flips the target, NaN skips the projection

@@ -14,7 +14,9 @@ from one stream before it rewinds to the next.
 
 One word reader (:func:`_raw`) reads each stream's block at once; the tiles
 below read their chunks' words at their place in the stream instead
-(:func:`_words_at`: counter word // 4, then word % 4 words skipped). A 53-bit
+(:func:`_words_at`: counter word // 4, then word % 4 words skipped), each run
+of adjacent words in one read (:func:`_spans_at`), so a chunk that holds its
+parts whole, as a small draw's one chunk does, rewinds once. A 53-bit
 word (:func:`_words`) is a raw Philox word shifted right by 11, and a uniform
 maps it into the open interval (0, 1). An n-value normal draw takes
 2 * ceil(n/2) words and pairs uniform p with uniform ceil(n/2) + p in the
@@ -301,16 +303,46 @@ def _box_muller(radius_words: np.ndarray, theta_words: np.ndarray, out: np.ndarr
         np.multiply(radius, np.sin(theta, out=trig), out=sines[:, lo:hi])
 
 
-def _chunk_normals(key, first: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """Values ``lo:hi`` of the part of a one-row draw that starts at word
-    ``first`` and has m pairs: :func:`_box_muller` of the pairs that hold them,
-    pair p from words ``first + p`` and ``first + m + p``, read at their place
-    in the stream (:func:`_words_at`). A pair split by ``lo`` or ``hi`` is
-    transformed whole and only its half inside is kept."""
-    a, b = lo // 2, (hi + 1) // 2
-    out = np.empty((1, 2 * (b - a)))
-    _box_muller(_words_at(key, first + a, b - a), _words_at(key, first + m + a, b - a), out)
-    return out[0, lo - 2 * a : hi - 2 * a]
+def _spans_at(key, spans) -> list[np.ndarray]:
+    """The 53-bit words of each ``(start, count)`` span of stream ``key``, in
+    order, as ``(1, count)`` blocks; each run of spans that start where the one
+    before ends is read in one :func:`_words_at` call."""
+    runs = []  # [start, counts]
+    for start, count in spans:
+        if runs and runs[-1][0] + sum(runs[-1][1]) == start:
+            runs[-1][1].append(count)
+        else:
+            runs.append([start, [count]])
+    blocks = []
+    for start, counts in runs:
+        words, at = _words_at(key, start, sum(counts)), 0
+        for count in counts:
+            blocks.append(words[:, at : at + count])
+            at += count
+    return blocks
+
+
+def _chunk_normals(key, parts, lo: int, hi: int) -> list[np.ndarray]:
+    """Rows ``lo:hi`` of each part ``(first, m, w)`` of a one-row draw, the part
+    that starts at word ``first``, has m pairs and w values a row: its values
+    ``lo * w : hi * w``, :func:`_box_muller` of the pairs that hold them, pair p
+    from words ``first + p`` and ``first + m + p``, read at their place in the
+    stream (:func:`_spans_at`). A part the chunk holds whole is one run of
+    words, and so are consecutive whole parts. A pair split by the chunk's edge
+    is transformed whole and only its half inside is kept."""
+    spans = []
+    for first, m, w in parts:
+        a, b = lo * w // 2, (hi * w + 1) // 2
+        spans += [(first + a, b - a), (first + m + a, b - a)]
+    words = _spans_at(key, spans)
+    values = []
+    for _, _, w in parts:
+        radius, theta = words.pop(0), words.pop(0)  # a split part's words go once used
+        skip = lo * w % 2  # the cosine of a pair split by lo
+        out = np.empty((1, 2 * radius.shape[1]))
+        _box_muller(radius, theta, out)
+        values.append(out[0, skip : skip + (hi - lo) * w])
+    return values
 
 
 def _reduce_normals(key, rows: int, width: int, d: int, reduce, scaled: bool = True) -> list[int]:
@@ -328,10 +360,10 @@ def _reduce_normals(key, rows: int, width: int, d: int, reduce, scaled: bool = T
     widths = (width, width * d) if scaled else (width * d,)
     pairs = [(rows * w + 1) // 2 for w in widths]
     firsts = [2 * sum(pairs[:i]) for i in range(len(pairs))]
+    layout = list(zip(firsts, pairs, widths))
 
     def work(lo: int, hi: int):
-        parts = [_chunk_normals(key, first, m, lo * w, hi * w)
-                 for first, m, w in zip(firsts, pairs, widths)]
+        parts = _chunk_normals(key, layout, lo, hi)
         values = parts[-1].reshape(hi - lo, width, d)
         if scaled:  # IEEE x commutes
             np.multiply(values, parts[0].reshape(hi - lo, width, 1), out=values)

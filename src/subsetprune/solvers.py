@@ -31,28 +31,35 @@ Strategies of :func:`search_subsets`
     A miss proves nothing and is reported as "not-found", never as
     "proven-infeasible".
 
-    One engine, :func:`_greedy_swap_best`, solves any number P of problems
-    of the same shape at once; :func:`search_subsets` calls it with P = 1 and
-    the greedy MRSS scan with a batch of trials. Each problem's greedy start
-    and restarts, tagged with the problem, descend together with every other
-    problem's: each step scores all swaps of all starts in the batch as one
+    Two engines serve every greedy solve: :func:`_greedy_builds` builds
+    each of P problems' greedy start at once, and :func:`_swap_descents`
+    descends any number of starts, each tagged with its problem, together.
+    :func:`_greedy_swap_best` runs them over each problem's build and
+    restarts and keeps the best, which :func:`search_subsets` calls with
+    P = 1. The greedy MRSS scan asks only whether a trial hits, so it runs
+    them in two phases (``harness._solve_greedy_batch``): every trial
+    descends from its build alone, and only the trials whose builds missed
+    descend from their restarts; a problem's best residual is within eps
+    exactly when one of its starts' is. The starts of a batch descend
+    together: each step scores all swaps of all starts in the batch as one
     coordinate-major ``(d, k, n, starts)`` block of ``current - leaving +
     entering``, a start's own entering columns at +inf, and the starts whose
     best swap improves take it. Per start this is the one-start loop exactly:
     the same elementwise values, ``current`` re-summed over the sorted
     indices in ascending index order (as the reported witness is), the first
     argmin in (leaving position, entering index) order and at most
-    ``max_iters`` swaps; per problem the smallest residual wins, ties to the
-    lexicographically smallest indices. The batch's block stays under one
-    byte cap, ``_DESCENT_BYTES``: a start that stops leaves the batch and a
-    waiting one enters. Restart r starts from the sorted first k of the
-    ``permutation(n)`` that stream ``seed.substream(r)`` draws first, which
-    the caller draws (:func:`_restart_heads`): numpy's shuffle replayed from
-    the substream's raw Philox words, split into 32-bit halves low half first,
-    each step's index drawn by masked rejection and every n from the start of
-    the stream (``sampling._substream_permutation_heads``). A scan draws a
-    batch's heads for every group length at once, mixing each key once and
-    reading each key's stream once.
+    ``max_iters`` swaps, whichever starts share the batch; per problem the
+    smallest residual wins, ties to the lexicographically smallest indices.
+    The batch's block stays under one byte cap, ``_DESCENT_BYTES``: a start
+    that stops leaves the batch and a waiting one enters. Restart r starts
+    from the sorted first k of the ``permutation(n)`` that stream
+    ``seed.substream(r)`` draws first, which the caller draws
+    (:func:`_restart_heads`): numpy's shuffle replayed from the substream's
+    raw Philox words, split into 32-bit halves low half first, each step's
+    index drawn by masked rejection and every n from the start of the stream
+    (``sampling._substream_permutation_heads``). A scan draws a batch's
+    heads once, only for the trials whose builds missed, for every group
+    length at once, mixing each such key once and reading its stream once.
 
 The exhaustive engine is one private subset index, ``_SubsetIndex``, over P
 pools of one shape: each pool's blocks are blocks of one index.
@@ -703,7 +710,13 @@ def _greedy_swap_best(
     restart r of problem p starts from the sorted row ``p * restarts + r - 1``
     (:func:`_restart_heads`). Returns the ``(P, k)`` indices and the ``(P,)``
     residuals, per problem the smallest residual with ties to the
-    lexicographically smallest indices."""
+    lexicographically smallest indices.
+
+    It is the engine of :func:`search_subsets`, which needs the best witness.
+    The greedy MRSS scan needs only whether a problem hits, so it does not
+    call this: its build descents come first and its restarts only for the
+    builds that miss (``harness._solve_greedy_batch``), the same starts'
+    descents and the same hits."""
     problems, n, _ = vectors.shape
     per = params.restarts + 1
     starts = np.empty((problems, per, k), dtype=np.intp)

@@ -613,6 +613,75 @@ class TestScans:
         rows = scan_mrss_phase(1, 2, [4, 8], 0.05, 6, SEED, strategy, group_size=4)
         assert [row["successes"] for row in rows] == [0, 6]
 
+    @staticmethod
+    def _planted_greedy_scan(monkeypatch, pools, n_values, group_size=None):
+        """A greedy 1-D scan for k = 2 within 0.05 of 1.5, trial t drawing
+        ``pools[t]``, 3 trials a batch. Returns the successes, each batch's
+        restart-head draws as (trials, sizes) and each descent call's
+        (problems, starts a problem)."""
+        seed = SEED.substream(66)
+        trial_of = {seed.substream(t): t for t in range(len(pools))}
+        trial_of_key = {s.substream(2): t for s, t in trial_of.items()}
+
+        def planted(streams, n, d, radius):
+            vectors = np.array([pools[trial_of[s]][:n] for s in streams])[:, :, None]
+            return vectors, np.full((len(streams), 1), 1.5)
+
+        draws, descents = [], []
+        restart_heads, swap_descents = solvers._restart_heads, solvers._swap_descents
+
+        def spied_heads(seeds, restarts, sizes, k):
+            draws.append(([trial_of_key[s] for s in seeds], list(sizes)))
+            return restart_heads(seeds, restarts, sizes, k)
+
+        def spied_descents(vectors, targets, owners, starts, max_iters):
+            descents.append((len(vectors), len(starts) // len(vectors)))
+            return swap_descents(vectors, targets, owners, starts, max_iters)
+
+        monkeypatch.setattr(harness, "_mrss_draws", planted)
+        monkeypatch.setattr(harness, "_batches",
+                            lambda trials, _: (range(lo, min(lo + 3, trials))
+                                               for lo in range(0, trials, 3)))
+        monkeypatch.setattr(solvers, "_restart_heads", spied_heads)
+        monkeypatch.setattr(solvers, "_swap_descents", spied_descents)
+        rows = scan_mrss_phase(1, 2, n_values, 0.05, len(pools), seed, Strategy.GREEDY_SWAP,
+                               group_size=group_size)
+        return [row["successes"] for row in rows], draws, descents
+
+    # greedy builds toward 1.5: {1.0, 0.5} is one, and 100s never hit
+    _BUILD_HITS = [1.0, 0.5] + [100.0] * 7
+    _BUILD_HITS_FROM_5 = [100.0] * 4 + [1.0, 0.5] + [100.0] * 3
+    _NEVER = [100.0] * 9
+
+    def test_restart_heads_are_drawn_for_the_build_misses_only(self, monkeypatch):
+        pools = [self._BUILD_HITS, self._BUILD_HITS_FROM_5, self._NEVER,
+                 self._BUILD_HITS, self._BUILD_HITS, self._BUILD_HITS_FROM_5]
+        successes, draws, descents = self._planted_greedy_scan(monkeypatch, pools, [4, 8])
+        assert successes == [3, 5]
+        # one draw a batch, for every length of an n with a miss: the second
+        # batch's only miss is at n = 4
+        assert draws == [([1, 2], [4, 8]), ([5], [4])]
+        assert descents == [(3, 1), (3, 1), (2, 8), (1, 8),  # batch 0: builds, then restarts
+                            (3, 1), (3, 1), (1, 8)]
+
+    def test_a_batch_whose_builds_all_hit_draws_no_heads(self, monkeypatch):
+        successes, draws, descents = self._planted_greedy_scan(
+            monkeypatch, [self._BUILD_HITS] * 3, [4, 8])
+        assert successes == [3, 3]
+        assert draws == [] and descents == [(3, 1), (3, 1)]
+
+    def test_grouped_restart_heads_are_drawn_for_the_build_misses_only(self, monkeypatch):
+        # groups of 4: at n = 9 the groups hold 4 and 5 vectors, and a build
+        # hit in the second group spares the trial its restarts
+        pools = [self._BUILD_HITS, self._BUILD_HITS_FROM_5, self._NEVER]
+        successes, draws, descents = self._planted_greedy_scan(monkeypatch, pools, [4, 9],
+                                                               group_size=4)
+        assert successes == [1, 2]
+        assert draws == [([1, 2], [4, 5])]
+        # builds: n = 4, then n = 9's two groups; restarts: n = 4, then the
+        # trial that missed both groups' builds at n = 9, group by group
+        assert descents == [(3, 1), (3, 1), (2, 1), (2, 8), (1, 8), (1, 8)]
+
     def test_group_size_below_k_squared_is_rejected(self):
         with pytest.raises(ParameterError, match="group_size must be >= k\\^2"):
             scan_mrss_phase(2, 3, [9, 18], 0.1, 5, SEED, group_size=8)

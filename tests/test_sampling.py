@@ -351,6 +351,41 @@ def test_run_returns_tile_results_after_every_tile_ends(workers):
     assert sorted(ended) == list(range(workers + 1))
 
 
+def _counted_reads(monkeypatch) -> list:
+    """The ``(start, count)`` of every ``_words_at`` call from now on."""
+    reads, words_at = [], sampling._words_at
+
+    def counted(key, start, count):
+        reads.append((start, count))
+        return words_at(key, start, count)
+
+    monkeypatch.setattr(sampling, "_words_at", counted)
+    return reads
+
+
+def test_a_small_draw_reads_its_words_in_one_call(monkeypatch):
+    reads, seed = _counted_reads(monkeypatch), SeedSpec(43, 1)
+    expected = _box_muller_reference(_fresh(seed), 6)
+    assert standard_normals(6, seed).tobytes() == expected.tobytes()
+    assert reads == [(0, 6)]
+    reads.clear()
+    expected = _rows_reference(seed, 48, 1, 4, scaled=True).reshape(48, 4)
+    assert sample_nsn(48, 4, seed).tobytes() == expected.tobytes()
+    assert reads == [(0, 48 + 192)]  # the scalars' 48 words, then the directions' 192
+
+
+def test_a_chunk_reads_each_run_of_adjacent_words_at_once(monkeypatch):
+    # one-row chunks of sample_nsn(2, 2): each holds the scalars' one pair
+    # whole (words 0 and 1) and half of the directions' two pairs (words 2-5)
+    monkeypatch.setattr(sampling, "_TILE_PAIRS", 1)
+    reads, seed = _counted_reads(monkeypatch), SeedSpec(43, 2)
+    expected = _rows_reference(seed, 2, 1, 2, scaled=True).reshape(2, 2)
+    assert sample_nsn(2, 2, seed).tobytes() == expected.tobytes()
+    # row 0: the scalar pair and its direction pair's radius word are one run;
+    # row 1: its direction pair's words 3 and 5 are runs of their own
+    assert reads == [(0, 3), (4, 1), (0, 2), (3, 1), (5, 1)]
+
+
 @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, (1 << 16) + 3])
 def test_words_at_reads_from_the_words_place_in_the_stream(start):
     seed = SeedSpec(12, start)
