@@ -39,7 +39,9 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 from .pruning import PruneParams, prune_random_layer
 from .sampling import (
+    _BATCH_BYTES,
     SeedSpec,
+    _key,
     _map_rows,
     _nsn_vectors,
     _one_stream,
@@ -84,7 +86,6 @@ _Z = 3.0  # z of the Agresti-Coull and Wilson intervals: README's three standard
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
 _TAIL_CHUNK = 1 << 17  # uniforms per intersection-tail row chunk
 _GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
-_BATCH_BYTES = 3 << 19  # a scan batch's draws plus the state its solves keep (not query scratch)
 
 
 class BoundDirection(Enum):
@@ -154,7 +155,7 @@ def _block_totals(trials: int, seed: SeedSpec, draw, block: int = _BLOCK) -> lis
         raise ParameterError("trials must be >= 1")
     totals = None
     starts = range(0, trials, block)
-    for key, start in zip(_substream_keys([seed], range(len(starts))), starts):
+    for key, start in zip(_substream_keys([_key(seed)], range(len(starts))).tolist(), starts):
         parts = draw(key, min(block, trials - start))
         totals = [total + part for total, part in zip(totals or [0] * len(parts), parts)]
     return totals
@@ -551,7 +552,10 @@ def _count_from(successes: dict, first: int | None, count: int = 1) -> None:
 
 def _batches(trials: int, trial_bytes: int):
     """The trials in consecutive batches of as many as ``_BATCH_BYTES`` holds at
-    ``trial_bytes`` a trial (at least one)."""
+    ``trial_bytes`` a trial (at least one). ``trial_bytes`` counts what a batch
+    keeps for one trial between engine calls; the transients of the greedy
+    engines (a swap descent's blocks, a heads replay's chunks) stay under caps
+    of their own whatever the batch size."""
     size = max(1, _BATCH_BYTES // trial_bytes)
     for first in range(0, trials, size):
         yield range(first, min(first + size, trials))
@@ -594,7 +598,7 @@ def scan_rssp_phase(
     grid = np.linspace(-1.0, 1.0, grid_size)
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, trial_bytes):
-        draws = _uniforms(_substream_keys([seed], batch), sizes[-1], -1.0, 1.0)
+        draws = _uniforms(_substream_keys([_key(seed)], batch), sizes[-1], -1.0, 1.0)
         for first in _first_covering_sizes(draws, epsilon, grid, sizes):
             _count_from(successes, first)
     echo = {
@@ -607,13 +611,15 @@ def scan_rssp_phase(
 
 
 def _mrss_draws(streams, n: int, d: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(P, n, d)`` ensembles and ``(P, d)`` targets of the trials on
-    ``streams``: trial stream s draws the ``(n, d)`` vectors of
-    ``sample_nsn(n, d, s.substream(0))`` and a target uniform on (-1, 1)^d
-    from ``s.substream(1)``, scaled into the L1 ball of ``radius`` when it
-    lies outside."""
-    vectors = _nsn_vectors(_substream_keys(streams, [0]), n, d)
-    targets = _uniforms(_substream_keys(streams, [1]), d, -1.0, 1.0)
+    """The ``(P, n, d)`` ensembles and ``(P, d)`` targets of the trials whose
+    streams have the ``(P, 2)`` keys ``streams``: trial stream s draws the
+    ``(n, d)`` vectors of ``sample_nsn(n, d, s.substream(0))`` and a target
+    uniform on (-1, 1)^d from ``s.substream(1)``, scaled into the L1 ball of
+    ``radius`` when it lies outside. Both substreams' keys are mixed in one
+    call."""
+    keys = _substream_keys(streams, [0, 1]).reshape(-1, 2, 2)
+    vectors = _nsn_vectors(keys[:, 0], n, d)
+    targets = _uniforms(keys[:, 1], d, -1.0, 1.0)
     l1 = np.abs(targets).sum(axis=1)
     outside = l1 > radius
     targets[outside] *= (radius / l1[outside])[:, None]
@@ -681,8 +687,9 @@ def _solve_greedy_batch(base: SolverParams, group_size: int | None, successes: d
 
     Phase 1: per n and group, every trial without a build hit at that n yet
     descends from its greedy build alone. Phase 2: only the trials whose
-    every build missed at some n draw restart heads, once for the batch (each
-    key mixed once and its stream read once for every group length,
+    every build missed at some n draw restart heads, once for the batch, at
+    the group lengths of the n where they missed and no other (the keys mixed
+    in two calls, each restart stream read once for all its lengths,
     :func:`solvers._restart_heads`), and per n and group those without a hit
     yet descend from their ``restarts`` heads. A start's descent does not
     depend on the other starts of its batch, and a problem's minimum residual
@@ -702,20 +709,22 @@ def _solve_greedy_batch(base: SolverParams, group_size: int | None, successes: d
         missed[n] = pending
     needy = np.unique(np.concatenate(list(missed.values())))
     if base.restarts and needy.size:
-        lengths = sorted({hi - lo for n, spans in groups.items() if missed[n].size
-                          for lo, hi in spans})
-        drawn = solvers._restart_heads([streams[t].substream(2) for t in needy.tolist()],
-                                       base.restarts, lengths, k)
-        heads = {length: block.reshape(needy.size, base.restarts, k)
-                 for length, block in zip(lengths, drawn)}
+        lengths = sorted({hi - lo for spans in groups.values() for lo, hi in spans})
+        used = np.zeros((len(lengths), needy.size), dtype=bool)  # (length, needy trial)
+        for n, spans in groups.items():
+            for lo, hi in spans:
+                used[lengths.index(hi - lo), needy.searchsorted(missed[n])] = True
+        length_of, trial_of = used.nonzero()
+        drawn = solvers._restart_heads(_substream_keys(streams[needy], [2]), trial_of,
+                                       np.take(lengths, length_of), base.restarts, k)
+        row_of = used.cumsum().reshape(used.shape) - 1  # a used (length, trial)'s row of drawn
         for n, spans in groups.items():
             pending = missed[n]
             for lo, hi in spans:
                 if not pending.size:
                     break
-                rows = needy.searchsorted(pending)
-                hits = _descent_hits(base, vectors[pending, lo:hi], targets[pending],
-                                     heads[hi - lo][rows])
+                rows = row_of[lengths.index(hi - lo), needy.searchsorted(pending)]
+                hits = _descent_hits(base, vectors[pending, lo:hi], targets[pending], drawn[rows])
                 pending = pending[~hits]
             missed[n] = pending
     for n in successes:
@@ -746,10 +755,17 @@ def scan_mrss_phase(
     whole prefix (:func:`_groups`).
 
     The trials are drawn, each from its own substream, in batches
-    (:func:`_batches`; a trial's bytes are its draws and, for its largest
-    group, its exhaustive index's 8 d + 12 bytes per sum or its greedy starts'
-    swap blocks, but not a query's window arrays or ``_QUERY_BYTES`` group, so
-    a batch can hold a few times the cap), and each distinct n is solved once,
+    (:func:`_batches`). A trial's bytes are its draws and what the batch keeps
+    for its solves between engine calls: for its largest group, its
+    exhaustive index's 8 d + 12 bytes per sum, but not a query's window arrays
+    or ``_QUERY_BYTES`` group, so an exhaustive batch can hold a few times the
+    cap; for a greedy trial, its ``restarts + 1`` starts and one row of
+    ``restarts`` heads a group length, k indices each. The greedy engines'
+    transients stay under their own caps (``solvers._DESCENT_BYTES``,
+    ``sampling._HEADS_BYTES``) whatever the batch size, so the default greedy
+    scan is one batch. A batch's trial keys, and the keys of their draws and
+    restarts, come from a few vectorised mixes (:func:`sampling._substream_keys`),
+    with no :class:`SeedSpec` built per trial. Each distinct n is solved once,
     in ascending order, each group for the whole batch in one engine call
     (:func:`_solve_batch`). The exhaustive scan without groups stops a trial
     at its first hit and counts it for every larger n: the colex family of a
@@ -772,18 +788,18 @@ def scan_mrss_phase(
     if d < 1:  # sampling would reject it before any budget check
         raise ParameterError("d must be >= 1")
     base = SolverParams(epsilon=epsilon, k=k, strategy=strategy)
-    longest = max((hi - lo for n in sizes for lo, hi in _groups(n, group_size)), default=0)
-    if strategy is Strategy.GREEDY_SWAP:
-        solve_bytes = 8 * (base.restarts + 1) * k * longest * d  # its starts' swap blocks
+    lengths = {hi - lo for n in sizes for lo, hi in _groups(n, group_size)}
+    if strategy is Strategy.GREEDY_SWAP:  # its starts, and a restart-head row a group length
+        solve_bytes = 8 * k * (base.restarts + 1 + base.restarts * len(lengths))
     else:
         for n in n_values:  # in the given order, so the first group over budget is named
             for lo, hi in _groups(int(n), group_size):
                 _check_family_budget(hi - lo, [k], d, base.enumeration_budget)
-        solve_bytes = solvers._index_bytes(longest, k, d)
+        solve_bytes = solvers._index_bytes(max(lengths, default=0), k, d)
     trial_bytes = 16 * (sizes[-1] * (d + 1) + d + 2) + solve_bytes  # its draws' words and values
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, trial_bytes):
-        streams = [seed.substream(trial) for trial in batch]
+        streams = _substream_keys([_key(seed)], batch)
         _solve_batch(base, group_size, successes, streams,
                      *_mrss_draws(streams, sizes[-1], d, target_radius))
     echo = {

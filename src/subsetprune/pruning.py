@@ -57,7 +57,7 @@ from .masks import (
     sign_split_mask,
     validate_structure,
 )
-from .sampling import SeedSpec, _substream_keys, _uniforms, sample_normal_tensor
+from .sampling import SeedSpec, _key, _substream_keys, _uniforms, sample_normal_tensor
 from .solvers import (
     DEFAULT_ENUMERATION_BUDGET,
     CardinalityMode,
@@ -439,7 +439,7 @@ def make_probes(
         raise ShapeError("all dimensions must be positive")
     if count > 0 and not magnitude > 0.0:
         raise ParameterError("need high > low")
-    draws = _uniforms(_substream_keys([seed], range(count)), height * width * channels,
+    draws = _uniforms(_substream_keys([_key(seed)], range(count)), height * width * channels,
                       -magnitude, magnitude)
     probes = [FeatureMap(row.reshape(shape)) for row in draws]
     probes.append(FeatureMap(np.full(shape, magnitude)))

@@ -12,8 +12,8 @@ generator would (:func:`_rewound`). A rewound generator is valid until the
 thread's next draw, so no caller holds two at once: a draw reads all it needs
 from one stream before it rewinds to the next.
 
-One word reader (:func:`_raw`) reads each stream's block at once; the tiles
-below read their chunks' words at their place in the stream instead
+One word reader (:func:`_raw`) reads all of each stream's blocks in one read;
+the tiles below read their chunks' words at their place in the stream instead
 (:func:`_words_at`: counter word // 4, then word % 4 words skipped), each run
 of adjacent words in one read (:func:`_spans_at`), so a chunk that holds its
 parts whole, as a small draw's one chunk does, rewinds once. A 53-bit
@@ -42,10 +42,13 @@ no byte depends on the CPU count or on scheduling. Hence
 value depends on the length of the call that drew it, so a longer draw does
 not extend a shorter one. Distinct stream ids give independent streams.
 
-Substreams for parallel fan-out are derived with :meth:`SeedSpec.substream`,
-a splitmix64-style mix of ``(stream_id, index)``. A many-stream builder takes
-a list of stream keys and fills one ``(streams, values)`` array, each row the
-bytes its stream's one-stream draw would have.
+Substream keys are derived by one mixer, :func:`_mix64`: splitmix64's
+finaliser over ``stream_id * phi + index`` as numpy uint64 arrays, the master
+seed kept. :func:`_substream_keys` mixes every index of every key of an array
+in one call, so a scan derives a batch's keys without a :class:`SeedSpec` per
+trial; :meth:`SeedSpec.substream` is the same call on one key. A many-stream
+builder takes an array of stream keys and fills one ``(streams, values)``
+array, each row the bytes its stream's one-stream draw would have.
 
 Every draw reads raw words (``random_raw``); no ``Generator`` sampling method
 is called, because numpy keeps bit-generator streams stable across releases
@@ -82,15 +85,26 @@ _BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L
 _TILE_PAIRS = 1 << 15  # pairs a tile reads and transforms at once
 _INLINE_PAIRS = 1 << 15  # a one-stream draw of fewer than 2x this many words runs on one thread
 _HEAD_WORDS = 48  # raw words a restart-heads draw first reads per key, at least
-_HEADS_BYTES = 1 << 22  # largest block of words and shuffled rows a heads draw replays at once
+# A phase scan's batch of trials holds its draws plus the state its solves keep
+# (not query scratch) in this many bytes (``harness._batches``); it is defined
+# here so that the restart heads a greedy batch draws are replayed, chunk by
+# chunk, in no more than a batch holds.
+_BATCH_BYTES = 3 << 19
+_HEADS_BYTES = _BATCH_BYTES  # largest block of words and shuffled rows a heads draw replays
 
 
-def _mix64(a: int, b: int) -> int:
-    # splitmix64 finaliser over a*phi + b; enough avalanche for substream ids
-    x = (a * 0x9E3779B97F4A7C15 + b) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _mix64(streams: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser over ``streams * phi + indices`` (Steele, Lea and
+    Flood 2014), elementwise over broadcast uint64 arrays: the package's one
+    substream mixer. Array arithmetic wraps modulo 2^64 silently; numpy scalars
+    would warn on overflow, so both operands must be arrays."""
+    x = streams * np.uint64(0x9E3779B97F4A7C15) + indices
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 @dataclass(frozen=True)
@@ -105,8 +119,9 @@ class SeedSpec:
         object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
 
     def substream(self, index: int) -> "SeedSpec":
-        """Pure derived stream; distinct indices give independent streams."""
-        return SeedSpec(*_substream_keys([self], [index])[0])
+        """Pure derived stream; distinct indices give independent streams. Its
+        key is :func:`_substream_keys` of this stream's one key."""
+        return SeedSpec(*_substream_keys([_key(self)], [index])[0].tolist())
 
 
 # Per thread: one Philox, its Generator and the state a fresh one starts in.
@@ -178,12 +193,17 @@ def _map_rows(rows: int, chunk: int, words: int, work) -> list[int]:
     return [sum(column) for column in zip(*(part for parts in tiled for part in parts))]
 
 
-def _substream_keys(seeds, indices) -> list[tuple[int, int]]:
-    """The Philox key ``(master_seed, stream_id)`` of ``seeds[s].substream(indices[i])``
-    at row ``s * len(indices) + i``, each mixed once, without a :class:`SeedSpec`."""
-    indices = [int(index) & _MASK64 for index in indices]
-    return [(seed.master_seed, _mix64(seed.stream_id, index))
-            for seed in seeds for index in indices]
+def _substream_keys(keys, indices) -> np.ndarray:
+    """The ``(len(keys) * len(indices), 2)`` uint64 Philox keys ``(master_seed,
+    stream_id)`` of substream ``indices[i]`` of stream ``keys[s]`` (a key, like
+    each row, is ``(master_seed, stream_id)``) at row ``s * len(indices) + i``,
+    all mixed in one :func:`_mix64` call; an index is taken modulo 2^64."""
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    indices = np.array([int(index) & _MASK64 for index in indices], dtype=np.uint64)
+    out = np.empty((len(keys), len(indices), 2), dtype=np.uint64)
+    out[:, :, 0] = keys[:, :1]
+    out[:, :, 1] = _mix64(keys[:, 1:], indices)
+    return out.reshape(-1, 2)
 
 
 def _thread_philox():
@@ -207,7 +227,7 @@ def _rewound(keys):
     valid until the next is yielded."""
     rng, fresh = _thread_philox()
     bitgen, key = rng.bit_generator, fresh["state"]["key"]
-    for key[0], key[1] in keys:
+    for key[0], key[1] in np.asarray(keys, dtype=np.uint64).reshape(-1, 2).tolist():
         bitgen.state = fresh
         yield rng
 
@@ -226,12 +246,13 @@ def _generator(seed: SeedSpec) -> np.random.Generator:
 def _raw(keys, *counts) -> list[np.ndarray]:
     """One ``(len(keys), count)`` block of raw Philox words per count: row r of
     the blocks, in turn, holds the consecutive words stream ``keys[r]`` starts
-    with."""
-    blocks = [np.empty((len(keys), count), dtype=np.uint64) for count in counts]
+    with. Each key is rewound once and read in one ``random_raw(sum(counts))``
+    call, and each block is a column slice of the one array they fill."""
+    words = np.empty((len(keys), sum(counts)), dtype=np.uint64)
     for row, rng in enumerate(_rewound(keys)):
-        for block in blocks:
-            block[row] = rng.bit_generator.random_raw(block.shape[1])
-    return blocks
+        words[row] = rng.bit_generator.random_raw(words.shape[1])
+    ends = np.cumsum(counts).tolist()
+    return [words[:, end - count : end] for end, count in zip(ends, counts)]
 
 
 def _words(keys, *counts) -> list[np.ndarray]:
@@ -482,39 +503,43 @@ def _replayed_heads(keys, sizes: np.ndarray, owners: np.ndarray, k: int, words: 
     if short.any():
         redo = short.nonzero()[0]
         again, owners_again = np.unique(owners[redo], return_inverse=True)
-        heads[redo] = _replayed_heads([keys[r] for r in again.tolist()], sizes[redo],
-                                      owners_again, k, 2 * words)
+        heads[redo] = _replayed_heads(keys[again], sizes[redo], owners_again, k, 2 * words)
     return heads
 
 
-def _substream_permutation_heads(keys, sizes, k: int) -> np.ndarray:
-    """``(len(sizes), len(keys), k)``: block s, row r holds the first k entries of
-    the permutation of ``sizes[s]`` that ``Generator.permutation`` draws first
-    from stream ``keys[r]``.
+def _substream_permutation_heads(keys, owners, sizes, k: int) -> np.ndarray:
+    """``(len(sizes), k)``: row q holds the first k entries of the permutation
+    of ``sizes[q]`` that ``Generator.permutation`` draws first from stream
+    ``keys[owners[q]]``; a key owns any number of rows, each size of its own.
 
     It is replayed from the raw words (:func:`_replayed_heads`), every size from
     the stream's start, so the bytes are the shuffle's and not whatever a numpy
-    release's ``Generator`` does. Each key's stream is read once for all sizes,
-    at first ``max(_HEAD_WORDS, 3 n / 4)`` words for the largest n: 1.5 halves
-    a step, where a step draws ``(mask + 1) / (i + 1)`` halves on average,
-    under 2 and about 1.35 over a shuffle. The keys are replayed in chunks
-    under ``_HEADS_BYTES``: per key its words, and per row its shuffled
-    ``arange`` and about eight row vectors.
+    release's ``Generator`` does, and a row's bytes do not depend on the other
+    rows. Each key's stream is read once for all its rows, at first
+    ``max(_HEAD_WORDS, 3 n / 4)`` words for the largest n: 1.5 halves a step,
+    where a step draws ``(mask + 1) / (i + 1)`` halves on average, under 2 and
+    about 1.35 over a shuffle. The keys are replayed in chunks under
+    ``_HEADS_BYTES``: per key its words, and per row (as many as the keys own
+    on average) its shuffled ``arange`` and about eight row vectors.
     """
-    heads = np.empty((len(sizes), len(keys), k), dtype=np.intp)
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    owners, sizes = np.asarray(owners, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
+    heads = np.empty((len(sizes), k), dtype=np.intp)
     if not heads.size:
         return heads
-    order = np.argsort(sizes, kind="stable")[::-1]
-    descending = np.asarray(sizes, dtype=np.intp)[order]
-    top = int(descending[0])
+    top = int(sizes.max())
     words = max(_HEAD_WORDS, 3 * top // 4)
-    chunk = max(1, _HEADS_BYTES // (8 * words + 8 * len(sizes) * (top + 8)))
-    for lo in range(0, len(keys), chunk):
-        part = keys[lo : lo + chunk]
-        rows = np.repeat(descending, len(part))
-        owners = np.tile(np.arange(len(part)), len(sizes))
-        drawn = _replayed_heads(part, rows, owners, k, words)
-        heads[order, lo : lo + len(part)] = drawn.reshape(len(sizes), len(part), k)
+    rows_bytes = 8 * len(sizes) * (top + 8)  # every row's shuffled arange and row vectors
+    chunk = max(1, _HEADS_BYTES * len(keys) // (8 * words * len(keys) + rows_bytes))  # keys
+    by_owner = np.argsort(owners, kind="stable")
+    bounds = owners.take(by_owner).searchsorted(np.arange(0, len(keys) + chunk, chunk))
+    for lo, first, last in zip(range(0, len(keys), chunk), bounds, bounds[1:]):
+        if first == last:
+            continue
+        rows = by_owner[first:last]
+        rows = rows.take(np.argsort(-sizes.take(rows), kind="stable"))  # sizes descending
+        heads[rows] = _replayed_heads(keys[lo : lo + chunk], sizes.take(rows),
+                                      owners.take(rows) - lo, k, words)
     return heads
 
 

@@ -58,8 +58,9 @@ Strategies of :func:`search_subsets`
     raw Philox words, split into 32-bit halves low half first, each step's
     index drawn by masked rejection and every n from the start of the stream
     (``sampling._substream_permutation_heads``). A scan draws a batch's
-    heads once, only for the trials whose builds missed, for every group
-    length at once, mixing each such key once and reading its stream once.
+    heads once, only for the trials whose builds missed and only at the
+    group lengths of the n where they missed, mixing each such key once and
+    reading its stream once for all of its lengths.
 
 The exhaustive engine is one private subset index, ``_SubsetIndex``, over P
 pools of one shape: each pool's blocks are blocks of one index.
@@ -157,7 +158,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .sampling import SeedSpec, _substream_keys, _substream_permutation_heads
+from .sampling import SeedSpec, _key, _substream_keys, _substream_permutation_heads
 
 __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
@@ -730,14 +731,17 @@ def _greedy_swap_best(
     return reached.take(best, axis=0), residuals.take(best)
 
 
-def _restart_heads(seeds, restarts: int, sizes, k: int) -> np.ndarray:
-    """The restart heads of :func:`_greedy_swap_best` for the problems seeded by
-    ``seeds``, one block per n in ``sizes``: row ``p * restarts + r - 1`` of a
-    block is the first k of the ``permutation(n)`` that stream
-    ``seeds[p].substream(r)`` draws first, r = 1, 2, ...; each key is mixed
-    once for all sizes."""
-    keys = _substream_keys(seeds, range(1, restarts + 1))
-    return _substream_permutation_heads(keys, sizes, k)
+def _restart_heads(keys, owners, sizes, restarts: int, k: int) -> np.ndarray:
+    """The restart heads of :func:`_greedy_swap_best` for the rows ``(owners[q],
+    sizes[q])`` over the problems whose streams are ``keys``: row q, restart r
+    (at ``[q, r - 1]``) is the first k of the ``permutation(sizes[q])`` that
+    substream r of stream ``keys[owners[q]]`` draws first, r = 1, 2, ...; the
+    keys' restart keys are mixed in one call, and each restart stream is read
+    once for all of its problem's rows."""
+    streams = _substream_keys(keys, range(1, restarts + 1))  # problem p's at p * restarts
+    rows = (np.asarray(owners, dtype=np.intp)[:, None] * restarts + np.arange(restarts)).ravel()
+    heads = _substream_permutation_heads(streams, rows, np.repeat(sizes, restarts), k)
+    return heads.reshape(len(sizes), restarts, k)
 
 
 def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchOutcome:
@@ -765,7 +769,8 @@ def search_subsets(vectors, target, params: SolverParams, index=None) -> SearchO
         exhaustive = True
     else:
         best: tuple[tuple[int, ...], float] | None = None
-        heads = _restart_heads([params.seed], params.restarts, [n], max(cardinalities))[0]
+        heads = _restart_heads([_key(params.seed)], [0], [n], params.restarts,
+                               max(cardinalities))[0]
         for k in cardinalities:
             if k == 0:
                 cand = ((), float(np.abs(target).max(initial=0.0)))

@@ -41,7 +41,7 @@ from subsetprune.harness import (
     wilson_interval,
     write_csv,
 )
-from subsetprune.sampling import _key, _words
+from subsetprune.sampling import _key, _substream_keys, _words
 from test_sampling import _rows_reference, workers  # noqa: F401 (a fixture)
 from test_solvers import reference_first_cover
 
@@ -620,19 +620,20 @@ class TestScans:
         restart-head draws as (trials, sizes) and each descent call's
         (problems, starts a problem)."""
         seed = SEED.substream(66)
-        trial_of = {seed.substream(t): t for t in range(len(pools))}
-        trial_of_key = {s.substream(2): t for s, t in trial_of.items()}
+        trial_of = {_key(seed.substream(t)): t for t in range(len(pools))}
+        trial_of_key = {_key(seed.substream(t).substream(2)): t for t in range(len(pools))}
 
         def planted(streams, n, d, radius):
-            vectors = np.array([pools[trial_of[s]][:n] for s in streams])[:, :, None]
-            return vectors, np.full((len(streams), 1), 1.5)
+            vectors = np.array([pools[trial_of[tuple(s)]][:n] for s in streams.tolist()])
+            return vectors[:, :, None], np.full((len(streams), 1), 1.5)
 
         draws, descents = [], []
         restart_heads, swap_descents = solvers._restart_heads, solvers._swap_descents
 
-        def spied_heads(seeds, restarts, sizes, k):
-            draws.append(([trial_of_key[s] for s in seeds], list(sizes)))
-            return restart_heads(seeds, restarts, sizes, k)
+        def spied_heads(keys, owners, sizes, restarts, k):
+            draws.append(([trial_of_key[tuple(key)] for key in keys.tolist()],
+                          sorted(set(sizes.tolist()))))
+            return restart_heads(keys, owners, sizes, restarts, k)
 
         def spied_descents(vectors, targets, owners, starts, max_iters):
             descents.append((len(vectors), len(starts) // len(vectors)))
@@ -691,7 +692,8 @@ class TestScans:
                                             (3, 17, 0.0), (6, 2, 10.0)])
     def test_batched_trials_are_the_per_stream_trials(self, trials, n, d, radius):
         streams = [SEED.substream(57).substream(trial) for trial in range(trials)]
-        vectors, targets = harness._mrss_draws(streams, n, d, radius)
+        vectors, targets = harness._mrss_draws(np.array([_key(s) for s in streams], np.uint64),
+                                               n, d, radius)
         expected = np.stack([sample_nsn(n, d, s.substream(0)) for s in streams])
         assert vectors.tobytes() == expected.tobytes()
         expected = np.stack([_l1_projected_target(d, radius, s.substream(1)) for s in streams])
@@ -722,10 +724,16 @@ class TestScans:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
-    def test_greedy_scan_memory_does_not_grow_with_trials(self):
+    def test_greedy_scan_memory_does_not_grow_with_trials(self, monkeypatch):
+        # a batch holds 968 trials here (1,624 bytes each: draws, starts and
+        # two lengths' restart-head rows), so both scans fill several batches;
+        # the engines' transients come on top, each under its own cap
         scan_mrss_phase(2, 3, [10, 20], 0.25, 5, SEED, Strategy.GREEDY_SWAP)  # fill the caches
-        peaks = []
-        for trials in (200, 2000):
+        batches, peaks = [], []
+        split = harness._batches
+        monkeypatch.setattr(harness, "_batches", lambda trials, trial_bytes: batches.append(
+            len(list(split(trials, trial_bytes)))) or split(trials, trial_bytes))
+        for trials in (2000, 10000):
             tracemalloc.start()
             try:
                 scan_mrss_phase(2, 3, [10, 20], 0.25, trials, SEED.substream(53),
@@ -733,7 +741,53 @@ class TestScans:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        assert batches == [3, 11]
         assert peaks[1] <= 1.05 * peaks[0], peaks
+        transient = max(solvers._DESCENT_BYTES, sampling._HEADS_BYTES)
+        assert max(peaks) <= harness._BATCH_BYTES + transient, peaks
+
+    def test_the_default_greedy_scan_is_one_batch_under_the_cap(self, monkeypatch):
+        seed = SeedSpec(20240801)
+        scan_mrss_phase(2, 3, [10, 15, 20], 0.25, 5, seed, Strategy.GREEDY_SWAP)  # fill the caches
+        batches = []
+        split = harness._batches
+        monkeypatch.setattr(harness, "_batches", lambda trials, trial_bytes: batches.extend(
+            split(trials, trial_bytes)) or split(trials, trial_bytes))
+        tracemalloc.start()
+        try:
+            scan_mrss_phase(2, 3, [10, 15, 20], 0.25, 200, seed, Strategy.GREEDY_SWAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batches == [range(200)]
+        assert peak <= harness._BATCH_BYTES, peak
+
+    def test_restart_heads_are_shuffled_for_the_missed_lengths_only(self, monkeypatch):
+        # the default greedy scan: a trial whose build missed at n needs its
+        # restart heads at n's length, one row a restart; the build misses
+        # are the misses of the same scan without restarts
+        seed = SeedSpec(20240801)
+        monkeypatch.setattr(harness, "SolverParams", functools.partial(SolverParams, restarts=0))
+        builds = scan_mrss_phase(2, 3, [10, 15, 20], 0.25, 200, seed, Strategy.GREEDY_SWAP)
+        monkeypatch.setattr(harness, "SolverParams", SolverParams)
+        shuffled = []
+        shuffle = sampling._shuffle_heads
+        monkeypatch.setattr(sampling, "_shuffle_heads", lambda halves, sizes, owners, k: (
+            shuffled.append(len(sizes)) or shuffle(halves, sizes, owners, k)))
+        scan_mrss_phase(2, 3, [10, 15, 20], 0.25, 200, seed, Strategy.GREEDY_SWAP)
+        misses = sum(200 - row["successes"] for row in builds)
+        assert shuffled == [8 * misses] == [1240]  # every needy trial at all 3 lengths: 1848
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_scans_build_no_seed_spec_per_trial(self, monkeypatch, strategy):
+        built = []
+        post_init = SeedSpec.__post_init__
+        monkeypatch.setattr(SeedSpec, "__post_init__",
+                            lambda spec: built.append(spec) or post_init(spec))
+        scan_mrss_phase(2, 3, [10, 15, 20], 0.25, 200, SEED, strategy)
+        scan_mrss_phase(2, 3, [9, 18], 0.25, 100, SEED, strategy, group_size=9)
+        scan_rssp_phase(0.05, [10, 20], 41, 200, SEED)
+        assert len(built) == 2  # each mrss scan's SolverParams' default seed, and no trial's
 
     def test_small_epsilon_rssp_scan_stays_near_the_cap(self):
         # at n = 60 a trial's cover may hold 60,001 intervals, so each batch

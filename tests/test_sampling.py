@@ -45,6 +45,63 @@ def test_distinct_streams_differ():
     assert seed.substream(1) != seed.substream(2)
 
 
+def _splitmix_reference(stream: int, index: int) -> int:
+    """splitmix64's finaliser over ``stream * phi + index`` in Python ints,
+    each step masked to 64 bits: the stream id of substream ``index``."""
+    mask = (1 << 64) - 1
+    x = (stream * 0x9E3779B97F4A7C15 + (index & mask)) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+_EDGE_INDICES = [0, 1, 2**63, 2**64 - 1, -1, -(2**63), -(2**70) - 3, 2**64, 2**64 + 7,
+                 2**130 + 5]
+
+
+@pytest.mark.parametrize("streams,indices", [
+    ([2**64 - 1], [-1]),  # one key
+    ([0, 2**63, 2**64 - 1, 12345], [*_EDGE_INDICES, *range(2490)]),  # 10^4 keys
+])
+def test_substream_keys_are_splitmix64(streams, indices):
+    keys = [(2**64 - 1 - stream, stream) for stream in streams]
+    got = _substream_keys(keys, indices)
+    assert got.dtype == np.uint64 and got.shape == (len(keys) * len(indices), 2)
+    assert got.tolist() == [[master, _splitmix_reference(stream, index)]
+                            for master, stream in keys for index in indices]
+    for master, stream in keys[:4]:
+        for index in _EDGE_INDICES:
+            spec = SeedSpec(master, stream).substream(index)
+            assert _key(spec) == (master, _splitmix_reference(stream, index))
+
+
+@pytest.mark.parametrize("counts", [(3, 0, 5), (0,), (7,), (1, 1, 1, 1)])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_raw_blocks_are_each_streams_consecutive_words(monkeypatch, counts, rows):
+    # each key is rewound once and read in one call; block b of row r holds
+    # the words that follow row r's earlier blocks on a fresh Philox
+    keys = _substream_keys([(7, 2**64 - 1)], range(rows))
+    reads = []
+    rewound = sampling._rewound
+
+    class Counting:
+        def __init__(self, rng):
+            self.bit_generator, self.philox = self, rng.bit_generator
+
+        def random_raw(self, size=None):
+            reads.append(size)
+            return self.philox.random_raw(size)
+
+    monkeypatch.setattr(sampling, "_rewound", lambda keys: map(Counting, rewound(keys)))
+    blocks = _raw(keys, *counts)
+    assert reads == [sum(counts)] * rows
+    for row, key in enumerate(keys):
+        philox = np.random.Philox(key=key)
+        for block, count in zip(blocks, counts):
+            assert block.shape == (rows, count) and block.dtype == np.uint64
+            assert block[row].tobytes() == philox.random_raw(count).tobytes()
+
+
 def test_normal_moments():
     draws = standard_normals(N_BIG, SeedSpec(2024, 7))
     assert abs(draws.mean()) <= 0.01
@@ -447,8 +504,8 @@ def test_batched_draws_are_the_per_stream_draws(rows, n, d):
     # one rewound Philox and one transform over all rows give each row the
     # bytes of a generator built afresh on its stream
     seeds = [SeedSpec(13, 7).substream(row) for row in range(rows)]
-    keys = _substream_keys(seeds, [2])
-    assert keys == [_key(seed.substream(2)) for seed in seeds]
+    keys = _substream_keys([_key(seed) for seed in seeds], [2])
+    assert keys.tolist() == [list(_key(seed.substream(2))) for seed in seeds]
     normals, uniforms, scalars, directions = [], [], [], []
     for seed in seeds:
         normals.append(_box_muller_reference(_fresh(seed.substream(2)), n * d))
@@ -488,7 +545,14 @@ def test_batched_box_muller_scratch_is_bounded():
 
 # Restart heads: numpy's shuffle replayed from the raw words
 
-_HEAD_KEYS = _substream_keys([SeedSpec(77, stream) for stream in range(1250)], range(1, 9))
+_HEAD_KEYS = _substream_keys([(77, stream) for stream in range(1250)], range(1, 9))
+
+
+def _heads(keys, sizes, k: int) -> np.ndarray:
+    """``(len(sizes), len(keys), k)``: every size of every key, drawn as rows."""
+    owners = np.tile(np.arange(len(keys)), len(sizes))
+    rows = _substream_permutation_heads(keys, owners, np.repeat(sizes, len(keys)), k)
+    return rows.reshape(len(sizes), len(keys), k)
 
 
 def _permutation_reference(key, n: int) -> np.ndarray:
@@ -516,7 +580,7 @@ def _shuffle_reference(words: np.ndarray, n: int) -> tuple[list[int], int]:
 def test_replayed_heads_are_the_generator_permutations(n):
     expected = np.array([_permutation_reference(key, n) for key in _HEAD_KEYS])
     for k in sorted({1, min(3, n), n}):
-        heads = _substream_permutation_heads(_HEAD_KEYS, [n], k)
+        heads = _heads(_HEAD_KEYS, [n], k)
         assert heads.shape == (1, len(_HEAD_KEYS), k)
         assert np.array_equal(heads[0], expected[:, :k])
 
@@ -524,9 +588,9 @@ def test_replayed_heads_are_the_generator_permutations(n):
 def test_every_size_starts_from_the_stream_start():
     sizes = [20, 2, 64, 7, 20]
     keys = _HEAD_KEYS[:500]
-    heads = _substream_permutation_heads(keys, sizes, 2)
+    heads = _heads(keys, sizes, 2)
     for block, n in zip(heads, sizes):
-        assert np.array_equal(block, _substream_permutation_heads(keys, [n], 2)[0])
+        assert np.array_equal(block, _heads(keys, [n], 2)[0])
         assert np.array_equal(block, [_permutation_reference(key, n)[:2] for key in keys])
 
 
@@ -544,13 +608,14 @@ def test_short_rows_reread_a_longer_prefix(monkeypatch):
     first = max(sampling._HEAD_WORDS, 3 * n // 4)
     (words,) = _raw(keys, 4 * first)
     drawn = np.array([_shuffle_reference(row, n)[1] for row in words])
-    short = {key for key, count in zip(keys, drawn) if count > 2 * first}
+    short = {tuple(key) for key, count in zip(keys.tolist(), drawn) if count > 2 * first}
     assert 0 < len(short) < len(keys) // 10
     reads = []
     raw = sampling._raw
+    monkeypatch.setattr(sampling, "_HEADS_BYTES", 1 << 22)  # the 2000 keys in one chunk
     monkeypatch.setattr(sampling, "_raw", lambda keys, *counts: reads.append(
-        (list(keys), counts)) or raw(keys, *counts))
-    heads = _substream_permutation_heads(keys, [n], 5)[0]
+        ([tuple(key) for key in keys.tolist()], counts)) or raw(keys, *counts))
+    heads = _heads(keys, [n], 5)[0]
     assert [counts for _, counts in reads] == [(first,), (2 * first,)]
     assert set(reads[1][0]) == short
     assert np.array_equal(heads, [_permutation_reference(key, n)[:5] for key in keys])
@@ -558,27 +623,41 @@ def test_short_rows_reread_a_longer_prefix(monkeypatch):
 
 def test_forced_rereads_and_chunks_keep_the_heads(monkeypatch):
     keys, sizes = _HEAD_KEYS[:600], [5, 64, 20, 33]
-    expected = _substream_permutation_heads(keys, sizes, 3)
+    expected = _heads(keys, sizes, 3)
     for words, cap in ((1, 1 << 22), (2, 20_000), (sampling._HEAD_WORDS, 1)):
         monkeypatch.setattr(sampling, "_HEAD_WORDS", words)
         monkeypatch.setattr(sampling, "_HEADS_BYTES", cap)
-        assert np.array_equal(_substream_permutation_heads(keys, sizes, 3), expected)
+        assert np.array_equal(_heads(keys, sizes, 3), expected)
+
+
+@pytest.mark.parametrize("cap", [1 << 22, 20_000, 1])
+def test_heads_of_any_rows_are_those_rows_of_every_size(monkeypatch, cap):
+    # a key may own several rows, one row or none, in any order; each row is
+    # its (key, size) row of the draw of every size of every key
+    keys, sizes = _HEAD_KEYS[:300], np.array([5, 64, 20, 33])
+    every = _heads(keys, sizes, 3)
+    pick = np.random.default_rng(9)
+    owners = pick.integers(0, 150, 400)
+    which = pick.integers(0, len(sizes), 400)
+    monkeypatch.setattr(sampling, "_HEADS_BYTES", cap)
+    rows = _substream_permutation_heads(keys, owners, sizes[which], 3)
+    assert np.array_equal(rows, every[which, owners])
 
 
 def test_restart_heads_are_pinned():
     # the package's own bytes: they no longer follow numpy's Generator code
-    keys = _substream_keys([SeedSpec(20240801)], [1, 2])
-    assert _substream_permutation_heads(keys, [10, 20, 64], 3).tolist() == [
+    keys = _substream_keys([_key(SeedSpec(20240801))], [1, 2])
+    assert _heads(keys, [10, 20, 64], 3).tolist() == [
         [[6, 7, 5], [5, 1, 3]], [[0, 19, 4], [16, 0, 5]], [[32, 58, 22], [43, 56, 1]]]
-    assert _substream_permutation_heads(keys[:1], [20], 20)[0, 0].tolist() == [
+    assert _heads(keys[:1], [20], 20)[0, 0].tolist() == [
         0, 19, 4, 7, 1, 9, 5, 13, 3, 18, 10, 8, 14, 6, 17, 11, 2, 12, 15, 16]
 
 
 def test_empty_heads_draw_nothing(monkeypatch):
     monkeypatch.setattr(sampling, "_raw", None)
-    assert _substream_permutation_heads([], [10], 3).shape == (1, 0, 3)
-    assert _substream_permutation_heads(_HEAD_KEYS[:4], [], 3).shape == (0, 4, 3)
-    assert _substream_permutation_heads(_HEAD_KEYS[:4], [5], 0).shape == (1, 4, 0)
+    assert _heads([], [10], 3).shape == (1, 0, 3)
+    assert _heads(_HEAD_KEYS[:4], [], 3).shape == (0, 4, 3)
+    assert _heads(_HEAD_KEYS[:4], [5], 0).shape == (1, 4, 0)
 
 
 class _RawOnly(np.random.Generator):

@@ -25,7 +25,7 @@ from subsetprune import (
     search_subsets,
     subset_sum_number,
 )
-from subsetprune.sampling import _substream_keys, _substream_permutation_heads
+from subsetprune.sampling import _key, _substream_keys, _substream_permutation_heads
 
 
 def verify_solution(solution, vectors, target, atol=1e-12):
@@ -600,15 +600,17 @@ class TestManyPools:
         assert peak < 4 * solvers._QUERY_BYTES
 
     def test_restart_heads_of_many_sizes_mix_each_key_once(self, monkeypatch):
-        seeds = [SeedSpec(3, stream) for stream in range(4)]
+        keys = [(3, stream) for stream in range(4)]
         sizes = [5, 9, 20]
-        separate = [solvers._restart_heads(seeds, 5, [n], 3)[0] for n in sizes]
+        owners = np.arange(len(keys))
+        separate = [solvers._restart_heads(keys, owners, [n] * len(keys), 5, 3) for n in sizes]
         mixed = []
         mix = sampling._mix64
-        monkeypatch.setattr(sampling, "_mix64", lambda *args: mixed.append(args) or mix(*args))
-        stacked = solvers._restart_heads(seeds, 5, sizes, 3)
+        monkeypatch.setattr(sampling, "_mix64", lambda *args: mixed.append(mix(*args)) or mixed[-1])
+        stacked = solvers._restart_heads(keys, np.tile(owners, len(sizes)),
+                                         np.repeat(sizes, len(keys)), 5, 3)
         assert stacked.tobytes() == np.stack(separate).tobytes()
-        assert len(mixed) == len(seeds) * 5
+        assert len(mixed) == 1 and mixed[0].size == len(keys) * 5  # every restart key, once
 
 
 def reference_first_cover(xs, epsilon, grid, sizes):
@@ -862,7 +864,8 @@ def greedy_cases():
 
 def greedy_swap_best(vectors, target, k, params):
     """The batched engine on the one problem ``(vectors, target)``."""
-    heads = solvers._restart_heads([params.seed], params.restarts, [len(vectors)], k)[0]
+    heads = solvers._restart_heads([_key(params.seed)], [0], [len(vectors)], params.restarts,
+                                   k)[0]
     indices, residuals = solvers._greedy_swap_best(vectors[None], target[None], k, heads, params)
     return tuple(indices[0].tolist()), float(residuals[0])
 
@@ -931,7 +934,8 @@ class TestGreedySwap:
                                   restarts=restarts, max_iters=max_iters)
             if cap is not None:
                 monkeypatch.setattr(solvers, "_DESCENT_BYTES", cap * 8 * k * n * d)
-            heads = solvers._restart_heads(seeds, restarts, [n], k)[0]
+            heads = solvers._restart_heads([_key(seed) for seed in seeds], range(problems),
+                                           [n] * problems, restarts, k)
             indices, residuals = solvers._greedy_swap_best(vectors, targets, k, heads, params)
             for problem, seed in enumerate(seeds):
                 expected = one_start_greedy_swap_best(vectors[problem], targets[problem], k,
@@ -954,24 +958,27 @@ class TestGreedySwap:
     @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(11, 3), SeedSpec(2**64 - 1, 2**63)])
     def test_restart_permutations_are_the_substream_permutations(self, seed):
         indices = [0, 1, 2, 7, 1000]
-        keys = _substream_keys([seed], indices)
+        keys = _substream_keys([_key(seed)], indices)
+        owners = np.arange(len(keys))
         for n in (1, 2, 5, 20, 48):
-            heads = _substream_permutation_heads(keys, [n], n)[0]
+            heads = _substream_permutation_heads(keys, owners, [n] * len(keys), n)
             for row, index in zip(heads, indices):
                 expected = _fresh(seed.substream(index)).permutation(n)
                 assert row.astype(np.int64).tobytes() == expected.astype(np.int64).tobytes()
-            assert np.array_equal(_substream_permutation_heads(keys, [n], 1)[0], heads[:, :1])
+            assert np.array_equal(_substream_permutation_heads(keys, owners, [n] * len(keys), 1),
+                                  heads[:, :1])
 
     def test_restart_permutations_from_many_threads(self):
         # each thread rewinds its own Philox, so concurrent draws are the serial ones
         seeds = [SeedSpec(5, stream) for stream in range(40)]
-        keys = _substream_keys(seeds, range(1, 9))
-        expected = _substream_permutation_heads(keys, [20, 7], 3)
+        keys = _substream_keys([_key(seed) for seed in seeds], range(1, 9))
+        rows = np.tile(np.arange(len(keys)), 2), np.repeat([20, 7], len(keys))
+        expected = _substream_permutation_heads(keys, *rows, 3)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-                draws = [pool.submit(_substream_permutation_heads, keys, [20, 7], 3)
+                draws = [pool.submit(_substream_permutation_heads, keys, *rows, 3)
                          for _ in range(8)]
                 results = [draw.result(timeout=60) for draw in draws]
         finally:
