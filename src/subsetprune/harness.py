@@ -47,6 +47,7 @@ from .sampling import (
     _one_stream,
     _reduce_normals,
     _substream_keys,
+    _substreams,
     _uniforms,
     _words_at,
 )
@@ -575,10 +576,10 @@ def scan_rssp_phase(
     indicator is monotone in n by construction. The trials are drawn in
     batches (:func:`_batches`). A trial's bytes are its draws and its cover
     state at the largest n at worst: 24 bytes for each of at most
-    ``min(2^n, floor(n / epsilon) + 1)`` intervals. The fold sorts copies of
-    that state, so a batch can peak at a few times the cap. Before the first
-    draw that count, and ``grid_size``, are checked against
-    ``DEFAULT_ENUMERATION_BUDGET`` (:class:`BudgetError`). A batch's trials
+    ``min(2^n, floor(n / epsilon) + 1)`` intervals. The fold's merge holds
+    about eight times that state as scratch, so a batch can peak at a few times
+    the cap. Before the first draw that count, and ``grid_size``, are checked
+    against ``DEFAULT_ENUMERATION_BUDGET`` (:class:`BudgetError`). A batch's trials
     fold their interval unions together (:func:`solvers._first_covering_sizes`)
     across the distinct n, ascending; a trial leaves at its first covered n
     and counts a success for that n and every larger one, which covering n
@@ -837,13 +838,15 @@ def scan_prune_success(
         raise ParameterError(f"epsilon {epsilon} disagrees with params.epsilon {params.epsilon}")
     base = params or PruneParams(epsilon=epsilon)
     rows = []
-    for n in _scan_sizes(n_values, 1, trials):
+    sizes = _scan_sizes(n_values, 1, trials)
+    streams = _substreams(seed, range(trials))
+    for n in sizes:
         channel_hits = 0
         channel_total = 0
         full = 0
         probe_errors = []
-        for trial in range(trials):
-            report = prune_random_layer(d, c0, c1, n, base, seed.substream(trial), spatial).report
+        for stream in streams:
+            report = prune_random_layer(d, c0, c1, n, base, stream, spatial).report
             solves = report.layers[0].channel_solves
             channel_hits += sum(1 for s in solves if s.success)
             channel_total += len(solves)

@@ -57,7 +57,8 @@ from .masks import (
     sign_split_mask,
     validate_structure,
 )
-from .sampling import SeedSpec, _key, _substream_keys, _uniforms, sample_normal_tensor
+from .sampling import (SeedSpec, _key, _substream_keys, _substreams, _uniforms,
+                       sample_normal_tensor)
 from .solvers import (
     DEFAULT_ENUMERATION_BUDGET,
     CardinalityMode,
@@ -141,17 +142,15 @@ class NetworkSpec:
         ]
 
     def sample_random_net(self, seed: SeedSpec) -> list[Tensor4]:
-        return [
-            sample_normal_tensor(shape, seed.substream(i))
-            for i, shape in enumerate(self.random_kernel_shapes())
-        ]
+        shapes = self.random_kernel_shapes()
+        return [sample_normal_tensor(shape, stream)
+                for shape, stream in zip(shapes, _substreams(seed, range(len(shapes))))]
 
     def sample_targets(self, seed: SeedSpec) -> list[Tensor4]:
         """Unit-L1 target kernels, layer ``i`` drawn from ``seed.substream(100 + i)``."""
-        return [
-            _unit_l1_target(shape, seed.substream(_STREAM_TARGETS + i))
-            for i, shape in enumerate(self.target_kernel_shapes())
-        ]
+        streams = _substreams(seed, range(_STREAM_TARGETS, _STREAM_TARGETS + self.depth))
+        return [_unit_l1_target(shape, stream)
+                for shape, stream in zip(self.target_kernel_shapes(), streams)]
 
 
 def _unit_l1_target(shape, seed: SeedSpec) -> Tensor4:
@@ -319,7 +318,8 @@ class _PreparedLayer:
 
         solves: list[ChannelSolve] = []
         kept: set[int] = set()
-        for channel, sign, pool, candidates, index in self.pools:
+        streams = _substreams(seed, [2 * channel + (sign < 0) for channel, sign, *_ in self.pools])
+        for (channel, sign, pool, candidates, index), stream in zip(self.pools, streams):
             flat_target = sign * target.data[:, :, channel, :].reshape(-1)
             solver = SolverParams(
                 epsilon=tolerance,
@@ -329,7 +329,7 @@ class _PreparedLayer:
                 restarts=params.restarts,
                 max_iters=params.max_iters,
                 enumeration_budget=params.enumeration_budget,
-                seed=seed.substream(2 * channel + (sign < 0)),
+                seed=stream,
             )
             try:
                 outcome = search_subsets(candidates, flat_target, solver, index)
@@ -538,10 +538,11 @@ def prune_network(
         raise ParameterError("need 2 random kernels per target layer")
     layer_params = dataclasses.replace(params, epsilon=params.epsilon / (2.0 * depth))
     results = []
-    for i in range(depth):
+    streams = _substreams(seed, range(_STREAM_SOLVER, _STREAM_SOLVER + depth))
+    for i, stream in enumerate(streams):
         try:
             results.append(prune_single_layer(randoms[2 * i + 1], randoms[2 * i], targets[i],
-                                              layer_params, seed.substream(_STREAM_SOLVER + i)))
+                                              layer_params, stream))
         except BudgetError as exc:
             raise BudgetError(f"layer {i + 1}: {exc}") from exc
     bound = params.magnitude_bound * composition_bound(params.epsilon, depth)

@@ -46,7 +46,8 @@ Substream keys are derived by one mixer, :func:`_mix64`: splitmix64's
 finaliser over ``stream_id * phi + index`` as numpy uint64 arrays, the master
 seed kept. :func:`_substream_keys` mixes every index of every key of an array
 in one call, so a scan derives a batch's keys without a :class:`SeedSpec` per
-trial; :meth:`SeedSpec.substream` is the same call on one key. A many-stream
+trial; :meth:`SeedSpec.substream` is the same call on one key, and
+:func:`_substreams` derives a loop's seeds in one call. A many-stream
 builder takes an array of stream keys and fills one ``(streams, values)``
 array, each row the bytes its stream's one-stream draw would have.
 
@@ -121,7 +122,7 @@ class SeedSpec:
     def substream(self, index: int) -> "SeedSpec":
         """Pure derived stream; distinct indices give independent streams. Its
         key is :func:`_substream_keys` of this stream's one key."""
-        return SeedSpec(*_substream_keys([_key(self)], [index])[0].tolist())
+        return _substreams(self, [index])[0]
 
 
 # Per thread: one Philox, its Generator and the state a fresh one starts in.
@@ -204,6 +205,13 @@ def _substream_keys(keys, indices) -> np.ndarray:
     out[:, :, 0] = keys[:, :1]
     out[:, :, 1] = _mix64(keys[:, 1:], indices)
     return out.reshape(-1, 2)
+
+
+def _substreams(seed: SeedSpec, indices) -> list[SeedSpec]:
+    """``[seed.substream(i) for i in indices]``, every key mixed in one
+    :func:`_substream_keys` call: a caller deriving a loop's seeds pays one mix,
+    not one per index."""
+    return [SeedSpec(*key) for key in _substream_keys([_key(seed)], indices).tolist()]
 
 
 def _thread_philox():

@@ -128,24 +128,31 @@ coordinate terms, so the minimum and every tie at it survive the bound.
 The 1-D cover question ("is every grid point hit by some subset sum?") is
 answered exactly for any n by :func:`_first_covering_sizes`, for a ``(T, N)``
 block of trials at once. Each trial's union of ``[s - eps, s + eps]`` over
-its subset sums s is a sorted run of disjoint closed intervals, and all the
-runs live in one state ``(owner, lo, hi)`` sorted by owner and then ``lo``.
-Starting from the empty subset's interval, value i is folded into every
-trial still folding at once: each run and its shift by its trial's ``x[i]``
-are sorted together and merged where a ``lo`` is within the running max of
-``hi``, a max that restarts at each owner. Each endpoint is the one addition
-``lo + x`` or ``hi + x`` that a fold of that trial alone makes, and the
-merged set does not depend on the order among ties, so every trial's union
-is the one it would reach alone. Interval merging is exact, so membership
-agrees with full enumeration up to the usual one-ulp reassociation caveat
-at exact box boundaries. A fold never drops a point, so cover is monotone in
-the prefix length: at each requested size, ascending, every trial counts
-the grid points inside its intervals, and one that holds them all leaves the
-state with that size. For values in (-1, 1) a trial's union holds at most
-``min(2^n, floor(n / eps) + 1)`` intervals, each at least 2 eps wide inside
-[-n - eps, n + eps]; :func:`_checked_cover_bytes` turns that count into
-bytes for the scan's batches and raises :class:`BudgetError` when it is over
-the enumeration budget.
+its subset sums s is a sorted run of disjoint closed intervals. All the runs
+live in one state sorted by owner and then ``lo``: complex keys
+``owner + 1j * lo``, which numpy orders lexicographically, and each
+interval's ``hi``. Starting from the empty subset's interval, value i is
+folded into every trial still folding at once. The keys and their shift by
+each trial's ``x[i]`` are two sorted runs, and one stable argsort merges
+them (numpy's stable sort is a timsort, which finds the runs) into the
+permutation of a lexsort by (owner, ``lo``), ties included. Intervals merge
+where a ``lo`` is within the running max of ``hi``, an
+``np.maximum.accumulate`` of the keys ``owner + 1j * hi``: that max is
+lexicographic too, so it restarts at each owner with no arithmetic on an
+endpoint, and a key past the max before it, a new owner's included, starts
+an interval. Each endpoint is the one addition ``lo + x`` or ``hi + x``
+that a fold of that trial alone makes, and the merged set does not depend
+on the order among ties, so every trial's union is the one it would reach
+alone. Interval merging is exact, so
+membership agrees with full enumeration up to the usual one-ulp
+reassociation caveat at exact box boundaries. A fold never drops a point, so
+cover is monotone in the prefix length: at each requested size, ascending,
+every trial counts the grid points inside its intervals, and one that holds
+them all leaves the state with that size. For values in (-1, 1) a trial's
+union holds at most ``min(2^n, floor(n / eps) + 1)`` intervals, each at
+least 2 eps wide inside [-n - eps, n + eps]; :func:`_checked_cover_bytes`
+turns that count into bytes for the scan's batches and raises
+:class:`BudgetError` when it is over the enumeration budget.
 """
 
 from __future__ import annotations
@@ -807,7 +814,7 @@ def subset_sum_number(vectors, target, k: int, epsilon: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-_INTERVAL_BYTES = 24  # one interval of the cover state: its owner, lo and hi
+_INTERVAL_BYTES = 24  # one interval of the cover state: its owner + 1j * lo key and hi
 
 
 def _checked_cover_bytes(n: int, epsilon: float, budget: int) -> int:
@@ -831,40 +838,33 @@ def _checked_cover_bytes(n: int, epsilon: float, budget: int) -> int:
 def _first_covering_sizes(draws: np.ndarray, epsilon: float, grid: np.ndarray, sizes) -> list:
     """Per row of the ``(T, N)`` draws, the first n in ``sizes`` (ascending)
     whose prefix ``row[:n]`` covers every point of the ascending ``grid``, or
-    None (the fold is the module docstring's)."""
+    None, by the module docstring's fold: one merge and one running max a value."""
     first = [None] * draws.shape[0]
-    live, rows = np.arange(draws.shape[0]), draws
-    owner = np.arange(live.size)  # a row of ``rows``
-    lo, hi = np.full(live.size, -epsilon), np.full(live.size, epsilon)
+    lo, hi = np.arange(len(first)) - 1j * epsilon, np.full(len(first), epsilon)
     done = 0
     for n in sizes:
         for i in range(done, n):
-            shift = rows[owner, i]
-            lo, hi = np.concatenate([lo, lo + shift]), np.concatenate([hi, hi + shift])
-            owner = np.concatenate([owner, owner])
-            order = np.lexsort((lo, owner))
-            lo, hi, owner = lo[order], hi[order], owner[order]
-            size = lo.size
-            by_hi = np.argsort(hi)
-            rank = np.empty(size, dtype=np.int64)
-            rank[by_hi] = np.arange(size)
-            base = owner * size  # keys grow across owners, so their running max restarts
-            reach = hi[by_hi[np.maximum.accumulate(base + rank) - base]]
-            fresh = np.empty(size, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (owner[1:] != owner[:-1]) | (lo[1:] > reach[:-1])
-            starts = np.flatnonzero(fresh)
-            lo, hi, owner = lo[starts], reach[np.append(starts[1:], size) - 1], owner[starts]
+            shift = draws[lo.real.astype(np.intp), i]
+            lo, hi = np.concatenate([lo, lo + 1j * shift]), np.concatenate([hi, hi + shift])
+            order = lo.argsort(kind="stable")
+            lo = lo[order]
+            reach = hi[order] * 1j
+            reach += lo.real
+            np.maximum.accumulate(reach, out=reach)
+            # an interval starts at a lo past the reach before it, a new row's lo included
+            fresh = np.ones(lo.size + 1, dtype=bool)
+            fresh[1:-1] = lo[1:] > reach[:-1]
+            lo, hi = lo[fresh[:-1]], reach.imag[fresh[1:]]
         done = n
         # touching intervals merge, so a row's grid counts add up to its covered points
-        inside = np.searchsorted(grid, hi, side="right") - np.searchsorted(grid, lo, side="left")
-        covered = np.bincount(owner, inside, live.size) == grid.size
-        for row in live[covered]:
+        owner = lo.real.astype(np.intp)
+        inside = (np.searchsorted(grid, hi, side="right")
+                  - np.searchsorted(grid, lo.imag, side="left"))
+        covered = np.bincount(owner, inside, len(first)) == grid.size
+        for row in np.flatnonzero(covered):
             first[row] = n
-        if covered.any():
-            kept, staying = ~covered, ~covered[owner]
-            live, rows = live[kept], rows[kept]
-            lo, hi, owner = lo[staying], hi[staying], (np.cumsum(kept) - 1)[owner[staying]]
-            if not live.size:
-                break
+        staying = ~covered[owner]
+        lo, hi = lo[staying], hi[staying]
+        if not lo.size:
+            break
     return first

@@ -4,6 +4,7 @@ import base64
 import json
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,24 @@ def test_rssp_scan_writes_deterministic_csv(tmp_path):
     assert main(args + ["--out", str(a)]) == EXIT_OK
     assert main(args + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("golden,flags", [
+    ("rssp-seed5.csv", []),  # the defaults: four batches of up to 52 trials
+    ("rssp-eps0.01-seed5.csv", ["--epsilon", "0.01"]),  # 20 batches of 10
+    # 20,001 intervals a trial at worst: 20 batches of three trials
+    ("rssp-eps0.002-seed5.csv", ["--epsilon", "0.002", "--n-list", "10,20,40",
+                                 "--grid-size", "201", "--trials", "60"]),
+])
+def test_rssp_scan_csv_bytes_are_pinned(tmp_path, golden, flags):
+    # the CSVs were written by the lexsort-and-rank cover fold that the merge
+    # replaced; CI compares the last one with the installed CLI's output too
+    out = tmp_path / golden
+    assert main(["rssp-scan", *flags, "--seed", "5", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_mrss_scan_runs(tmp_path):

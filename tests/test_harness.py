@@ -826,6 +826,21 @@ class TestScans:
             assert 0.0 <= row["channel_rate"] <= 1.0
             assert row["channel_total"] == 2 * 3  # signs x trials
 
+    def test_prune_scan_trial_seeds_are_the_seeds_substreams(self, monkeypatch):
+        seed, seeds, mixes = SEED.substream(21), [], []
+        layer, mix = harness.prune_random_layer, sampling._mix64
+
+        def spy(d, c0, c1, n, params, stream, spatial):
+            seeds.append((n, stream))
+            return layer(d, c0, c1, n, params, stream, spatial)
+
+        monkeypatch.setattr(harness, "prune_random_layer", spy)
+        monkeypatch.setattr(sampling, "_mix64", lambda streams, indices: (
+            mixes.append(indices.size) or mix(streams, indices)))
+        scan_prune_success(1, 1, 1, [8, 16], 0.25, 3, seed)
+        assert seeds == [(n, seed.substream(t)) for n in (8, 16) for t in range(3)]
+        assert mixes[0] == 3  # every trial's seed from the first mix, before any draw
+
     def test_prune_scan_rejects_conflicting_epsilon(self):
         with pytest.raises(ParameterError, match="epsilon"):
             scan_prune_success(1, 1, 1, [8], 0.1, 1, SEED.substream(21),

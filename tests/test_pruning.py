@@ -450,6 +450,25 @@ class TestPruneRandomLayer:
         assert bundle.report.fully_successful == direct.fully_successful
         assert (bundle.seed, bundle.spatial) == (seed, 3)
 
+    def test_channel_solves_draw_from_their_substreams(self, monkeypatch):
+        # solve (channel, sign) seeds substream 2 channel + (sign < 0), all
+        # derived in one mix
+        seed, solves, mixes = SeedSpec(134), [], []
+        search, derive = pruning.search_subsets, pruning._substreams
+        monkeypatch.setattr(pruning, "search_subsets", lambda vectors, target, params, index: (
+            solves.append(params.seed) or search(vectors, target, params, index)))
+        monkeypatch.setattr(pruning, "_substreams", lambda spec, indices: (
+            mixes.append(list(indices)) or derive(spec, indices)))
+        expansion = sample_normal_tensor((1, 1, 3, 36), seed.substream(0))
+        mixing = sample_normal_tensor((1, 1, 36, 1), seed.substream(1))
+        target = unit_l1((1, 1, 3, 1), seed.substream(2))
+        params = PruneParams(epsilon=0.5, strategy=Strategy.GREEDY_SWAP)
+        result = prune_single_layer(mixing, expansion, target, params, seed)
+        order = [(solve.channel, solve.sign) for solve in result.channel_solves]
+        assert order == [(c, sign) for c in range(3) for sign in (+1, -1)]
+        assert solves == [seed.substream(2 * c + (sign < 0)) for c, sign in order]
+        assert mixes == [[0, 1, 2, 3, 4, 5]]
+
     def test_spec_targets_are_unit_l1_substreams(self):
         seed = SeedSpec(133)
         spec = NetworkSpec(2, 4, (1, 2, 1), (2, 1), (4, 4))

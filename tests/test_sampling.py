@@ -22,7 +22,8 @@ from subsetprune import (
 )
 from subsetprune import harness, sampling
 from subsetprune.harness import check_intersection_tail, scan_mrss_phase
-from subsetprune.sampling import _normals, _raw, _substream_keys, _substream_permutation_heads, _words
+from subsetprune.sampling import (_normals, _raw, _substream_keys, _substream_permutation_heads,
+                                  _substreams, _words)
 from subsetprune.solvers import Strategy
 
 N_BIG = 1_000_000
@@ -73,6 +74,21 @@ def test_substream_keys_are_splitmix64(streams, indices):
         for index in _EDGE_INDICES:
             spec = SeedSpec(master, stream).substream(index)
             assert _key(spec) == (master, _splitmix_reference(stream, index))
+
+
+@pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(2**64 - 1, 2**63), SeedSpec(9, 2**64 - 1)])
+def test_substreams_are_each_indexs_substream_from_one_mix(monkeypatch, seed):
+    mixed = []
+    mix = sampling._mix64
+    monkeypatch.setattr(sampling, "_mix64", lambda streams, indices: (
+        mixed.append(indices.size) or mix(streams, indices)))
+    indices = [*_EDGE_INDICES, *range(40)]
+    streams = _substreams(seed, indices)
+    assert mixed == [len(indices)]
+    assert streams == [seed.substream(index) for index in indices]
+    assert [_key(stream) for stream in streams] == [
+        (seed.master_seed, _splitmix_reference(seed.stream_id, index)) for index in indices]
+    assert _substreams(seed, []) == []
 
 
 @pytest.mark.parametrize("counts", [(3, 0, 5), (0,), (7,), (1, 1, 1, 1)])

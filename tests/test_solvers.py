@@ -750,23 +750,62 @@ class TestCover:
         grid_size=st.integers(1, 81),
         sizes=st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True).map(sorted),
         trials=st.integers(1, 40),
-        eighths=st.booleans(),
+        ties=st.sampled_from([None, "eighths", "rows", "zeros", "negative zeros", "half eps"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(epsilon=0.01, half_width=1.0, grid_size=81, sizes=[1, 2], trials=5, eighths=False,
+    @example(epsilon=0.01, half_width=1.0, grid_size=81, sizes=[1, 2], trials=5, ties=None,
              seed=0)  # no row covers
-    @example(epsilon=0.5, half_width=0.5, grid_size=11, sizes=[0, 4], trials=3, eighths=False,
+    @example(epsilon=0.5, half_width=0.5, grid_size=11, sizes=[0, 4], trials=3, ties=None,
              seed=1)  # the empty subset covers
     @example(epsilon=1 / 16, half_width=1.0, grid_size=33, sizes=[3, 6, 12], trials=20,
-             eighths=True, seed=2)  # intervals touch at grid points
+             ties="eighths", seed=2)  # intervals touch at grid points
+    @example(epsilon=1 / 8, half_width=1.0, grid_size=17, sizes=[2, 5, 9], trials=12,
+             ties="rows", seed=3)  # owners share every lo, so the owner must stay the first key
+    @example(epsilon=0.05, half_width=0.5, grid_size=21, sizes=[1, 4, 8, 16], trials=10,
+             ties="zeros", seed=4)  # a shift of 0.0: the shifted run equals the state
+    @example(epsilon=0.05, half_width=0.5, grid_size=21, sizes=[1, 4, 8, 16], trials=10,
+             ties="negative zeros", seed=5)  # shifts of -0.0
+    @example(epsilon=1 / 16, half_width=1.0, grid_size=33, sizes=[4, 10, 20], trials=15,
+             ties="half eps", seed=6)  # every endpoint a multiple of eps / 2: endpoints touch
     def test_batched_engine_is_the_per_row_fold(self, epsilon, half_width, grid_size, sizes,
-                                                trials, eighths, seed):
+                                                trials, ties, seed):
         draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, sizes[-1]))
-        if eighths:  # many equal endpoints
+        if ties in ("eighths", "rows"):  # many equal endpoints
             draws = np.round(draws * 8.0) / 8.0
+        if ties == "rows":
+            draws[:] = draws[0]
+        elif ties in ("zeros", "negative zeros"):
+            draws[:, ::3] = 0.0 if ties == "zeros" else -0.0
+        elif ties == "half eps":
+            draws = np.round(draws / (epsilon / 2)) * (epsilon / 2)
         grid = np.linspace(-half_width, half_width, grid_size)
         expect = [reference_first_cover(row, epsilon, grid, sizes) for row in draws]
         assert solvers._first_covering_sizes(draws, epsilon, grid, sizes) == expect
+
+
+def test_complex_keys_order_as_owner_then_endpoint():
+    # the cover fold's keys are owner + 1j * endpoint: numpy must order complex
+    # numbers lexicographically in its stable argsort, its max and its >
+    rng = np.random.default_rng(11)
+    lo = np.round(rng.uniform(-1.0, 1.0, (6, 9)) * 4.0) / 4.0  # many equal endpoints
+    lo[:, ::4], lo[:, 1::4] = 0.0, -0.0
+    lo.sort(axis=1)
+    lo[3] = lo[2]  # two owners with the same endpoints
+    owner = np.repeat(np.arange(6), 9)
+    shift = np.repeat([0.25, 0.0, -0.0, 0.5, -0.25, 0.0], 9)
+    owners = np.concatenate([owner, owner])
+    ends = np.concatenate([lo.ravel(), lo.ravel() + shift])  # two sorted runs
+    keys = owners + 1j * ends
+    assert np.array_equal(keys.argsort(kind="stable"), np.lexsort((ends, owners)))
+    shuffled = rng.permutation(keys.size)
+    assert np.array_equal(keys[shuffled].argsort(kind="stable"),
+                          np.lexsort((ends[shuffled], owners[shuffled])))
+    pairs = list(zip(owners[shuffled].tolist(), ends[shuffled].tolist()))
+    running = np.maximum.accumulate(keys[shuffled])
+    assert [(key.real, key.imag) for key in running] == [max(pairs[: j + 1])
+                                                          for j in range(len(pairs))]
+    pairs = list(zip(owners.tolist(), ends.tolist()))
+    assert (keys[:, None] > keys[None, :]).tolist() == [[a > b for b in pairs] for a in pairs]
 
 
 def one_start_greedy_build(vectors, target, k):
