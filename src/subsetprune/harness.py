@@ -28,6 +28,7 @@ Every check rejects ``trials < 1`` with :class:`ParameterError`.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
@@ -583,7 +584,8 @@ def scan_rssp_phase(
     fold their interval unions together (:func:`solvers._first_covering_sizes`)
     across the distinct n, ascending; a trial leaves at its first covered n
     and counts a success for that n and every larger one, which covering n
-    alone would give bit for bit. Columns: n, trials, successes, rate,
+    alone would give bit for bit. A batch's trials are counted once per
+    distinct first covered n. Columns: n, trials, successes, rate,
     wilson_low, wilson_high plus the parameter echo.
     """
     sizes = _scan_sizes(n_values, 1, trials)
@@ -600,8 +602,9 @@ def scan_rssp_phase(
     successes = dict.fromkeys(sizes, 0)
     for batch in _batches(trials, trial_bytes):
         draws = _uniforms(_substream_keys([_key(seed)], batch), sizes[-1], -1.0, 1.0)
-        for first in _first_covering_sizes(draws, epsilon, grid, sizes):
-            _count_from(successes, first)
+        firsts = _first_covering_sizes(draws, epsilon, grid, sizes)
+        for first, count in collections.Counter(firsts).items():
+            _count_from(successes, first, count)
     echo = {
         "epsilon": epsilon,
         "grid_size": grid_size,

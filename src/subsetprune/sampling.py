@@ -27,7 +27,9 @@ stream is one map-reduce over the draw's rows (:func:`_map_rows`): a draw of
 at least ``2 * _INLINE_PAIRS`` words runs as tiles, one thread per CPU, and
 any other as one tile on the calling thread. Each tile walks a contiguous
 range of the rows in chunks, reads each chunk's words, and hands the chunk to
-a reducer that returns integer counts; the tiles' counts are summed. For
+a reducer that returns integer counts; the tiles' counts are summed. A chunk
+is one Box-Muller pass, since every numpy call in a tile releases the GIL for
+its loop and takes it back after: few long calls, few waits for the GIL. For
 normals and NSN vectors (:func:`_reduce_normals`) a chunk is its rows'
 values; a drawn array (:func:`_one_stream`) is the same map with a reducer
 that writes each chunk into the output. The lemma checks that count (most
@@ -82,8 +84,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_BOX_MULLER_PAIRS = 1 << 12  # pairs per Box-Muller chunk; its scratch fits in L2
-_TILE_PAIRS = 1 << 15  # pairs a tile reads and transforms at once
+_TILE_PAIRS = 1 << 15  # pairs a tile reads and transforms in one pass
 _INLINE_PAIRS = 1 << 15  # a one-stream draw of fewer than 2x this many words runs on one thread
 _HEAD_WORDS = 48  # raw words a restart-heads draw first reads per key, at least
 # A phase scan's batch of trials holds its draws plus the state its solves keep
@@ -308,19 +309,18 @@ def _box_muller(radius_words: np.ndarray, theta_words: np.ndarray, out: np.ndarr
 
     With ``u`` the open-interval uniform of a word, pair ``p`` of a row takes
     ``u1 = u(radius_words[p])`` and ``u2 = u(theta_words[p])`` and yields
-    values ``2p`` (the cosine) and ``2p + 1`` (the sine). The pairs of all rows
-    are transformed ``_BOX_MULLER_PAIRS`` at a time (at least one column of
-    pairs) through reused contiguous scratch; every element sees the same
-    operations as a whole-array transform of its own row, so neither the
-    chunking nor the other rows change a byte.
+    values ``2p`` (the cosine) and ``2p + 1`` (the sine), scaled in ``out``.
+    All rows' pairs go in passes of ``_TILE_PAIRS`` (a tile's chunk in one)
+    through reused scratch; each element sees a whole-array transform's steps
+    on its own row, so neither the passes nor the other rows change a byte.
     """
     rows, pairs = radius_words.shape
     cosines, sines = out[:, 0::2], out[:, 1::2]
-    columns = max(1, _BOX_MULLER_PAIRS // max(rows, 1))
-    scratch = np.empty(3 * rows * min(pairs, columns))
+    columns = max(1, _TILE_PAIRS // max(rows, 1))
+    scratch = np.empty(2 * rows * min(pairs, columns))
     for lo in range(0, pairs, columns):
         hi = min(lo + columns, pairs)
-        radius, theta, trig = scratch[: 3 * rows * (hi - lo)].reshape(3, rows, hi - lo)
+        radius, theta = scratch[: 2 * rows * (hi - lo)].reshape(2, rows, hi - lo)
         for u, words in ((radius, radius_words), (theta, theta_words)):  # as in _open_uniforms
             np.add(words[:, lo:hi], 0.5, out=u)
             np.multiply(u, 2.0**-53, out=u)
@@ -328,8 +328,8 @@ def _box_muller(radius_words: np.ndarray, theta_words: np.ndarray, out: np.ndarr
         np.multiply(-2.0, radius, out=radius)
         np.sqrt(radius, out=radius)
         np.multiply(2.0 * np.pi, theta, out=theta)
-        np.multiply(radius, np.cos(theta, out=trig), out=cosines[:, lo:hi])
-        np.multiply(radius, np.sin(theta, out=trig), out=sines[:, lo:hi])
+        for trig, values in ((np.cos, cosines[:, lo:hi]), (np.sin, sines[:, lo:hi])):
+            np.multiply(radius, trig(theta, out=values), out=values)
 
 
 def _spans_at(key, spans) -> list[np.ndarray]:

@@ -494,6 +494,34 @@ class TestScans:
         assert {row["n"]: row["successes"] for row in rows} == expect
         assert [row["n"] for row in rows] == sorted(n_values)
 
+    @pytest.mark.parametrize("stream", range(4))
+    def test_rssp_scan_counts_a_batch_once_per_first_size(self, monkeypatch, stream):
+        # random first covering sizes, None included, in batches of 16 trials:
+        # counting each batch's distinct sizes once gives the per-trial fold
+        sizes, rng, firsts, batches = [10, 20, 40], np.random.default_rng(stream), [], []
+        harness_count_from, counted = harness._count_from, []
+
+        def first_sizes(draws, epsilon, grid, n_values):
+            assert list(n_values) == sizes
+            batch = rng.choice(np.array(sizes + [None], dtype=object), len(draws)).tolist()
+            firsts.extend(batch)
+            batches.append(len(batch))
+            return batch
+
+        def count_from(successes, first, count=1):
+            counted.append(first)
+            harness_count_from(successes, first, count)
+
+        monkeypatch.setattr(harness, "_first_covering_sizes", first_sizes)
+        monkeypatch.setattr(harness, "_count_from", count_from)
+        rows = scan_rssp_phase(0.01, sizes, 41, 300, SEED.substream(stream))
+        expect = dict.fromkeys(sizes, 0)
+        for first in firsts:
+            harness_count_from(expect, first)
+        assert len(batches) == 19 and sum(batches) == 300
+        assert {row["n"]: row["successes"] for row in rows} == expect
+        assert len(counted) <= 4 * len(batches)
+
     @pytest.mark.parametrize("d,k,n_values,epsilon,trials,stream,extra", [
         (1, 2, [12, 4, 8, 30], 0.01, 40, 33, {}),  # 4 of the 40 trials never hit
         (2, 3, [20, 10, 15], 0.25, 30, 34, {}),

@@ -227,12 +227,12 @@ def _nsn_parts(keys, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return scalars, directions.reshape(-1, n, d)
 
 
-_PAIRS = sampling._BOX_MULLER_PAIRS
+_PAIRS = sampling._TILE_PAIRS  # pairs a Box-Muller pass transforms
 
 
 @pytest.mark.parametrize(
-    "n", [0, 1, 2, 3, 2 * _PAIRS - 1, 2 * _PAIRS, 2 * _PAIRS + 1, 2 * _PAIRS + 2,
-          6 * _PAIRS + 1, 100_001],
+    "n", [0, 1, 2, 3, 8191, 8192, 8193, 8194, 24577, 2 * _PAIRS - 1, 2 * _PAIRS,
+          2 * _PAIRS + 1, 2 * _PAIRS + 2, 6 * _PAIRS + 1, 100_001],
 )
 def test_chunked_box_muller_matches_whole_array_layout(n):
     seed = SeedSpec(31, n)
@@ -269,8 +269,10 @@ def _tile_scratch(workers: int) -> int:
     """What the tiles of a one-row draw hold at once beside the output: per
     tile, one chunk's values and the two word windows of one of its parts
     (each at most 16 bytes a pair of the chunk's ``_TILE_PAIRS``), the
-    Box-Muller scratch and 64 KiB for a ufunc's cast buffer."""
-    return workers * (4 * 8 * sampling._TILE_PAIRS + 3 * 8 * _PAIRS + (1 << 16))
+    Box-Muller scratch of one pass (two rows of 8 bytes a pair), 64 KiB for a
+    ufunc's cast buffer and 16 KiB for the tile's Python objects (frames,
+    views, lists)."""
+    return workers * (4 * 8 * sampling._TILE_PAIRS + 2 * 8 * _PAIRS + (1 << 16) + (1 << 14))
 
 
 def _warm_tiles() -> None:
@@ -303,6 +305,33 @@ def test_nsn_draw_peak_memory_is_output_plus_tile_scratch(workers):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * d + _tile_scratch(workers)
+
+
+def test_a_tile_chunk_is_one_box_muller_pass(workers, monkeypatch):
+    # the joint check's draw, 12945 trials of 72 vectors in d = 2: each part
+    # of a chunk is transformed in one pass, which calls cos once
+    calls, passes, box_muller = [], [], sampling._box_muller
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, *args, **kwargs):
+            passes.append(1)
+            return np.cos(*args, **kwargs)
+
+    def counted(*args):
+        calls.append(1)
+        return box_muller(*args)
+
+    monkeypatch.setattr(sampling, "np", CountingNumpy())
+    monkeypatch.setattr(sampling, "_box_muller", counted)
+    totals = sampling._reduce_normals(_key(SeedSpec(4)), 12945, 72, 2,
+                                      lambda lo, values: (len(values),))
+    assert totals == [12945]
+    # a part that holds one pair more than a pass, split at a tile's start,
+    # takes a second
+    assert len(calls) <= len(passes) <= len(calls) + workers - 1
 
 
 _TILE, _INLINE = sampling._TILE_PAIRS, sampling._INLINE_PAIRS
@@ -346,11 +375,11 @@ def test_tiles_keep_every_byte(workers, rows, n, d):
 
 
 def test_tiles_keep_every_byte_at_small_sizes(workers, monkeypatch):
-    # sub-chunks of 5 pairs and tiles from 3 pairs: most tiles start and end
-    # inside a Philox block of four words, and rows are read 1 to 5 at a time
+    # sub-chunks and Box-Muller passes of 5 pairs and tiles from 3 pairs: most
+    # tiles start and end inside a Philox block of four words, rows are read 1
+    # to 5 at a time, and a long row of a many-stream draw takes several passes
     monkeypatch.setattr(sampling, "_TILE_PAIRS", 5)
     monkeypatch.setattr(sampling, "_INLINE_PAIRS", 3)
-    monkeypatch.setattr(sampling, "_BOX_MULLER_PAIRS", 2)
     for rows in (1, 7):
         for n in (1, 2, 3, 6, 7, 13, 29):
             for d in (1, 2, 3):
@@ -390,10 +419,10 @@ def _assert_reduced_rows(rows: int, width: int, d: int, scaled: bool, cap: int) 
 def test_reduced_chunks_of_a_few_rows_keep_every_byte(workers, monkeypatch, rows, width, d,
                                                       scaled):
     # chunks of 1 to 4 rows, tiled at every size: an odd row width splits a
-    # Box-Muller pair at chunk and tile edges, and the pair is kept whole
+    # Box-Muller pair at chunk and tile edges, and the pair is kept whole, so
+    # a part of a chunk can hold one pair more than a pass of 4
     monkeypatch.setattr(sampling, "_TILE_PAIRS", 4)
     monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
-    monkeypatch.setattr(sampling, "_BOX_MULLER_PAIRS", 2)
     _assert_reduced_rows(rows, width, d, scaled, max(1, 8 // (width * (d + scaled))))
 
 
@@ -545,18 +574,29 @@ def test_batched_draws_are_the_per_stream_draws(rows, n, d):
 
 
 def test_batched_box_muller_scratch_is_bounded():
-    # 2^13 rows of 2 pairs and one row of 2^16: the scratch stays about one
-    # chunk of pairs either way (plus a ufunc's cast buffer)
-    for rows, pairs in ((1 << 13, 2), (1, 1 << 16)):
-        words = np.ones((rows, pairs), dtype=np.uint64)
+    # the scratch stays one pass of pairs, at least one column, plus a ufunc's
+    # two 64 KiB operand buffers (a strided window casts through both) and 16
+    # KiB of Python objects; every row is a whole-array transform of its words
+    for rows, pairs in (
+        (1 << 13, 2),  # one pass of several columns
+        (1 << 13, 8),  # two passes of four columns
+        (1 << 16, 2),  # more rows than a pass's pairs: two passes of one column
+        (1, 1 << 16),  # one row, two passes
+    ):
+        words = np.random.default_rng(rows + pairs).integers(0, 1 << 53, (2, rows, pairs),
+                                                             dtype=np.uint64)
         out = np.empty((rows, 2 * pairs))
         tracemalloc.start()
         try:
-            sampling._box_muller(words, words, out)
+            sampling._box_muller(words[0], words[1], out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * max(rows, _PAIRS) + (1 << 17)
+        assert peak <= 2 * 8 * max(rows, _PAIRS) + 2 * (1 << 16) + (1 << 14)
+        radius, theta = (words + 0.5) * 2.0**-53
+        radius, theta = np.sqrt(-2.0 * np.log(radius)), (2.0 * np.pi) * theta
+        assert out[:, 0::2].tobytes() == (radius * np.cos(theta)).tobytes()
+        assert out[:, 1::2].tobytes() == (radius * np.sin(theta)).tobytes()
 
 
 # Restart heads: numpy's shuffle replayed from the raw words
