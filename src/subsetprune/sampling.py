@@ -320,10 +320,10 @@ def _box_muller(radius_words: np.ndarray, theta_words: np.ndarray, out: np.ndarr
     scratch = np.empty(2 * rows * min(pairs, columns))
     for lo in range(0, pairs, columns):
         hi = min(lo + columns, pairs)
-        radius, theta = scratch[: 2 * rows * (hi - lo)].reshape(2, rows, hi - lo)
-        for u, words in ((radius, radius_words), (theta, theta_words)):  # as in _open_uniforms
-            np.add(words[:, lo:hi], 0.5, out=u)
-            np.multiply(u, 2.0**-53, out=u)
+        radius, theta = u = scratch[: 2 * rows * (hi - lo)].reshape(2, rows, hi - lo)
+        u[0], u[1] = radius_words[:, lo:hi], theta_words[:, lo:hi]  # cast here, unbuffered
+        u += 0.5  # the open-interval uniforms, as in _open_uniforms
+        u *= 2.0**-53
         np.log(radius, out=radius)
         np.multiply(-2.0, radius, out=radius)
         np.sqrt(radius, out=radius)

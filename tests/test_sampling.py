@@ -269,10 +269,10 @@ def _tile_scratch(workers: int) -> int:
     """What the tiles of a one-row draw hold at once beside the output: per
     tile, one chunk's values and the two word windows of one of its parts
     (each at most 16 bytes a pair of the chunk's ``_TILE_PAIRS``), the
-    Box-Muller scratch of one pass (two rows of 8 bytes a pair), 64 KiB for a
-    ufunc's cast buffer and 16 KiB for the tile's Python objects (frames,
-    views, lists)."""
-    return workers * (4 * 8 * sampling._TILE_PAIRS + 2 * 8 * _PAIRS + (1 << 16) + (1 << 14))
+    Box-Muller scratch of one pass (two rows of 8 bytes a pair) and 16 KiB for
+    the tile's Python objects (frames, views, lists). The words are cast into
+    the scratch, so no ufunc allocates a cast buffer."""
+    return workers * (4 * 8 * sampling._TILE_PAIRS + 2 * 8 * _PAIRS + (1 << 14))
 
 
 def _warm_tiles() -> None:
@@ -574,9 +574,10 @@ def test_batched_draws_are_the_per_stream_draws(rows, n, d):
 
 
 def test_batched_box_muller_scratch_is_bounded():
-    # the scratch stays one pass of pairs, at least one column, plus a ufunc's
-    # two 64 KiB operand buffers (a strided window casts through both) and 16
-    # KiB of Python objects; every row is a whole-array transform of its words
+    # the scratch stays one pass of pairs, at least one column, plus 16 KiB of
+    # Python objects and, when a pass is a few columns of many rows, the two
+    # 64 KiB buffers that cos and the scaling write that window through; every
+    # row is a whole-array transform of its words
     for rows, pairs in (
         (1 << 13, 2),  # one pass of several columns
         (1 << 13, 8),  # two passes of four columns
