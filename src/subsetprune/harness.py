@@ -13,16 +13,16 @@ tail, whose trials are n values wide, in blocks of ``min(2^14, 2^24 // n)``);
 block ``b`` always draws from ``seed.substream(b)`` and the block totals are
 summed in block order.
 
-Checks that count (most probable interval, NSN hit, joint window,
-chi-squared tails and the intersection tail) stream each block: the block's
-trials are split into contiguous ranges, one per tile (``sampling._map_rows``),
-and each tile reads its trials in row chunks, each chunk's words at their
-place in the block's stream, and counts the chunk's hits; the counts are
-summed. Each trial is reduced by the expression a whole-block draw would get,
-on a slice of the same row shape, so the counts are those of one whole-block
-draw. Only the second moment sums floats: it draws each whole block and
-reduces it on the calling thread, where the order of the additions is fixed.
-Results are therefore bit-reproducible and independent of the CPU count.
+Every check streams each block: the block's trials are split into
+contiguous ranges, one per tile (``sampling._map_rows``), and each tile reads
+its trials in row chunks, each chunk's words at their place in the block's
+stream, and counts the chunk's hits; the counts are summed. Each trial is
+reduced by the expression a whole-block draw would get, on a slice of the
+same row shape, so the counts are those of one whole-block draw. Only the
+second moment sums floats: its tiles write each trial's counts into the
+block's arrays, and only its final float sums run on the calling thread, over
+the whole block, where the order of the additions is fixed. Results are
+therefore bit-reproducible and independent of the CPU count.
 Every check rejects ``trials < 1`` with :class:`ParameterError`.
 """
 
@@ -41,11 +41,11 @@ from .errors import BudgetError, ParameterError
 from .pruning import PruneParams, prune_random_layer
 from .sampling import (
     _BATCH_BYTES,
+    _TILE_PAIRS,
     SeedSpec,
     _key,
     _map_rows,
     _nsn_vectors,
-    _one_stream,
     _reduce_normals,
     _substream_keys,
     _substreams,
@@ -87,7 +87,6 @@ __all__ = [
 _Z = 3.0  # z of the Agresti-Coull and Wilson intervals: README's three standard errors
 _BLOCK = 1 << 14  # trials per sampling block; fixed so reruns are bit-identical
 _TAIL_CHUNK = 1 << 17  # uniforms per intersection-tail row chunk
-_GATHER_BYTES = 1 << 22  # largest (trials, combos, k, d) gather the second-moment check builds
 
 
 class BoundDirection(Enum):
@@ -386,8 +385,10 @@ def check_second_moment_identity(
     n: int, k: int, d: int, epsilon: float, z, trials: int, seed: SeedSpec
 ) -> SecondMomentReport:
     """The identities of :class:`SecondMomentReport` over ``trials`` ensembles
-    of n NSN vectors. Each block is drawn whole, and its float sums run on the
-    calling thread."""
+    of n NSN vectors. A trial is a row of n vectors. On the tiles, chunk by
+    chunk, each trial's hitting k-subsets are counted, a few subsets a gather,
+    and the hits of subset 0 and of each canonical pair are kept; only the
+    float sums over the whole block run on the calling thread."""
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if n > 10 or k > 4:
         raise ParameterError("double enumeration budget requires n <= 10 and k <= 4")
@@ -400,7 +401,6 @@ def check_second_moment_identity(
 
     combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     ncomb = combos.shape[0]
-    chunk = max(1, _GATHER_BYTES // max(1, 8 * min(trials, _BLOCK) * k * d))  # combos per gather
     # canonical pair at half-difference j: overlap k - j, fresh tail from k..k+j-1
     canonical = [
         np.array(list(range(k - j)) + list(range(k, k + j)), dtype=np.intp) for j in range(k + 1)
@@ -410,19 +410,34 @@ def check_second_moment_identity(
     ]
 
     def draw(key, count):
-        vectors = _one_stream(key, count * n, d, scaled=True).reshape(count, n, d)
-        hit = np.empty((count, ncomb), dtype=bool)
-        for lo in range(0, ncomb, chunk):
-            sums = vectors[:, combos[lo : lo + chunk], :].sum(axis=2)
-            hit[:, lo : lo + chunk] = (np.abs(sums - z) <= epsilon).all(axis=2)
-        t_count = hit.sum(axis=1).astype(np.float64)
+        counts = np.empty(count, dtype=np.intp)  # hitting k-subsets per trial
+        first = np.empty(count, dtype=bool)  # combos[0] == (0 .. k-1) hits
+        pair_hits = np.empty((k + 1, count), dtype=bool)  # canonical pair j hits
+
+        def reduce(lo, vectors):
+            rows = slice(lo, lo + len(vectors))
+            chunk = max(1, 2 * _TILE_PAIRS // (len(vectors) * k * d))  # combos per gather
+            counts[rows] = 0
+            for c in range(0, ncomb, chunk):
+                sums = vectors[:, combos[c : c + chunk], :].sum(axis=2)
+                sums -= z  # |sums - z| in place: no scratch beyond the gather and its sums
+                hit = (np.abs(sums, out=sums) <= epsilon).all(axis=2)
+                counts[rows] += hit.sum(axis=1)
+                if c == 0:
+                    first[rows] = hit[:, 0]
+            for j, pair in enumerate(canonical):
+                sums = vectors[:, pair, :].sum(axis=1)
+                pair_hits[j, rows] = (np.abs(sums - z) <= epsilon).all(axis=1)
+            return ()
+
+        _reduce_normals(key, count, n, d, reduce)
+        t_count = counts.astype(np.float64)
         t_square = t_count * t_count
 
-        single = ncomb * hit[:, 0].astype(np.float64)  # combos[0] == (0 .. k-1)
+        single = ncomb * first.astype(np.float64)
         overlap = np.zeros(count)
-        for j, pair in enumerate(canonical):
-            pair_hit = (np.abs(vectors[:, pair, :].sum(axis=1) - z) <= epsilon).all(axis=1)
-            overlap += hyper[j] * (hit[:, 0] & pair_hit).astype(np.float64)
+        for j, pair_hit in enumerate(pair_hits):
+            overlap += hyper[j] * (first & pair_hit).astype(np.float64)
         overlap *= float(ncomb) ** 2
 
         da = t_count - single  # first identity differences

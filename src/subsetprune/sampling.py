@@ -32,14 +32,14 @@ is one Box-Muller pass, since every numpy call in a tile releases the GIL for
 its loop and takes it back after: few long calls, few waits for the GIL. For
 normals and NSN vectors (:func:`_reduce_normals`) a chunk is its rows'
 values; a drawn array (:func:`_one_stream`) is the same map with a reducer
-that writes each chunk into the output. The lemma checks that count (most
-probable interval, NSN hit, joint window, chi-squared tails, intersection
-tail) reduce on the tiles; only the second moment sums floats, on the calling
-thread, since splitting a float sum would reorder its additions. A draw of
-many streams (:func:`_normal_parts`, :func:`_nsn_vectors`) runs on the
-calling thread, a few rows at a time. Each value is computed from its own two
-words alone, and a sum of ints does not depend on the order of its terms, so
-no byte depends on the CPU count or on scheduling. Hence
+that writes each chunk into the output. Every lemma check reduces on the
+tiles; the second moment's tiles write each trial's counts into its block's
+arrays, and only its final float sums run on the calling thread, since
+splitting a float sum would reorder its additions. A draw of many streams
+(:func:`_normal_parts`, :func:`_nsn_vectors`) runs on the calling thread, a
+few rows at a time. Each value is computed from its own two words alone,
+and a sum of ints does not depend on the order of its terms, so no byte
+depends on the CPU count or on scheduling. Hence
 ``(seed, stream, sequence of draw lengths)`` fully determines every value; a
 value depends on the length of the call that drew it, so a longer draw does
 not extend a shorter one. Distinct stream ids give independent streams.

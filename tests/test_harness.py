@@ -1,7 +1,10 @@
 """Monte Carlo bound checks at reduced trial counts, plus scan plumbing."""
 
+import dataclasses
 import functools
+import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -42,7 +45,7 @@ from subsetprune.harness import (
     write_csv,
 )
 from subsetprune.sampling import _key, _substream_keys, _words
-from test_sampling import _rows_reference, workers  # noqa: F401 (a fixture)
+from test_sampling import _rows_reference, _tile_scratch, workers  # noqa: F401 (a fixture)
 from test_solvers import reference_first_cover
 
 SEED = SeedSpec(777)
@@ -213,14 +216,140 @@ class TestSecondMoment:
 
     def test_memory_at_the_largest_family(self):
         # n=10, k=4: a whole-block gather of 210 combos would take 4000 x 210 x 4 x 2 x 8 B
-        # = 54 MB; the combos are summed in chunks under a fixed byte cap instead
-        tracemalloc.start()
+        # = 54 MB; each tile gathers its chunk's combos a few at a time instead
+        args = 10, 4, 2, 0.6, [0.0, 0.0], 4000, SEED.substream(24)
+        assert _second_moment_peak(args) <= _second_moment_scratch(sampling._WORKERS, 4000, 4)
+
+    def test_memory_at_the_cli_shape(self, workers):
+        args = 6, 2, 1, 0.3, [0.0], 12945, SeedSpec(20240801).substream(400)
+        assert _second_moment_peak(args) <= _second_moment_scratch(workers, 12945, 2)
+
+    @pytest.mark.parametrize("args, fields", [
+        ((6, 2, 1, 0.3, [0.0], 12945, SeedSpec(20240801).substream(400)),
+         ["12945", "3.9161838547701815", "3.931633835457706", "-0.01544998068752414",
+          "0.05341465842173973", "21.44959443800695", "21.38702201622248",
+          "0.06257242178447277", "0.40395468300353526"]),
+        ((6, 2, 1, 0.3, [0.0], 20000, SeedSpec(20240801).substream(400)),
+         ["20000", "3.91455", "3.92175", "-0.0072", "0.04339282668829031", "21.35905",
+          "21.14475", "0.2143", "0.3265170803732938"]),
+        ((10, 4, 2, 0.6, [0.0, 0.0], 4000, SEED.substream(24)),
+         ["4000", "20.331", "19.32", "1.011", "0.9300751823105485", "683.3015", "579.8625",
+          "103.43900000000002", "55.28289856677877"]),
+    ], ids=["cli-one-block", "cli-two-blocks", "largest-family"])
+    def test_report_bytes_are_pinned(self, workers, args, fields):
+        # the report is in no CSV or bench digest, and stdout rounds it: these
+        # are the whole-block draw's floats, repr for repr
+        n, k, d, epsilon, z = args[:5]
+        report = check_second_moment_identity(*args)
+        assert _report_fields(report) == [
+            *fields, repr({"n": n, "k": k, "d": d, "epsilon": epsilon, "z": z})]
+
+    # rows a chunk is 2^16 // (n (1 + d)): 5461 at n = 6, d = 1, 3640 at d = 2,
+    # 2048 at n = 8, d = 3 and 2184 at n = 10, d = 2. Each shape runs at a
+    # chunk's rows and one more (a one-row chunk on one tile); 10923 leaves a
+    # one-row chunk on the second of two tiles, 16385 a one-trial second block
+    @pytest.mark.parametrize("n, k, d, epsilon, z, trials", [
+        (2, 1, 1, 0.5, [0.0], 1),
+        (6, 2, 1, 0.3, [0.0], 5461),
+        (6, 2, 1, 0.3, [0.0], 5462),
+        (6, 2, 1, 0.3, [0.1], 10923),
+        (6, 3, 2, 0.5, [0.2, -0.1], 3640),
+        (6, 3, 2, 0.5, [0.0, 0.0], 3641),
+        (8, 4, 3, 0.8, [0.1, 0.0, -0.2], 2048),
+        (8, 4, 3, 0.8, [0.0, 0.0, 0.0], 2049),
+        (10, 4, 2, 0.6, [0.3, 0.1], 2185),
+        (5, 1, 3, 0.4, [0.3, 0.3, 0.3], 16385),
+    ])
+    def test_equal_whole_block_draws(self, workers, n, k, d, epsilon, z, trials):
+        seed = SEED.substream(60 + trials)
+        report = check_second_moment_identity(n, k, d, epsilon, z, trials, seed)
+        expected = _second_moment_reference(n, k, d, epsilon, z, trials, seed)
+        assert _report_fields(report) == _report_fields(expected)
+
+    @pytest.mark.parametrize("trials", [1, 7, 300])
+    def test_equal_whole_block_draws_in_chunks_of_a_few_rows(self, workers, monkeypatch,
+                                                             trials):
+        # six rows a chunk, all tiled, and six of the 15 combos a gather; the
+        # tiles write their rows into shared arrays, switching threads often
+        monkeypatch.setattr(sampling, "_TILE_PAIRS", 40)
+        monkeypatch.setattr(harness, "_TILE_PAIRS", 40)
+        monkeypatch.setattr(sampling, "_INLINE_PAIRS", 1)
+        seed = SEED.substream(61)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            check_second_moment_identity(10, 4, 2, 0.6, [0.0, 0.0], 4000, SEED.substream(24))
-            peak = tracemalloc.get_traced_memory()[1]
+            report = check_second_moment_identity(6, 2, 1, 0.3, [0.1], trials, seed)
         finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+            sys.setswitchinterval(interval)
+        expected = _second_moment_reference(6, 2, 1, 0.3, [0.1], trials, seed)
+        assert _report_fields(report) == _report_fields(expected)
+
+
+def _report_fields(report):
+    return [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
+
+
+def _second_moment_scratch(workers: int, trials: int, k: int) -> int:
+    """What the second-moment check holds at once: the tiles' scratch
+    (:func:`test_sampling._tile_scratch`; a chunk's gather and its sums fit in
+    the word windows and Box-Muller scratch, gone once the chunk is drawn),
+    and per trial of a block its subset count and k + 2 hit flags, then the
+    eight float arrays the calling thread sums."""
+    return _tile_scratch(workers) + min(trials, harness._BLOCK) * (8 + (k + 2) + 8 * 8)
+
+
+def _second_moment_peak(args) -> int:
+    """The traced peak of one second-moment check, run once untraced first so
+    that the pool's threads and their generators exist."""
+    check_second_moment_identity(*args)
+    tracemalloc.start()
+    try:
+        check_second_moment_identity(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _second_moment_reference(n, k, d, epsilon, z, trials, seed):
+    """The check as a whole-block draw: each block's vectors drawn at once on a
+    fresh generator, every subset's hits gathered for the whole block under a
+    4 MiB cap, and the float sums of each block in the check's order."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    ncomb = combos.shape[0]
+    chunk = max(1, (1 << 22) // max(1, 8 * min(trials, 1 << 14) * k * d))
+    canonical = [
+        np.array(list(range(k - j)) + list(range(k, k + j)), dtype=np.intp) for j in range(k + 1)
+    ]
+    hyper = [math.comb(k, k - j) * math.comb(n - k, j) / math.comb(n, k) for j in range(k + 1)]
+
+    def draw(stream, count):
+        vectors = _rows_reference(stream, count, n, d, True)
+        hit = np.empty((count, ncomb), dtype=bool)
+        for lo in range(0, ncomb, chunk):
+            sums = vectors[:, combos[lo : lo + chunk], :].sum(axis=2)
+            hit[:, lo : lo + chunk] = (np.abs(sums - z) <= epsilon).all(axis=2)
+        t_count = hit.sum(axis=1).astype(np.float64)
+        t_square = t_count * t_count
+        single = ncomb * hit[:, 0].astype(np.float64)
+        overlap = np.zeros(count)
+        for j, pair in enumerate(canonical):
+            pair_hit = (np.abs(vectors[:, pair, :].sum(axis=1) - z) <= epsilon).all(axis=1)
+            overlap += hyper[j] * (hit[:, 0] & pair_hit).astype(np.float64)
+        overlap *= float(ncomb) ** 2
+        da, db = t_count - single, t_square - overlap
+        return [float(x.sum()) for x in (
+            da, da * da, db, db * db, t_count, t_square, single, overlap)]
+
+    totals = [0] * 8
+    for b, start in enumerate(range(0, trials, 1 << 14)):
+        parts = draw(seed.substream(b), min(1 << 14, trials - start))
+        totals = [total + part for total, part in zip(totals, parts)]
+    sum_a, sum_a2, sum_b, sum_b2, sum_count, sum_square, sum_single, sum_overlap = totals
+    return harness.SecondMomentReport(
+        trials, sum_count / trials, sum_single / trials, *harness._paired(sum_a, sum_a2, trials),
+        sum_square / trials, sum_overlap / trials, *harness._paired(sum_b, sum_b2, trials),
+        {"n": n, "k": k, "d": d, "epsilon": epsilon, "z": z.tolist()})
 
 
 class TestIntersectionTail:
@@ -395,7 +524,8 @@ class TestStreamedChecks:
     def test_no_reducer_draws_and_no_tile_starts_tiles(self, workers, monkeypatch):
         # a draw from a reducer on a worker could wait on the pool its own
         # tile holds a worker of
-        expected = _streamed_estimates(300), check_intersection_tail(100, 10, 2, 300, SEED)
+        expected = (_streamed_estimates(300), check_intersection_tail(100, 10, 2, 300, SEED),
+                    check_second_moment_identity(6, 2, 1, 0.3, [0.1], 300, SEED))
         state = threading.local()
         engine, run, philox = sampling._reduce_normals, sampling._run, sampling._thread_philox
 
@@ -423,7 +553,8 @@ class TestStreamedChecks:
         monkeypatch.setattr(harness, "_reduce_normals", guarded_engine)
         monkeypatch.setattr(sampling, "_run", guarded_run)
         monkeypatch.setattr(sampling, "_thread_philox", guarded_philox)
-        got = _streamed_estimates(300), check_intersection_tail(100, 10, 2, 300, SEED)
+        got = (_streamed_estimates(300), check_intersection_tail(100, 10, 2, 300, SEED),
+               check_second_moment_identity(6, 2, 1, 0.3, [0.1], 300, SEED))
         assert got == expected
 
 
